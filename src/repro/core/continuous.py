@@ -22,15 +22,15 @@ re-run.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.pipeline import (
     MeasurementStudy,
     RunConfig,
     StudyResult,
     StudyStatistics,
+    accumulate_measurement,
 )
 from repro.core.records import DomainMeasurement, NameMeasurement
 from repro.obs.runtime import metrics
@@ -230,28 +230,6 @@ class RtrSink(CampaignSink):
         self.publishes.append(self._daemon.publish(continuous.study.payloads))
 
 
-# Deprecated attach_* shims warn once per name per process; tests
-# reset this through _reset_deprecation_warnings() to pin the
-# exactly-once behaviour regardless of execution order.
-_WARNED_DEPRECATED: Set[str] = set()
-
-
-def _reset_deprecation_warnings() -> None:
-    _WARNED_DEPRECATED.clear()
-
-
-def _warn_deprecated(name: str, replacement: str) -> None:
-    if name in _WARNED_DEPRECATED:
-        return
-    _WARNED_DEPRECATED.add(name)
-    warnings.warn(
-        f"ContinuousStudy.{name}() is deprecated; use "
-        f"ContinuousStudy.attach({replacement})",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 class ContinuousStudy:
     """A repeatable campaign over one study configuration.
 
@@ -307,29 +285,6 @@ class ContinuousStudy:
             sink.on_attach(self)
             self._sinks.append(sink)
         return self
-
-    def attach_telemetry(
-        self,
-        slo=None,
-        health=None,
-        clock: Optional[Callable[[], float]] = None,
-        refresh_deadline_s: float = 60.0,
-    ) -> "ContinuousStudy":
-        """Deprecated: use ``attach(TelemetrySink(...))``."""
-        _warn_deprecated("attach_telemetry", "TelemetrySink(...)")
-        return self.attach(
-            TelemetrySink(
-                slo=slo,
-                health=health,
-                clock=clock,
-                refresh_deadline_s=refresh_deadline_s,
-            )
-        )
-
-    def attach_rtr(self, daemon) -> "ContinuousStudy":
-        """Deprecated: use ``attach(RtrSink(daemon))``."""
-        _warn_deprecated("attach_rtr", "RtrSink(daemon)")
-        return self.attach(RtrSink(daemon))
 
     @property
     def last_refresh_age_s(self) -> Optional[float]:
@@ -413,7 +368,7 @@ class ContinuousStudy:
                 stats.www_carried_over += 1
             measurement = DomainMeasurement(domain=domain, www=www, plain=plain)
             measurements.append(measurement)
-            MeasurementStudy._accumulate(aggregate, measurement)
+            accumulate_measurement(aggregate, measurement)
         return StudyResult(measurements, aggregate), stats
 
     @staticmethod

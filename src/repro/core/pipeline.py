@@ -434,6 +434,73 @@ def accumulate_measurement(
             ).labels(kind=kind).inc(count)
 
 
+def run_funnel(
+    study: "MeasurementStudy",
+    domains,
+    config: Optional["RunConfig"] = None,
+    session=None,
+    on_domain: Optional[Callable[[], None]] = None,
+) -> Tuple[List[DomainMeasurement], StudyStatistics, Optional[dict]]:
+    """Steps 2-4 for ``domains``, in order, into the active instruments.
+
+    The one per-domain loop: :meth:`MeasurementStudy.run` walks the
+    whole ranking through it and every shard worker
+    (:func:`repro.exec.executor.run_shard`) its slice.  A resilient
+    ``config`` (one carrying a fault plan) routes every domain through
+    a fresh :class:`~repro.core.resilience.ResilientFunnel`; a cache
+    ``session`` additionally wraps that in a
+    :class:`~repro.cache.funnel.CachedFunnel`, which serves validated
+    artifacts and collects fresh ones — returned third (stage -> key
+    -> entry; ``None`` on uncached runs).  ``on_domain`` fires after
+    each domain.
+    """
+    resilient = config is not None and config.resilient
+    cached = session is not None
+    funnel = study.resilient_funnel(config) if resilient else None
+    if cached:
+        from repro.cache.funnel import CachedFunnel
+
+        funnel = CachedFunnel(
+            study.resolver,
+            study.table_dump,
+            study.payloads,
+            session,
+            inner=funnel,
+        )
+    measure = (
+        funnel.measure_domain if funnel is not None else study.measure_domain
+    )
+    counters = metrics()
+    _register_funnel_counters(counters, resilient=resilient, cached=cached)
+    measured = counters.counter(
+        "ripki_domains_measured_total",
+        _STAT_HELP["ripki_domains_measured_total"],
+    )
+    measurements: List[DomainMeasurement] = []
+    stats = StudyStatistics(domain_count=len(domains))
+    for domain in domains:
+        measurement = measure(domain)
+        measurements.append(measurement)
+        accumulate_measurement(stats, measurement)
+        measured.inc()
+        if on_domain is not None:
+            on_domain()
+    if cached:
+        stats.cache_hits_by_stage = dict(funnel.hits)
+        stats.cache_misses_by_stage = dict(funnel.misses)
+    return measurements, stats, funnel.fresh if cached else None
+
+
+def _make_reporter(
+    progress: Optional[ProgressSink], total: int
+) -> Optional[ProgressReporter]:
+    if progress is None:
+        return None
+    if isinstance(progress, ProgressReporter):
+        return progress
+    return ProgressReporter(total=total, callback=progress)
+
+
 @dataclass(frozen=True)
 class CacheConfig:
     """Where (and whether) a run persists its snapshot cache.
@@ -592,29 +659,16 @@ class MeasurementStudy:
             from repro.exec import execute_study
 
             return execute_study(self, config=config)
-        measurements: List[DomainMeasurement] = []
-        stats = StudyStatistics(domain_count=len(self._ranking))
-        reporter = self._make_reporter(config.progress)
-        counters = metrics()
-        _register_funnel_counters(counters, resilient=config.resilient)
-        funnel = self.resilient_funnel(config) if config.resilient else None
-        measured = counters.counter(
-            "ripki_domains_measured_total",
-            _STAT_HELP["ripki_domains_measured_total"],
-        )
+        reporter = _make_reporter(config.progress, total=len(self._ranking))
         with tracer().span("study.run", domains=len(self._ranking)):
             with tracer().span("stage.rank", domains=len(self._ranking)):
                 domains = list(self._ranking)
-            for domain in domains:
-                if funnel is not None:
-                    measurement = funnel.measure_domain(domain)
-                else:
-                    measurement = self.measure_domain(domain)
-                measurements.append(measurement)
-                accumulate_measurement(stats, measurement)
-                measured.inc()
-                if reporter is not None:
-                    reporter.tick()
+            measurements, stats, _ = run_funnel(
+                self,
+                domains,
+                config,
+                on_domain=reporter.tick if reporter is not None else None,
+            )
         if reporter is not None:
             reporter.done()
         return StudyResult(measurements, stats)
@@ -632,15 +686,6 @@ class MeasurementStudy:
             retry=config.retry,
         )
 
-    def _make_reporter(
-        self, progress: Optional[ProgressSink]
-    ) -> Optional[ProgressReporter]:
-        if progress is None:
-            return None
-        if isinstance(progress, ProgressReporter):
-            return progress
-        return ProgressReporter(total=len(self._ranking), callback=progress)
-
     def measure_domain(self, domain: Domain) -> DomainMeasurement:
         """Steps 2-4 for one domain (both name forms)."""
         return measure_domain(self._resolver, self._dump, self._payloads, domain)
@@ -648,6 +693,3 @@ class MeasurementStudy:
     def _measure_form(self, name: str) -> NameMeasurement:
         """Steps 2-4 for a single name form (used by ContinuousStudy)."""
         return _measure_form(self._resolver, self._dump, self._payloads, name)
-
-    # Backwards-compatible alias for the extracted accumulator.
-    _accumulate = staticmethod(accumulate_measurement)

@@ -13,6 +13,9 @@ boundaries in the compact wire form of :mod:`repro.exec.codec`;
 the ``workers`` backend wraps that codec in the framed job protocol
 of :mod:`repro.exec.jobs` (JobSpec out, JobResult back) with
 work-stealing, per-job deadlines, and straggler re-dispatch.
+:mod:`repro.exec.dispatch` holds the ordered-dispatch primitive
+(``resolve_mode`` / ``run_batches``) that the in-process schedulers
+and every other batched path (serve, rtrd, rov) share.
 """
 
 from repro.exec.codec import (

@@ -22,11 +22,11 @@ bit-identical to the serial run:
 Four backends share one shard-runner code path, dispatched through
 the pluggable schedulers of :mod:`repro.exec.scheduler`:
 
-* ``process`` — :class:`concurrent.futures.ProcessPoolExecutor`,
-  true parallelism; the study (resolver, table dump, payloads) is
-  shipped to each worker once via the pool initializer,
-* ``thread`` — :class:`~concurrent.futures.ThreadPoolExecutor`;
-  no pickling, workers share the study object.  The GIL serialises
+* ``process`` — a process pool, true parallelism; the study
+  (resolver, table dump, payloads) is shipped to each worker once
+  via the pool initializer,
+* ``thread`` — the thread pool of :mod:`repro.exec.dispatch`; no
+  pickling, workers share the study object.  The GIL serialises
   the pure-Python funnel, so this backend exists for determinism
   tests and for a future IO-bound (live DNS) resolver,
 * ``serial`` — the shard pipeline on the calling thread, for
@@ -35,7 +35,8 @@ the pluggable schedulers of :mod:`repro.exec.scheduler`:
   length-prefixed JSON job protocol (:mod:`repro.exec.jobs`) with
   work-stealing, per-job deadlines, and straggler re-dispatch.
 
-``auto`` resolves to ``process`` when ``workers > 1``.
+``auto`` resolves to ``process`` when ``workers > 1``
+(:func:`repro.exec.dispatch.resolve_mode`).
 """
 
 from __future__ import annotations
@@ -45,32 +46,25 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from repro.core.pipeline import (
-    _STAT_HELP,
+    _make_reporter,
     _register_funnel_counters,
     RUN_MODES,
     MeasurementStudy,
-    ProgressSink,
     RunConfig,
     StudyResult,
     StudyStatistics,
-    accumulate_measurement,
-    measure_domain,
+    run_funnel,
 )
 from repro.core.records import DomainMeasurement
 from repro.exec.codec import (
     encode_measurements,
     encode_statistics,
 )
+from repro.exec.dispatch import merge_recorded, record, resolve_mode
 from repro.exec.sharding import Shard, plan_shards
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.progress import ProgressReporter
-from repro.obs.runtime import (
-    metrics,
-    observability_enabled,
-    thread_scope,
-    tracer,
-)
-from repro.obs.tracing import Span, TraceCollector
+from repro.obs.runtime import metrics, observability_enabled, tracer
+from repro.obs.tracing import Span
 
 MODES = RUN_MODES
 
@@ -133,69 +127,33 @@ def run_shard(
     """Steps 2-4 for one shard, recorded into shard-local sinks.
 
     When ``observe`` is set the shard gets a fresh registry and trace
-    collector installed thread-locally, so concurrent shards never
+    collector installed thread-locally
+    (:func:`repro.exec.dispatch.record`), so concurrent shards never
     interleave into one instrument and the outcomes merge
     deterministically in shard order.
 
-    A resilient ``config`` (one carrying a fault plan) routes the
-    shard through a fresh :class:`~repro.core.resilience.ResilientFunnel`;
-    fault decisions are pure functions of the plan, so per-shard
-    funnels reproduce the serial run's outcomes exactly.  A cache
-    ``session`` additionally wraps the shard in a
-    :class:`~repro.cache.funnel.CachedFunnel`, which serves validated
-    artifacts and collects fresh ones into ``cache_entries``.
+    The funnel is :func:`repro.core.pipeline.run_funnel` — the loop
+    the plain serial run walks — so fault decisions (pure functions of
+    the plan) and cache hits reproduce the serial run's outcomes
+    exactly; fresh cache artifacts come back as ``cache_entries``.
     """
-    resilient = config is not None and config.resilient
-    cached = session is not None
-    registry = MetricsRegistry() if observe else None
-    collector = TraceCollector() if observe else None
-    measurements: List[DomainMeasurement] = []
-    stats = StudyStatistics(domain_count=len(shard))
-    funnel = study.resilient_funnel(config) if resilient else None
-    if cached:
-        from repro.cache.funnel import CachedFunnel
 
-        funnel = CachedFunnel(
-            study.resolver,
-            study.table_dump,
-            study.payloads,
-            session,
-            inner=funnel,
-        )
-    with thread_scope(registry, collector):
-        counters = metrics()
-        if observe:
-            _register_funnel_counters(
-                counters, resilient=resilient, cached=cached
-            )
-        measured = counters.counter(
-            "ripki_domains_measured_total",
-            _STAT_HELP["ripki_domains_measured_total"],
-        )
+    def measure(shard: Shard):
         with tracer().span(
             "shard.run", shard=shard.index, domains=len(shard)
         ):
-            for domain in shard.domains:
-                if funnel is not None:
-                    measurement = funnel.measure_domain(domain)
-                else:
-                    measurement = measure_domain(
-                        study.resolver, study.table_dump, study.payloads, domain
-                    )
-                measurements.append(measurement)
-                accumulate_measurement(stats, measurement)
-                measured.inc()
-    if cached:
-        stats.cache_hits_by_stage = dict(funnel.hits)
-        stats.cache_misses_by_stage = dict(funnel.misses)
+            return run_funnel(study, shard.domains, config, session)
+
+    recorded = record(measure, shard, observe)
+    measurements, stats, cache_entries = recorded.result
     return ShardOutcome(
         index=shard.index,
         measurements=measurements,
         statistics=stats,
-        metrics=registry,
-        spans=collector.spans() if collector is not None else [],
-        dropped_spans=collector.dropped if collector is not None else 0,
-        cache_entries=funnel.fresh if cached else None,
+        metrics=recorded.metrics,
+        spans=recorded.spans,
+        dropped_spans=recorded.dropped_spans,
+        cache_entries=cache_entries,
     )
 
 
@@ -253,36 +211,16 @@ def _process_shard(shard: Shard):
 # -- the engine ---------------------------------------------------------------
 
 
-def execute_study(
-    study: MeasurementStudy,
-    workers: int = 1,
-    mode: str = "auto",
-    shard_size: Optional[int] = None,
-    progress: Optional[ProgressSink] = None,
-    config: Optional[RunConfig] = None,
-) -> StudyResult:
+def execute_study(study: MeasurementStudy, config: RunConfig) -> StudyResult:
     """Run the study sharded; the result equals the serial run's.
 
     ``config`` bundles every knob (and is what
-    :meth:`MeasurementStudy.run` passes); the loose keywords build an
-    equivalent config when it is omitted.  The progress sink receives
+    :meth:`MeasurementStudy.run` passes).  The progress sink receives
     batched ticks — one ``tick(len(shard))`` per completed shard, in
     completion order.
     """
-    if config is None:
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        config = RunConfig(
-            workers=max(1, int(workers)),
-            mode=mode,
-            shard_size=shard_size,
-            progress=progress,
-        )
     workers = config.workers
-    shard_size = config.shard_size
-    resolved = config.mode
-    if resolved == "auto":
-        resolved = "process" if workers > 1 else "serial"
+    resolved = resolve_mode(config.mode, workers, parallel="process")
 
     session = None
     if config.cache is not None:
@@ -291,9 +229,9 @@ def execute_study(
         session = CacheSession.open(config.cache.directory, study, config)
 
     observe = observability_enabled()
-    registry = metrics()
     trace = tracer()
     if observe:
+        registry = metrics()
         _register_funnel_counters(
             registry, resilient=config.resilient, cached=session is not None
         )
@@ -315,7 +253,9 @@ def execute_study(
     ) as root:
         with trace.span("stage.rank", domains=len(study.ranking)):
             domains = list(study.ranking)
-        shards = plan_shards(domains, shard_size=shard_size, workers=workers)
+        shards = plan_shards(
+            domains, shard_size=config.shard_size, workers=workers
+        )
         from repro.exec.scheduler import scheduler_for
 
         scheduler = scheduler_for(resolved, config)
@@ -335,30 +275,9 @@ def execute_study(
                 if outcome.cache_entries is not None:
                     session.adopt(outcome.cache_entries)
             session.save()
-        if observe:
-            parent_id = root.span_id if root is not None else None
-            for outcome in outcomes:
-                if outcome.metrics is not None and registry.enabled:
-                    registry.merge(outcome.metrics)
-                trace.absorb(
-                    outcome.spans,
-                    parent_id=parent_id,
-                    dropped=outcome.dropped_spans,
-                )
+        merge_recorded(outcomes, root)
     if reporter is not None:
         reporter.done()
     result = StudyResult(measurements, stats)
     result.scheduler_report = scheduler_report
     return result
-
-
-def _make_reporter(
-    progress: Optional[ProgressSink], total: int
-) -> Optional[ProgressReporter]:
-    if progress is None:
-        return None
-    if isinstance(progress, ProgressReporter):
-        return progress
-    return ProgressReporter(total=total, callback=progress)
-
-

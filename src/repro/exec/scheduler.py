@@ -53,6 +53,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
+from repro.exec.dispatch import map_ordered
 from repro.exec.jobs import (
     DEFAULT_JOB_DEADLINE_S,
     JobProtocolError,
@@ -207,31 +208,16 @@ class InprocScheduler:
         self.threaded = threaded
 
     def run(self, study, shards, observe, ticker, session=None):
-        import concurrent.futures
-
         from repro.exec.executor import run_shard
 
         config = self.config
-        outcomes: List[object] = []
-        if not self.threaded:
-            for shard in shards:
-                outcomes.append(
-                    run_shard(study, shard, observe, config, session)
-                )
-                ticker(shard)
-        else:
-            with concurrent.futures.ThreadPoolExecutor(
-                max_workers=config.workers, thread_name_prefix="ripki-shard"
-            ) as pool:
-                futures = {
-                    pool.submit(
-                        run_shard, study, shard, observe, config, session
-                    ): shard
-                    for shard in shards
-                }
-                for future in concurrent.futures.as_completed(futures):
-                    outcomes.append(future.result())
-                    ticker(futures[future])
+        outcomes = map_ordered(
+            lambda shard: run_shard(study, shard, observe, config, session),
+            shards,
+            workers=config.workers,
+            mode="thread" if self.threaded else "serial",
+            on_done=ticker,
+        )
         report = SchedulerReport(
             backend=self.backend,
             workers=config.workers if self.threaded else 1,

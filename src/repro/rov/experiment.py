@@ -33,15 +33,17 @@ bit-identical reports (pinned by ``RovReport.digest``).
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 from repro.bgp.messages import Announcement
 from repro.bgp.propagation import PropagationEngine
 from repro.bgp.topology import ASRole, ASTopology
 from repro.crypto import DeterministicRNG
+from repro.exec.dispatch import resolve_mode, run_batches
+from repro.exec.sharding import Batch, plan_batches
 from repro.net import ASN, Prefix
 from repro.rov.annotation import ANNOTATION_VALID, annotate_route
 from repro.rpki.vrp import VRP, ValidatedPayloads
@@ -392,17 +394,19 @@ def run_round(
     )
 
 
-def _run_shard(
-    payload: Tuple[ASTopology, Tuple[int, ...], ExperimentSpec, str,
-                   Tuple[int, ...]],
+def _run_rounds(
+    topology: ASTopology,
+    enforcing_rows: Tuple[int, ...],
+    spec: ExperimentSpec,
+    digest: str,
+    batch: Batch,
 ) -> List[RoundResult]:
-    """Process-pool entry point: run a contiguous slice of rounds."""
-    topology, enforcing_rows, spec, digest, indices = payload
+    """Run a contiguous slice of rounds (picklable for process pools)."""
     enforcing = frozenset(ASN(a) for a in enforcing_rows)
     engine = PropagationEngine(topology)
     return [
         run_round(engine, build_round(topology, spec, digest, index), enforcing)
-        for index in indices
+        for index in batch.items
     ]
 
 
@@ -470,27 +474,19 @@ class RovExperimentRunner:
     def run(self, mode: str = "auto", workers: int = 1) -> RovReport:
         if mode not in ROV_MODES:
             raise ValueError(f"unknown mode {mode!r} (one of {ROV_MODES})")
-        indices = list(range(self._spec.rounds))
-        if mode == "auto":
-            mode = "serial" if workers <= 1 else "process"
-        if mode == "serial" or workers <= 1:
-            results = _run_shard(
-                (self._topology, self._enforcing_rows(), self._spec,
-                 self._digest, tuple(indices))
-            )
-        else:
-            shards = self._shards(indices, workers)
-            payloads = [
-                (self._topology, self._enforcing_rows(), self._spec,
-                 self._digest, shard)
-                for shard in shards
-            ]
-            pool_cls = (
-                ThreadPoolExecutor if mode == "thread" else ProcessPoolExecutor
-            )
-            with pool_cls(max_workers=workers) as pool:
-                shard_results = list(pool.map(_run_shard, payloads))
-            results = [result for shard in shard_results for result in shard]
+        shard_results = run_batches(
+            functools.partial(
+                _run_rounds,
+                self._topology,
+                self._enforcing_rows(),
+                self._spec,
+                self._digest,
+            ),
+            plan_batches(range(self._spec.rounds), workers=workers),
+            workers=workers,
+            mode=resolve_mode(mode, workers, parallel="process"),
+        )
+        results = [result for shard in shard_results for result in shard]
         report = self._aggregate(results)
         self._record_metrics(report)
         return report
@@ -499,15 +495,6 @@ class RovExperimentRunner:
 
     def _enforcing_rows(self) -> Tuple[int, ...]:
         return tuple(sorted(int(asn) for asn in self._enforcing))
-
-    @staticmethod
-    def _shards(indices: Sequence[int], workers: int) -> List[Tuple[int, ...]]:
-        shard_count = max(1, min(len(indices), workers * 4))
-        size = (len(indices) + shard_count - 1) // shard_count
-        return [
-            tuple(indices[start:start + size])
-            for start in range(0, len(indices), size)
-        ]
 
     def _aggregate(self, results: List[RoundResult]) -> RovReport:
         totals: Dict[int, List[int]] = {}

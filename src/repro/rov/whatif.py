@@ -28,7 +28,6 @@ ecosystem, so it pickles cheaply into process pools.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -36,6 +35,8 @@ from repro.bgp.hijack import HijackScenario
 from repro.bgp.messages import Announcement
 from repro.bgp.topology import ASTopology
 from repro.crypto import DeterministicRNG
+from repro.exec.dispatch import resolve_mode, run_batches
+from repro.exec.sharding import Batch, plan_batches
 from repro.net import ASN, Prefix
 from repro.rov.futures import AdoptionFuture
 from repro.rpki.vrp import VRP, OriginValidation, ValidatedPayloads
@@ -131,14 +132,6 @@ class _HijackCase:
     attacker: ASN
 
 
-def _whatif_shard(
-    payload: Tuple["WhatIfEngine", Tuple[AdoptionFuture, ...]],
-) -> List[ExposureDelta]:
-    """Process-pool entry point: score a slice of futures."""
-    engine, futures = payload
-    return [engine.run(future) for future in futures]
-
-
 class WhatIfEngine:
     """Scores adoption futures against one funnel baseline."""
 
@@ -222,21 +215,19 @@ class WhatIfEngine:
         """Score a sweep; results are in input order for every backend."""
         if mode not in WHATIF_MODES:
             raise ValueError(f"unknown mode {mode!r} (one of {WHATIF_MODES})")
-        if mode == "auto":
-            mode = "serial" if workers <= 1 else "process"
-        if mode == "serial" or workers <= 1 or len(futures) <= 1:
-            return [self.run(future) for future in futures]
-        self.baseline()  # compute once so shards inherit it
-        shard_count = max(1, min(len(futures), workers * 2))
-        size = (len(futures) + shard_count - 1) // shard_count
-        shards = [
-            tuple(futures[start:start + size])
-            for start in range(0, len(futures), size)
-        ]
-        pool_cls = ThreadPoolExecutor if mode == "thread" else ProcessPoolExecutor
-        with pool_cls(max_workers=workers) as pool:
-            results = list(pool.map(_whatif_shard, [(self, s) for s in shards]))
-        return [delta for shard in results for delta in shard]
+        batches = plan_batches(futures, workers=workers)
+        if len(batches) > 1:
+            self.baseline()  # compute once so every batch inherits it
+        scored = run_batches(
+            self._run_batch,
+            batches,
+            workers=workers,
+            mode=resolve_mode(mode, workers, parallel="process"),
+        )
+        return [delta for batch in scored for delta in batch]
+
+    def _run_batch(self, batch: Batch) -> List[ExposureDelta]:
+        return [self.run(future) for future in batch.items]
 
     def trajectory(
         self,

@@ -10,34 +10,27 @@ population; :meth:`publish` installs a new VRP world, fans a Serial
 Notify out to every synchronized session, and pumps the resulting
 serve/poll exchanges to quiescence.
 
-Dispatch mirrors the query service's model exactly: the router list
-is cut into contiguous batches with the executor's planner
-(:func:`repro.exec.sharding.plan_batches`); the threaded backend runs
-batches on a pool with per-batch instrument isolation
-(:func:`repro.obs.runtime.thread_scope`) merged parent-side in batch
-order, so serial and threaded pumps produce identical router tables
-and identical counter totals.  Batches are disjoint router sets and
-the cache's world state is read-only during a pump, so threads never
-contend on session state; the encoded snapshot/diff frame caches are
-a benign race (both threads compute the same bytes).
+Dispatch is the query service's model exactly: the router list is cut
+into contiguous batches with the executor's planner
+(:func:`repro.exec.sharding.plan_batches`) and every serve/poll round
+goes through the shared ordered-dispatch primitive
+(:func:`repro.exec.dispatch.run_batches`), so serial and threaded
+pumps produce identical router tables and identical counter totals.
+Batches are disjoint router sets and the cache's world state is
+read-only during a pump, so threads never contend on session state;
+the encoded snapshot/diff frame caches are a benign race (both
+threads compute the same bytes).
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.exec.sharding import plan_batches
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.runtime import (
-    metrics,
-    observability_enabled,
-    thread_scope,
-    tracer,
-)
-from repro.obs.tracing import TraceCollector
+from repro.exec.dispatch import resolve_mode, run_batches
+from repro.exec.sharding import Batch, plan_batches
+from repro.obs.runtime import metrics, tracer
 from repro.rpki.rtr.cache import RTRCache
 from repro.rpki.rtr.pdus import FLAG_ANNOUNCE, prefix_pdu
 from repro.rpki.vrp import VRP
@@ -104,9 +97,7 @@ class RtrdConfig:
 
     @property
     def resolved_mode(self) -> str:
-        if self.mode == "auto":
-            return "thread" if self.workers > 1 else "serial"
-        return self.mode
+        return resolve_mode(self.mode, self.workers)
 
 
 @dataclass
@@ -366,62 +357,21 @@ class RTRDaemon:
     def _step_all(
         self, population: Sequence[SimulatedRouter], root
     ) -> None:
-        batches = plan_batches(
-            population, self.config.batch_size, self.config.workers
+        run_batches(
+            self._step_batch,
+            plan_batches(
+                population, self.config.batch_size, self.config.workers
+            ),
+            workers=self.config.workers,
+            mode=self.config.resolved_mode,
+            root=root,
         )
-        if (
-            self.config.resolved_mode == "serial"
-            or self.config.workers <= 1
-            or len(batches) <= 1
+
+    def _step_batch(self, batch: Batch) -> None:
+        with tracer().span(
+            "rtrd.batch", batch=batch.index, routers=len(batch)
         ):
-            for batch in batches:
-                self._step_batch(batch.index, batch.items)
-            return
-        self._step_threaded(batches, root)
-
-    def _step_threaded(self, batches, root) -> None:
-        observe = observability_enabled()
-        registry = metrics()
-        trace = tracer()
-        outcomes: Dict[int, tuple] = {}
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=self.config.workers,
-            thread_name_prefix="ripki-rtrd",
-        ) as pool:
-            futures = {
-                pool.submit(
-                    self._step_batch_scoped,
-                    batch.index,
-                    batch.items,
-                    observe,
-                ): batch.index
-                for batch in batches
-            }
-            for future in concurrent.futures.as_completed(futures):
-                outcomes[futures[future]] = future.result()
-        parent_id = root.span_id if root is not None else None
-        for index in sorted(outcomes):
-            batch_registry, batch_collector = outcomes[index]
-            if observe:
-                if batch_registry is not None and registry.enabled:
-                    registry.merge(batch_registry)
-                if batch_collector is not None:
-                    trace.absorb(
-                        batch_collector.spans(),
-                        parent_id=parent_id,
-                        dropped=batch_collector.dropped,
-                    )
-
-    def _step_batch_scoped(self, index: int, items, observe: bool):
-        registry = MetricsRegistry() if observe else None
-        collector = TraceCollector() if observe else None
-        with thread_scope(registry, collector):
-            self._step_batch(index, items)
-        return registry, collector
-
-    def _step_batch(self, index: int, items) -> None:
-        with tracer().span("rtrd.batch", batch=index, routers=len(items)):
-            for router in items:
+            for router in batch.items:
                 self._manager.step_router(router)
 
     # -- accounting --------------------------------------------------------

@@ -5,14 +5,11 @@ dispatchable request stream:
 
 * **deterministic batched dispatch** — a query list is cut into
   contiguous batches with the executor's planner
-  (:func:`repro.exec.sharding.plan_batches`); the threaded backend
-  runs batches on a pool and reassembles responses in batch order, so
-  serial and threaded dispatch return identical response lists;
-* **per-batch instrument isolation** — each threaded batch records
-  into its own scoped registry/collector
-  (:func:`repro.obs.runtime.thread_scope`), merged parent-side in
-  batch order, so concurrent batches never interleave into one
-  instrument and counter totals match the serial run exactly;
+  (:func:`repro.exec.sharding.plan_batches`) and handed to the shared
+  ordered-dispatch primitive (:func:`repro.exec.dispatch.run_batches`),
+  which returns responses in batch order and brings each threaded
+  batch's metrics and spans home, so serial and threaded dispatch
+  return identical response lists and identical counter totals;
 * **fault-profile degradation** — a :class:`~repro.faults.FaultPlan`
   carrying ``serve.*`` rates injects query-path faults keyed on the
   query's canonical string; the service catches the typed
@@ -29,24 +26,17 @@ dispatchable request stream:
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.exec.sharding import plan_batches
+from repro.exec.dispatch import resolve_mode, run_batches
+from repro.exec.sharding import Batch, plan_batches
 from repro.faults.injectors import InjectedServeFault
 from repro.faults.plan import SERVE_STALE, SERVE_TIMEOUT, FaultPlan
 from repro.net import ASN, Address, Prefix
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.runtime import (
-    metrics,
-    observability_enabled,
-    thread_scope,
-    tracer,
-)
-from repro.obs.tracing import TraceCollector
+from repro.obs.runtime import metrics, tracer
 from repro.obs.window import SLOTracker, estimate_quantiles
 from repro.serve.errors import QueryError
 from repro.serve.index import (
@@ -205,9 +195,7 @@ class ServeConfig:
 
     @property
     def resolved_mode(self) -> str:
-        if self.mode == "auto":
-            return "thread" if self.workers > 1 else "serial"
-        return self.mode
+        return resolve_mode(self.mode, self.workers)
 
 
 class QueryService:
@@ -250,64 +238,20 @@ class QueryService:
         with tracer().span(
             "serve.run", queries=len(ordered), mode=mode
         ) as root:
-            if (
-                mode == "serial"
-                or self.config.workers <= 1
-                or len(batches) <= 1
-            ):
-                responses: List[Response] = []
-                for batch in batches:
-                    responses.extend(
-                        self._run_batch(batch.index, batch.items)
-                    )
-                return responses
-            return self._run_threaded(batches, root)
+            answered = run_batches(
+                self._run_batch,
+                batches,
+                workers=self.config.workers,
+                mode=mode,
+                root=root,
+            )
+        return [response for batch in answered for response in batch]
 
-    def _run_threaded(self, batches, root) -> List[Response]:
-        observe = observability_enabled()
-        registry = metrics()
-        trace = tracer()
-        outcomes: Dict[int, tuple] = {}
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=self.config.workers,
-            thread_name_prefix="ripki-serve",
-        ) as pool:
-            futures = {
-                pool.submit(
-                    self._run_batch_scoped, batch.index, batch.items, observe
-                ): batch.index
-                for batch in batches
-            }
-            for future in concurrent.futures.as_completed(futures):
-                index = futures[future]
-                outcomes[index] = future.result()
-        responses: List[Response] = []
-        parent_id = root.span_id if root is not None else None
-        for index in sorted(outcomes):
-            batch_responses, batch_registry, batch_collector = outcomes[index]
-            responses.extend(batch_responses)
-            if observe:
-                if batch_registry is not None and registry.enabled:
-                    registry.merge(batch_registry)
-                if batch_collector is not None:
-                    trace.absorb(
-                        batch_collector.spans(),
-                        parent_id=parent_id,
-                        dropped=batch_collector.dropped,
-                    )
-        return responses
-
-    def _run_batch_scoped(self, index: int, items, observe: bool):
-        """One batch under its own thread-local instruments."""
-        registry = MetricsRegistry() if observe else None
-        collector = TraceCollector() if observe else None
-        with thread_scope(registry, collector):
-            responses = self._run_batch(index, items)
-        return responses, registry, collector
-
-    def _run_batch(self, index: int, items) -> List[Response]:
-        with tracer().span("serve.batch", batch=index, queries=len(items)):
-            return [self._evaluate(query) for query in items]
+    def _run_batch(self, batch: Batch) -> List[Response]:
+        with tracer().span(
+            "serve.batch", batch=batch.index, queries=len(batch)
+        ):
+            return [self._evaluate(query) for query in batch.items]
 
     # -- one query -----------------------------------------------------------
 

@@ -1,12 +1,8 @@
-"""Public API surface: ``__all__`` audits and deprecation contracts."""
+"""Public API surface: ``__all__`` audits and the RunConfig-only entry."""
 
 import importlib
-import warnings
 
 import pytest
-
-from repro.core import ContinuousStudy
-from repro.core.continuous import _reset_deprecation_warnings
 
 PUBLIC_MODULES = [
     "repro.core",
@@ -55,76 +51,6 @@ class TestAllAudits:
             "WORLD_PROFILES", "world_plan",
         ):
             assert name in world.__all__
-
-
-class _StudyStub:
-    """``attach`` never touches the study, so a stub is enough."""
-
-
-class TestDeprecatedShims:
-    def setup_method(self):
-        _reset_deprecation_warnings()
-
-    def teardown_method(self):
-        _reset_deprecation_warnings()
-
-    def test_attach_telemetry_warns_exactly_once(self):
-        continuous = ContinuousStudy(_StudyStub())
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            continuous.attach_telemetry()
-            continuous.attach_telemetry()
-        relevant = [
-            w for w in caught
-            if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(relevant) == 1
-        assert "TelemetrySink" in str(relevant[0].message)
-
-    def test_attach_rtr_warns_exactly_once(self):
-        class DaemonStub:
-            pass
-
-        continuous = ContinuousStudy(_StudyStub())
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            continuous.attach_rtr(DaemonStub())
-            continuous.attach_rtr(DaemonStub())
-        relevant = [
-            w for w in caught
-            if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(relevant) == 1
-        assert "RtrSink" in str(relevant[0].message)
-
-    def test_each_shim_warns_independently(self):
-        class DaemonStub:
-            pass
-
-        continuous = ContinuousStudy(_StudyStub())
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            continuous.attach_telemetry()
-            continuous.attach_rtr(DaemonStub())
-        relevant = [
-            w for w in caught
-            if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(relevant) == 2
-
-    def test_shims_still_attach_working_sinks(self):
-        from repro.core import RtrSink, TelemetrySink
-
-        class DaemonStub:
-            pass
-
-        continuous = ContinuousStudy(_StudyStub())
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            continuous.attach_telemetry()
-            continuous.attach_rtr(DaemonStub())
-        kinds = [type(sink) for sink in continuous.sinks]
-        assert kinds == [TelemetrySink, RtrSink]
 
 
 class TestRunConfigOnlyEntryPoint:

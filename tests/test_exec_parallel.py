@@ -190,7 +190,7 @@ class TestWireCodec:
 class TestExecutorPlumbing:
     def test_rejects_unknown_mode(self, study):
         with pytest.raises(ValueError):
-            execute_study(study, workers=2, mode="fibers")
+            RunConfig(workers=2, mode="fibers")
         assert set(MODES) == {
             "auto", "serial", "thread", "process", "workers"
         }

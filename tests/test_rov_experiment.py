@@ -311,3 +311,22 @@ class TestMetrics:
         assert 'ripki_rov_verdicts_total{verdict="inconclusive"}' in text
         assert "ripki_rov_futures_total 1" in text
         assert "ripki_rov_hijack_replays_total 3" in text
+
+    def test_whatif_counters_identical_across_backends(self, world):
+        engine = WhatIfEngine(world, hijack_samples=3, seed=2015)
+        exported = {}
+        for mode in ("serial", "thread", "process"):
+            registry, _collector = obs.enable()
+            try:
+                engine.run_futures(named_futures(world), mode=mode, workers=2)
+            finally:
+                obs.disable()
+            exported[mode] = [
+                line
+                for line in registry.render_prometheus().splitlines()
+                if line.startswith("ripki_rov_")
+            ]
+        assert "ripki_rov_futures_total 3" in exported["serial"]
+        assert "ripki_rov_hijack_replays_total 9" in exported["serial"]
+        assert exported["thread"] == exported["serial"]
+        assert exported["process"] == exported["serial"]
