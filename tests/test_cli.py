@@ -118,6 +118,8 @@ class TestObservabilityFlags:
 
         text = metrics_path.read_text()
         assert "ripki_domains_measured_total 300" in text
+        # run declares no latency objectives: no SLO gauges in its file.
+        assert "ripki_slo_" not in text
 
         trace = json.loads(trace_path.read_text())
         names = {span["name"] for span in trace["spans"]}
@@ -199,3 +201,445 @@ class TestTelemetryFlags:
         finally:
             process.kill()
             process.wait(timeout=10)
+
+
+def _mask_times(text: str) -> str:
+    import re
+
+    return re.sub(r"\d+\.\d+s", "<T>s", text)
+
+
+def _assert_line_prefixes(text: str, prefixes) -> None:
+    """Every prefix starts some line of ``text``, in the given order."""
+    lines = iter(text.splitlines())
+    for prefix in prefixes:
+        assert any(line.startswith(prefix) for line in lines), (
+            f"no line starting {prefix!r} (in order) in:\n{text}"
+        )
+
+
+def _metric_families(path) -> set:
+    return {
+        line.split()[2]
+        for line in path.read_text().splitlines()
+        if line.startswith("# TYPE ")
+    }
+
+
+def _assert_obs_disabled() -> None:
+    from repro.obs.runtime import observability_enabled
+
+    assert not observability_enabled()
+
+
+class TestEverySubcommand:
+    """One tiny in-process run of each subcommand no other test drives.
+
+    The safety net under the command-session lifecycle: exit code,
+    the ordered skeleton of stdout, the ``--json`` / ``--metrics-out``
+    artifacts, and obs switched back off afterwards.
+    """
+
+    def test_refresh(self, capsys, tmp_path):
+        metrics_path = tmp_path / "m.prom"
+        code = main(
+            ["refresh", "--domains", "200", "--seed", "3", "--campaigns", "2",
+             "--metrics-out", str(metrics_path)]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        _assert_line_prefixes(_mask_times(captured.out), [
+            "building world: 200 domains, seed 3 ...",
+            "  baseline: 200 domains in <T>s",
+            "  campaign 1 (heuristic): 10 re-hosted, ",
+            "  campaign 2 (heuristic): 10 re-hosted, ",
+            f"  metrics: {metrics_path} (",
+        ])
+        assert {
+            "ripki_domains_measured_total",
+            "ripki_refresh_queries_total",
+            "ripki_slo_compliance_ratio",
+        } <= _metric_families(metrics_path)
+        _assert_obs_disabled()
+
+    def test_serve(self, capsys, tmp_path):
+        import json
+
+        json_path = tmp_path / "s.json"
+        metrics_path = tmp_path / "m.prom"
+        code = main(
+            ["serve", "--domains", "200", "--seed", "3", "--queries", "100",
+             "--telemetry-port", "0", "--json", str(json_path),
+             "--metrics-out", str(metrics_path)]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        _assert_line_prefixes(_mask_times(captured.out), [
+            "  telemetry: http://127.0.0.1:",
+            "building world: 200 domains, seed 3 ...",
+            "  index built in <T>s: <ServingIndex 200 domains, ",
+            "  load: 100 queries (zipf 1.1, seed 3)",
+            "  served in <T>s, serial dispatch",
+            "== Query service (100 queries) ==",
+            "query kind ",
+            "verdict ",
+            "degraded answers: 0 ",
+            "throughput: ",
+            f"  summary: {json_path}",
+            f"  metrics: {metrics_path} (",
+        ])
+        assert "lingering" not in captured.out
+        summary = json.loads(json_path.read_text())
+        assert sorted(summary) == [
+            "by_kind", "degraded", "elapsed_s", "qps", "queries", "verdicts",
+        ]
+        assert summary["queries"] == 100
+        assert {
+            "ripki_serve_queries_total",
+            "ripki_serve_latency_seconds",
+            "ripki_slo_compliance_ratio",
+        } <= _metric_families(metrics_path)
+        _assert_obs_disabled()
+
+    def test_rtrd(self, capsys, tmp_path):
+        import json
+
+        json_path = tmp_path / "r.json"
+        metrics_path = tmp_path / "m.prom"
+        code = main(
+            ["rtrd", "--vrps", "150", "--seed", "3", "--sessions", "8",
+             "--rounds", "2", "--world-changes", "10",
+             "--json", str(json_path), "--metrics-out", str(metrics_path)]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        _assert_line_prefixes(_mask_times(captured.out), [
+            "building VRP world: 150 VRPs, seed 3 ...",
+            "  8/8 sessions synchronized at serial 1",
+            "  2 churn rounds in <T>s, serial dispatch",
+            "== RTR daemon (8 sessions) ==",
+            "sessions ",
+            "publishes ",
+            "pushed bytes: ",
+            "  all surviving router tables identical to the cache snapshot",
+            f"  summary: {json_path}",
+            f"  metrics: {metrics_path} (",
+        ])
+        summary = json.loads(json_path.read_text())
+        assert {
+            "churn", "delta_saving_ratio", "publishes", "serial",
+            "sessions", "synchronized",
+        } <= set(summary)
+        assert summary["churn"]["converged"] and not summary["churn"]["diverged"]
+        assert {
+            "ripki_rtrd_publishes_total",
+            "ripki_rtr_cache_serial",
+            "ripki_slo_compliance_ratio",
+        } <= _metric_families(metrics_path)
+        _assert_obs_disabled()
+
+    def test_world(self, capsys, tmp_path):
+        import json
+
+        json_path = tmp_path / "w.json"
+        metrics_path = tmp_path / "m.prom"
+        code = main(
+            ["world", "--domains", "200", "--seed", "3", "--steps", "3",
+             "--json", str(json_path), "--metrics-out", str(metrics_path)]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        _assert_line_prefixes(_mask_times(captured.out), [
+            "building world: 200 domains, seed 3 ...",
+            "  13 certificate authorities, 13 VRPs at step 0 "
+            "('sloppy-ca' profile)",
+            "  baseline: 200 domains, 13 VRPs announced to RTR in <T>s",
+            "  step 1: 12 VRPs (+0/-1), ",
+            "    events: ",
+            "  step 2: ",
+            "  step 3: ",
+            "== World (3 steps, 'sloppy-ca') ==",
+            "profile ",
+            "event kind ",
+            "ledger digest: ",
+            "cache artifacts invalidated: ",
+            f"  summary: {json_path}",
+            f"  metrics: {metrics_path} (",
+        ])
+        payload = json.loads(json_path.read_text())
+        assert sorted(payload) == [
+            "invalidated_artifacts", "ledger", "rtr_delta_entries", "summary",
+        ]
+        assert payload["summary"]["steps"] == 3
+        assert {
+            "ripki_cache_hits_total",
+            "ripki_refresh_queries_total",
+            "ripki_rtrd_publishes_total",
+            "ripki_slo_compliance_ratio",
+        } <= _metric_families(metrics_path)
+        _assert_obs_disabled()
+
+    ROV_ARGS = ["rov", "--domains", "120", "--seed", "3", "--rounds", "4",
+                "--vantages", "4", "--futures", "1", "--samples", "2"]
+    ROV_SKELETON = [
+        "building ecosystem: 120 domains, seed 3 ...",
+        "  campaign: 4 rounds x 4 vantages over 302 ASes "
+        "(70 truly enforcing) in <T>s",
+        "  snippet: 25|17|10|0|0 ",
+        "  what-if: 4 futures x 2 hijack replays in <T>s",
+        "== ROV (302 ASes, 4 futures) ==",
+        "verdict ",
+        "campaign: 4 rounds, ",
+        "verdict digest: ",
+        "future ",
+        "full-rov ",
+        "future-000 ",
+    ]
+    ROV_KEYS = ["ases", "baseline", "census", "domains", "experiment",
+                "futures", "seed", "true_enforcing"]
+
+    def test_rov(self, capsys, tmp_path):
+        import json
+
+        json_path = tmp_path / "rov.json"
+        metrics_path = tmp_path / "m.prom"
+        code = main(
+            self.ROV_ARGS
+            + ["--json", str(json_path), "--metrics-out", str(metrics_path)]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        _assert_line_prefixes(_mask_times(captured.out), self.ROV_SKELETON + [
+            f"  summary: {json_path}",
+            f"  metrics: {metrics_path} (",
+        ])
+        assert sorted(json.loads(json_path.read_text())) == self.ROV_KEYS
+        families = _metric_families(metrics_path)
+        assert {
+            "ripki_rov_experiments_total",
+            "ripki_rov_verdicts_total",
+            "ripki_rov_futures_total",
+        } <= families
+        # rov declares no latency objectives: nothing exports SLO gauges.
+        assert not any(name.startswith("ripki_slo_") for name in families)
+        _assert_obs_disabled()
+
+    def test_rov_bare_json_owns_stdout(self, capsys):
+        import json
+
+        code = main(self.ROV_ARGS + ["--json"])
+        assert code == 0
+        captured = capsys.readouterr()
+        summary = json.loads(captured.out)
+        assert sorted(summary) == self.ROV_KEYS
+        assert summary["seed"] == 3 and summary["domains"] == 120
+        _assert_line_prefixes(_mask_times(captured.err), self.ROV_SKELETON)
+        assert "summary:" not in captured.err
+        _assert_obs_disabled()
+
+    def test_worker_hello_then_eof(self, capsys, monkeypatch):
+        import io
+        import sys
+
+        from repro.exec import decode_frames
+
+        stdout = io.TextIOWrapper(io.BytesIO())
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"")))
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = main(
+            ["worker", "--domains", "200", "--seed", "3", "--worker-id", "7"]
+        )
+        assert code == 0
+        frames, rest = decode_frames(stdout.buffer.getvalue())
+        assert rest == b""
+        assert [frame["type"] for frame in frames] == ["hello"]
+        assert frames[0]["worker_id"] == 7
+        assert sorted(frames[0]["digests"]) == ["config", "dump", "vrps", "zone"]
+        assert capsys.readouterr().err.splitlines() == [
+            "building world: 200 domains, seed 3 ...",
+            "worker 7: serving job frames on stdio",
+            "worker 7: 0 jobs answered",
+        ]
+        _assert_obs_disabled()
+
+    def test_failure_stops_telemetry_and_disables_obs(self, capsys):
+        import re
+        import socket
+
+        with pytest.raises(FileNotFoundError):
+            main(
+                ["serve", "--domains", "120", "--script", "/nonexistent",
+                 "--telemetry-port", "0"]
+            )
+        out = capsys.readouterr().out
+        port = int(
+            re.search(r"telemetry: http://127\.0\.0\.1:(\d+) ", out).group(1)
+        )
+        assert "lingering" not in out
+        with pytest.raises(OSError):
+            socket.create_connection(("127.0.0.1", port), timeout=2).close()
+        _assert_obs_disabled()
+
+
+def _opt(*flags, default=None, choices=None):
+    return (flags, default, choices)
+
+
+_FAULT_PROFILES = ("chaos", "degraded", "flaky", "unreliable-workers")
+_TELEMETRY = {
+    "telemetry_port": _opt("--telemetry-port"),
+    "telemetry_host": _opt("--telemetry-host", default="127.0.0.1"),
+    "telemetry_linger": _opt("--telemetry-linger", default=0.0),
+}
+_EXECUTOR = {
+    "workers": _opt("--workers", "--num-workers", default=1),
+    "exec_mode": _opt(
+        "--exec-mode", default="auto",
+        choices=("auto", "serial", "thread", "process", "workers"),
+    ),
+    "shard_size": _opt("--shard-size"),
+    "job_deadline": _opt("--job-deadline"),
+}
+_FAULTS = {
+    "fault_profile": _opt("--fault-profile", choices=_FAULT_PROFILES),
+    "retries": _opt("--retries", default=3),
+    "retry_backoff": _opt("--retry-backoff", default=0.05),
+}
+_DISPATCH = {
+    "workers": _opt("--workers", default=1),
+    "batch_size": _opt("--batch-size"),
+}
+_THREAD_MODES = ("auto", "serial", "thread")
+
+PARSER_SURFACE = {
+    "run": {
+        **_EXECUTOR, **_FAULTS, **_TELEMETRY,
+        "domains": _opt("--domains", default=20_000),
+        "seed": _opt("--seed", default=2015),
+        "bins": _opt("--bins"),
+        "figure": _opt(
+            "--figure", choices=("1", "2", "3", "4", "table1", "cdn-as")
+        ),
+        "progress": _opt("--progress", default=False),
+        "metrics_out": _opt("--metrics-out"),
+        "trace_out": _opt("--trace-out"),
+        "cache_dir": _opt("--cache-dir"),
+    },
+    "refresh": {
+        **_TELEMETRY,
+        "domains": _opt("--domains", default=5_000),
+        "seed": _opt("--seed", default=2015),
+        "campaigns": _opt("--campaigns", default=3),
+        "churn": _opt("--churn", default=0.05),
+        "cache_dir": _opt("--cache-dir"),
+        "metrics_out": _opt("--metrics-out"),
+    },
+    "export": {
+        "domains": _opt("--domains", default=20_000),
+        "seed": _opt("--seed", default=2015),
+        "outdir": _opt("--outdir", default="ripki-data"),
+    },
+    "audit": {
+        "domains": _opt("--domains", default=5_000),
+        "seed": _opt("--seed", default=2015),
+        "rank": _opt("--rank"),
+    },
+    "serve": {
+        **_DISPATCH, **_TELEMETRY,
+        "domains": _opt("--domains", default=2_000),
+        "seed": _opt("--seed", default=2015),
+        "cache_dir": _opt("--cache-dir"),
+        "script": _opt("--script"),
+        "queries": _opt("--queries", default=2_000),
+        "load_seed": _opt("--load-seed"),
+        "zipf": _opt("--zipf", default=1.1),
+        "serve_mode": _opt(
+            "--serve-mode", default="auto", choices=_THREAD_MODES
+        ),
+        "io_wait": _opt("--io-wait", default=0.0),
+        "fault_profile": _opt("--fault-profile", choices=_FAULT_PROFILES),
+        "json": _opt("--json"),
+        "metrics_out": _opt("--metrics-out"),
+    },
+    "rtrd": {
+        **_DISPATCH, **_TELEMETRY,
+        "vrps": _opt("--vrps", default=2_000),
+        "seed": _opt("--seed", default=2015),
+        "sessions": _opt("--sessions", default=64),
+        "rounds": _opt("--rounds", default=8),
+        "world_changes": _opt("--world-changes", default=50),
+        "disconnect": _opt("--disconnect", default=0.05),
+        "lag": _opt("--lag", default=0.1),
+        "garbage": _opt("--garbage", default=0.05),
+        "history": _opt("--history", default=16),
+        "rtrd_mode": _opt(
+            "--rtrd-mode", default="auto", choices=_THREAD_MODES
+        ),
+        "json": _opt("--json"),
+        "metrics_out": _opt("--metrics-out"),
+    },
+    "world": {
+        **_EXECUTOR, **_FAULTS, **_TELEMETRY,
+        "domains": _opt("--domains", default=2_000),
+        "seed": _opt("--seed", default=2015),
+        "profile": _opt(
+            "--profile", default="sloppy-ca",
+            choices=("calm", "flap", "rollover-storm", "sloppy-ca"),
+        ),
+        "steps": _opt("--steps", default=20),
+        "grace": _opt("--grace", default=2.0),
+        "cache_dir": _opt("--cache-dir"),
+        "json": _opt("--json"),
+        "metrics_out": _opt("--metrics-out"),
+    },
+    "rov": {
+        **_EXECUTOR, **_TELEMETRY,
+        "domains": _opt("--domains", default=600),
+        "seed": _opt("--seed", default=2015),
+        "rounds": _opt("--rounds", default=48),
+        "vantages": _opt("--vantages", default=10),
+        "enforce_scale": _opt("--enforce-scale", default=1.0),
+        "futures": _opt("--futures", default=8),
+        "samples": _opt("--samples", default=12),
+        "json": _opt("--json"),
+        "metrics_out": _opt("--metrics-out"),
+    },
+    "worker": {
+        **_FAULTS,
+        "domains": _opt("--domains", default=20_000),
+        "seed": _opt("--seed", default=2015),
+        "worker_id": _opt("--worker-id", default=0),
+    },
+}
+
+
+def test_parser_surface_is_pinned():
+    """Every subcommand's flags, defaults and choices, as one literal.
+
+    A flag added, lost or re-defaulted is a diff against
+    ``PARSER_SURFACE`` — version-independent, unlike ``--help`` text.
+    """
+    import argparse
+
+    (commands,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    surface = {
+        command: {
+            action.dest: (
+                tuple(action.option_strings),
+                action.default,
+                None if action.choices is None else tuple(action.choices),
+            )
+            for action in parser._actions
+            if action.dest != "help"
+        }
+        for command, parser in commands.choices.items()
+    }
+    assert surface == PARSER_SURFACE
