@@ -22,7 +22,9 @@ the shards' fresh artifacts back into the store.
 from repro.cache.fingerprint import (
     config_fingerprint,
     dump_digest,
+    input_digests,
     name_fingerprint,
+    study_digests,
     vrp_digest,
     vrp_items,
     zone_digest,
@@ -45,11 +47,13 @@ __all__ = [
     "CachedFunnel",
     "config_fingerprint",
     "dump_digest",
+    "input_digests",
     "load_digests",
     "load_store",
     "name_fingerprint",
     "save_store",
     "store_path",
+    "study_digests",
     "vrp_digest",
     "vrp_items",
     "zone_digest",

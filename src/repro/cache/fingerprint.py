@@ -24,7 +24,7 @@ byte form is shared with the RPKI object encodings.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.crypto.digest import canonical_bytes, sha256_hex
 from repro.dns.namespace import Namespace
@@ -97,6 +97,25 @@ def vrp_items(payloads) -> List[list]:
 def vrp_digest(items: List[list]) -> str:
     """Digest of :func:`vrp_items` output."""
     return sha256_hex(canonical_bytes(items))
+
+
+def input_digests(study) -> Dict[str, str]:
+    """Whole-input digests of a study: its zone, table dump and VRP set.
+
+    The one spelling of "what world is this": the serving index's
+    staleness check, the telemetry health card and the job
+    protocol's hello frame all compare these dicts byte for byte.
+    """
+    return {
+        "zone": zone_digest(study.resolver.namespace),
+        "dump": dump_digest(study.table_dump),
+        "vrps": vrp_digest(vrp_items(study.payloads)),
+    }
+
+
+def study_digests(study, config) -> Dict[str, str]:
+    """:func:`input_digests` plus the run config's fingerprint."""
+    return {**input_digests(study), "config": config_fingerprint(config)}
 
 
 def config_fingerprint(config: Optional[Any]) -> str:

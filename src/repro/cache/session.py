@@ -75,6 +75,9 @@ class CacheSession:
         """Load the store and classify its artifacts for this study."""
         namespace = study.resolver.namespace
         vantage = study.resolver.vantage
+        # Spelled out rather than fingerprint.study_digests(): the VRP
+        # rows are reused by the delta index below, and the perf ledger
+        # times these five calls by patching this module's names.
         vrps = vrp_items(study.payloads)
         digests = {
             "zone": zone_digest(namespace),

@@ -3,16 +3,31 @@
 ``ripki run`` builds a synthetic world, executes the measurement
 study, and prints every figure's series and Table 1 — the same rows
 the benchmark harness checks against the paper.
+
+The six observable subcommands (``run``, ``refresh``, ``serve``,
+``rtrd``, ``world``, ``rov``) take :func:`_session_parent`'s flags and
+run their body inside one :class:`_Session`, which owns the observe ->
+telemetry -> SLO -> artifacts lifecycle; a new subcommand does the same.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
+import json
 import sys
 import time
 from typing import List, Optional
 
+from repro import obs
 from repro.analysis import TextTable
+from repro.cache.fingerprint import (
+    config_fingerprint,
+    study_digests,
+    vrp_digest,
+    vrp_items,
+)
 from repro.core import (
     CacheConfig,
     ContinuousStudy,
@@ -28,15 +43,19 @@ from repro.core import (
     pipeline_statistics,
     table1_top_covered,
 )
+from repro.core.pipeline import RUN_MODES
 from repro.core.reports import render_table1
 from repro.faults import PROFILES, FaultPlan, RetryPolicy
+from repro.rov import ROV_MODES
 from repro.web import EcosystemConfig, HTTPArchiveClassifier, WebEcosystem
 from repro.world import WORLD_PROFILES
 
 
-def _telemetry_parent() -> argparse.ArgumentParser:
-    """Shared ``--telemetry-*`` flag group (argparse parent)."""
+def _session_parent() -> argparse.ArgumentParser:
+    """The flags every :class:`_Session` command takes (argparse parent)."""
     parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--metrics-out", metavar="FILE", default=None,
+                        help="write Prometheus text metrics to FILE")
     group = parent.add_argument_group("telemetry")
     group.add_argument("--telemetry-port", type=int, default=None,
                        metavar="PORT",
@@ -54,16 +73,24 @@ def _telemetry_parent() -> argparse.ArgumentParser:
     return parent
 
 
-def _exec_parent() -> argparse.ArgumentParser:
-    """Shared sharded-executor flag group (argparse parent)."""
+def _exec_parent(study: bool) -> argparse.ArgumentParser:
+    """Shared sharded-executor flag group (argparse parent).
+
+    ``study=False`` is the ``repro.rov`` dispatcher: it offers only
+    the modes and flags that dispatcher honours.
+    """
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("execution")
     group.add_argument("--workers", "--num-workers", type=int, default=1,
                        help="worker count for the sharded executor "
                             "(1 = classic serial loop)")
-    group.add_argument("--exec-mode",
-                       choices=["auto", "serial", "thread", "process",
-                                "workers"],
+    if not study:
+        group.add_argument("--exec-mode", choices=list(ROV_MODES),
+                           default="auto",
+                           help="sharded-executor backend (auto: process "
+                                "pool when --workers > 1)")
+        return parent
+    group.add_argument("--exec-mode", choices=list(RUN_MODES),
                        default="auto",
                        help="sharded-executor backend (auto: process "
                             "pool when --workers > 1; workers: "
@@ -115,13 +142,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ripki",
         description="Reproduce the RiPKI (HotNets 2015) measurement study.",
     )
-    telemetry = _telemetry_parent()
-    executor = _exec_parent()
+    session = _session_parent()
+    executor = _exec_parent(study=True)
     faults = _fault_parent()
     dispatch = _dispatch_parent()
     sub = parser.add_subparsers(dest="command", required=True)
-    run = sub.add_parser("run", parents=[executor, faults, telemetry],
+    run = sub.add_parser("run", parents=[executor, faults, session],
                          help="build a world and run the full study")
+    run.set_defaults(handler=run_study)
     run.add_argument("--domains", type=int, default=20_000,
                      help="population size (the paper used 1M)")
     run.add_argument("--seed", type=int, default=2015)
@@ -132,8 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="restrict output (repeatable)")
     run.add_argument("--progress", action="store_true",
                      help="render a rate/ETA progress line on stderr")
-    run.add_argument("--metrics-out", metavar="FILE", default=None,
-                     help="write Prometheus text metrics to FILE")
     run.add_argument("--trace-out", metavar="FILE", default=None,
                      help="write the span trace as JSON to FILE")
     run.add_argument("--cache-dir", metavar="DIR", default=None,
@@ -143,11 +169,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     refresh = sub.add_parser(
         "refresh",
-        parents=[telemetry],
+        parents=[session],
         help="continuous-measurement campaigns over a churning world: "
              "a full baseline, then incremental refreshes that "
              "re-measure only what changed",
     )
+    refresh.set_defaults(handler=run_refresh)
     refresh.add_argument("--domains", type=int, default=5_000)
     refresh.add_argument("--seed", type=int, default=2015)
     refresh.add_argument("--campaigns", type=int, default=3,
@@ -159,8 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="snapshot-cache refreshes (exact carry-over "
                               "keyed by input digests) instead of the "
                               "www/apex equality heuristic")
-    refresh.add_argument("--metrics-out", metavar="FILE", default=None,
-                         help="write Prometheus text metrics to FILE")
 
     export = sub.add_parser(
         "export",
@@ -168,6 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
              "plus a RIS-style table dump (the paper: 'All data will "
              "be made available')",
     )
+    export.set_defaults(handler=run_export)
     export.add_argument("--domains", type=int, default=20_000)
     export.add_argument("--seed", type=int, default=2015)
     export.add_argument("--outdir", default="ripki-data",
@@ -178,6 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-domain delivery-security report (Section 5.1): grade, "
              "prefix inventory, RPKI verdicts, actionable findings",
     )
+    audit.set_defaults(handler=run_audit)
     audit.add_argument("--domains", type=int, default=5_000)
     audit.add_argument("--seed", type=int, default=2015)
     audit.add_argument("--rank", type=int, action="append", default=None,
@@ -185,12 +212,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
-        parents=[dispatch, telemetry],
+        parents=[dispatch, session],
         help="run a completed study as a query service: build (or load "
              "from a snapshot cache) an immutable serving index, answer "
              "a query script or a generated load, print a "
              "latency/verdict table",
     )
+    serve.set_defaults(handler=run_serve)
     serve.add_argument("--domains", type=int, default=2_000)
     serve.add_argument("--seed", type=int, default=2015)
     serve.add_argument("--cache-dir", metavar="DIR", default=None,
@@ -221,17 +249,16 @@ def build_parser() -> argparse.ArgumentParser:
                             "with stale/degraded markers, never error)")
     serve.add_argument("--json", metavar="FILE", default=None,
                        help="write the run summary as JSON to FILE")
-    serve.add_argument("--metrics-out", metavar="FILE", default=None,
-                       help="write Prometheus text metrics to FILE")
 
     rtrd = sub.add_parser(
         "rtrd",
-        parents=[dispatch, telemetry],
+        parents=[dispatch, session],
         help="run the long-lived RTR cache daemon: a churning router "
              "population synchronises against a mutating VRP world "
              "over streaming serial deltas; print a session/push "
              "table and verify every surviving router's table",
     )
+    rtrd.set_defaults(handler=run_rtrd)
     rtrd.add_argument("--vrps", type=int, default=2_000,
                       help="synthetic VRP world size")
     rtrd.add_argument("--seed", type=int, default=2015)
@@ -258,17 +285,16 @@ def build_parser() -> argparse.ArgumentParser:
                            "--workers > 1)")
     rtrd.add_argument("--json", metavar="FILE", default=None,
                       help="write the run summary as JSON to FILE")
-    rtrd.add_argument("--metrics-out", metavar="FILE", default=None,
-                      help="write Prometheus text metrics to FILE")
 
     world = sub.add_parser(
         "world",
-        parents=[executor, faults, telemetry],
+        parents=[executor, faults, session],
         help="step a seeded CA/publication world (ROA churn, missed "
              "re-signs, outages, key rollovers) and drive refresh "
              "campaigns plus an RTR daemon from each step's validated "
              "VRPs",
     )
+    world.set_defaults(handler=run_world)
     world.add_argument("--domains", type=int, default=2_000,
                        help="ecosystem size backing the measurement side")
     world.add_argument("--seed", type=int, default=2015,
@@ -290,16 +316,15 @@ def build_parser() -> argparse.ArgumentParser:
     world.add_argument("--json", metavar="FILE", default=None,
                        help="write the run summary and the full event "
                             "ledger as JSON to FILE")
-    world.add_argument("--metrics-out", metavar="FILE", default=None,
-                       help="write Prometheus text metrics to FILE")
 
     rov = sub.add_parser(
         "rov",
-        parents=[executor, telemetry],
+        parents=[_exec_parent(study=False), session],
         help="infer per-AS ROV enforcement from seeded anchor/"
              "experiment announcement pairs, then score adoption "
              "futures with the what-if counterfactual engine",
     )
+    rov.set_defaults(handler=run_rov)
     rov.add_argument("--domains", type=int, default=600,
                      help="ecosystem size backing the what-if funnel")
     rov.add_argument("--seed", type=int, default=2015,
@@ -322,8 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write the full summary as JSON to FILE "
                           "(bare --json: JSON on stdout, tables on "
                           "stderr)")
-    rov.add_argument("--metrics-out", metavar="FILE", default=None,
-                     help="write Prometheus text metrics to FILE")
 
     worker = sub.add_parser(
         "worker",
@@ -333,6 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
              "JobSpec frames with JobResult frames until EOF (the "
              "transport a remote scheduler drives over any byte pipe)",
     )
+    worker.set_defaults(handler=run_worker)
     worker.add_argument("--domains", type=int, default=20_000,
                         help="population size (must match the driving "
                              "scheduler's world)")
@@ -342,30 +366,148 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _start_telemetry(args):
-    """Start the exposition daemon (reads the process-wide registry)."""
-    from repro.obs.http import TelemetryServer
+class _Session:
+    """One command's observe -> telemetry -> SLO -> artifacts lifecycle.
 
-    server = TelemetryServer(
-        host=args.telemetry_host, port=args.telemetry_port
+    Entering switches collection on when any obs flag (``--progress``,
+    ``--metrics-out``, ``--trace-out``, ``--telemetry-port``) is set
+    and starts the telemetry server.  The body reads ``registry`` /
+    ``collector`` / ``health`` / ``slo`` — each ``None`` while its
+    plane is off — and prints chatter through ``say``.  A clean exit
+    exports the SLO tracker, writes ``--metrics-out`` and
+    ``--trace-out``, lingers, then stops the server and switches
+    collection off; an exception skips the artifacts and the linger
+    but still stops the server and switches collection off.
+    """
+
+    def __init__(self, args, *, slo: bool = False, out=None):
+        self.args = args
+        self.out = out  # None: sys.stdout as it is when a line prints
+        self.observe = args.telemetry_port is not None or any(
+            getattr(args, flag, None)
+            for flag in ("progress", "metrics_out", "trace_out")
+        )
+        self.registry = self.collector = self.health = None
+        self.slo = obs.SLOTracker() if slo and self.observe else None
+        self._server = None
+
+    def say(self, *parts) -> None:
+        print(*parts, file=self.out)
+
+    def __enter__(self) -> "_Session":
+        from repro.obs.http import TelemetryServer
+
+        args = self.args
+        if self.observe:
+            self.registry, self.collector = obs.enable()
+        try:
+            if args.telemetry_port is not None:
+                # Reads the process-wide registry enabled above.
+                self._server = TelemetryServer(
+                    host=args.telemetry_host, port=args.telemetry_port
+                )
+                self._server.start()
+                self.health = self._server.health
+                self.say(
+                    f"  telemetry: {self._server.url} "
+                    "(/metrics /health /ready /snapshot)"
+                )
+        except BaseException:
+            self._close()
+            raise
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        try:
+            if exc_type is None:
+                self._write_artifacts()
+        finally:
+            self._close()
+        return False
+
+    def _write_artifacts(self) -> None:
+        args = self.args
+        if self.slo is not None:
+            self.slo.export(self.registry)
+        if args.metrics_out:
+            size = self.registry.write_prometheus(args.metrics_out)
+            self.say(f"  metrics: {args.metrics_out} ({size} bytes)")
+        if getattr(args, "trace_out", None):
+            spans = self.collector.dump(args.trace_out)
+            self.say(f"  trace: {args.trace_out} ({spans} spans)")
+        if self._server is not None and args.telemetry_linger > 0:
+            self.say(
+                f"  telemetry: lingering {args.telemetry_linger:.0f}s "
+                f"at {self._server.url}"
+            )
+            time.sleep(args.telemetry_linger)
+
+    def _close(self) -> None:
+        if self._server is not None:
+            self._server.stop()
+        if self.observe:
+            obs.disable()
+
+
+def _build_world(args, say, noun: str = "world"):
+    """Announce and build the seeded ecosystem behind a command."""
+    say(f"building {noun}: {args.domains} domains, seed {args.seed} ...")
+    return WebEcosystem.build(
+        EcosystemConfig(domain_count=args.domains, seed=args.seed)
     )
-    server.start()
-    print(
-        f"  telemetry: {server.url} "
-        "(/metrics /health /ready /snapshot)"
+
+
+def _fault_plan(args) -> Optional[FaultPlan]:
+    """The ``--fault-profile`` plan seeded from ``--seed``, if any."""
+    if not args.fault_profile:
+        return None
+    return FaultPlan.from_profile(args.fault_profile, seed=args.seed)
+
+
+def _retry_policy(args) -> RetryPolicy:
+    return RetryPolicy(
+        max_attempts=args.retries, backoff_base=args.retry_backoff
     )
-    return server
 
 
-def _finish_telemetry(server, linger_s: float) -> None:
-    if server is None:
-        return
-    try:
-        if linger_s > 0:
-            print(f"  telemetry: lingering {linger_s:.0f}s at {server.url}")
-            time.sleep(linger_s)
-    finally:
-        server.stop()
+def _run_config(args, **overrides) -> RunConfig:
+    """The ``RunConfig`` the executor, fault and cache flags describe."""
+    fields = dict(
+        workers=args.workers,
+        mode=args.exec_mode,
+        shard_size=args.shard_size,
+        retry=_retry_policy(args),
+        faults=_fault_plan(args),
+        cache=CacheConfig(args.cache_dir) if args.cache_dir else None,
+        job_deadline_s=args.job_deadline,
+    )
+    fields.update(overrides)
+    return RunConfig(**fields)
+
+
+def _write_json(path: str, payload, say) -> None:
+    """Write a run summary as JSON to ``path`` (``-``: bare stdout)."""
+    to_stdout = path == "-"
+    with (
+        contextlib.nullcontext(sys.stdout) if to_stdout else open(path, "w")
+    ) as handle:
+        json.dump(payload, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    if not to_stdout:
+        say(f"  summary: {path}")
+
+
+def _stamp_health(health, study, config, args) -> None:
+    """Stamp a completed (re)build onto the telemetry health card.
+
+    The digests are the snapshot cache's fingerprints of the study's
+    inputs — the same values :meth:`ServingIndex.stale_against` and
+    cache invalidation key on — so ``/health`` and a cache store
+    describing the same world agree byte for byte.
+    """
+    health.set_digests(study_digests(study, config))
+    health.set_detail(domains=args.domains, seed=args.seed)
+    health.mark_refresh()
 
 
 def _print_series(title: str, series_map, limit: int = 20) -> None:
@@ -393,59 +535,31 @@ def _print_series(title: str, series_map, limit: int = 20) -> None:
 
 
 def run_study(args: argparse.Namespace) -> int:
-    from repro import obs
-
     wanted = set(args.figure or ["1", "2", "3", "4", "table1", "cdn-as"])
-    telemetry_on = args.telemetry_port is not None
-    observe = bool(
-        args.progress or args.metrics_out or args.trace_out or telemetry_on
-    )
-    registry = collector = None
-    telemetry = None
-    if observe:
-        registry, collector = obs.enable()
-    try:
-        if telemetry_on:
-            telemetry = _start_telemetry(args)
-        print(f"building world: {args.domains} domains, seed {args.seed} ...")
+    with _Session(args) as session:
         started = time.time()
-        world = WebEcosystem.build(
-            EcosystemConfig(domain_count=args.domains, seed=args.seed)
-        )
+        world = _build_world(args, session.say)
         print(f"  built in {time.time() - started:.1f}s: {world!r}")
         started = time.time()
-        progress = obs.stderr_renderer() if args.progress else None
-        faults = None
-        if args.fault_profile:
-            faults = FaultPlan.from_profile(args.fault_profile, seed=args.seed)
-        config = RunConfig(
-            workers=args.workers,
-            mode=args.exec_mode,
-            shard_size=args.shard_size,
-            retry=RetryPolicy(
-                max_attempts=args.retries, backoff_base=args.retry_backoff
-            ),
-            faults=faults,
-            progress=progress,
-            cache=CacheConfig(args.cache_dir) if args.cache_dir else None,
-            job_deadline_s=args.job_deadline,
+        config = _run_config(
+            args, progress=obs.stderr_renderer() if args.progress else None
         )
         study = MeasurementStudy.from_ecosystem(world)
         result = study.run(config=config)
         label = f" ({args.workers} workers)" if args.workers > 1 else ""
         print(f"  measured in {time.time() - started:.1f}s{label}")
-        if telemetry is not None:
-            _stamp_health(telemetry.health, study, config, args)
+        if session.health is not None:
+            _stamp_health(session.health, study, config, args)
 
-        stats = pipeline_statistics(result, registry=registry)
+        stats = pipeline_statistics(result, registry=session.registry)
         print("\n== Section 4 statistics ==")
         for key, value in stats.items():
             print(f"  {key}: {value}")
 
-        if faults is not None:
+        if config.faults is not None:
             s = result.statistics
             print(f"\n== Resilience under '{args.fault_profile}' faults ==")
-            print(f"  plan: {faults.describe()}")
+            print(f"  plan: {config.faults.describe()}")
             print(obs.degradation_report(
                 s.degraded_domains,
                 s.retries_total,
@@ -466,55 +580,17 @@ def run_study(args: argparse.Namespace) -> int:
         if dispatch is not None and dispatch.backend == "workers":
             print("\n== Job scheduler ==")
             print(obs.scheduler_report(dispatch.to_dict()))
+            if args.metrics_out:
+                # Explicit export only: the study registry stays
+                # byte-identical to serial unless asked.
+                dispatch.to_metrics(session.registry)
 
         _render_figures(args, wanted, world, result)
 
-        if observe:
+        if session.observe:
             print("\n== Stage timings ==")
-            print(obs.stage_timing_report(collector))
-            if args.metrics_out:
-                if dispatch is not None and dispatch.backend == "workers":
-                    # Explicit export only: the study registry stays
-                    # byte-identical to serial unless asked.
-                    dispatch.to_metrics(registry)
-                size = registry.write_prometheus(args.metrics_out)
-                print(f"  metrics: {args.metrics_out} ({size} bytes)")
-            if args.trace_out:
-                spans = collector.dump(args.trace_out)
-                print(f"  trace: {args.trace_out} ({spans} spans)")
-        _finish_telemetry(telemetry, args.telemetry_linger)
-        telemetry = None
-    finally:
-        _finish_telemetry(telemetry, 0.0)
-        if observe:
-            obs.disable()
+            print(obs.stage_timing_report(session.collector))
     return 0
-
-
-def _stamp_health(health, study, config, args) -> None:
-    """Stamp a completed (re)build onto the telemetry health card.
-
-    The digests are the snapshot cache's fingerprints of the study's
-    inputs — the same values :meth:`ServingIndex.stale_against` and
-    cache invalidation key on — so ``/health`` and a cache store
-    describing the same world agree byte for byte.
-    """
-    from repro.cache.fingerprint import (
-        config_fingerprint,
-        dump_digest,
-        vrp_digest,
-        vrp_items,
-        zone_digest,
-    )
-
-    health.set_digests({
-        "zone": zone_digest(study.resolver.namespace),
-        "dump": dump_digest(study.table_dump),
-        "vrps": vrp_digest(vrp_items(study.payloads)),
-        "config": config_fingerprint(config),
-    })
-    health.set_detail(domains=args.domains, seed=args.seed)
-    health.mark_refresh()
 
 
 def _render_figures(args, wanted, world, result) -> None:
@@ -549,22 +625,8 @@ def _render_figures(args, wanted, world, result) -> None:
 
 
 def run_refresh(args: argparse.Namespace) -> int:
-    from repro import obs
-
-    telemetry_on = args.telemetry_port is not None
-    observe = bool(args.metrics_out or telemetry_on)
-    registry = None
-    telemetry = None
-    slo = None
-    if observe:
-        registry, _collector = obs.enable()
-    try:
-        if telemetry_on:
-            telemetry = _start_telemetry(args)
-        print(f"building world: {args.domains} domains, seed {args.seed} ...")
-        world = WebEcosystem.build(
-            EcosystemConfig(domain_count=args.domains, seed=args.seed)
-        )
+    with _Session(args, slo=True) as session:
+        world = _build_world(args, session.say)
         study = MeasurementStudy.from_ecosystem(world)
         config = (
             RunConfig(cache=CacheConfig(args.cache_dir))
@@ -572,20 +634,18 @@ def run_refresh(args: argparse.Namespace) -> int:
             else None
         )
         continuous = ContinuousStudy(study, config)
-        if observe:
-            slo = obs.SLOTracker()
-            continuous.attach(TelemetrySink(
-                slo=slo,
-                health=telemetry.health if telemetry else None,
-            ))
+        if session.observe:
+            continuous.attach(
+                TelemetrySink(slo=session.slo, health=session.health)
+            )
         started = time.time()
         baseline = continuous.baseline()
         print(
             f"  baseline: {len(baseline)} domains "
             f"in {time.time() - started:.1f}s"
         )
-        if telemetry is not None:
-            _stamp_health(telemetry.health, study, config, args)
+        if session.health is not None:
+            _stamp_health(session.health, study, config, args)
         mode = "cache" if args.cache_dir else "heuristic"
         for campaign in range(1, args.campaigns + 1):
             moved = world.rehost(args.churn, generation=campaign)
@@ -606,21 +666,10 @@ def run_refresh(args: argparse.Namespace) -> int:
                     f"{s.cache_misses_total} misses, "
                     f"{invalidated} artifacts invalidated"
                 )
-            if telemetry is not None:
+            if session.health is not None:
                 # Re-stamp: the campaign re-measured a churned world,
                 # so the input digests (and freshness) moved.
-                _stamp_health(telemetry.health, study, config, args)
-        if slo is not None:
-            slo.export(registry)
-        if observe and args.metrics_out:
-            size = registry.write_prometheus(args.metrics_out)
-            print(f"  metrics: {args.metrics_out} ({size} bytes)")
-        _finish_telemetry(telemetry, args.telemetry_linger)
-        telemetry = None
-    finally:
-        _finish_telemetry(telemetry, 0.0)
-        if observe:
-            obs.disable()
+                _stamp_health(session.health, study, config, args)
     return 0
 
 
@@ -636,10 +685,7 @@ def run_export(args: argparse.Namespace) -> int:
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    print(f"building world: {args.domains} domains, seed {args.seed} ...")
-    world = WebEcosystem.build(
-        EcosystemConfig(domain_count=args.domains, seed=args.seed)
-    )
+    world = _build_world(args, print)
     result = MeasurementStudy.from_ecosystem(world).run()
 
     rows = export_measurements(result, outdir / "pairs.csv")
@@ -661,10 +707,7 @@ def run_export(args: argparse.Namespace) -> int:
 def run_audit(args: argparse.Namespace) -> int:
     from repro.core.transparency import audit_domain, render_report
 
-    print(f"building world: {args.domains} domains, seed {args.seed} ...")
-    world = WebEcosystem.build(
-        EcosystemConfig(domain_count=args.domains, seed=args.seed)
-    )
+    world = _build_world(args, print)
     ranks = args.rank or [1, 2, 3, 4, 5]
     for rank in ranks:
         if not 1 <= rank <= len(world.ranking):
@@ -677,9 +720,6 @@ def run_audit(args: argparse.Namespace) -> int:
 
 
 def run_serve(args: argparse.Namespace) -> int:
-    import json
-
-    from repro import obs
     from repro.serve import (
         LoadProfile,
         QueryService,
@@ -690,20 +730,8 @@ def run_serve(args: argparse.Namespace) -> int:
         summarize_responses,
     )
 
-    telemetry_on = args.telemetry_port is not None
-    observe = bool(args.metrics_out or telemetry_on)
-    registry = None
-    telemetry = None
-    slo = None
-    if observe:
-        registry, _collector = obs.enable()
-    try:
-        if telemetry_on:
-            telemetry = _start_telemetry(args)
-        print(f"building world: {args.domains} domains, seed {args.seed} ...")
-        world = WebEcosystem.build(
-            EcosystemConfig(domain_count=args.domains, seed=args.seed)
-        )
+    with _Session(args, slo=True) as session:
+        world = _build_world(args, session.say)
         study = MeasurementStudy.from_ecosystem(world)
         started = time.time()
         if args.cache_dir:
@@ -717,10 +745,8 @@ def run_serve(args: argparse.Namespace) -> int:
             result = study.run()
             index = ServingIndex.build(study, result)
             print(f"  index built in {time.time() - started:.1f}s: {index!r}")
-        if telemetry is not None:
-            from repro.cache.fingerprint import config_fingerprint
-
-            health = telemetry.health
+        health = session.health
+        if health is not None:
             health.set_digests({
                 **index.digests,
                 "config": config_fingerprint(None),
@@ -748,18 +774,13 @@ def run_serve(args: argparse.Namespace) -> int:
                 f"(zipf {args.zipf}, seed {profile.seed})"
             )
 
-        faults = None
-        if args.fault_profile:
-            faults = FaultPlan.from_profile(args.fault_profile, seed=args.seed)
-        if observe:
-            slo = obs.SLOTracker()
         service = QueryService(index, ServeConfig(
             workers=args.workers,
             mode=args.serve_mode,
             batch_size=args.batch_size,
-            faults=faults,
+            faults=_fault_plan(args),
             simulated_io_s=args.io_wait,
-            slo=slo,
+            slo=session.slo,
         ))
         started = time.time()
         responses = service.run(queries)
@@ -771,29 +792,11 @@ def run_serve(args: argparse.Namespace) -> int:
         print(f"\n== Query service ({len(queries)} queries) ==")
         print(obs.serve_report(summary))
         if args.json:
-            with open(args.json, "w") as handle:
-                json.dump(summary, handle, indent=1, sort_keys=True)
-                handle.write("\n")
-            print(f"  summary: {args.json}")
-        if slo is not None:
-            slo.export(registry)
-        if observe and args.metrics_out:
-            size = registry.write_prometheus(args.metrics_out)
-            print(f"  metrics: {args.metrics_out} ({size} bytes)")
-        _finish_telemetry(telemetry, args.telemetry_linger)
-        telemetry = None
-    finally:
-        _finish_telemetry(telemetry, 0.0)
-        if observe:
-            obs.disable()
+            _write_json(args.json, summary, session.say)
     return 0
 
 
 def run_rtrd(args: argparse.Namespace) -> int:
-    import json
-
-    from repro import obs
-    from repro.cache.fingerprint import vrp_digest, vrp_items
     from repro.rtrd import (
         ChurnProfile,
         RTRDaemon,
@@ -803,34 +806,20 @@ def run_rtrd(args: argparse.Namespace) -> int:
         summarize_publishes,
     )
 
-    telemetry_on = args.telemetry_port is not None
-    observe = bool(args.metrics_out or telemetry_on)
-    registry = None
-    telemetry = None
-    slo = None
-    if observe:
-        registry, _collector = obs.enable()
-    try:
-        if telemetry_on:
-            telemetry = _start_telemetry(args)
+    with _Session(args, slo=True) as session:
         print(
             f"building VRP world: {args.vrps} VRPs, seed {args.seed} ..."
         )
         world = SyntheticVRPWorld(args.vrps, seed=args.seed)
-        if observe:
-            slo = obs.SLOTracker()
         daemon = RTRDaemon(RtrdConfig(
             workers=args.workers,
             mode=args.rtrd_mode,
             batch_size=args.batch_size,
             history_limit=args.history,
         ))
-        daemon.attach_telemetry(
-            slo=slo,
-            health=telemetry.health if telemetry is not None else None,
-        )
-        if telemetry is not None:
-            health = telemetry.health
+        daemon.attach_telemetry(slo=session.slo, health=session.health)
+        health = session.health
+        if health is not None:
             health.set_detail(
                 vrps=args.vrps, seed=args.seed, sessions=args.sessions
             )
@@ -853,8 +842,8 @@ def run_rtrd(args: argparse.Namespace) -> int:
         )
         churn = run_churn(daemon, world, profile)
         elapsed = time.time() - started
-        if telemetry is not None:
-            telemetry.health.set_digests(
+        if health is not None:
+            health.set_digests(
                 {"vrps": vrp_digest(vrp_items(daemon.vrps()))}
             )
         mode = daemon.config.resolved_mode
@@ -883,48 +872,18 @@ def run_rtrd(args: argparse.Namespace) -> int:
                 "cache snapshot"
             )
         if args.json:
-            with open(args.json, "w") as handle:
-                json.dump(summary, handle, indent=1, sort_keys=True)
-                handle.write("\n")
-            print(f"  summary: {args.json}")
-        if slo is not None:
-            slo.export(registry)
-        if observe and args.metrics_out:
-            size = registry.write_prometheus(args.metrics_out)
-            print(f"  metrics: {args.metrics_out} ({size} bytes)")
-        _finish_telemetry(telemetry, args.telemetry_linger)
-        telemetry = None
-        if churn.diverged:
-            return 1
-    finally:
-        _finish_telemetry(telemetry, 0.0)
-        if observe:
-            obs.disable()
-    return 0
+            _write_json(args.json, summary, session.say)
+    return 1 if churn.diverged else 0
 
 
 def run_world(args: argparse.Namespace) -> int:
-    import json
     import tempfile
 
-    from repro import obs
     from repro.rtrd import RTRDaemon
     from repro.world import WorldConfig, WorldEngine, WorldSink
 
-    telemetry_on = args.telemetry_port is not None
-    observe = bool(args.metrics_out or telemetry_on)
-    registry = None
-    telemetry = None
-    slo = None
-    if observe:
-        registry, _collector = obs.enable()
-    try:
-        if telemetry_on:
-            telemetry = _start_telemetry(args)
-        print(f"building world: {args.domains} domains, seed {args.seed} ...")
-        world = WebEcosystem.build(
-            EcosystemConfig(domain_count=args.domains, seed=args.seed)
-        )
+    with _Session(args, slo=True) as session:
+        world = _build_world(args, session.say)
         engine = WorldEngine.from_ecosystem(
             world,
             WorldConfig(
@@ -937,32 +896,17 @@ def run_world(args: argparse.Namespace) -> int:
             f"({args.profile!r} profile)"
         )
         study = MeasurementStudy.from_ecosystem(world)
-        faults = None
-        if args.fault_profile:
-            faults = FaultPlan.from_profile(args.fault_profile, seed=args.seed)
         cache_dir = args.cache_dir or tempfile.mkdtemp(prefix="ripki-world-")
-        config = RunConfig(
-            workers=args.workers,
-            mode=args.exec_mode,
-            shard_size=args.shard_size,
-            retry=RetryPolicy(
-                max_attempts=args.retries, backoff_base=args.retry_backoff
-            ),
-            faults=faults,
-            cache=CacheConfig(cache_dir),
-            job_deadline_s=getattr(args, "job_deadline", None),
-        )
+        config = _run_config(args, cache=CacheConfig(cache_dir))
         continuous = ContinuousStudy(study, config)
         daemon = RTRDaemon()
         world_sink = WorldSink(engine)
         rtr_sink = RtrSink(daemon)
         sinks = [world_sink, rtr_sink]
-        if observe:
-            slo = obs.SLOTracker()
-            sinks.append(TelemetrySink(
-                slo=slo,
-                health=telemetry.health if telemetry else None,
-            ))
+        if session.observe:
+            sinks.append(
+                TelemetrySink(slo=session.slo, health=session.health)
+            )
         continuous.attach(*sinks)
         started = time.time()
         baseline = continuous.baseline()
@@ -1010,28 +954,11 @@ def run_world(args: argparse.Namespace) -> int:
                 "rtr_delta_entries": deltas_total,
                 "ledger": engine.ledger.to_rows(),
             }
-            with open(args.json, "w") as handle:
-                json.dump(payload, handle, indent=1, sort_keys=True)
-                handle.write("\n")
-            print(f"  summary: {args.json}")
-        if slo is not None:
-            slo.export(registry)
-        if observe and args.metrics_out:
-            size = registry.write_prometheus(args.metrics_out)
-            print(f"  metrics: {args.metrics_out} ({size} bytes)")
-        _finish_telemetry(telemetry, args.telemetry_linger)
-        telemetry = None
-    finally:
-        _finish_telemetry(telemetry, 0.0)
-        if observe:
-            obs.disable()
+            _write_json(args.json, payload, session.say)
     return 0
 
 
 def run_rov(args: argparse.Namespace) -> int:
-    import json
-
-    from repro import obs
     from repro.rov import (
         ExperimentSpec,
         RovExperimentRunner,
@@ -1042,26 +969,11 @@ def run_rov(args: argparse.Namespace) -> int:
         seeded_enforcers,
     )
 
-    json_to_stdout = args.json == "-"
-    out = sys.stderr if json_to_stdout else sys.stdout
-
-    def say(*parts) -> None:
-        print(*parts, file=out)
-
-    telemetry_on = args.telemetry_port is not None
-    observe = bool(args.metrics_out or telemetry_on)
-    registry = None
-    telemetry = None
-    if observe:
-        registry, _collector = obs.enable()
-    try:
-        if telemetry_on:
-            telemetry = _start_telemetry(args)
-        say(f"building ecosystem: {args.domains} domains, "
-            f"seed {args.seed} ...")
-        world = WebEcosystem.build(
-            EcosystemConfig(domain_count=args.domains, seed=args.seed)
-        )
+    # Bare --json: the JSON owns stdout, every table goes to stderr.
+    out = sys.stderr if args.json == "-" else None
+    with _Session(args, out=out) as session:
+        say = session.say
+        world = _build_world(args, say, noun="ecosystem")
         topology = world.topology
         as_count = len(list(topology.asns()))
         enforcing = seeded_enforcers(
@@ -1106,23 +1018,7 @@ def run_rov(args: argparse.Namespace) -> int:
         say(f"\n== ROV ({as_count} ASes, {len(deltas)} futures) ==")
         say(obs.rov_report(summary))
         if args.json:
-            if json_to_stdout:
-                json.dump(summary, sys.stdout, indent=1, sort_keys=True)
-                sys.stdout.write("\n")
-            else:
-                with open(args.json, "w") as handle:
-                    json.dump(summary, handle, indent=1, sort_keys=True)
-                    handle.write("\n")
-                say(f"  summary: {args.json}")
-        if observe and args.metrics_out:
-            size = registry.write_prometheus(args.metrics_out)
-            say(f"  metrics: {args.metrics_out} ({size} bytes)")
-        _finish_telemetry(telemetry, args.telemetry_linger)
-        telemetry = None
-    finally:
-        _finish_telemetry(telemetry, 0.0)
-        if observe:
-            obs.disable()
+            _write_json(args.json, summary, say)
     return 0
 
 
@@ -1136,54 +1032,19 @@ def run_worker(args: argparse.Namespace) -> int:
     """
     from repro.exec.worker import serve_stdio
 
-    print(
-        f"building world: {args.domains} domains, seed {args.seed} ...",
-        file=sys.stderr,
-    )
-    world = WebEcosystem.build(
-        EcosystemConfig(domain_count=args.domains, seed=args.seed)
-    )
-    faults = None
-    if args.fault_profile:
-        faults = FaultPlan.from_profile(args.fault_profile, seed=args.seed)
-    config = RunConfig(
-        retry=RetryPolicy(
-            max_attempts=args.retries, backoff_base=args.retry_backoff
-        ),
-        faults=faults,
-    )
+    say = functools.partial(print, file=sys.stderr)
+    world = _build_world(args, say)
+    config = RunConfig(retry=_retry_policy(args), faults=_fault_plan(args))
     study = MeasurementStudy.from_ecosystem(world)
-    print(
-        f"worker {args.worker_id}: serving job frames on stdio",
-        file=sys.stderr,
-    )
+    say(f"worker {args.worker_id}: serving job frames on stdio")
     answered = serve_stdio(study, config, worker_id=args.worker_id)
-    print(f"worker {args.worker_id}: {answered} jobs answered",
-          file=sys.stderr)
+    say(f"worker {args.worker_id}: {answered} jobs answered")
     return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return run_study(args)
-    if args.command == "refresh":
-        return run_refresh(args)
-    if args.command == "export":
-        return run_export(args)
-    if args.command == "audit":
-        return run_audit(args)
-    if args.command == "serve":
-        return run_serve(args)
-    if args.command == "rtrd":
-        return run_rtrd(args)
-    if args.command == "world":
-        return run_world(args)
-    if args.command == "rov":
-        return run_rov(args)
-    if args.command == "worker":
-        return run_worker(args)
-    return 1
+    return args.handler(args)
 
 
 if __name__ == "__main__":

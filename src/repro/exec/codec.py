@@ -26,7 +26,8 @@ exactly; the round-trip is covered by ``tests/test_exec_parallel.py``.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from dataclasses import fields
+from typing import List, Sequence, Tuple, Union
 
 from repro.core.pipeline import StudyStatistics
 from repro.core.records import (
@@ -46,12 +47,10 @@ from repro.web.alexa import Domain
 WireName = Tuple[str, bool, list, int, int, int, int, list, str, int, list]
 WireMeasurement = Tuple[WireName, WireName]
 
-# StudyStatistics as primitives: the integer fields in declaration
-# order, then each mapping field (faults_by_kind and the three
-# cache-by-stage dicts) as sorted (key, count) pairs.
-WireStatistics = Tuple[
-    int, int, int, int, int, int, int, int, int, int, list, list, list, list
-]
+# StudyStatistics as primitives: one entry per dataclass field in
+# declaration order — an int counter as itself, a mapping field as
+# sorted (key, count) pairs.
+WireStatistics = Tuple[Union[int, list], ...]
 
 
 def _encode_name(measurement: NameMeasurement) -> WireName:
@@ -156,34 +155,30 @@ def decode_measurements(
 
 def encode_statistics(stats: StudyStatistics) -> WireStatistics:
     """Flatten shard statistics to primitives for the wire."""
-    return (
-        stats.domain_count,
-        stats.invalid_dns_domains,
-        stats.www_addresses,
-        stats.plain_addresses,
-        stats.www_pairs,
-        stats.plain_pairs,
-        stats.unreachable_addresses,
-        stats.as_set_exclusions,
-        stats.degraded_domains,
-        stats.retries_total,
-        sorted(stats.faults_by_kind.items()),
-        sorted(stats.cache_hits_by_stage.items()),
-        sorted(stats.cache_misses_by_stage.items()),
-        sorted(stats.cache_invalidated_by_stage.items()),
+    values = (
+        getattr(stats, field.name)
+        for field in fields(StudyStatistics)
+    )
+    return tuple(
+        sorted(value.items()) if isinstance(value, dict) else value
+        for value in values
     )
 
 
 def decode_statistics(wire: WireStatistics) -> StudyStatistics:
     """Rebuild shard statistics; exact inverse of :func:`encode_statistics`."""
-    *counts, faults, hits, misses, invalidated = wire
-    return StudyStatistics(
-        *counts,
-        faults_by_kind=dict(faults),
-        cache_hits_by_stage=dict(hits),
-        cache_misses_by_stage=dict(misses),
-        cache_invalidated_by_stage=dict(invalidated),
-    )
+    specs = fields(StudyStatistics)
+    if len(wire) != len(specs):
+        raise ValueError(
+            f"statistics wire has {len(wire)} entries, "
+            f"expected {len(specs)}"
+        )
+    stats = StudyStatistics()
+    for field, value in zip(specs, wire):
+        if isinstance(getattr(stats, field.name), dict):
+            value = dict(value)
+        setattr(stats, field.name, value)
+    return stats
 
 
 # Public aliases: the snapshot cache stores whole-form measurements in

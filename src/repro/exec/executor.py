@@ -42,7 +42,7 @@ the pluggable schedulers of :mod:`repro.exec.scheduler`:
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, List, Optional
 
 from repro.core.pipeline import (
@@ -89,31 +89,22 @@ class ShardOutcome:
 
 
 def merge_statistics(parts) -> StudyStatistics:
-    """Sum per-shard statistics; every field is additive over domains."""
+    """Sum per-shard statistics; every field is additive over domains.
+
+    Driven by the dataclass's own field list, so a counter added to
+    :class:`StudyStatistics` merges without being named here: ints
+    add, dict fields add per key (keys visited in sorted order).
+    """
     total = StudyStatistics()
     for part in parts:
-        total.domain_count += part.domain_count
-        total.invalid_dns_domains += part.invalid_dns_domains
-        total.www_addresses += part.www_addresses
-        total.plain_addresses += part.plain_addresses
-        total.www_pairs += part.www_pairs
-        total.plain_pairs += part.plain_pairs
-        total.unreachable_addresses += part.unreachable_addresses
-        total.as_set_exclusions += part.as_set_exclusions
-        total.degraded_domains += part.degraded_domains
-        total.retries_total += part.retries_total
-        for kind, count in sorted(part.faults_by_kind.items()):
-            total.faults_by_kind[kind] = (
-                total.faults_by_kind.get(kind, 0) + count
-            )
-        for field_name in (
-            "cache_hits_by_stage",
-            "cache_misses_by_stage",
-            "cache_invalidated_by_stage",
-        ):
-            merged = getattr(total, field_name)
-            for stage_key, count in sorted(getattr(part, field_name).items()):
-                merged[stage_key] = merged.get(stage_key, 0) + count
+        for spec in fields(StudyStatistics):
+            merged = getattr(total, spec.name)
+            value = getattr(part, spec.name)
+            if isinstance(merged, dict):
+                for key, count in sorted(value.items()):
+                    merged[key] = merged.get(key, 0) + count
+            else:
+                setattr(total, spec.name, merged + value)
     return total
 
 

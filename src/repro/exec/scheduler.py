@@ -64,7 +64,7 @@ from repro.exec.jobs import (
     encode_frame,
 )
 from repro.exec.sharding import Shard
-from repro.exec.worker import connection_worker, job_key, study_digests
+from repro.exec.worker import connection_worker, job_key
 
 SCHEDULER_BACKENDS = ("inproc", "pool", "workers")
 
@@ -350,6 +350,8 @@ class WorkerScheduler:
         )
         if not shards:
             return [], report
+
+        from repro.cache.fingerprint import study_digests
 
         shipped = config.without_progress()
         digests = study_digests(study, config)

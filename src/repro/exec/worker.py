@@ -168,29 +168,6 @@ def serve_stream(
         answered += 1
 
 
-def study_digests(study, config) -> Dict[str, str]:
-    """The snapshot-cache fingerprints of the study's inputs.
-
-    Exactly the digest set :meth:`CacheSession.open` and the
-    telemetry health card compute, so every layer describing the same
-    world agrees byte for byte.
-    """
-    from repro.cache.fingerprint import (
-        config_fingerprint,
-        dump_digest,
-        vrp_digest,
-        vrp_items,
-        zone_digest,
-    )
-
-    return {
-        "zone": zone_digest(study.resolver.namespace),
-        "dump": dump_digest(study.table_dump),
-        "vrps": vrp_digest(vrp_items(study.payloads)),
-        "config": config_fingerprint(config),
-    }
-
-
 def connection_worker(
     conn,
     worker_id: int,
@@ -236,6 +213,8 @@ def serve_stdio(
 ) -> int:
     """The ``ripki worker`` loop: hello frame, then jobs over stdio."""
     import sys
+
+    from repro.cache.fingerprint import study_digests
 
     reader = reader if reader is not None else sys.stdin.buffer
     writer = writer if writer is not None else sys.stdout.buffer

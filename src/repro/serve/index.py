@@ -158,29 +158,19 @@ class ServingIndex:
         fingerprint functions, making staleness checks byte-compatible
         with cache invalidation.
         """
-        from repro.cache.fingerprint import (
-            dump_digest,
-            vrp_digest,
-            vrp_items,
-            zone_digest,
-        )
+        from repro.cache.fingerprint import input_digests
 
         routes: PrefixTrie = PrefixTrie()
         route_count = 0
         for entry in study.table_dump:
             routes.insert(entry.prefix, entry)
             route_count += 1
-        digests = {
-            "zone": zone_digest(study.resolver.namespace),
-            "dump": dump_digest(study.table_dump),
-            "vrps": vrp_digest(vrp_items(study.payloads)),
-        }
         return cls(
             payloads=study.payloads,
             routes=routes,
             measurements=result.by_rank(),
             route_count=route_count,
-            digests=digests,
+            digests=input_digests(study),
             source=source,
             warm=warm,
         )
@@ -224,18 +214,9 @@ class ServingIndex:
         since the index was built — e.g. the world re-hosted domains
         under a continuous campaign while the index kept serving.
         """
-        from repro.cache.fingerprint import (
-            dump_digest,
-            vrp_digest,
-            vrp_items,
-            zone_digest,
-        )
+        from repro.cache.fingerprint import input_digests
 
-        return self.digests != {
-            "zone": zone_digest(study.resolver.namespace),
-            "dump": dump_digest(study.table_dump),
-            "vrps": vrp_digest(vrp_items(study.payloads)),
-        }
+        return self.digests != input_digests(study)
 
     # -- the four query types ------------------------------------------------
 

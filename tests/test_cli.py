@@ -486,6 +486,43 @@ class TestEverySubcommand:
         _assert_obs_disabled()
 
 
+class TestRovOffersOnlyWhatItHonours:
+    """``rov`` inherited the study executor's whole flag group, so an
+    unsupported mode died with a raw ValueError traceback and two
+    flags were accepted and silently ignored."""
+
+    def test_workers_mode_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["rov", "--domains", "120", "--exec-mode", "workers"])
+        assert raised.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: ripki rov" in err
+        assert "invalid choice: 'workers'" in err
+
+    @pytest.mark.parametrize(
+        "flag", [["--shard-size", "10"], ["--job-deadline", "2"]]
+    )
+    def test_ignored_flags_are_gone(self, flag):
+        with pytest.raises(SystemExit) as raised:
+            build_parser().parse_args(["rov", *flag])
+        assert raised.value.code == 2
+        for command in ("run", "world"):
+            build_parser().parse_args([command, *flag])
+
+    def test_bare_json_with_telemetry_keeps_stdout_pure(self, capsys):
+        """The telemetry banner follows the tables to stderr."""
+        import json
+
+        code = main(
+            TestEverySubcommand.ROV_ARGS + ["--json", "--telemetry-port", "0"]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        assert sorted(json.loads(captured.out)) == TestEverySubcommand.ROV_KEYS
+        assert captured.err.startswith("  telemetry: http://127.0.0.1:")
+        _assert_obs_disabled()
+
+
 def _opt(*flags, default=None, choices=None):
     return (flags, default, choices)
 
@@ -504,6 +541,15 @@ _EXECUTOR = {
     ),
     "shard_size": _opt("--shard-size"),
     "job_deadline": _opt("--job-deadline"),
+}
+# ``rov`` dispatches through repro.rov, which has no ``workers``
+# backend, no shard size and no job deadline: it offers none of them.
+_ROV_EXECUTOR = {
+    "workers": _EXECUTOR["workers"],
+    "exec_mode": _opt(
+        "--exec-mode", default="auto",
+        choices=("auto", "serial", "thread", "process"),
+    ),
 }
 _FAULTS = {
     "fault_profile": _opt("--fault-profile", choices=_FAULT_PROFILES),
@@ -598,7 +644,7 @@ PARSER_SURFACE = {
         "metrics_out": _opt("--metrics-out"),
     },
     "rov": {
-        **_EXECUTOR, **_TELEMETRY,
+        **_ROV_EXECUTOR, **_TELEMETRY,
         "domains": _opt("--domains", default=600),
         "seed": _opt("--seed", default=2015),
         "rounds": _opt("--rounds", default=48),

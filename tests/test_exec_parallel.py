@@ -19,8 +19,10 @@ from repro.exec import (
     Shard,
     ShardOutcome,
     decode_measurements,
+    decode_statistics,
     default_shard_size,
     encode_measurements,
+    encode_statistics,
     execute_study,
     merge_statistics,
     plan_shards,
@@ -81,6 +83,24 @@ class TestMergeStatistics:
 
     def test_merge_of_nothing_is_zero(self):
         assert merge_statistics([]) == StudyStatistics()
+
+    def test_every_field_merges_and_crosses_the_wire(self):
+        """Guard for the sharded path: a field added to the dataclass
+        must be summed by the merge and carried by the codec — dropped
+        there, its count would be wrong on parallel runs only."""
+        for spec in dataclasses.fields(StudyStatistics):
+            is_mapping = isinstance(getattr(StudyStatistics(), spec.name), dict)
+            low = {"both": 2, "only_low": 1} if is_mapping else 2
+            high = {"both": 3} if is_mapping else 3
+            total = {"both": 5, "only_low": 1} if is_mapping else 5
+            a = StudyStatistics(**{spec.name: low})
+            b = StudyStatistics(**{spec.name: high})
+            merged = merge_statistics([a, b])
+            assert merged == StudyStatistics(**{spec.name: total}), spec.name
+            for stats in (a, b, merged):
+                wire = encode_statistics(stats)
+                assert decode_statistics(wire) == stats, spec.name
+                assert len(wire) == len(dataclasses.fields(StudyStatistics))
 
 
 @pytest.fixture(scope="module")
