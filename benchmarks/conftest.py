@@ -7,36 +7,14 @@ tighten the statistics).
 """
 
 import os
-from pathlib import Path
 
 import pytest
 
 from repro.core import MeasurementStudy
-from repro.obs.report import write_timing_summary
-from repro.obs.tracing import TraceCollector
 from repro.web import EcosystemConfig, HTTPArchiveClassifier, WebEcosystem
 
 BENCH_DOMAINS = int(os.environ.get("RIPKI_BENCH_DOMAINS", "20000"))
 BENCH_SEED = int(os.environ.get("RIPKI_BENCH_SEED", "2015"))
-BENCH_OBS_PATH = os.environ.get(
-    "RIPKI_BENCH_OBS", str(Path(__file__).parent / "BENCH_obs.json")
-)
-
-# Wall-clock per benchmark, recorded as one span per test so future
-# perf PRs have a timing baseline (written to BENCH_obs.json).
-_BENCH_TRACER = TraceCollector()
-
-
-@pytest.fixture(autouse=True)
-def _bench_span(request):
-    with _BENCH_TRACER.span(request.node.nodeid.split("/")[-1]):
-        yield
-
-
-def pytest_sessionfinish(session, exitstatus):
-    stats = _BENCH_TRACER.aggregate()
-    if stats:
-        write_timing_summary(stats, BENCH_OBS_PATH)
 
 
 @pytest.fixture(scope="session")

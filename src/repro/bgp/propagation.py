@@ -128,12 +128,7 @@ class PropagationEngine:
             return False
         if payloads is None or asn not in enforcing:
             return True
-        origin = path.origin()
-        if origin is None:
-            # AS_SET origin: RFC 6811 treats it as invalid when any VRP
-            # covers the prefix (the origin cannot be verified).
-            return not payloads.covered(prefix)
-        state = payloads.validate_origin(prefix, origin)
+        state = payloads.validate_origin(prefix, path.origin())
         return state is not OriginValidation.INVALID
 
     def _route_prefix(

@@ -121,11 +121,8 @@ class BGPSpeaker:
             return False  # loop
         if not self.enforcing or self.payloads is None:
             return True
-        origin = path.origin()
-        if origin is None:
-            return not self.payloads.covered(prefix)
         return (
-            self.payloads.validate_origin(prefix, origin)
+            self.payloads.validate_origin(prefix, path.origin())
             is not OriginValidation.INVALID
         )
 

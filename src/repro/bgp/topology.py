@@ -16,8 +16,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
-import networkx as nx
-
 from repro.bgp.errors import TopologyError
 from repro.bgp.policy import Relationship
 from repro.crypto import DeterministicRNG
@@ -157,20 +155,18 @@ class ASTopology:
     def edge_count(self) -> int:
         return sum(len(adj) for adj in self._adjacency.values()) // 2
 
-    def to_networkx(self) -> nx.Graph:
-        """Undirected view with relationship edge attributes."""
-        graph = nx.Graph()
-        for asn, node in self._nodes.items():
-            graph.add_node(int(asn), name=node.name, role=str(node.role))
-        for a, adj in self._adjacency.items():
-            for b, relationship in adj.items():
-                if int(a) < int(b):
-                    graph.add_edge(int(a), int(b), relationship=relationship.value)
-        return graph
-
     def is_connected(self) -> bool:
-        graph = self.to_networkx()
-        return len(graph) > 0 and nx.is_connected(graph)
+        """True when a walk from any one AS reaches every other."""
+        if not self._adjacency:
+            return False
+        seen = {next(iter(self._adjacency))}
+        frontier = list(seen)
+        while frontier:
+            for neighbor in self._adjacency[frontier.pop()]:
+                if neighbor not in seen:
+                    seen.add(neighbor)
+                    frontier.append(neighbor)
+        return len(seen) == len(self._adjacency)
 
     # -- generation ------------------------------------------------------
 

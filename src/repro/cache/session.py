@@ -55,7 +55,6 @@ class CacheSession:
         vrp_set: List[list],
         entries: Dict[str, dict],
         invalidated: Dict[str, int],
-        save: bool = True,
         clean: bool = False,
     ):
         self.directory = directory
@@ -63,7 +62,6 @@ class CacheSession:
         self._vrp_set = vrp_set
         self._entries = entries
         self._invalidated = invalidated
-        self._save = save
         # True when the on-disk store already equals what save() would
         # write (same digests, nothing invalidated) — a warm run with
         # no fresh artifacts then skips the rewrite entirely.
@@ -93,13 +91,12 @@ class CacheSession:
                 invalidated[stage] = invalidated.get(stage, 0) + count
 
         stored = load_store(directory)
-        save = config is None or config.cache is None or config.cache.save
         if stored is None:
-            return cls(directory, digests, vrps, entries, invalidated, save)
+            return cls(directory, digests, vrps, entries, invalidated)
         old = stored["stages"]
         if stored["digests"]["config"] != digests["config"]:
             drop("config", sum(len(old.get(stage, {})) for stage in STAGES))
-            return cls(directory, digests, vrps, entries, invalidated, save)
+            return cls(directory, digests, vrps, entries, invalidated)
 
         # Validity checks walk tries and namespaces; none of that is
         # measurement work, so run them under the null scope.
@@ -144,9 +141,7 @@ class CacheSession:
                         survivors[name] = entry
                 entries["form"] = survivors
         clean = stored["digests"] == digests
-        return cls(
-            directory, digests, vrps, entries, invalidated, save, clean=clean
-        )
+        return cls(directory, digests, vrps, entries, invalidated, clean=clean)
 
     # -- shard-facing reads --------------------------------------------------
 
@@ -184,7 +179,7 @@ class CacheSession:
         for stage, entries in fresh.items():
             self._fresh[stage].update(entries)
 
-    def save(self) -> Optional[str]:
+    def save(self) -> str:
         """Persist surviving + fresh artifacts under the current digests.
 
         A fully-warm run — the store matched every digest and every
@@ -192,8 +187,6 @@ class CacheSession:
         rewriting tens of thousands of unchanged entries would
         otherwise dominate the warm run's wall clock.
         """
-        if not self._save:
-            return None
         if self._clean and not any(self._fresh[stage] for stage in STAGES):
             return store_path(self.directory)
         stages = {

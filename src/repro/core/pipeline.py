@@ -503,15 +503,12 @@ def _make_reporter(
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """Where (and whether) a run persists its snapshot cache.
+    """Where a run persists its snapshot cache.
 
-    ``directory`` holds one store file (``snapshot.json``); ``save``
-    set to False makes the run read-only against an existing store —
-    useful for replays that must not advance the cache state.
+    ``directory`` holds one store file (``snapshot.json``).
     """
 
     directory: str
-    save: bool = True
 
     def __post_init__(self):
         if not self.directory:

@@ -41,7 +41,6 @@ the pluggable schedulers of :mod:`repro.exec.scheduler`:
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field, fields
 from typing import Callable, List, Optional
 
@@ -67,10 +66,6 @@ from repro.obs.runtime import metrics, observability_enabled, tracer
 from repro.obs.tracing import Span
 
 MODES = RUN_MODES
-
-# Deep v6 tries nest one node per prefix bit; give pickle headroom
-# when shipping the study to process workers.
-_PICKLE_RECURSION_LIMIT = 20_000
 
 
 @dataclass
@@ -168,7 +163,6 @@ def _init_process_worker(
     session=None,
 ) -> None:
     global _WORKER_STUDY, _WORKER_OBSERVE, _WORKER_CONFIG, _WORKER_SESSION
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), _PICKLE_RECURSION_LIMIT))
     _WORKER_STUDY = study
     _WORKER_OBSERVE = observe
     _WORKER_CONFIG = config

@@ -235,58 +235,51 @@ class PoolScheduler:
 
     def run(self, study, shards, observe, ticker, session=None):
         import concurrent.futures
-        import sys
 
         from repro.exec.codec import decode_measurements, decode_statistics
         from repro.exec.executor import (
-            _PICKLE_RECURSION_LIMIT,
             _init_process_worker,
             _process_shard,
             ShardOutcome,
         )
 
         config = self.config
-        previous_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(previous_limit, _PICKLE_RECURSION_LIMIT))
         outcomes: List[object] = []
         shipped = config.without_progress() if config is not None else None
-        try:
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=config.workers,
-                initializer=_init_process_worker,
-                initargs=(study, observe, shipped, session),
-            ) as pool:
-                futures = {
-                    pool.submit(_process_shard, shard): shard
-                    for shard in shards
-                }
-                for future in concurrent.futures.as_completed(futures):
-                    shard = futures[future]
-                    (
-                        index,
-                        encoded,
-                        stats,
-                        registry,
-                        spans,
-                        dropped,
-                        cache_entries,
-                    ) = future.result()
-                    outcomes.append(
-                        ShardOutcome(
-                            index=index,
-                            measurements=decode_measurements(
-                                encoded, shard.domains
-                            ),
-                            statistics=decode_statistics(stats),
-                            metrics=registry,
-                            spans=spans,
-                            dropped_spans=dropped,
-                            cache_entries=cache_entries,
-                        )
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=config.workers,
+            initializer=_init_process_worker,
+            initargs=(study, observe, shipped, session),
+        ) as pool:
+            futures = {
+                pool.submit(_process_shard, shard): shard
+                for shard in shards
+            }
+            for future in concurrent.futures.as_completed(futures):
+                shard = futures[future]
+                (
+                    index,
+                    encoded,
+                    stats,
+                    registry,
+                    spans,
+                    dropped,
+                    cache_entries,
+                ) = future.result()
+                outcomes.append(
+                    ShardOutcome(
+                        index=index,
+                        measurements=decode_measurements(
+                            encoded, shard.domains
+                        ),
+                        statistics=decode_statistics(stats),
+                        metrics=registry,
+                        spans=spans,
+                        dropped_spans=dropped,
+                        cache_entries=cache_entries,
                     )
-                    ticker(shard)
-        finally:
-            sys.setrecursionlimit(previous_limit)
+                )
+                ticker(shard)
         report = SchedulerReport(
             backend=self.backend,
             workers=config.workers,

@@ -1,7 +1,7 @@
-"""Binary radix trie over CIDR prefixes.
+"""Prefix index over CIDR prefixes.
 
-The trie stores one value set per exact prefix and supports the three
-lookups every substrate needs:
+The index stores one value list per exact prefix and supports the
+three lookups every substrate needs:
 
 * :meth:`PrefixTrie.lookup_exact` — value(s) stored at a prefix,
 * :meth:`PrefixTrie.lookup_longest` — longest-prefix match for an
@@ -10,15 +10,17 @@ lookups every substrate needs:
   or prefix, shortest first (paper Section 3, step 3: "we extract all
   covering prefixes").
 
-One trie instance handles a single address family; :class:`PrefixTrie`
+Per address family it keeps one ``{length: {key_bits: [values]}}``
+map and the sorted list of stored lengths, so a covering lookup is at
+most one dict probe per stored length.  :class:`PrefixTrie`
 multiplexes IPv4 and IPv6 internally so callers never care.
 """
 
 from __future__ import annotations
 
-from typing import Generic, Iterator, List, Optional, Tuple, TypeVar, Union
+from typing import Dict, Generic, Iterator, List, Optional, Tuple, TypeVar, Union
 
-from repro.net.addr import Address, Prefix
+from repro.net.addr import IPV4, IPV6, Address, Prefix, family_bits
 from repro.obs.runtime import metrics
 
 V = TypeVar("V")
@@ -27,123 +29,50 @@ _LOOKUP_HELP = "PrefixTrie lookups by operation"
 _MATCH_BUCKETS = (0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32)
 
 
-class _Node(Generic[V]):
-    __slots__ = ("children", "values")
-
-    def __init__(self):
-        self.children: List[Optional["_Node[V]"]] = [None, None]
-        self.values: Optional[List[V]] = None
-
-
-class _FamilyTrie(Generic[V]):
-    """Radix trie for a single address family."""
-
-    __slots__ = ("_root", "_bits", "_size")
-
-    def __init__(self, bits: int):
-        self._root: _Node[V] = _Node()
-        self._bits = bits
-        self._size = 0
-
-    def _bit(self, value: int, depth: int) -> int:
-        return (value >> (self._bits - 1 - depth)) & 1
-
-    def insert(self, prefix: Prefix, value: V) -> None:
-        node = self._root
-        for depth in range(prefix.length):
-            bit = self._bit(prefix.value, depth)
-            child = node.children[bit]
-            if child is None:
-                child = _Node()
-                node.children[bit] = child
-            node = child
-        if node.values is None:
-            node.values = []
-            self._size += 1
-        node.values.append(value)
-
-    def remove(self, prefix: Prefix, value: V) -> bool:
-        node = self._root
-        path = []
-        for depth in range(prefix.length):
-            bit = self._bit(prefix.value, depth)
-            child = node.children[bit]
-            if child is None:
-                return False
-            path.append((node, bit))
-            node = child
-        if not node.values or value not in node.values:
-            return False
-        node.values.remove(value)
-        if not node.values:
-            node.values = None
-            self._size -= 1
-            # Prune now-empty leaf chain.
-            for parent, bit in reversed(path):
-                child = parent.children[bit]
-                if child.values is None and child.children == [None, None]:
-                    parent.children[bit] = None
-                else:
-                    break
-        return True
-
-    def exact(self, prefix: Prefix) -> List[V]:
-        node = self._root
-        for depth in range(prefix.length):
-            child = node.children[self._bit(prefix.value, depth)]
-            if child is None:
-                return []
-            node = child
-        return list(node.values) if node.values else []
-
-    def walk_covering(self, value: int, max_depth: int) -> Iterator[Tuple[int, List[V]]]:
-        """Yield ``(length, values)`` for every stored prefix covering
-        the top ``max_depth`` bits of ``value``, shortest first."""
-        node = self._root
-        if node.values:
-            yield 0, list(node.values)
-        for depth in range(max_depth):
-            node = node.children[self._bit(value, depth)]
-            if node is None:
-                return
-            if node.values:
-                yield depth + 1, list(node.values)
-
-    def iter_items(self, family: int) -> Iterator[Tuple[Prefix, V]]:
-        stack: List[Tuple[_Node[V], int, int]] = [(self._root, 0, 0)]
-        while stack:
-            node, value, depth = stack.pop()
-            if node.values is not None:
-                prefix = Prefix(family, value << (self._bits - depth), depth)
-                for item in node.values:
-                    yield prefix, item
-            for bit in (0, 1):
-                child = node.children[bit]
-                if child is not None:
-                    stack.append((child, (value << 1) | bit, depth + 1))
-
-    def __len__(self) -> int:
-        return self._size
-
-
 class PrefixTrie(Generic[V]):
-    """Dual-stack radix trie mapping prefixes to lists of values."""
+    """Dual-stack prefix index mapping prefixes to lists of values.
+
+    The name is from its node-per-bit past; callers and the perf
+    ledger address the class and its methods by name, so it stays.
+    """
 
     def __init__(self):
-        self._tries = {4: _FamilyTrie[V](32), 6: _FamilyTrie[V](128)}
+        # family -> length -> top ``length`` bits of the network -> values
+        self._levels: Dict[int, Dict[int, Dict[int, List[V]]]] = {
+            IPV4: {}, IPV6: {},
+        }
+        # family -> stored lengths, ascending (covering = shortest first)
+        self._lengths: Dict[int, List[int]] = {IPV4: [], IPV6: []}
         self._count = 0
 
     def insert(self, prefix: Prefix, value: V) -> None:
         """Associate ``value`` with ``prefix`` (duplicates allowed)."""
-        self._tries[prefix.family].insert(prefix, value)
+        levels = self._levels[prefix.family]
+        level = levels.get(prefix.length)
+        if level is None:
+            level = levels[prefix.length] = {}
+            lengths = self._lengths[prefix.family]
+            lengths.append(prefix.length)
+            lengths.sort()
+        level.setdefault(prefix.key_bits(), []).append(value)
         self._count += 1
 
     def remove(self, prefix: Prefix, value: V) -> bool:
         """Remove one ``(prefix, value)`` association; True on success."""
-        removed = self._tries[prefix.family].remove(prefix, value)
-        if removed:
-            self._count -= 1
-        return removed
+        levels = self._levels[prefix.family]
+        level = levels.get(prefix.length, {})
+        key = prefix.key_bits()
+        values = level.get(key)
+        if not values or value not in values:
+            return False
+        values.remove(value)
+        if not values:
+            del level[key]
+            if not level:
+                del levels[prefix.length]
+                self._lengths[prefix.family].remove(prefix.length)
+        self._count -= 1
+        return True
 
     def lookup_exact(self, prefix: Prefix) -> List[V]:
         """Values stored at exactly ``prefix`` (empty list if none)."""
@@ -152,18 +81,24 @@ class PrefixTrie(Generic[V]):
             counters.counter(
                 "ripki_trie_lookups_total", _LOOKUP_HELP, labelnames=("op",)
             ).labels(op="exact").inc()
-        return self._tries[prefix.family].exact(prefix)
+        level = self._levels[prefix.family].get(prefix.length, {})
+        return list(level.get(prefix.key_bits(), ()))
 
     def _covering(self, target: Union[Address, Prefix]) -> List[Tuple[Prefix, V]]:
-        """Uninstrumented covering walk shared by the public lookups."""
+        """Uninstrumented covering probe shared by the public lookups."""
         if isinstance(target, Address):
             target = target.to_prefix()
-        trie = self._tries[target.family]
+        levels = self._levels[target.family]
+        value, bits = target.value, target.bits
         results: List[Tuple[Prefix, V]] = []
-        for length, values in trie.walk_covering(target.value, target.length):
-            prefix = target.supernet(length)
-            for value in values:
-                results.append((prefix, value))
+        for length in self._lengths[target.family]:
+            if length > target.length:
+                break
+            values = levels[length].get(value >> (bits - length))
+            if values:
+                prefix = target.supernet(length)
+                for item in values:
+                    results.append((prefix, item))
         return results
 
     def _record_lookup(self, op: str, results: List[Tuple[Prefix, V]]) -> None:
@@ -205,8 +140,13 @@ class PrefixTrie(Generic[V]):
 
     def items(self) -> Iterator[Tuple[Prefix, V]]:
         """Iterate every stored ``(prefix, value)`` pair."""
-        for family, trie in self._tries.items():
-            yield from trie.iter_items(family)
+        for family, levels in self._levels.items():
+            bits = family_bits(family)
+            for length in self._lengths[family]:
+                for key, values in levels[length].items():
+                    prefix = Prefix(family, key << (bits - length), length)
+                    for value in values:
+                        yield prefix, value
 
     def prefixes(self) -> Iterator[Prefix]:
         """Iterate distinct stored prefixes."""
@@ -224,5 +164,9 @@ class PrefixTrie(Generic[V]):
         return self._count
 
     def __repr__(self) -> str:
-        distinct = len(self._tries[4]) + len(self._tries[6])
+        distinct = sum(
+            len(level)
+            for levels in self._levels.values()
+            for level in levels.values()
+        )
         return f"<PrefixTrie {self._count} entries over {distinct} prefixes>"

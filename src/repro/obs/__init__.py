@@ -13,7 +13,7 @@ Four instruments, one switchboard:
 * :mod:`repro.obs.runtime` — the process-wide enable/disable switch
   (null implementations by default, so instrumentation is free when
   nobody is watching),
-* :mod:`repro.obs.report` — timing tables and JSON summaries,
+* :mod:`repro.obs.report` — timing and summary tables,
 * :mod:`repro.obs.window` — sliding-window histograms/rates and the
   SLO tracker (live "last N seconds" views over a long-running
   service, deterministic under an injected clock),
@@ -60,10 +60,8 @@ from repro.obs.report import (
     scheduler_report,
     serve_report,
     stage_timing_report,
-    timing_summary,
     timing_table,
     world_report,
-    write_timing_summary,
 )
 from repro.obs.runtime import (
     disable,
@@ -144,10 +142,8 @@ __all__ = [
     "stage_timing_report",
     "thread_scope",
     "stderr_renderer",
-    "timing_summary",
     "timing_table",
     "tracer",
     "rov_report",
     "world_report",
-    "write_timing_summary",
 ]

@@ -1,7 +1,7 @@
 """Deterministic cProfile harness with flamegraph-ready output.
 
-The ROADMAP's perf items need evidence, not vibes: every benchmark
-(and any pipeline stage or serve batch) can run under
+The ROADMAP's perf items need evidence, not vibes: any block (a
+pipeline stage, a serve batch, a whole study) can run under
 :func:`profile_scope`, which wraps :mod:`cProfile` and yields a
 :class:`ProfileCapture` whose report exposes
 
@@ -145,10 +145,10 @@ def profile_scope() -> Iterator[ProfileCapture]:
 
         with profile_scope() as capture:
             study.run()
-        capture.report.write_folded("BENCH_run.folded")
+        capture.report.write_folded("run.folded")
 
     The report is built even when the block raises, so a failing
-    benchmark still leaves its profile artifact behind.
+    run still leaves its profile behind.
     """
     capture = ProfileCapture()
     profiler = cProfile.Profile()

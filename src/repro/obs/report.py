@@ -1,14 +1,13 @@
 """Human-facing renderings of collected observability data.
 
-The CLI's closing per-stage timing table and the benchmark harness's
-``BENCH_obs.json`` summary both come from here, so every consumer
-formats trace aggregates the same way.
+The CLI's closing per-stage timing table and every subcommand's
+summary tables come from here, so every consumer formats trace
+aggregates the same way.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Dict, Mapping
+from typing import Mapping
 
 from repro.analysis.tables import TextTable
 from repro.obs.tracing import SpanStats, TraceCollector
@@ -348,26 +347,3 @@ def scheduler_report(summary: Mapping[str, object]) -> str:
     table.add_row("virtual backoff", f"{backoff:.3f}s")
     return table.render()
 
-
-def timing_summary(stats: Mapping[str, SpanStats]) -> Dict[str, object]:
-    """JSON-ready aggregate (the BENCH_obs.json payload)."""
-    return {
-        name: {
-            "count": entry.count,
-            "total_s": round(entry.total, 6),
-            "mean_s": round(entry.mean, 6),
-            "min_s": round(0.0 if entry.count == 0 else entry.min, 6),
-            "max_s": round(entry.max, 6),
-            "errors": entry.errors,
-        }
-        for name, entry in sorted(stats.items())
-    }
-
-
-def write_timing_summary(stats: Mapping[str, SpanStats], path) -> int:
-    """Write :func:`timing_summary` as JSON; returns the entry count."""
-    summary = timing_summary(stats)
-    with open(path, "w") as handle:
-        json.dump(summary, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    return len(summary)

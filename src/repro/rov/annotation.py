@@ -27,14 +27,15 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from repro.net import ASN, Prefix
-from repro.rpki.vrp import ValidatedPayloads
-
-ANNOTATION_VALID = 0
-ANNOTATION_UNKNOWN = 1
-ANNOTATION_INVALID_AS_SET = 2
-ANNOTATION_INVALID_ASN = 3
-ANNOTATION_INVALID_LENGTH = 4
-ANNOTATION_INVALID_BOTH = 5
+from repro.rpki.vrp import (
+    ANNOTATION_INVALID_AS_SET,
+    ANNOTATION_INVALID_ASN,
+    ANNOTATION_INVALID_BOTH,
+    ANNOTATION_INVALID_LENGTH,
+    ANNOTATION_UNKNOWN,
+    ANNOTATION_VALID,
+    ValidatedPayloads,
+)
 
 ANNOTATION_NAMES = {
     ANNOTATION_VALID: "valid",
@@ -56,22 +57,4 @@ def annotate_route(
     ``origin`` is None for AS_SET originations (the origin cannot be
     verified, RFC 6811 treats covered announcements as invalid).
     """
-    covering = payloads.covering_vrps(prefix)
-    if not covering:
-        return ANNOTATION_UNKNOWN
-    if origin is None:
-        return ANNOTATION_INVALID_AS_SET
-    asn_matches = False
-    length_fits = False
-    for vrp in covering:
-        asn_ok = int(vrp.asn) == int(origin)
-        length_ok = prefix.length <= vrp.max_length
-        if asn_ok and length_ok:
-            return ANNOTATION_VALID
-        asn_matches = asn_matches or asn_ok
-        length_fits = length_fits or length_ok
-    if asn_matches:
-        return ANNOTATION_INVALID_LENGTH
-    if length_fits:
-        return ANNOTATION_INVALID_ASN
-    return ANNOTATION_INVALID_BOTH
+    return payloads.annotate(prefix, origin)[0]

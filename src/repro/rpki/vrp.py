@@ -2,13 +2,18 @@
 
 The relying party distils the validated ROA set into VRPs — triples
 of (prefix, maxLength, origin AS).  :class:`ValidatedPayloads` indexes
-them in a radix trie and implements the origin-validation algorithm a
-BGP router runs on each received route:
+them by prefix and implements the origin-validation algorithm a BGP
+router runs on each received route:
 
 * **NOT_FOUND** — no VRP covers the announced prefix,
 * **VALID** — some covering VRP matches the origin AS and the
   announced prefix is no longer than its maxLength,
 * **INVALID** — covering VRPs exist but none matches.
+
+The algorithm is written once, in :meth:`ValidatedPayloads.annotate`,
+which also says *which* clause an invalid tripped over (the 0-5 codes
+tabulated in :mod:`repro.rov.annotation`); the three states above are
+a projection of that code.
 """
 
 from __future__ import annotations
@@ -29,6 +34,20 @@ class OriginValidation(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
+
+
+ANNOTATION_VALID = 0
+ANNOTATION_UNKNOWN = 1
+ANNOTATION_INVALID_AS_SET = 2
+ANNOTATION_INVALID_ASN = 3
+ANNOTATION_INVALID_LENGTH = 4
+ANNOTATION_INVALID_BOTH = 5
+
+# Every code from 2 up is a flavour of INVALID.
+_STATE_OF = (
+    OriginValidation.VALID,
+    OriginValidation.NOT_FOUND,
+) + (OriginValidation.INVALID,) * 4
 
 
 @dataclass(frozen=True, order=True)
@@ -79,30 +98,51 @@ class ValidatedPayloads:
         """Every VRP whose prefix covers the announced prefix."""
         return [vrp for _prefix, vrp in self._trie.covering(announced)]
 
-    def validate_origin(
-        self, announced: Prefix, origin: Union[int, ASN]
-    ) -> OriginValidation:
-        """RFC 6811 origin validation of one announcement."""
-        state, _covering = self.validate_with_covering(announced, origin)
-        return state
+    def annotate(
+        self, announced: Prefix, origin: Optional[Union[int, ASN]]
+    ) -> Tuple[int, List[VRP]]:
+        """The RFC 6811 walk: 0-5 annotation plus the covering VRPs.
 
-    def validate_with_covering(
-        self, announced: Prefix, origin: Union[int, ASN]
-    ) -> Tuple[OriginValidation, List[VRP]]:
-        """Verdict plus the covering VRPs it was judged against.
-
-        One trie walk serves both; the serving layer's ``validate``
-        query returns the evidence (covering ROAs, shortest prefix
-        first) alongside the verdict, the way an RTR-attached router
-        operator would audit an INVALID.
+        ``origin`` is None for AS_SET originations: the origin cannot
+        be verified, so a covered announcement is invalid (code 2).
+        One index probe serves both halves of the result; the serving
+        layer's ``validate`` query returns the evidence (covering
+        ROAs, shortest prefix first) alongside the verdict, the way
+        an RTR-attached router operator would audit an INVALID.
         """
         covering = self.covering_vrps(announced)
         if not covering:
-            return OriginValidation.NOT_FOUND, covering
+            return ANNOTATION_UNKNOWN, covering
+        if origin is None:
+            return ANNOTATION_INVALID_AS_SET, covering
+        origin = int(origin)
+        asn_matches = False
+        length_fits = False
         for vrp in covering:
-            if vrp.matches(announced, origin):
-                return OriginValidation.VALID, covering
-        return OriginValidation.INVALID, covering
+            asn_ok = int(vrp.asn) == origin
+            length_ok = announced.length <= vrp.max_length
+            if asn_ok and length_ok:
+                return ANNOTATION_VALID, covering
+            asn_matches = asn_matches or asn_ok
+            length_fits = length_fits or length_ok
+        if asn_matches:
+            return ANNOTATION_INVALID_LENGTH, covering
+        if length_fits:
+            return ANNOTATION_INVALID_ASN, covering
+        return ANNOTATION_INVALID_BOTH, covering
+
+    def validate_origin(
+        self, announced: Prefix, origin: Optional[Union[int, ASN]]
+    ) -> OriginValidation:
+        """RFC 6811 origin validation of one announcement."""
+        return _STATE_OF[self.annotate(announced, origin)[0]]
+
+    def validate_with_covering(
+        self, announced: Prefix, origin: Optional[Union[int, ASN]]
+    ) -> Tuple[OriginValidation, List[VRP]]:
+        """Verdict plus the covering VRPs it was judged against."""
+        code, covering = self.annotate(announced, origin)
+        return _STATE_OF[code], covering
 
     def covered(self, announced: Prefix) -> bool:
         """True when the RPKI says *anything* about the prefix."""

@@ -136,8 +136,8 @@ def summarize_publishes(
 ) -> Dict[str, object]:
     """JSON-ready summary of a daemon's publish history.
 
-    The CLI's closing table, the benchmark's ``BENCH_rtr_serve.json``,
-    and the CI smoke checks all consume this one shape.  Push-latency
+    The CLI's closing table, its ``--json`` payload and the CI smoke
+    checks all consume this one shape.  Push-latency
     quantiles are bucket-estimated with the same estimator the live
     SLO gauges use (:func:`repro.obs.window.estimate_quantiles`).
     """

@@ -78,12 +78,6 @@ class TestQueries:
         assert [n.asn for n in triangle.by_role(ASRole.TIER1)] == [1]
         assert triangle.by_role(ASRole.CDN) == []
 
-    def test_to_networkx(self, triangle):
-        graph = triangle.to_networkx()
-        assert len(graph) == 3
-        assert graph.number_of_edges() == 3
-        assert graph.edges[2, 3]["relationship"] == "peer"
-
     def test_is_connected(self, triangle):
         assert triangle.is_connected()
         triangle.add_as(99, "ISLAND")

@@ -228,11 +228,6 @@ class TestWarmRuns:
             warm_registry.render_prometheus()
         ) == _strip_cache_lines(ref_registry.render_prometheus())
 
-    def test_read_only_session_does_not_write(self, study, tmp_path):
-        config = RunConfig(cache=CacheConfig(str(tmp_path), save=False))
-        study.run(config=config)
-        assert not os.path.exists(store_path(str(tmp_path)))
-
 
 class TestSelectiveInvalidation:
     def test_single_roa_delta_touches_only_covered_pairs(

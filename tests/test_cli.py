@@ -5,6 +5,29 @@ import pytest
 from repro.cli import build_parser, main
 
 
+def test_importing_the_cli_pulls_in_no_third_party_package():
+    """The program is stdlib-only: ``dependencies = []`` in
+    pyproject.toml is true of every process, forked workers included."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+    probe = (
+        "import sys, repro.cli; "
+        "print(sorted({'networkx', 'numpy', 'scipy'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 class TestParser:
     def test_run_defaults(self):
         args = build_parser().parse_args(["run"])

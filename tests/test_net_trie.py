@@ -1,9 +1,13 @@
-"""Unit tests for repro.net.trie — the radix trie.
+"""Unit tests for repro.net.trie — the per-length prefix index.
 
 The tail of this module is property-based: hypothesis generates
 dual-stack prefix sets and checks every trie lookup against a
 sorted-linear-scan oracle that shares no code with the trie.
 """
+
+import inspect
+import pickle
+import sys
 
 import pytest
 from hypothesis import given
@@ -131,6 +135,48 @@ class TestRemove:
         trie.insert(P("10.1.2.0/24"), "long")
         assert trie.remove(P("10.1.2.0/24"), "long")
         assert trie.covering(A("10.1.2.3")) == [(P("10.0.0.0/8"), "short")]
+
+    def test_last_prefix_of_a_length_takes_the_length_with_it(self):
+        trie = PrefixTrie()
+        trie.insert(P("10.0.0.0/8"), "short")
+        trie.insert(P("10.1.0.0/16"), "a")
+        trie.insert(P("10.2.0.0/16"), "b")
+        trie.insert(P("10.1.2.0/24"), "long")
+        assert trie.remove(P("10.1.0.0/16"), "a")
+        assert {p.length for p, _v in trie.items()} == {8, 16, 24}
+        assert trie.remove(P("10.2.0.0/16"), "b")
+        assert {p.length for p, _v in trie.items()} == {8, 24}
+        assert trie.covering(A("10.1.2.3")) == [
+            (P("10.0.0.0/8"), "short"), (P("10.1.2.0/24"), "long"),
+        ]
+        assert trie.covering(A("10.2.0.1")) == [(P("10.0.0.0/8"), "short")]
+        # The length comes back, in order, when it is stored again.
+        trie.insert(P("10.1.0.0/16"), "again")
+        assert [v for _p, v in trie.covering(A("10.1.2.3"))] == [
+            "short", "again", "long",
+        ]
+
+
+class TestPickle:
+    def test_nested_v6_chain_pickles_without_recursion_headroom(self):
+        # ::/0 ... /128, each inside the last.  A node-per-bit trie
+        # recursed ~6 frames per prefix bit under pickle, so shipping a
+        # study to a worker process needed sys.setrecursionlimit; the
+        # index must round-trip with next to no stack, a fortiori at
+        # the default limit.
+        trie = PrefixTrie()
+        host = A("2001:db8:ffff:ffff:ffff:ffff:ffff:ffff")
+        for length in range(129):
+            trie.insert(Prefix.from_address(host, length), length)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+        try:
+            clone = pickle.loads(pickle.dumps(trie))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert list(clone.items()) == list(trie.items())
+        assert clone.covering(host) == trie.covering(host)
+        assert len(clone.covering(host)) == 129
 
 
 class TestIteration:

@@ -5,7 +5,7 @@ import pytest
 from repro import obs
 from repro.core import MeasurementStudy, RunConfig
 from repro.core.pipeline import PIPELINE_STAGES, StudyStatistics
-from repro.obs.report import stage_timing_report, timing_summary
+from repro.obs.report import stage_timing_report
 from repro.obs.runtime import metrics, observability_enabled, tracer
 
 
@@ -119,9 +119,6 @@ class TestStageSpans:
         report = stage_timing_report(collector)
         assert "stage.dns" in report
         assert "study.run" in report
-        summary = timing_summary(collector.aggregate())
-        assert summary["study.run"]["count"] == 1
-        assert summary["stage.dns"]["total_s"] >= 0
 
 
 class TestProgressThroughPipeline:

@@ -1,17 +1,11 @@
-"""Continuous profiling artifacts and the bench-regression gate."""
+"""Profiling artifacts: folded cProfile stacks and Chrome traces."""
 
 import json
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 from repro.obs import TraceCollector, profile_report, profile_scope
-
-REPO = Path(__file__).parent.parent
-GATE = REPO / "benchmarks" / "check_regression.py"
 
 FOLDED_LINE = re.compile(r"^\S.* \d+$")
 
@@ -84,7 +78,7 @@ class TestFoldedOutput:
     def test_write_folded_roundtrip(self, tmp_path):
         with profile_scope() as capture:
             workload()
-        out = tmp_path / "BENCH_test.folded"
+        out = tmp_path / "run.folded"
         count = capture.report.write_folded(out)
         written = out.read_text(encoding="utf-8").splitlines()
         assert written == capture.report.folded_lines()
@@ -130,95 +124,3 @@ class TestChromeTrace:
         active.__enter__()
         assert tracer.to_chrome_trace()["traceEvents"] == []
 
-
-def run_gate(*argv):
-    return subprocess.run(
-        [sys.executable, str(GATE), *argv],
-        capture_output=True,
-        text=True,
-        cwd=REPO,
-    )
-
-
-@pytest.fixture()
-def bench_dirs(tmp_path):
-    baseline = tmp_path / "baseline"
-    current = tmp_path / "current"
-    baseline.mkdir()
-    current.mkdir()
-    record = {
-        "serial_seconds": 2.0,
-        "parallel_seconds": 1.0,
-        "build_seconds": 4.0,
-    }
-    (baseline / "BENCH_parallel.json").write_text(json.dumps(record))
-    (current / "BENCH_parallel.json").write_text(json.dumps(record))
-    return baseline, current
-
-
-class TestRegressionGate:
-    def test_identical_records_pass(self, bench_dirs):
-        baseline, current = bench_dirs
-        result = run_gate(
-            "--baseline-dir", str(baseline), "--current-dir", str(current)
-        )
-        assert result.returncode == 0, result.stdout
-        assert "within tolerance" in result.stdout
-
-    def test_injected_double_slowdown_fails(self, bench_dirs):
-        baseline, current = bench_dirs
-        result = run_gate(
-            "--baseline-dir", str(baseline),
-            "--current-dir", str(current),
-            "--inject-factor", "2.0",
-        )
-        assert result.returncode == 1, result.stdout
-        assert "FAIL" in result.stdout
-
-    def test_real_slowdown_fails_without_injection(self, bench_dirs):
-        baseline, current = bench_dirs
-        slowed = json.loads((current / "BENCH_parallel.json").read_text())
-        slowed["serial_seconds"] *= 2
-        (current / "BENCH_parallel.json").write_text(json.dumps(slowed))
-        result = run_gate(
-            "--baseline-dir", str(baseline), "--current-dir", str(current)
-        )
-        assert result.returncode == 1
-        assert "BENCH_parallel.json:serial_seconds" in result.stdout
-
-    def test_ratio_regression_fails(self, bench_dirs):
-        baseline, current = bench_dirs
-        (baseline / "BENCH_incremental.json").write_text(
-            json.dumps({"warm_seconds": 1.0, "warm_speedup": 4.0})
-        )
-        (current / "BENCH_incremental.json").write_text(
-            json.dumps({"warm_seconds": 1.0, "warm_speedup": 1.5})
-        )
-        result = run_gate(
-            "--baseline-dir", str(baseline), "--current-dir", str(current)
-        )
-        assert result.returncode == 1
-        assert "warm_speedup" in result.stdout
-
-    def test_missing_current_metric_fails(self, bench_dirs):
-        baseline, current = bench_dirs
-        thinned = json.loads((current / "BENCH_parallel.json").read_text())
-        del thinned["serial_seconds"]
-        (current / "BENCH_parallel.json").write_text(json.dumps(thinned))
-        result = run_gate(
-            "--baseline-dir", str(baseline), "--current-dir", str(current)
-        )
-        assert result.returncode == 1
-
-    def test_missing_files_are_skipped_not_failed(self, tmp_path):
-        empty = tmp_path / "empty"
-        empty.mkdir()
-        result = run_gate(
-            "--baseline-dir", str(empty), "--current-dir", str(empty)
-        )
-        assert result.returncode == 0
-        assert "skip" in result.stdout
-
-    def test_committed_baselines_agree_with_themselves(self):
-        result = run_gate()
-        assert result.returncode == 0, result.stdout

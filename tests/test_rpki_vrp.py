@@ -1,8 +1,19 @@
-"""Unit tests for RFC 6811 origin validation (repro.rpki.vrp)."""
+"""Unit tests for RFC 6811 origin validation (repro.rpki.vrp).
+
+The tail of this module is property-based: hypothesis generates VRP
+sets and announcements, and the 0-5 annotation and three-state verdict
+are checked against a linear-scan oracle written here, which shares no
+code with ``repro.rpki.vrp`` (it never touches the index, ``VRP.covers``
+or ``VRP.matches``).
+"""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.net import ASN, Prefix
+from repro.net import ASN, Address, Prefix
+from repro.net.addr import IPV4, IPV6
+from repro.rov import annotate_route
 from repro.rpki import VRP, OriginValidation, ValidatedPayloads
 
 
@@ -143,3 +154,104 @@ class TestVRP:
     def test_enum_str(self):
         assert str(OriginValidation.VALID) == "valid"
         assert str(OriginValidation.NOT_FOUND) == "not_found"
+
+
+# -- property: one RFC 6811, checked against a linear scan -------------------
+
+_ORIGINS = (64500, 64501, 64502)
+
+
+def _covers(entry, announced):
+    """Plain-integer coverage: same family, no longer, same top bits."""
+    shift = announced.bits - entry.prefix.length
+    return (
+        entry.prefix.family == announced.family
+        and entry.prefix.length <= announced.length
+        and announced.value >> shift == entry.prefix.value >> shift
+    )
+
+
+def _oracle(vrps, announced, origin):
+    """(0-5 code, verdict) by scanning every VRP."""
+    covering = [entry for entry in vrps if _covers(entry, announced)]
+    if not covering:
+        return 1, "not_found"
+    if origin is None:
+        return 2, "invalid"
+    same_asn = [entry for entry in covering if int(entry.asn) == origin]
+    fits = [
+        entry for entry in covering if announced.length <= entry.max_length
+    ]
+    if any(entry in fits for entry in same_asn):
+        return 0, "valid"
+    return (4 if same_asn else 3 if fits else 5), "invalid"
+
+
+@st.composite
+def _prefixes(draw, family, bits):
+    length = draw(st.integers(min_value=0, max_value=bits))
+    value = draw(st.integers(min_value=0, max_value=(1 << bits) - 1))
+    return Prefix.from_address(Address(family, value), length)
+
+
+@st.composite
+def _worlds(draw):
+    """An announcement and VRPs placed around it: covering it, inside
+    it (too specific to cover), or anywhere at all."""
+    family, bits = draw(st.sampled_from([(IPV4, 32), (IPV6, 128)]))
+    announced = draw(_prefixes(family, bits))
+    vrps = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        kind = draw(st.sampled_from(["covering", "covering", "inside", "any"]))
+        if kind == "covering":
+            prefix = announced.supernet(
+                draw(st.integers(min_value=0, max_value=announced.length))
+            )
+        elif kind == "inside":
+            host = draw(st.integers(min_value=0, max_value=(1 << bits) - 1))
+            host &= (1 << (bits - announced.length)) - 1
+            prefix = Prefix.from_address(
+                Address(family, announced.value | host),
+                draw(st.integers(min_value=announced.length, max_value=bits)),
+            )
+        else:
+            prefix = draw(_prefixes(family, bits))
+        # Half the VRPs allow no more-specifics, so too-long
+        # announcements (codes 4 and 5) are not rare.
+        max_length = draw(st.one_of(
+            st.just(prefix.length),
+            st.integers(min_value=prefix.length, max_value=bits),
+        ))
+        vrps.append(
+            VRP(prefix, max_length, ASN(draw(st.sampled_from(_ORIGINS))))
+        )
+    origin = draw(st.sampled_from((None,) + _ORIGINS * 2))
+    return vrps, announced, origin
+
+
+class TestAgainstLinearScanOracle:
+    @given(_worlds())
+    def test_code_and_verdict_agree_with_oracle(self, world):
+        vrps, announced, origin = world
+        payloads = ValidatedPayloads(vrps)
+        code, verdict = _oracle(vrps, announced, origin)
+        assert annotate_route(payloads, announced, origin) == code
+        assert payloads.validate_origin(announced, origin).value == verdict
+        state, covering = payloads.validate_with_covering(announced, origin)
+        assert state.value == verdict
+        assert sorted(covering) == sorted(
+            entry for entry in vrps if _covers(entry, announced)
+        )
+
+    @pytest.mark.parametrize("prefix, origin, code", [
+        ("10.0.0.0/18", 64500, 0),
+        ("11.0.0.0/8", 64500, 1),
+        ("10.0.0.0/18", None, 2),
+        ("10.0.0.0/18", 64501, 3),
+        ("10.0.0.0/24", 64500, 4),
+        ("10.0.0.0/24", 64501, 5),
+    ])
+    def test_each_code_by_hand(self, prefix, origin, code):
+        vrps = [vrp("10.0.0.0/16", 20, 64500)]
+        assert _oracle(vrps, P(prefix), origin)[0] == code
+        assert annotate_route(ValidatedPayloads(vrps), P(prefix), origin) == code

@@ -88,17 +88,15 @@ class TestSessionKeying:
         gc.collect()
         recycled = None
         others = []
-        for _attempt in range(8):
-            for _ in range(2048):
-                candidate = InMemoryTransport()
-                if id(candidate) == old_id:
-                    recycled = candidate
-                    break
-                others.append(candidate)  # hold: allocator tries new slots
-            if recycled is not None:
+        # Hold every miss for the whole search: releasing them between
+        # attempts would hand the same free blocks straight back.
+        for _ in range(100_000):
+            candidate = InMemoryTransport()
+            if id(candidate) == old_id:
+                recycled = candidate
                 break
-            others.clear()
-            gc.collect()
+            others.append(candidate)
+        others.clear()
         if recycled is None:
             pytest.skip("allocator never recycled the id")
         fresh = cache.register(recycled)
