@@ -82,14 +82,7 @@ def dump_digest(dump) -> str:
 def vrp_items(payloads) -> List[list]:
     """The VRP set as sorted primitive rows (the delta-index currency)."""
     return sorted(
-        [
-            vrp.prefix.family,
-            vrp.prefix.value,
-            vrp.prefix.length,
-            vrp.max_length,
-            int(vrp.asn),
-            vrp.trust_anchor,
-        ]
+        [*vrp.prefix, vrp.max_length, int(vrp.asn), vrp.trust_anchor]
         for vrp in payloads
     )
 

@@ -62,7 +62,7 @@ from repro.web.alexa import Domain
 
 
 def _pair_key(prefix: Prefix, origin: ASN) -> str:
-    return f"{prefix.family}:{prefix.value}:{prefix.length}:{int(origin)}"
+    return "{}:{}:{}:{}".format(*prefix, int(origin))
 
 
 class CachedFunnel:
@@ -119,7 +119,7 @@ class CachedFunnel:
             self.fresh["dns"][name] = [
                 name_fingerprint(self._namespace, self._vantage, name),
                 measurement.resolved,
-                [[a.family, a.value] for a in measurement.addresses],
+                [list(a) for a in measurement.addresses],
                 measurement.excluded_special,
                 measurement.cname_count,
                 deltas,
@@ -133,8 +133,7 @@ class CachedFunnel:
     def _dns_from_entry(name: str, entry: list) -> NameMeasurement:
         measurement = NameMeasurement(name=name)
         measurement.resolved = entry[1]
-        for family, value in entry[2]:
-            measurement.addresses.append(Address(family, value))
+        measurement.addresses = [Address(*row) for row in entry[2]]
         measurement.excluded_special = entry[3]
         measurement.cname_count = entry[4]
         return measurement
@@ -145,14 +144,14 @@ class CachedFunnel:
         pairs: set = set()
         missing: List[Tuple[str, Address]] = []
         for address in measurement.addresses:
-            key = f"{address.family}:{address.value}"
+            key = "{}:{}".format(*address)
             entry = self._lookup("prefix", key)
             if entry is None:
                 missing.append((key, address))
                 continue
             self._hit("prefix")
-            for family, value, length, origin in entry[0]:
-                pairs.add((Prefix(family, value, length), ASN(origin)))
+            for *prefix, origin in entry[0]:
+                pairs.add((Prefix(*prefix), ASN(origin)))
             measurement.unreachable_addresses += entry[1]
             measurement.as_set_excluded += entry[2]
             self._replay(entry[3])
@@ -167,10 +166,7 @@ class CachedFunnel:
                     measurement.unreachable_addresses += unreachable
                     measurement.as_set_excluded += as_set
                     self.fresh["prefix"][key] = [
-                        [
-                            [p.family, p.value, p.length, int(o)]
-                            for p, o in mapped
-                        ],
+                        [[*p, int(o)] for p, o in mapped],
                         unreachable,
                         as_set,
                         deltas,

@@ -123,19 +123,15 @@ class CacheSession:
             else:
                 delta = _delta_trie(stored["vrp_set"], vrps)
                 for key, entry in old.get("rpki", {}).items():
-                    family, value, length, _origin = key.split(":")
-                    announced = Prefix(int(family), int(value), int(length))
-                    if delta.covering(announced):
+                    *announced, _origin = map(int, key.split(":"))
+                    if delta.covering(Prefix(*announced)):
                         drop("rpki")
                     else:
                         entries["rpki"][key] = entry
                 survivors = {}
                 for name, entry in entries["form"].items():
                     pairs = entry[1][_WIRE_NAME_PAIRS]
-                    if any(
-                        delta.covering(Prefix(pair[0], pair[1], pair[2]))
-                        for pair in pairs
-                    ):
+                    if any(delta.covering(Prefix(*pair[:3])) for pair in pairs):
                         drop("form")
                     else:
                         survivors[name] = entry
@@ -207,6 +203,6 @@ def _delta_trie(old_items: List[list], new_items: List[list]) -> PrefixTrie:
         tuple(item) for item in new_items
     }
     trie: PrefixTrie = PrefixTrie()
-    for family, value, length, _max_length, _asn, _anchor in delta:
-        trie.insert(Prefix(family, value, length), True)
+    for *prefix, _max_length, _asn, _anchor in delta:
+        trie.insert(Prefix(*prefix), True)
     return trie

@@ -9,7 +9,7 @@ validation outcome."
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.bgp import TableDump
@@ -559,15 +559,7 @@ class RunConfig:
         """A picklable copy for shipping to worker processes."""
         if self.progress is None:
             return self
-        return RunConfig(
-            workers=self.workers,
-            mode=self.mode,
-            shard_size=self.shard_size,
-            retry=self.retry,
-            faults=self.faults,
-            cache=self.cache,
-            job_deadline_s=self.job_deadline_s,
-        )
+        return replace(self, progress=None)
 
 
 class MeasurementStudy:

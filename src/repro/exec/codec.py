@@ -1,19 +1,22 @@
 """Compact wire format for shard results crossing process boundaries.
 
-Measurement records are object-heavy: every :class:`~repro.net.Address`
-and :class:`~repro.net.Prefix` is a ``__slots__`` instance, every
-:class:`~repro.core.records.NameMeasurement` an eight-field dataclass.
-Pickling them naively ships one state dict per object, and the parent
-process pays the reconstruction cost serially while its workers sit
-idle — at 20k domains that deserialisation dominates the parallel
-wall-clock.  Encoding each measurement as nested tuples of primitives
-roughly halves the payload and the parent-side decode time.
+Measurement records are object-heavy: every
+:class:`~repro.core.records.NameMeasurement` is an eleven-field
+dataclass holding lists of value objects.  Pickling them naively ships
+one state dict per object, and the parent process pays the
+reconstruction cost serially while its workers sit idle — at 20k
+domains that deserialisation dominates the parallel wall-clock.
+Encoding each measurement as nested tuples of primitives roughly
+halves the payload and the parent-side decode time.
 
 Two invariants make the codec safe and exact:
 
-* values are lifted from objects that were already validated on
-  construction inside the worker, so decoding rebuilds them through
-  ``__new__`` without re-running the parse/range checks;
+* an :class:`~repro.net.Address` or :class:`~repro.net.Prefix` row is
+  the value itself (``tuple(address)``), and decoding rebuilds it
+  through the public, validating constructor — the bytes come from a
+  pipe, a socket or the on-disk snapshot, so a row with host bits set
+  or a value out of range raises a :class:`~repro.net.NetError`
+  instead of becoming a value that violates its own invariant;
 * :class:`~repro.web.alexa.Domain` objects never cross the boundary
   at all — the parent re-attaches its *own* domain objects (the same
   ones the serial run would use) from the shard plan, which both
@@ -57,19 +60,13 @@ def _encode_name(measurement: NameMeasurement) -> WireName:
     return (
         measurement.name,
         measurement.resolved,
-        [(a._family, a._value) for a in measurement.addresses],
+        [tuple(a) for a in measurement.addresses],
         measurement.excluded_special,
         measurement.unreachable_addresses,
         measurement.as_set_excluded,
         measurement.cname_count,
         [
-            (
-                pair.prefix._family,
-                pair.prefix._value,
-                pair.prefix._length,
-                int(pair.origin),
-                pair.state.value,
-            )
+            (*pair.prefix, int(pair.origin), pair.state.value)
             for pair in measurement.pairs
         ],
         measurement.degraded_stage,
@@ -92,34 +89,24 @@ def _decode_name(wire: WireName) -> NameMeasurement:
         retries,
         faults,
     ) = wire
-    measurement = NameMeasurement.__new__(NameMeasurement)
-    measurement.name = name
-    measurement.resolved = resolved
-    decoded_addresses = []
-    for family, value in addresses:
-        address = Address.__new__(Address)
-        address._family = family
-        address._value = value
-        decoded_addresses.append(address)
-    measurement.addresses = decoded_addresses
-    measurement.excluded_special = excluded
-    measurement.unreachable_addresses = unreachable
-    measurement.as_set_excluded = as_set
-    measurement.cname_count = cnames
-    decoded_pairs = []
-    for family, value, length, origin, state in pairs:
-        prefix = Prefix.__new__(Prefix)
-        prefix._family = family
-        prefix._value = value
-        prefix._length = length
-        decoded_pairs.append(
-            PrefixOriginPair(prefix, ASN(origin), OriginValidation(state))
-        )
-    measurement.pairs = decoded_pairs
-    measurement.degraded_stage = degraded_stage
-    measurement.retries = retries
-    measurement.faults = tuple((kind, count) for kind, count in faults)
-    return measurement
+    return NameMeasurement(
+        name=name,
+        resolved=resolved,
+        addresses=[Address(*row) for row in addresses],
+        excluded_special=excluded,
+        unreachable_addresses=unreachable,
+        as_set_excluded=as_set,
+        cname_count=cnames,
+        pairs=[
+            PrefixOriginPair(
+                Prefix(family, value, length), ASN(origin), OriginValidation(state)
+            )
+            for family, value, length, origin, state in pairs
+        ],
+        degraded_stage=degraded_stage,
+        retries=retries,
+        faults=tuple((kind, count) for kind, count in faults),
+    )
 
 
 def encode_measurements(
@@ -143,14 +130,10 @@ def decode_measurements(
         raise ValueError(
             f"{len(encoded)} encoded measurements for {len(domains)} domains"
         )
-    measurements = []
-    for (www, plain), domain in zip(encoded, domains):
-        measurement = DomainMeasurement.__new__(DomainMeasurement)
-        measurement.domain = domain
-        measurement.www = _decode_name(www)
-        measurement.plain = _decode_name(plain)
-        measurements.append(measurement)
-    return measurements
+    return [
+        DomainMeasurement(domain, _decode_name(www), _decode_name(plain))
+        for (www, plain), domain in zip(encoded, domains)
+    ]
 
 
 def encode_statistics(stats: StudyStatistics) -> WireStatistics:

@@ -49,7 +49,7 @@ from __future__ import annotations
 import collections
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
@@ -100,21 +100,7 @@ class SchedulerReport:
     backoff_virtual_s: float = 0.0
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "backend": self.backend,
-            "workers": self.workers,
-            "jobs_total": self.jobs_total,
-            "dispatched": self.dispatched,
-            "completed": self.completed,
-            "redispatched": self.redispatched,
-            "duplicates": self.duplicates,
-            "stolen": self.stolen,
-            "worker_deaths": self.worker_deaths,
-            "quarantined": self.quarantined,
-            "respawns": self.respawns,
-            "deadline_s": self.deadline_s,
-            "backoff_virtual_s": self.backoff_virtual_s,
-        }
+        return asdict(self)
 
     def to_metrics(self, registry) -> None:
         """Export ``ripki_jobs_*`` into ``registry`` (explicit only)."""

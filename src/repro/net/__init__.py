@@ -1,9 +1,10 @@
 """IP addressing primitives shared by every substrate.
 
-This package provides from-scratch IPv4/IPv6 address and prefix types,
-a binary radix trie with longest-prefix and covering-prefix lookup, and
-the IANA special-purpose address registries used to discard invalid DNS
-answers (paper, Section 3, step 2).
+This package provides from-scratch IPv4/IPv6 address and prefix types
+(validated int tuples), a per-length prefix index with longest-prefix
+and covering-prefix lookup, and the IANA special-purpose address
+registries used to discard invalid DNS answers (paper, Section 3,
+step 2).
 """
 
 from repro.net.addr import (

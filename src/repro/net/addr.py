@@ -1,15 +1,17 @@
 """IPv4/IPv6 address and prefix value types.
 
-Both types are immutable, hashable, and totally ordered (first by
-address family, then numerically).  Parsing and formatting are
-implemented from scratch, including IPv6 zero compression and embedded
-IPv4 notation, so the package has no dependency beyond the standard
-library.
+An :class:`Address` *is* the int tuple ``(family, value)`` and a
+:class:`Prefix` *is* ``(family, value, length)``: ``tuple`` subclasses
+whose only constructor validates.  Equality, hashing and the total
+order (family, then value, then length) are the tuple's own, and the
+value checked on construction is the dict key, the sort key, the wire
+row (``tuple(prefix)``) and the store row (``Prefix(*row)``).  Parsing
+and formatting (IPv6 zero compression, embedded IPv4) are from scratch.
 """
 
 from __future__ import annotations
 
-from functools import total_ordering
+from operator import itemgetter
 from typing import Iterator, Tuple, Union
 
 from repro.net.errors import AddressError, PrefixError
@@ -119,21 +121,24 @@ def _format_ipv6(value: int) -> str:
     return f"{head}::{tail}"
 
 
-@total_ordering
-class Address:
-    """An immutable IPv4 or IPv6 address."""
+class Address(tuple):
+    """An immutable IPv4 or IPv6 address: the tuple ``(family, value)``."""
 
-    __slots__ = ("_family", "_value")
+    __slots__ = ()
 
-    def __init__(self, family: int, value: int):
-        bits = family_bits(family)
+    def __new__(cls, family: int, value: int) -> "Address":
+        family_bits(family)
         if not 0 <= value <= _MAX[family]:
             raise AddressError(
                 f"address value out of range for IPv{family}: {value:#x}"
             )
-        self._family = family
-        self._value = value
-        del bits
+        return tuple.__new__(cls, (family, value))
+
+    def __getnewargs__(self) -> Tuple[int, int]:
+        return tuple(self)  # pickle and copy re-enter the validating __new__
+
+    family = property(itemgetter(0), doc="Address family: 4 or 6.")
+    value = property(itemgetter(1), doc="The address as an integer.")
 
     @classmethod
     def parse(cls, text: str) -> "Address":
@@ -144,55 +149,37 @@ class Address:
         return cls(IPV4, _parse_ipv4(text))
 
     @property
-    def family(self) -> int:
-        return self._family
-
-    @property
-    def value(self) -> int:
-        return self._value
-
-    @property
     def bits(self) -> int:
-        return _BITS[self._family]
+        return _BITS[self[0]]
 
     def to_prefix(self) -> "Prefix":
         """Return the host prefix (/32 or /128) for this address."""
-        return Prefix(self._family, self._value, self.bits)
+        return Prefix(*self, _BITS[self[0]])
 
     def __str__(self) -> str:
-        if self._family == IPV4:
-            return _format_ipv4(self._value)
-        return _format_ipv6(self._value)
+        family, value = self
+        return _format_ipv4(value) if family == IPV4 else _format_ipv6(value)
 
     def __repr__(self) -> str:
         return f"Address({str(self)!r})"
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Address):
-            return NotImplemented
-        return self._family == other._family and self._value == other._value
 
-    def __lt__(self, other: "Address") -> bool:
-        if not isinstance(other, Address):
-            return NotImplemented
-        return (self._family, self._value) < (other._family, other._value)
+class Prefix(tuple):
+    """An immutable CIDR prefix: the tuple ``(family, value, length)``.
 
-    def __hash__(self) -> int:
-        return hash((Address, self._family, self._value))
-
-
-@total_ordering
-class Prefix:
-    """An immutable CIDR prefix.
-
-    The network value is canonicalised on construction: host bits below
-    the prefix length must be zero, otherwise :class:`PrefixError` is
-    raised.  This catches subtle data-generation bugs early.
+    Host bits below the prefix length must be zero, else
+    :class:`PrefixError`; there is no other constructor, so decoders of
+    wire and store rows are checked too.  It is a tuple:
+    ``Prefix(4, 0, 0) == (4, 0, 0)``, ``len(p)`` is 3 (the prefix
+    length is ``.length``), ``x in p`` is tuple membership (coverage is
+    :meth:`contains`), ``json.dumps(p)`` yields ``[family, value,
+    length]`` where it used to raise, and ``hash(p)`` no longer mixes
+    in the class object's address, so it is the same in every process.
     """
 
-    __slots__ = ("_family", "_value", "_length")
+    __slots__ = ()
 
-    def __init__(self, family: int, value: int, length: int):
+    def __new__(cls, family: int, value: int, length: int) -> "Prefix":
         bits = family_bits(family)
         if not 0 <= length <= bits:
             raise PrefixError(f"prefix length {length} out of range for IPv{family}")
@@ -203,9 +190,14 @@ class Prefix:
             raise PrefixError(
                 f"host bits set below /{length}: {value:#x} (not a canonical network)"
             )
-        self._family = family
-        self._value = value
-        self._length = length
+        return tuple.__new__(cls, (family, value, length))
+
+    def __getnewargs__(self) -> Tuple[int, int, int]:
+        return tuple(self)  # pickle and copy re-enter the validating __new__
+
+    family = property(itemgetter(0), doc="Address family: 4 or 6.")
+    value = property(itemgetter(1), doc="The network address as an integer.")
+    length = property(itemgetter(2), doc="The prefix length in bits.")
 
     @classmethod
     def parse(cls, text: str) -> "Prefix":
@@ -217,56 +209,47 @@ class Prefix:
         address = Address.parse(network_text)
         if not length_text.isdigit():
             raise PrefixError(f"invalid prefix length: {length_text!r}")
-        return cls(address.family, address.value, int(length_text))
+        return cls(*address, int(length_text))
 
     @classmethod
     def from_address(cls, address: Address, length: int) -> "Prefix":
         """Build the prefix of ``length`` bits containing ``address``."""
-        bits = address.bits
+        family, value = address
+        bits = _BITS[family]
         if not 0 <= length <= bits:
             raise PrefixError(f"prefix length {length} out of range")
         host_bits = bits - length
-        network = (address.value >> host_bits) << host_bits
-        return cls(address.family, network, length)
-
-    @property
-    def family(self) -> int:
-        return self._family
-
-    @property
-    def value(self) -> int:
-        return self._value
-
-    @property
-    def length(self) -> int:
-        return self._length
+        return cls(family, (value >> host_bits) << host_bits, length)
 
     @property
     def bits(self) -> int:
-        return _BITS[self._family]
+        return _BITS[self[0]]
 
     @property
     def network(self) -> Address:
-        return Address(self._family, self._value)
+        return Address(self[0], self[1])
 
     @property
     def broadcast_value(self) -> int:
         """Numeric value of the highest address inside the prefix."""
-        host_bits = self.bits - self._length
-        return self._value | ((1 << host_bits) - 1) if host_bits else self._value
+        family, value, length = self
+        return value | ((1 << (_BITS[family] - length)) - 1)
 
     def key_bits(self) -> int:
         """Top ``length`` bits of the network, as an integer key."""
-        return self._value >> (self.bits - self._length) if self._length else 0
+        family, value, length = self
+        return value >> (_BITS[family] - length)
 
     def contains(self, other: Union[Address, "Prefix"]) -> bool:
         """True when ``other`` (address or prefix) is inside this prefix."""
         if isinstance(other, Address):
             other = other.to_prefix()
-        if other._family != self._family or other._length < self._length:
+        family, value, length = self
+        other_family, other_value, other_length = other
+        if other_family != family or other_length < length:
             return False
-        shift = self.bits - self._length
-        return (other._value >> shift) == (self._value >> shift) if self._length else True
+        shift = _BITS[family] - length
+        return other_value >> shift == value >> shift
 
     def covers(self, other: "Prefix") -> bool:
         """Alias of :meth:`contains` for prefixes; reads better in BGP code."""
@@ -274,66 +257,42 @@ class Prefix:
 
     def supernet(self, length: int) -> "Prefix":
         """Return the covering prefix of the given (shorter) length."""
-        if length > self._length:
-            raise PrefixError(
-                f"supernet length {length} longer than /{self._length}"
-            )
-        host_bits = self.bits - length
-        return Prefix(self._family, (self._value >> host_bits) << host_bits, length)
+        family, value, own_length = self
+        if length > own_length:
+            raise PrefixError(f"supernet length {length} longer than /{own_length}")
+        host_bits = _BITS[family] - length
+        return Prefix(family, (value >> host_bits) << host_bits, length)
 
     def subnets(self) -> Tuple["Prefix", "Prefix"]:
         """Split into the two half-length+1 subnets."""
-        if self._length >= self.bits:
-            raise PrefixError(f"cannot split a host prefix /{self._length}")
-        child_length = self._length + 1
-        low = Prefix(self._family, self._value, child_length)
-        high_bit = 1 << (self.bits - child_length)
-        high = Prefix(self._family, self._value | high_bit, child_length)
-        return low, high
+        family, value, length = self
+        if length >= _BITS[family]:
+            raise PrefixError(f"cannot split a host prefix /{length}")
+        child = length + 1
+        high = value | 1 << (_BITS[family] - child)
+        return Prefix(family, value, child), Prefix(family, high, child)
 
     def addresses(self, limit: int = 1 << 16) -> Iterator[Address]:
         """Iterate the addresses in the prefix (guarded by ``limit``)."""
-        count = 1 << (self.bits - self._length)
+        family, value, length = self
+        count = 1 << (_BITS[family] - length)
         if count > limit:
-            raise PrefixError(
-                f"refusing to iterate {count} addresses (limit {limit})"
-            )
+            raise PrefixError(f"refusing to iterate {count} addresses (limit {limit})")
         for offset in range(count):
-            yield Address(self._family, self._value + offset)
+            yield Address(family, value + offset)
 
     def nth_address(self, index: int) -> Address:
         """Return the ``index``-th address inside the prefix."""
-        count = 1 << (self.bits - self._length)
-        if not 0 <= index < count:
+        family, value, length = self
+        if not 0 <= index < 1 << (_BITS[family] - length):
             raise PrefixError(f"address index {index} out of range for {self}")
-        return Address(self._family, self._value + index)
+        return Address(family, value + index)
 
     def __str__(self) -> str:
-        return f"{self.network}/{self._length}"
+        return f"{self.network}/{self[2]}"
 
     def __repr__(self) -> str:
         return f"Prefix({str(self)!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Prefix):
-            return NotImplemented
-        return (
-            self._family == other._family
-            and self._value == other._value
-            and self._length == other._length
-        )
-
-    def __lt__(self, other: "Prefix") -> bool:
-        if not isinstance(other, Prefix):
-            return NotImplemented
-        return (self._family, self._value, self._length) < (
-            other._family,
-            other._value,
-            other._length,
-        )
-
-    def __hash__(self) -> int:
-        return hash((Prefix, self._family, self._value, self._length))
 
 
 def parse_address(text: str) -> Address:

@@ -42,7 +42,7 @@ class PrefixTrie(Generic[V]):
             IPV4: {}, IPV6: {},
         }
         # family -> stored lengths, ascending (covering = shortest first)
-        self._lengths: Dict[int, List[int]] = {IPV4: [], IPV6: []}
+        self._stored_lengths: Dict[int, List[int]] = {IPV4: [], IPV6: []}
         self._count = 0
 
     def insert(self, prefix: Prefix, value: V) -> None:
@@ -51,7 +51,7 @@ class PrefixTrie(Generic[V]):
         level = levels.get(prefix.length)
         if level is None:
             level = levels[prefix.length] = {}
-            lengths = self._lengths[prefix.family]
+            lengths = self._stored_lengths[prefix.family]
             lengths.append(prefix.length)
             lengths.sort()
         level.setdefault(prefix.key_bits(), []).append(value)
@@ -70,7 +70,7 @@ class PrefixTrie(Generic[V]):
             del level[key]
             if not level:
                 del levels[prefix.length]
-                self._lengths[prefix.family].remove(prefix.length)
+                self._stored_lengths[prefix.family].remove(prefix.length)
         self._count -= 1
         return True
 
@@ -91,7 +91,7 @@ class PrefixTrie(Generic[V]):
         levels = self._levels[target.family]
         value, bits = target.value, target.bits
         results: List[Tuple[Prefix, V]] = []
-        for length in self._lengths[target.family]:
+        for length in self._stored_lengths[target.family]:
             if length > target.length:
                 break
             values = levels[length].get(value >> (bits - length))
@@ -142,7 +142,7 @@ class PrefixTrie(Generic[V]):
         """Iterate every stored ``(prefix, value)`` pair."""
         for family, levels in self._levels.items():
             bits = family_bits(family)
-            for length in self._lengths[family]:
+            for length in self._stored_lengths[family]:
                 for key, values in levels[length].items():
                     prefix = Prefix(family, key << (bits - length), length)
                     for value in values:

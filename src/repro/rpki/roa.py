@@ -107,7 +107,8 @@ def issue_roa(
     for item in prefixes:
         if isinstance(item, ROAPrefix):
             entries.append(item)
-        elif isinstance(item, tuple):
+        elif isinstance(item, tuple) and not isinstance(item, Prefix):
+            # A bare Prefix is itself a tuple; only a pair is the pair form.
             entries.append(ROAPrefix.make(item[0], item[1]))
         else:
             entries.append(ROAPrefix.make(item))

@@ -69,14 +69,6 @@ class VRP:
         """True when this VRP's prefix covers the announcement."""
         return self.prefix.covers(announced)
 
-    def matches(self, announced: Prefix, origin: Union[int, ASN]) -> bool:
-        """Full RFC 6811 match: coverage, maxLength, and origin AS."""
-        return (
-            self.covers(announced)
-            and announced.length <= self.max_length
-            and int(self.asn) == int(origin)
-        )
-
     def __str__(self) -> str:
         return f"{self.prefix}-{self.max_length} => {self.asn}"
 
@@ -143,10 +135,6 @@ class ValidatedPayloads:
         """Verdict plus the covering VRPs it was judged against."""
         code, covering = self.annotate(announced, origin)
         return _STATE_OF[code], covering
-
-    def covered(self, announced: Prefix) -> bool:
-        """True when the RPKI says *anything* about the prefix."""
-        return bool(self.covering_vrps(announced))
 
     def asns(self) -> set:
         """Distinct origin ASes appearing in the VRP set."""

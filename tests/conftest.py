@@ -1,7 +1,13 @@
-"""Shared fixtures: a session-scoped small world for integration tests."""
+"""Shared fixtures: a session-scoped small world for integration tests,
+and a fresh interpreter for what must not depend on this process."""
+
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.web import EcosystemConfig, WebEcosystem
 
 
@@ -12,3 +18,21 @@ def small_world():
         domain_count=2000, seed=42, hoster_count=150, eyeball_count=60
     )
     return WebEcosystem.build(config)
+
+
+@pytest.fixture
+def fresh_python():
+    """Run ``code`` with ``python -c`` in a new interpreter that sees this
+    checkout's ``src`` (plus ``extra_paths``); return its stdout."""
+
+    def run(code: str, *extra_paths: str) -> str:
+        source = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join((source, *extra_paths)))
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout.strip()
+
+    return run

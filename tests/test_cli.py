@@ -5,27 +5,37 @@ import pytest
 from repro.cli import build_parser, main
 
 
-def test_importing_the_cli_pulls_in_no_third_party_package():
+def test_importing_the_cli_pulls_in_no_third_party_package(fresh_python):
     """The program is stdlib-only: ``dependencies = []`` in
     pyproject.toml is true of every process, forked workers included."""
-    import os
-    import subprocess
-    import sys
-
-    import repro
-
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
     probe = (
         "import sys, repro.cli; "
         "print(sorted({'networkx', 'numpy', 'scipy'} & set(sys.modules)))"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True, text=True, env=env, timeout=60,
+    assert fresh_python(probe) == "[]"
+
+
+def test_address_and_prefix_have_no_construction_backdoor():
+    """``Address`` / ``Prefix`` are built by their validating
+    constructors only: nothing outside ``net/addr.py`` allocates one
+    bare or reaches for the private fields the old classes had."""
+    import pathlib
+    import re
+
+    import repro
+
+    backdoor = re.compile(
+        r"tuple\.__new__|Prefix\.__new__|Address\.__new__|\._family|\._length"
     )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    root = pathlib.Path(repro.__file__).parent
+    offenders = [
+        f"{path.relative_to(root)}:{number}: {line.strip()}"
+        for path in sorted(root.rglob("*.py"))
+        if path != root / "net" / "addr.py"
+        for number, line in enumerate(path.read_text("utf-8").splitlines(), 1)
+        if backdoor.search(line)
+    ]
+    assert offenders == []
 
 
 class TestParser:

@@ -9,6 +9,11 @@ Mirrors ``test_rtr_fuzz.py`` for the execution plane:
   arbitrary garbage either buffer (incomplete frame) or raise the
   *typed* :class:`JobProtocolError`; a raw ``struct.error`` /
   ``KeyError`` / ``UnicodeDecodeError`` escaping the codec is a bug;
+* **hostile value rows** — a well-framed result whose address or
+  prefix row breaks the value's own invariant (host bits set, unknown
+  family, value out of range) is rejected by the validating
+  constructors: a typed ``NetError`` from the codec, a
+  ``JobProtocolError`` from ``to_outcome``;
 * **scheduler quarantine** — a worker whose reply stream is garbage
   (the seeded ``worker.garbage`` fault) is quarantined and its shard
   re-dispatched: the merged study result stays bit-identical to
@@ -22,7 +27,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import MeasurementStudy, RunConfig
+from repro.core.pipeline import StudyStatistics
 from repro.errors import ReproError
+from repro.exec import Shard, decode_measurements, encode_statistics
 from repro.exec.jobs import (
     MAX_FRAME_SIZE,
     PREFIX_SIZE,
@@ -41,8 +48,10 @@ from repro.faults import (
     FaultPlan,
     RetryPolicy,
 )
+from repro.net import NetError
 from repro.obs.tracing import Span
 from repro.web import EcosystemConfig, WebEcosystem
+from repro.web.alexa import Domain
 
 # -- strategies ---------------------------------------------------------------
 
@@ -267,6 +276,63 @@ class TestHostileBytes:
                 envelope.from_wire(wire)
             except ReproError:
                 pass
+
+
+# -- hostile value rows -------------------------------------------------------
+
+GOOD_ADDRESS = [4, 0x0A000001]
+GOOD_PAIR = [4, 0x0A000000, 8, 64500, "valid"]
+
+HOSTILE_ROWS = {
+    "pair-host-bits-below-length": {"pair": [4, 0x0A000001, 8, 64500, "valid"]},
+    "pair-family-5": {"pair": [5, 0x0A000000, 8, 64500, "valid"]},
+    "pair-negative-value": {"pair": [4, -(1 << 24), 8, 64500, "valid"]},
+    "pair-value-over-128-bits": {"pair": [6, 1 << 128, 0, 64500, "valid"]},
+    "pair-length-over-family-bits": {"pair": [4, 0, 33, 64500, "valid"]},
+    "address-out-of-range": {"address": [4, 1 << 32]},
+    "address-negative": {"address": [6, -1]},
+    "address-family-5": {"address": [5, 1]},
+}
+
+
+def value_row_wire(address=GOOD_ADDRESS, pair=GOOD_PAIR) -> list:
+    """One domain's ``encode_measurements`` form around the two rows."""
+    name = ["example.com", True, [address], 0, 0, 0, 0, [pair], "", 0, []]
+    return [[name, name]]
+
+
+class TestHostileValueRows:
+    shard = Shard(index=0, domains=(Domain(rank=1, name="example.com"),))
+
+    def result(self, wire: list) -> JobResult:
+        """``wire`` as the parent sees it: framed, sent, unframed."""
+        sent = JobResult(
+            job_id=1, shard_index=0, attempt=0, worker_id=0,
+            measurements=wire,
+            statistics=list(encode_statistics(StudyStatistics())),
+            metrics=None, spans=[],
+        )
+        (frame,), _rest = decode_frames(encode_frame(sent.to_wire()))
+        return JobResult.from_wire(frame)
+
+    def test_well_formed_rows_decode(self):
+        outcome = self.result(value_row_wire()).to_outcome(self.shard)
+        (measurement,) = outcome.measurements
+        assert tuple(measurement.www.addresses[0]) == tuple(GOOD_ADDRESS)
+        assert tuple(measurement.www.pairs[0].prefix) == tuple(GOOD_PAIR[:3])
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_ROWS))
+    def test_codec_raises_typed_net_error(self, case):
+        with pytest.raises(NetError):
+            decode_measurements(
+                value_row_wire(**HOSTILE_ROWS[case]), self.shard.domains
+            )
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_ROWS))
+    def test_result_frame_surfaces_as_protocol_error(self, case):
+        result = self.result(value_row_wire(**HOSTILE_ROWS[case]))
+        with pytest.raises(JobProtocolError):
+            result.to_outcome(self.shard)
 
 
 # -- scheduler quarantine -----------------------------------------------------

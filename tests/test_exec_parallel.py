@@ -185,7 +185,9 @@ class TestWireCodec:
         # Everything on the wire must be builtin scalars/containers, so
         # pickling never falls back to per-object reduce machinery.
         def flatten(value):
-            if isinstance(value, (tuple, list)):
+            # exact types: an Address/Prefix is a tuple *subclass* and
+            # must surface as a leaf (and fail) if it ever leaks through
+            if type(value) in (tuple, list):
                 for item in value:
                     yield from flatten(item)
             else:

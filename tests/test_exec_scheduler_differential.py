@@ -13,6 +13,7 @@ Span digests cover structural content only — names, attributes,
 errors — because start/end timestamps legitimately differ per run.
 """
 
+import dataclasses
 import hashlib
 import json
 
@@ -21,6 +22,7 @@ import pytest
 from repro import obs
 from repro.core import MeasurementStudy, RunConfig
 from repro.exec import execute_study
+from repro.exec.scheduler import SchedulerReport
 from repro.faults import (
     WORKER_CRASH,
     WORKER_STALL,
@@ -130,6 +132,12 @@ class TestBackendEquivalence:
 
 class TestSchedulerAccounting:
     """The dispatch report must prove the failure modes actually ran."""
+
+    def test_to_dict_is_every_field_in_declaration_order(self):
+        report = SchedulerReport("workers", 2, stolen=3, deadline_s=0.5)
+        names = [spec.name for spec in dataclasses.fields(SchedulerReport)]
+        assert list(report.to_dict()) == names
+        assert report.to_dict() == {n: getattr(report, n) for n in names}
 
     def test_worker_kill_redispatches(self, diff_study):
         result = execute_study(

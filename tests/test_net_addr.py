@@ -194,6 +194,23 @@ class TestPrefix:
         assert hash(a) != hash(b) or a != b
         assert a == Prefix.parse("10.0.0.0/8")
 
+    def test_is_the_int_tuple(self):
+        prefix = Prefix.parse("10.0.0.0/8")
+        assert isinstance(prefix, tuple)
+        assert tuple(prefix) == (4, 0x0A000000, 8)
+        assert tuple(prefix.network) == (4, 0x0A000000)
+        with pytest.raises(AttributeError):
+            prefix.length = 9
+
+    def test_hash_is_the_same_in_every_process(self, fresh_python):
+        """It used to mix in the class object's address (ASLR)."""
+        probe = (
+            "from repro.net import Prefix; "
+            "print(hash(Prefix.parse('10.0.0.0/8')))"
+        )
+        seen = {fresh_python(probe) for _ in range(2)}
+        assert seen == {str(hash(Prefix.parse("10.0.0.0/8")))}
+
     def test_ipv6_prefix(self):
         prefix = Prefix.parse("2001:db8::/32")
         assert prefix.contains(Address.parse("2001:db8:1::5"))

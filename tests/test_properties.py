@@ -1,7 +1,11 @@
 """Property-based tests (hypothesis) on core data structures."""
 
+import copy
 import json
+import pickle
+import struct
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +14,7 @@ from repro.bgp import ASPath
 from repro.core import NameMeasurement, PrefixOriginPair, StudyStatistics
 from repro.crypto import DeterministicRNG
 from repro.exec import decode_name, decode_statistics, encode_name, encode_statistics
-from repro.net import ASN, Address, Prefix, PrefixTrie
+from repro.net import ASN, Address, Prefix, PrefixError, PrefixTrie
 from repro.net.addr import IPV4, IPV6
 from repro.obs import MetricsRegistry, TraceCollector, registry_from_snapshot
 from repro.obs.tracing import Span
@@ -159,6 +163,57 @@ def test_subnets_partition_parent(prefix):
     assert low != high
     assert low.supernet(prefix.length) == prefix
     assert high.supernet(prefix.length) == prefix
+
+
+# -- Address / Prefix are the int tuples --------------------------------------
+# The oracle is plain ints: no repro.net code builds or orders a triple.
+
+
+@st.composite
+def int_triples(draw):
+    """A canonical ``(family, value, length)`` from a small pool, so that
+    equal, adjacent and cross-family values all occur in one list."""
+    family = draw(st.sampled_from([4, 6]))
+    bits = 32 if family == 4 else 128
+    length = draw(st.sampled_from([0, 1, 8, bits - 1, bits]))
+    network = draw(st.integers(min_value=0, max_value=min(3, (1 << length) - 1)))
+    return family, network << (bits - length), length
+
+
+@given(st.lists(int_triples(), min_size=2, max_size=12))
+def test_prefix_and_address_compare_hash_and_sort_as_their_int_tuples(triples):
+    for cls, rows in ((Prefix, triples), (Address, [t[:2] for t in triples])):
+        values = [cls(*row) for row in rows]
+        for left, left_row in zip(values, rows):
+            assert tuple(left) == left_row and hash(left) == hash(left_row)
+            for right, right_row in zip(values, rows):
+                assert (left == right) == (left_row == right_row)
+                assert (left < right) == (left_row < right_row)
+                if left_row == right_row:
+                    assert hash(left) == hash(right)
+        assert [tuple(value) for value in sorted(values)] == sorted(rows)
+        assert {tuple(value) for value in set(values)} == set(rows)
+
+
+@given(int_triples())
+def test_pickle_and_deepcopy_rebuild_an_equal_value_of_the_same_class(triple):
+    for value in (Prefix(*triple), Address(*triple[:2])):
+        clones = [copy.copy(value), copy.deepcopy(value)] + [
+            pickle.loads(pickle.dumps(value, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for clone in clones:
+            assert clone == value and type(clone) is type(value)
+
+
+def test_unpickling_re_enters_the_validating_constructor():
+    """``__getnewargs__`` is not a way around the host-bit check."""
+    honest = pickle.dumps(Prefix(4, 0x0A000000, 8), protocol=2)
+    network = struct.pack("<i", 0x0A000000)
+    assert honest.count(network) == 1
+    forged = honest.replace(network, struct.pack("<i", 0x0A000001))
+    with pytest.raises(PrefixError):
+        pickle.loads(forged)
 
 
 @given(st.lists(ipv4_prefixes(), max_size=30), ipv4_values)

@@ -8,13 +8,14 @@ registry, and a run without a fault plan is exactly the pre-existing
 pipeline.
 """
 
+import dataclasses
 import warnings
 
 import pytest
 
 from repro import obs
 from repro.core import MeasurementStudy, RunConfig, pipeline_statistics
-from repro.core.pipeline import StudyStatistics
+from repro.core.pipeline import CacheConfig, StudyStatistics
 from repro.core.resilience import ResilientFunnel
 from repro.exec import (
     Shard,
@@ -92,6 +93,32 @@ class TestRunConfigAPI:
         assert shipped.faults == config.faults
         # already-clean configs ship as-is
         assert flaky_config.without_progress() is flaky_config
+
+    def test_without_progress_keeps_every_other_field(self, flaky_config):
+        """Walks the dataclass: a field added to RunConfig must ship too."""
+        values = {
+            "workers": 3,
+            "mode": "workers",
+            "shard_size": 7,
+            "retry": RetryPolicy(max_attempts=5),
+            "faults": flaky_config.faults,
+            "progress": lambda event: None,
+            "cache": CacheConfig("/nonexistent/cache"),
+            "job_deadline_s": 2.5,
+        }
+        specs = dataclasses.fields(RunConfig)
+        assert [spec.name for spec in specs] == list(values)
+        for spec in specs:
+            assert values[spec.name] != spec.default, spec.name
+        config = RunConfig(**values)
+        shipped = config.without_progress()
+        assert shipped.progress is None
+        differing = [
+            spec.name
+            for spec in specs
+            if getattr(shipped, spec.name) != getattr(config, spec.name)
+        ]
+        assert differing == ["progress"]
 
     def test_config_run_equals_default_run(self, study, clean_result):
         assert study.run(config=RunConfig()) == clean_result
@@ -275,7 +302,9 @@ class TestStatisticsRoundTrips:
 
     def test_wire_form_stays_primitives_only(self, flaky_result):
         def flatten(value):
-            if isinstance(value, (tuple, list)):
+            # exact types: an Address/Prefix is a tuple *subclass* and
+            # must surface as a leaf (and fail) if it ever leaks through
+            if type(value) in (tuple, list):
                 for item in value:
                     yield from flatten(item)
             else:

@@ -86,6 +86,12 @@ class TestROA:
         assert not roa.ee_certificate.is_ca
         assert roa.ee_certificate.verify_signature(root.keypair.public)
 
+    def test_bare_prefix_object_is_not_the_pair_form(self, root):
+        # A Prefix is a tuple; issue_roa must not read it as (prefix, maxLength).
+        prefix = Prefix.parse("10.0.0.0/16")
+        roa = issue_roa(root, 64500, [prefix])
+        assert roa.prefixes == (ROAPrefix(prefix, 16),)
+
     def test_ee_resources_equal_roa_prefixes(self, root):
         roa = issue_roa(root, 64500, ["10.0.0.0/16"])
         assert roa.ee_certificate.resources.covers(roa.prefix_resources())

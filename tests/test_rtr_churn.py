@@ -22,8 +22,7 @@ daemon; every test here fails on the pre-fix code.
 """
 
 import gc
-
-import pytest
+import os
 
 from repro import obs
 from repro.net import ASN, Prefix
@@ -66,43 +65,58 @@ def synced_pair(cache):
     return pair, client
 
 
+def probe_id_recycling():
+    """Body of ``test_session_survives_id_recycling`` (own interpreter)."""
+    cache = make_cache()
+    transport = InMemoryTransport()
+    session = cache.register(transport)
+    # Leave a partial frame in the session buffer mid-exchange.
+    transport_peer_bytes = b"\x01\x01\x00\x05\x00\x00\x00"  # truncated
+    session.buffer = transport_peer_bytes
+    old_id = id(transport)
+    old_sid = session.sid
+    cache.unregister(session)
+    del transport, session  # a closed connection holds no references
+    gc.collect()
+    recycled = None
+    others = []
+    # Hold every miss for the whole search: releasing them between
+    # attempts would hand the same free blocks straight back.  A
+    # candidate is allocated bare and initialised only once it matches:
+    # the bytearray ``__init__`` makes is the size of the instance, and
+    # a held miss whose *buffer* took the freed block would keep it.
+    for _ in range(100_000):
+        candidate = InMemoryTransport.__new__(InMemoryTransport)
+        if id(candidate) == old_id:
+            recycled = candidate
+            break
+        others.append(candidate)
+    others.clear()
+    assert recycled is not None, "allocator never recycled the id"
+    recycled.__init__()
+    fresh = cache.register(recycled)
+    assert fresh.sid != old_sid
+    assert fresh.buffer == b""
+    assert fresh.state is SessionState.ACTIVE
+
+
 class TestSessionKeying:
-    def test_session_survives_id_recycling(self):
+    def test_session_survives_id_recycling(self, fresh_python):
         """A new transport at a recycled id() must get a fresh session.
 
         The old code keyed receive buffers by ``id(transport)``; after
         the first transport is collected, CPython typically hands the
         same address to the next allocation, and the new connection
         inherited the dead one's partial frame.
+
+        Whether the allocator hands the address back depends on what
+        the rest of the suite left on the heap, so the search runs in
+        a fresh interpreter, where it must succeed rather than skip.
         """
-        cache = make_cache()
-        transport = InMemoryTransport()
-        session = cache.register(transport)
-        # Leave a partial frame in the session buffer mid-exchange.
-        transport_peer_bytes = b"\x01\x01\x00\x05\x00\x00\x00"  # truncated
-        session.buffer = transport_peer_bytes
-        old_id = id(transport)
-        old_sid = session.sid
-        cache.unregister(session)
-        del transport, session  # a closed connection holds no references
-        gc.collect()
-        recycled = None
-        others = []
-        # Hold every miss for the whole search: releasing them between
-        # attempts would hand the same free blocks straight back.
-        for _ in range(100_000):
-            candidate = InMemoryTransport()
-            if id(candidate) == old_id:
-                recycled = candidate
-                break
-            others.append(candidate)
-        others.clear()
-        if recycled is None:
-            pytest.skip("allocator never recycled the id")
-        fresh = cache.register(recycled)
-        assert fresh.sid != old_sid
-        assert fresh.buffer == b""
-        assert fresh.state is SessionState.ACTIVE
+        fresh_python(
+            "import test_rtr_churn; test_rtr_churn.probe_id_recycling()",
+            os.path.dirname(os.path.abspath(__file__)),
+        )
 
     def test_unregister_evicts_all_state(self):
         cache = make_cache()
