@@ -79,9 +79,9 @@ class BGPSpeaker:
         self.payloads = payloads
         self.enforcing = enforcing
         outgoing: List[UpdateMessage] = []
-        # Sorted, not set order: Prefix hashes include the class object
-        # (id-based), so set iteration order varies across interpreter
-        # runs — sorting keeps revalidation message order reproducible.
+        # Sorted, not set order: a set iterates by hash and insertion
+        # history, so the order would depend on which messages arrived
+        # first — sorting keeps revalidation message order reproducible.
         prefixes = set(self.adj_rib_in) | set(self.loc_rib) | set(self.originated)
         for prefix in sorted(prefixes):
             outgoing.extend(self._decide(prefix))

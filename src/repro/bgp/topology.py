@@ -21,6 +21,10 @@ from repro.bgp.policy import Relationship
 from repro.crypto import DeterministicRNG
 from repro.net import ASN
 
+# relationship -> AS -> its neighbors of that kind, sorted by ASN.
+Links = Dict[ASN, Tuple[ASN, ...]]
+NeighborIndex = Dict[Relationship, Links]
+
 
 class ASRole(enum.Enum):
     TIER1 = "tier1"
@@ -54,6 +58,8 @@ class ASTopology:
         self._nodes: Dict[ASN, ASNode] = {}
         # adjacency[a][b] = relationship of b *from a's perspective*.
         self._adjacency: Dict[ASN, Dict[ASN, Relationship]] = {}
+        # The one view derived from it (neighbor_index); mutators drop it.
+        self._index: Optional[NeighborIndex] = None
 
     # -- construction ----------------------------------------------------
 
@@ -71,6 +77,7 @@ class ASTopology:
                       organisation=organisation)
         self._nodes[asn] = node
         self._adjacency[asn] = {}
+        self._index = None
         return node
 
     def add_provider(
@@ -84,6 +91,7 @@ class ASTopology:
             raise TopologyError(f"{customer} cannot be its own provider")
         self._adjacency[customer][provider] = Relationship.PROVIDER
         self._adjacency[provider][customer] = Relationship.CUSTOMER
+        self._index = None
 
     def add_peering(self, a: Union[int, ASN], b: Union[int, ASN]) -> None:
         """Create a settlement-free peering link."""
@@ -94,6 +102,7 @@ class ASTopology:
             raise TopologyError(f"{a} cannot peer with itself")
         self._adjacency[a][b] = Relationship.PEER
         self._adjacency[b][a] = Relationship.PEER
+        self._index = None
 
     def _require(self, asn: ASN) -> None:
         if asn not in self._nodes:
@@ -132,25 +141,29 @@ class ASTopology:
         """Relationship of ``b`` from ``a``'s perspective, or None."""
         return self._adjacency.get(ASN(a), {}).get(ASN(b))
 
+    def neighbor_index(self) -> NeighborIndex:
+        """Every AS's providers, customers and peers, ASN-sorted: built
+        whole on first read, published by one assignment (threads share
+        a topology), and frozen — shared until a mutator drops it."""
+        index = self._index
+        if index is None:
+            index = self._index = {
+                kind: {
+                    asn: tuple(sorted(n for n, r in adjacency.items() if r is kind))
+                    for asn, adjacency in self._adjacency.items()
+                }
+                for kind in Relationship
+            }
+        return index
+
     def providers(self, asn: Union[int, ASN]) -> List[ASN]:
-        return self._with_relationship(asn, Relationship.PROVIDER)
+        return list(self.neighbor_index()[Relationship.PROVIDER][self.node(asn).asn])
 
     def customers(self, asn: Union[int, ASN]) -> List[ASN]:
-        return self._with_relationship(asn, Relationship.CUSTOMER)
+        return list(self.neighbor_index()[Relationship.CUSTOMER][self.node(asn).asn])
 
     def peers(self, asn: Union[int, ASN]) -> List[ASN]:
-        return self._with_relationship(asn, Relationship.PEER)
-
-    def _with_relationship(
-        self, asn: Union[int, ASN], wanted: Relationship
-    ) -> List[ASN]:
-        asn = ASN(asn)
-        self._require(asn)
-        return sorted(
-            neighbor
-            for neighbor, relationship in self._adjacency[asn].items()
-            if relationship is wanted
-        )
+        return list(self.neighbor_index()[Relationship.PEER][self.node(asn).asn])
 
     def edge_count(self) -> int:
         return sum(len(adj) for adj in self._adjacency.values()) // 2

@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.crypto import DeterministicRNG
 from repro.net import ASN, Prefix
+from repro.obs.runtime import tracer
 from repro.rpki import (
     CertificateAuthority,
     RelyingParty,
@@ -144,9 +145,10 @@ class AdoptionModel:
             )
 
         relying_party = RelyingParty(outcome.repository)
-        outcome.payloads, outcome.report = relying_party.validate(
-            tals, now=config.validation_time
-        )
+        with tracer().span("rpki.validator.validate"):
+            outcome.payloads, outcome.report = relying_party.validate(
+                tals, now=config.validation_time
+            )
         return outcome
 
     # -- per-organisation issuance ----------------------------------------

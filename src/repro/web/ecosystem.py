@@ -34,6 +34,7 @@ from repro.crypto import DeterministicRNG
 from repro.dns import Namespace, PublicResolver
 from repro.dns.vantage import DEFAULT_RESOLVERS, make_resolvers
 from repro.net import ASN, Prefix
+from repro.obs.runtime import tracer
 from repro.web.adoption import AdoptionConfig, AdoptionModel, AdoptionOutcome
 from repro.web.alexa import AlexaRanking
 from repro.web.cdn import CDN_CATALOGUE
@@ -119,21 +120,32 @@ class WebEcosystem:
         world = cls()
         world.config = config
         rng = DeterministicRNG(config.seed)
+        trace = tracer()
 
-        world.ranking = AlexaRanking.generate(config.domain_count, rng)
-        world._build_organisations(rng)
-        world._build_topology(rng)
-        world._build_announcements(rng)
+        # One span per stage, under the names the perf ledger gives
+        # the same calls from outside.
+        with trace.span(
+            "web.ecosystem.build", domains=config.domain_count, seed=config.seed
+        ):
+            with trace.span("web.alexa.generate"):
+                world.ranking = AlexaRanking.generate(config.domain_count, rng)
+            world._build_organisations(rng)
+            world._build_topology(rng)
+            world._build_announcements(rng)
 
-        adoption_model = AdoptionModel(config.adoption, rng)
-        world.adoption = adoption_model.build(world.organisations)
+            adoption_model = AdoptionModel(config.adoption, rng)
+            with trace.span("web.adoption.build"):
+                world.adoption = adoption_model.build(world.organisations)
 
-        world.hosting_model = HostingModel(
-            config.hosting, rng, world.organisations, world.dark_prefixes
-        )
-        world.hosting = world.hosting_model.build(world.ranking, world.namespace)
+            world.hosting_model = HostingModel(
+                config.hosting, rng, world.organisations, world.dark_prefixes
+            )
+            with trace.span("web.hosting.build"):
+                world.hosting = world.hosting_model.build(
+                    world.ranking, world.namespace
+                )
 
-        world._run_bgp()
+            world._run_bgp()
         return world
 
     def rehost(self, fraction: float, generation: int = 1) -> List[str]:
@@ -284,8 +296,10 @@ class WebEcosystem:
         peers = tier1 + transits[:5]
         self.collector = RouteCollector("rrc-sim", peers)
         engine = PropagationEngine(self.topology)
-        state = engine.propagate(self.announcements, record_ases=set(peers))
-        self.table_dump = self.collector.collect(state)
+        with tracer().span("bgp.propagation.propagate"):
+            state = engine.propagate(self.announcements, record_ases=set(peers))
+        with tracer().span("bgp.collector.collect"):
+            self.table_dump = self.collector.collect(state)
 
     # -- convenience accessors -------------------------------------------------
 

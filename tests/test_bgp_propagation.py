@@ -154,6 +154,27 @@ class TestBasicPropagation:
         assert state.route_at(5, P("192.0.2.0/24")) is not None
 
 
+    def test_engine_follows_the_topology_it_was_given(self, diamond):
+        """One engine, one topology, mutated between two calls."""
+        engine = PropagationEngine(diamond)
+        announcements = [Announcement.make("10.0.0.0/16", 5)]
+        prefix = P("10.0.0.0/16")
+        before = engine.propagate(announcements)
+        assert [int(a) for a in before.route_at(4, prefix).path] == [4, 2, 1, 3, 5]
+
+        diamond.add_as(7)
+        diamond.add_provider(7, 3)
+        diamond.add_peering(3, 4)
+        after = engine.propagate(announcements)
+        new_as = after.route_at(7, prefix)
+        assert [int(a) for a in new_as.path] == [7, 3, 5]
+        assert new_as.route_class is RouteClass.PROVIDER_ROUTE
+        new_peer = after.route_at(4, prefix)
+        assert [int(a) for a in new_peer.path] == [4, 3, 5]
+        assert new_peer.route_class is RouteClass.PEER_ROUTE
+        assert new_peer.learned_from == 3
+
+
 class TestAnycastAndMoas:
     def test_anycast_origins_each_keep_own_route(self, diamond):
         engine = PropagationEngine(diamond)

@@ -84,13 +84,42 @@ class TestConvergence:
             sim.run(max_messages=1)
 
 
+def random_topology(seed):
+    return ASTopology.generate(
+        DeterministicRNG(seed), tier1=3, transit=8, eyeballs=10,
+        hosters=8, cdns=2, stubs=10,
+    )
+
+
+def simulate(topo, announcements, payloads=None, enforcing=()):
+    sim = SessionSimulator(topo)
+    if payloads is not None:
+        sim.configure_validation(payloads, enforcing)
+        sim.run()
+    for announcement in announcements:
+        sim.announce(announcement)
+    sim.run()
+    return sim.routing_state()
+
+
+def assert_same_routes(static_state, dynamic_state, prefix):
+    static_routes = static_state.routes_for(prefix)
+    dynamic_routes = dynamic_state.routes_for(prefix)
+    assert set(static_routes) == set(dynamic_routes), prefix
+    for asn, static_entry in static_routes.items():
+        dynamic_entry = dynamic_routes[asn]
+        assert static_entry.path == dynamic_entry.path, (
+            f"{asn} {prefix}: static [{static_entry.path}] vs "
+            f"dynamic [{dynamic_entry.path}]"
+        )
+        assert static_entry.route_class == dynamic_entry.route_class
+        assert static_entry.learned_from == dynamic_entry.learned_from
+
+
 class TestEquivalenceWithStaticEngine:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_matches_algebraic_engine_on_random_topologies(self, seed):
-        topo = ASTopology.generate(
-            DeterministicRNG(seed), tier1=3, transit=8, eyeballs=10,
-            hosters=8, cdns=2, stubs=10,
-        )
+        topo = random_topology(seed)
         hosters = topo.by_role(ASRole.HOSTER)
         announcements = [
             Announcement.make("10.0.0.0/16", hosters[0].asn),
@@ -98,24 +127,97 @@ class TestEquivalenceWithStaticEngine:
             Announcement.make("192.0.2.0/24", hosters[2].asn),
         ]
         static_state = PropagationEngine(topo).propagate(announcements)
-        sim = SessionSimulator(topo)
+        dynamic_state = simulate(topo, announcements)
         for announcement in announcements:
-            sim.announce(announcement)
-        sim.run()
-        dynamic_state = sim.routing_state()
+            assert_same_routes(static_state, dynamic_state, announcement.prefix)
 
-        for announcement in announcements:
-            prefix = announcement.prefix
-            static_routes = static_state.routes_for(prefix)
-            dynamic_routes = dynamic_state.routes_for(prefix)
-            assert set(static_routes) == set(dynamic_routes), prefix
-            for asn, static_entry in static_routes.items():
-                dynamic_entry = dynamic_routes[asn]
-                assert static_entry.path == dynamic_entry.path, (
-                    f"{asn} {prefix}: static [{static_entry.path}] vs "
-                    f"dynamic [{dynamic_entry.path}]"
-                )
-                assert static_entry.route_class == dynamic_entry.route_class
+    @staticmethod
+    def world_shaped(topo):
+        """What a world's announcements look like to the engine: many
+        prefixes of one origin (one shared tree), a MOAS prefix whose
+        origins also announce alone, and an AS_SET aggregate naming an
+        AS its routes would otherwise cross."""
+        one, two, three = (n.asn for n in topo.by_role(ASRole.HOSTER)[:3])
+        upstream = topo.providers(three)[0]
+        return upstream, [
+            Announcement.make("10.1.0.0/16", one),
+            Announcement.make("10.2.0.0/16", one),
+            Announcement.make("172.16.0.0/12", two),
+            Announcement.make("10.3.0.0/16", one),
+            Announcement.make("198.51.100.0/24", one),   # MOAS ...
+            Announcement.make("10.4.0.0/16", one),
+            Announcement.make("198.51.100.0/24", two),   # ... conflict
+            Announcement.make("203.0.113.0/24", three),
+            Announcement.make(
+                "192.0.2.0/24", three, aggregate_members=[three, upstream]
+            ),
+        ]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_shared_trees_moas_and_as_set_loops_match_the_simulator(self, seed):
+        topo = random_topology(seed)
+        upstream, announcements = self.world_shaped(topo)
+        static_state = PropagationEngine(topo).propagate(announcements)
+        dynamic_state = simulate(topo, announcements)
+        for prefix in static_state.prefixes():
+            assert_same_routes(static_state, dynamic_state, prefix)
+        # The named AS carries the plain prefix of the same origin and
+        # must refuse the aggregate: its own number is in the AS_SET.
+        assert static_state.route_at(upstream, P("203.0.113.0/24")) is not None
+        assert static_state.route_at(upstream, P("192.0.2.0/24")) is None
+        assert len(static_state.routes_for(P("192.0.2.0/24"))) > 1
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_record_ases_is_the_full_result_filtered(self, seed):
+        topo = random_topology(seed)
+        _upstream, announcements = self.world_shaped(topo)
+        recorded = set(topo.asns()[::4])
+        engine = PropagationEngine(topo)
+        full = engine.propagate(announcements)
+        partial = engine.propagate(announcements, record_ases=recorded)
+        in_announcement_order = list(
+            dict.fromkeys(a.prefix for a in announcements)
+        )
+        assert full.prefixes() == in_announcement_order
+        assert partial.prefixes() == in_announcement_order
+        for prefix in in_announcement_order:
+            assert list(partial.routes_for(prefix).items()) == [
+                (asn, entry)
+                for asn, entry in full.routes_for(prefix).items()
+                if asn in recorded
+            ]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_valid_and_invalid_prefix_of_one_origin_share_no_tree(self, seed):
+        topo = random_topology(seed)
+        origin = topo.by_role(ASRole.HOSTER)[0].asn
+        valid, invalid = P("10.1.0.0/16"), P("10.2.0.0/16")
+        payloads = ValidatedPayloads([
+            VRP(valid, 16, origin), VRP(invalid, 16, ASN(int(origin) + 1)),
+        ])
+        enforcing = frozenset(topo.asns()[::3]) - {origin}
+        announcements = [
+            Announcement.make(valid, origin), Announcement.make(invalid, origin),
+        ]
+        static_state = PropagationEngine(topo).propagate(
+            announcements, payloads=payloads, enforcing=enforcing
+        )
+        dynamic_state = simulate(topo, announcements, payloads, enforcing)
+        assert enforcing <= static_state.reachable_ases(valid)
+        assert not enforcing & static_state.reachable_ases(invalid)
+        for prefix in (valid, invalid):
+            assert static_state.reachable_ases(prefix) == (
+                dynamic_state.reachable_ases(prefix)
+            )
+
+    def test_origin_outside_the_topology_lists_an_empty_table(self, diamond):
+        inside, outside = P("10.0.0.0/16"), P("192.0.2.0/24")
+        state = PropagationEngine(diamond).propagate([
+            Announcement.make(outside, 64999), Announcement.make(inside, 5),
+        ])
+        assert state.prefixes() == [outside, inside]
+        assert state.routes_for(outside) == {}
+        assert len(state.routes_for(inside)) == 6
 
     def test_matches_engine_with_rpki_enforcement(self, diamond):
         payloads = ValidatedPayloads([VRP(P("10.0.0.0/16"), 16, ASN(6))])

@@ -5,6 +5,7 @@ import pytest
 from repro.bgp import ASRole, ASTopology, Relationship
 from repro.bgp.errors import TopologyError
 from repro.crypto import DeterministicRNG
+from repro.net import ASN
 
 
 @pytest.fixture()
@@ -63,6 +64,27 @@ class TestRelationships:
         assert triangle.customers(1) == [2, 3]
         assert triangle.peers(2) == [3]
         assert triangle.providers(1) == []
+
+    def test_helper_lists_are_fresh(self, triangle):
+        customers = triangle.customers(1)
+        assert type(customers) is list
+        assert all(type(asn) is ASN for asn in customers)
+        customers.reverse()
+        customers.append(ASN(99))
+        assert triangle.customers(1) == [2, 3]
+        with pytest.raises(TopologyError):
+            triangle.peers(42)
+
+    def test_helper_lists_follow_every_mutator(self, triangle):
+        assert triangle.customers(1) == [2, 3]  # the index is built now
+        triangle.add_as(4)
+        assert triangle.providers(4) == []
+        triangle.add_provider(customer=4, provider=1)
+        assert triangle.customers(1) == [2, 3, 4]
+        assert triangle.providers(4) == [1]
+        triangle.add_peering(4, 2)
+        assert triangle.peers(2) == [3, 4]
+        assert triangle.peers(4) == [2]
 
     def test_relationship_inverse(self):
         assert Relationship.CUSTOMER.inverse() is Relationship.PROVIDER

@@ -1,4 +1,5 @@
-"""Instrumentation of the substrates: resolver cache, trie, RTR, dumps."""
+"""Instrumentation of the substrates: resolver cache, trie, RTR, dumps,
+and the world build."""
 
 import pytest
 
@@ -6,6 +7,7 @@ from repro import obs
 from repro.bgp.aspath import ASPath
 from repro.bgp.collector import TableDump, TableDumpEntry
 from repro.bgp.dumps import read_dump, write_dump
+from repro.cache.fingerprint import dump_digest, vrp_items, zone_digest
 from repro.core import MeasurementStudy
 from repro.core.reports import pipeline_statistics
 from repro.dns.namespace import Namespace
@@ -16,6 +18,7 @@ from repro.rpki.rtr.cache import RTRCache
 from repro.rpki.rtr.client import RTRClient
 from repro.rpki.rtr.transport import TransportPair
 from repro.rpki.vrp import VRP
+from repro.web import EcosystemConfig, WebEcosystem
 
 
 class TestResolverCache:
@@ -258,3 +261,41 @@ class TestStatisticsSourceOfTruth:
             registry.get("ripki_domains_measured_total").inc()  # corrupt
             with pytest.raises(ValueError):
                 pipeline_statistics(result, registry=registry)
+
+
+class TestWorldBuild:
+    def test_stages_are_spanned_and_route_trees_counted(self):
+        config = EcosystemConfig(domain_count=400, seed=7)
+        with obs.scope() as (registry, collector):
+            world = WebEcosystem.build(config)
+
+        for name, parent in (
+            ("web.ecosystem.build", None),
+            ("web.alexa.generate", "web.ecosystem.build"),
+            ("web.adoption.build", "web.ecosystem.build"),
+            ("rpki.validator.validate", "web.adoption.build"),
+            ("web.hosting.build", "web.ecosystem.build"),
+            ("bgp.propagation.propagate", "web.ecosystem.build"),
+            ("bgp.collector.collect", "web.ecosystem.build"),
+        ):
+            (span,) = collector.spans(name)
+            if parent is None:
+                assert span.parent_id is None
+            else:
+                assert span.parent_id == collector.spans(parent)[0].span_id
+
+        originations = {}
+        for announcement in world.announcements:
+            originations.setdefault(announcement.prefix, []).append(
+                (announcement.origin, announcement.aggregate_members)
+            )
+        distinct_keys = len({tuple(key) for key in originations.values()})
+        announcements = registry.get("ripki_bgp_announcements_total").value
+        route_trees = registry.get("ripki_bgp_route_trees_total").value
+        assert announcements == len(world.announcements)
+        assert route_trees == distinct_keys < announcements
+
+        unobserved = WebEcosystem.build(config)
+        assert dump_digest(world.table_dump) == dump_digest(unobserved.table_dump)
+        assert zone_digest(world.namespace) == zone_digest(unobserved.namespace)
+        assert vrp_items(world.payloads()) == vrp_items(unobserved.payloads())
