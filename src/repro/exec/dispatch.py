@@ -8,8 +8,10 @@ place that promise is implemented:
 * :func:`resolve_mode` is the single place ``auto`` becomes a backend;
 * :func:`map_ordered` runs ``fn`` over contiguous batches
   (:func:`repro.exec.sharding.plan_batches`) inline, on a thread pool,
-  or on a process pool, and returns the results **in batch order**
-  whatever order they completed in;
+  or on a process pool — the only place ``src/`` constructs either —
+  and returns the results **in batch order** whatever order they
+  completed in; a pool that breaks (a child died) raises the typed
+  :class:`SchedulerError`;
 * :func:`record` runs one batch under fresh thread-local instruments
   (:class:`repro.obs.runtime.thread_scope`), so concurrent batches
   never interleave into one registry or collector;
@@ -24,10 +26,10 @@ place that promise is implemented:
 The study executor uses the halves separately: its shard runner
 captures itself (a :class:`~repro.exec.executor.ShardOutcome` carries
 the same ``metrics`` / ``spans`` / ``dropped_spans`` trio as
-:class:`Recorded`, because it also has to cross the ``pool`` and
-``workers`` wire formats), so schedulers dispatch through
-:func:`map_ordered` and :func:`~repro.exec.executor.execute_study`
-merges outcomes from any scheduler through :func:`merge_recorded`.
+:class:`Recorded`, because it also has to cross the process pool in
+codec wire form), so :func:`~repro.exec.executor.execute_study`
+dispatches every backend through :func:`map_ordered` and merges the
+outcomes through :func:`merge_recorded`.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
 
 from repro.core.pipeline import RUN_MODES
+from repro.errors import ReproError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import (
     metrics,
@@ -54,6 +57,10 @@ _POOLS = {
     "thread": concurrent.futures.ThreadPoolExecutor,
     "process": concurrent.futures.ProcessPoolExecutor,
 }
+
+
+class SchedulerError(ReproError):
+    """A pool broke before every batch returned its result."""
 
 
 def resolve_mode(mode: str, workers: int, parallel: str = "thread") -> str:
@@ -130,7 +137,10 @@ def map_ordered(
     workers: int,
     mode: str,
     on_done: Optional[Callable[[B], None]] = None,
-) -> List[R]:
+    initializer: Optional[Callable[..., None]] = None,
+    initargs: tuple = (),
+    receive: Optional[Callable[[B, R], object]] = None,
+) -> List:
     """``[fn(batch) for batch in batches]``, possibly on a pool.
 
     ``mode`` is a resolved backend (``serial`` / ``thread`` /
@@ -140,29 +150,56 @@ def map_ordered(
     reporting may depend on.  The first exception a batch raises
     propagates.  On the process backend ``fn``, the batches, and the
     results cross the pickle boundary.
+
+    ``initializer(*initargs)`` runs once wherever ``fn`` will run — in
+    every pool worker before its first batch, on the calling thread
+    for an inline run — so state too large to pickle per batch ships
+    once per worker.  ``receive(batch, result)`` runs parent-side as
+    each batch completes and what it returns takes the result's place,
+    so a wire-form result is decoded while other batches still
+    compute.
+
+    A pool whose worker died (``os._exit``, a signal, the OOM killer)
+    raises :class:`SchedulerError` naming a batch it lost; no result
+    is returned, so callers merge nothing.
     """
     if mode != "serial" and mode not in _POOLS:
         raise ValueError(
             f"mode must be serial or one of {tuple(_POOLS)}, got {mode!r}"
         )
+
+    def finish(position: int, result: R):
+        batch = batches[position]
+        if receive is not None:
+            result = receive(batch, result)
+        if on_done is not None:
+            on_done(batch)
+        return result
+
     if _inline(mode, workers, batches):
-        results = []
-        for batch in batches:
-            results.append(fn(batch))
-            if on_done is not None:
-                on_done(batch)
-        return results
-    slots: List[Optional[R]] = [None] * len(batches)
-    with _POOLS[mode](max_workers=workers) as pool:
-        futures = {
-            pool.submit(fn, batch): position
+        if initializer is not None:
+            initializer(*initargs)
+        return [
+            finish(position, fn(batch))
             for position, batch in enumerate(batches)
-        }
-        for future in concurrent.futures.as_completed(futures):
-            position = futures[future]
-            slots[position] = future.result()
-            if on_done is not None:
-                on_done(batches[position])
+        ]
+    slots: List = [None] * len(batches)
+    position = 0
+    try:
+        with _POOLS[mode](
+            max_workers=workers, initializer=initializer, initargs=initargs
+        ) as pool:
+            futures = {}
+            for position, batch in enumerate(batches):
+                futures[pool.submit(fn, batch)] = position
+            for future in concurrent.futures.as_completed(futures):
+                position = futures[future]
+                slots[position] = finish(position, future.result())
+    except concurrent.futures.BrokenExecutor as error:
+        raise SchedulerError(
+            f"{mode} pool broke with batch {position} of {len(batches)} "
+            f"outstanding (a worker died); no result was merged: {error}"
+        ) from error
     return slots
 
 

@@ -19,21 +19,19 @@ bit-identical to the serial run:
 * **trace spans** — per-shard collectors are grafted under the run's
   root span via :meth:`TraceCollector.absorb`.
 
-Four backends share one shard-runner code path, dispatched through
-the pluggable schedulers of :mod:`repro.exec.scheduler`:
+Three backends share one shard-runner code path, all dispatched
+through :func:`repro.exec.dispatch.map_ordered`:
 
 * ``process`` — a process pool, true parallelism; the study
   (resolver, table dump, payloads) is shipped to each worker once
-  via the pool initializer,
-* ``thread`` — the thread pool of :mod:`repro.exec.dispatch`; no
-  pickling, workers share the study object.  The GIL serialises
-  the pure-Python funnel, so this backend exists for determinism
-  tests and for a future IO-bound (live DNS) resolver,
+  via the pool initializer and shard results come back in codec wire
+  form, decoded parent-side as they arrive,
+* ``thread`` — a thread pool; no pickling, workers share the study
+  object.  The GIL serialises the pure-Python funnel, so this backend
+  exists for determinism tests and for a future IO-bound (live DNS)
+  resolver,
 * ``serial`` — the shard pipeline on the calling thread, for
-  debugging the sharded path itself,
-* ``workers`` — N long-lived forked worker processes speaking the
-  length-prefixed JSON job protocol (:mod:`repro.exec.jobs`) with
-  work-stealing, per-job deadlines, and straggler re-dispatch.
+  debugging the sharded path itself.
 
 ``auto`` resolves to ``process`` when ``workers > 1``
 (:func:`repro.exec.dispatch.resolve_mode`).
@@ -42,7 +40,7 @@ the pluggable schedulers of :mod:`repro.exec.scheduler`:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.core.pipeline import (
     _make_reporter,
@@ -56,10 +54,17 @@ from repro.core.pipeline import (
 )
 from repro.core.records import DomainMeasurement
 from repro.exec.codec import (
+    decode_measurements,
+    decode_statistics,
     encode_measurements,
     encode_statistics,
 )
-from repro.exec.dispatch import merge_recorded, record, resolve_mode
+from repro.exec.dispatch import (
+    map_ordered,
+    merge_recorded,
+    record,
+    resolve_mode,
+)
 from repro.exec.sharding import Shard, plan_shards
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import metrics, observability_enabled, tracer
@@ -149,7 +154,8 @@ def run_shard(
 # the (large) resolver/table-dump/payload state is pickled once per
 # worker instead of once per shard.  The config crosses the boundary
 # progress-stripped (the sink is the one non-picklable field; ticks
-# happen parent-side anyway).
+# happen parent-side anyway).  A process run that dispatch runs inline
+# (one worker or one shard) installs it in the calling process.
 _WORKER_STUDY: Optional[MeasurementStudy] = None
 _WORKER_OBSERVE: bool = False
 _WORKER_CONFIG: Optional[RunConfig] = None
@@ -183,13 +189,26 @@ def _process_shard(shard: Shard):
         _WORKER_STUDY, shard, _WORKER_OBSERVE, _WORKER_CONFIG, _WORKER_SESSION
     )
     return (
-        outcome.index,
         encode_measurements(outcome.measurements),
         encode_statistics(outcome.statistics),
         outcome.metrics,
         outcome.spans,
         outcome.dropped_spans,
         outcome.cache_entries,
+    )
+
+
+def _decode_shard(shard: Shard, wire) -> ShardOutcome:
+    """Parent side of :func:`_process_shard`."""
+    encoded, stats, registry, spans, dropped, cache_entries = wire
+    return ShardOutcome(
+        index=shard.index,
+        measurements=decode_measurements(encoded, shard.domains),
+        statistics=decode_statistics(stats),
+        metrics=registry,
+        spans=spans,
+        dropped_spans=dropped,
+        cache_entries=cache_entries,
     )
 
 
@@ -224,10 +243,10 @@ def execute_study(study: MeasurementStudy, config: RunConfig) -> StudyResult:
             session.record_invalidation(registry)
 
     reporter = _make_reporter(config.progress, total=len(study.ranking))
-    ticker: Callable[[Shard], None] = (
+    ticker = (
         (lambda shard: reporter.tick(len(shard)))
         if reporter is not None
-        else (lambda shard: None)
+        else None
     )
 
     with trace.span(
@@ -241,13 +260,29 @@ def execute_study(study: MeasurementStudy, config: RunConfig) -> StudyResult:
         shards = plan_shards(
             domains, shard_size=config.shard_size, workers=workers
         )
-        from repro.exec.scheduler import scheduler_for
-
-        scheduler = scheduler_for(resolved, config)
-        outcomes, scheduler_report = scheduler.run(
-            study, shards, observe, ticker, session
-        )
-        outcomes.sort(key=lambda outcome: outcome.index)
+        if resolved == "process":
+            outcomes = map_ordered(
+                _process_shard,
+                shards,
+                workers=workers,
+                mode=resolved,
+                on_done=ticker,
+                initializer=_init_process_worker,
+                initargs=(
+                    study, observe, config.without_progress(), session
+                ),
+                receive=_decode_shard,
+            )
+        else:
+            outcomes = map_ordered(
+                lambda shard: run_shard(
+                    study, shard, observe, config, session
+                ),
+                shards,
+                workers=workers,
+                mode=resolved,
+                on_done=ticker,
+            )
         measurements = [
             measurement
             for outcome in outcomes
@@ -263,6 +298,4 @@ def execute_study(study: MeasurementStudy, config: RunConfig) -> StudyResult:
         merge_recorded(outcomes, root)
     if reporter is not None:
         reporter.done()
-    result = StudyResult(measurements, stats)
-    result.scheduler_report = scheduler_report
-    return result
+    return StudyResult(measurements, stats)

@@ -38,7 +38,6 @@ from repro.faults.plan import (
     DNS_TRUNCATED_CHAIN,
     DUMP_CORRUPT,
     DUMP_MISSING_ROUTE,
-    EXEC_KINDS,
     FAULT_KINDS,
     PROFILES,
     RTR_CACHE_RESET,
@@ -52,9 +51,6 @@ from repro.faults.plan import (
     WORLD_PP_OUTAGE,
     WORLD_ROA_ISSUE,
     WORLD_ROA_WITHDRAW,
-    WORKER_CRASH,
-    WORKER_GARBAGE,
-    WORKER_STALL,
     FaultPlan,
 )
 from repro.faults.retry import (
@@ -72,7 +68,6 @@ __all__ = [
     "DNS_TRUNCATED_CHAIN",
     "DUMP_CORRUPT",
     "DUMP_MISSING_ROUTE",
-    "EXEC_KINDS",
     "FAULT_KINDS",
     "FaultPlan",
     "FaultyResolver",
@@ -99,8 +94,5 @@ __all__ = [
     "WORLD_PP_OUTAGE",
     "WORLD_ROA_ISSUE",
     "WORLD_ROA_WITHDRAW",
-    "WORKER_CRASH",
-    "WORKER_GARBAGE",
-    "WORKER_STALL",
     "call_with_retry",
 ]

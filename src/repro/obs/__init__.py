@@ -18,9 +18,7 @@ Four instruments, one switchboard:
   SLO tracker (live "last N seconds" views over a long-running
   service, deterministic under an injected clock),
 * :mod:`repro.obs.http` — the stdlib telemetry daemon exposing
-  ``/metrics``, ``/health``, ``/ready``, and ``/snapshot``,
-* :mod:`repro.obs.profile` — cProfile harness emitting folded
-  flamegraph stacks and top-N cumulative tables.
+  ``/metrics``, ``/health``, ``/ready``, and ``/snapshot``.
 """
 
 from repro.obs.http import HealthSource, TelemetryServer
@@ -39,12 +37,6 @@ from repro.obs.metrics import (
     registry_from_wire,
     registry_to_wire,
 )
-from repro.obs.profile import (
-    ProfileCapture,
-    ProfileEntry,
-    ProfileReport,
-    profile_scope,
-)
 from repro.obs.progress import (
     CaptureProgress,
     ProgressEvent,
@@ -54,10 +46,8 @@ from repro.obs.progress import (
 from repro.obs.report import (
     cache_report,
     degradation_report,
-    profile_report,
     rov_report,
     rtrd_report,
-    scheduler_report,
     serve_report,
     stage_timing_report,
     timing_table,
@@ -104,9 +94,6 @@ __all__ = [
     "NULL_TRACER",
     "NullRegistry",
     "NullTracer",
-    "ProfileCapture",
-    "ProfileEntry",
-    "ProfileReport",
     "ProgressEvent",
     "ProgressReporter",
     "RollingRate",
@@ -128,15 +115,12 @@ __all__ = [
     "merge_registries",
     "metrics",
     "observability_enabled",
-    "profile_report",
-    "profile_scope",
     "quantile_from_buckets",
     "registry_from_snapshot",
     "registry_from_wire",
     "registry_to_wire",
     "reset_logging",
     "rtrd_report",
-    "scheduler_report",
     "scope",
     "serve_report",
     "stage_timing_report",

@@ -23,11 +23,16 @@ def small_world():
 @pytest.fixture
 def fresh_python():
     """Run ``code`` with ``python -c`` in a new interpreter that sees this
-    checkout's ``src`` (plus ``extra_paths``); return its stdout."""
+    checkout's ``src`` (plus ``extra_paths``) and ``environ`` on top of
+    this process's environment; return its stdout."""
 
-    def run(code: str, *extra_paths: str) -> str:
+    def run(code: str, *extra_paths: str, **environ: str) -> str:
         source = os.path.dirname(os.path.dirname(repro.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join((source, *extra_paths)))
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join((source, *extra_paths)),
+            **environ,
+        )
         done = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True, text=True, env=env, timeout=120,

@@ -1,5 +1,7 @@
 """The ordered-dispatch primitive every parallel path is built on."""
 
+import os
+import sys
 import threading
 import time
 
@@ -9,6 +11,7 @@ from repro import obs
 from repro.exec import dispatch
 from repro.exec.dispatch import (
     Recorded,
+    SchedulerError,
     map_ordered,
     merge_recorded,
     resolve_mode,
@@ -47,6 +50,25 @@ def _fail_on_second(batch):
 
 def _thread_ident(_batch):
     return threading.get_ident()
+
+
+def _die_on_second(batch):
+    metrics().counter("dispatch_items_total", "Items seen").inc(len(batch))
+    if batch.index == 1:
+        os._exit(1)
+    return len(batch)
+
+
+_SCALE = None
+
+
+def _set_scale(scale):
+    global _SCALE
+    _SCALE = scale
+
+
+def _scaled(batch):
+    return [item * _SCALE for item in batch.items]
 
 
 def _observed_run(mode):
@@ -139,6 +161,41 @@ class TestTelemetryComesHome:
         assert registry.get("dispatch_items_total") is None
         assert len(collector) == 0
 
+    def test_dead_pool_child_is_a_typed_error_and_merges_nothing(self):
+        """A child that dies used to surface as a raw
+        ``concurrent.futures.process.BrokenProcessPool``."""
+        with obs.scope() as (registry, collector):
+            with pytest.raises(SchedulerError, match=r"batch \d of 5"):
+                run_batches(_die_on_second, BATCHES, workers=2, mode="process")
+        assert registry.get("dispatch_items_total") is None
+        assert len(collector) == 0
+
+
+class TestInitializerAndReceive:
+    @pytest.mark.parametrize(
+        "mode, workers", [("serial", 3), ("process", 1), ("process", 2)]
+    )
+    def test_initializer_runs_wherever_fn_does(
+        self, mode, workers, monkeypatch
+    ):
+        # An inline run installs the state in this process; undo it.
+        monkeypatch.setattr(sys.modules[__name__], "_SCALE", None)
+        received = []
+
+        def receive(batch, result):
+            received.append(batch.index)
+            return batch.index, result
+
+        results = map_ordered(
+            _scaled, BATCHES, workers=workers, mode=mode,
+            initializer=_set_scale, initargs=(3,), receive=receive,
+        )
+        assert results == [
+            (batch.index, [item * 3 for item in batch.items])
+            for batch in BATCHES
+        ]
+        assert sorted(received) == list(range(len(BATCHES)))
+
 
 class TestInline:
     @pytest.mark.parametrize("mode", ("serial",) + POOLED)
@@ -178,7 +235,6 @@ class TestResolveMode:
             ("serial", 4, None, "serial"),
             ("thread", 1, None, "thread"),
             ("process", 1, "thread", "process"),
-            ("workers", 4, None, "workers"),
         ],
     )
     def test_table(self, mode, workers, parallel, expected):
@@ -186,5 +242,6 @@ class TestResolveMode:
         assert resolve_mode(mode, workers, **kwargs) == expected
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_mode("fibers", 2)
+        for mode in ("fibers", "workers"):
+            with pytest.raises(ValueError):
+                resolve_mode(mode, 2)
