@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 import time
@@ -83,15 +84,26 @@ def _exec_parent(study: bool) -> argparse.ArgumentParser:
     group.add_argument("--workers", "--num-workers", type=int, default=1,
                        help="worker count for the sharded executor "
                             "(1 = classic serial loop)")
-    group.add_argument("--exec-mode",
-                       choices=list(RUN_MODES if study else ROV_MODES),
+    if not study:
+        group.add_argument("--exec-mode", choices=list(ROV_MODES),
+                           default="auto",
+                           help="sharded-executor backend (auto: process "
+                                "pool when --workers > 1)")
+        return parent
+    group.add_argument("--exec-mode", choices=list(RUN_MODES),
                        default="auto",
                        help="sharded-executor backend (auto: process "
-                            "pool when --workers > 1)")
-    if study:
-        group.add_argument("--shard-size", type=int, default=None,
-                           help="domains per shard (default: scaled to "
-                                "workers)")
+                            "pool when --workers > 1; workers: "
+                            "long-lived framed worker processes with "
+                            "work-stealing and straggler re-dispatch)")
+    group.add_argument("--shard-size", type=int, default=None,
+                       help="domains per shard (default: scaled to "
+                            "workers)")
+    group.add_argument("--job-deadline", type=float, default=None,
+                       metavar="SEC",
+                       help="per-job deadline for --exec-mode workers; "
+                            "an unanswered job is re-dispatched to "
+                            "another worker after SEC seconds")
     return parent
 
 
@@ -335,6 +347,22 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write the full summary as JSON to FILE "
                           "(bare --json: JSON on stdout, tables on "
                           "stderr)")
+
+    worker = sub.add_parser(
+        "worker",
+        parents=[faults],
+        help="serve the framed job protocol over stdin/stdout: build "
+             "a world, announce its input digests, then answer "
+             "JobSpec frames with JobResult frames until EOF (the "
+             "transport a remote scheduler drives over any byte pipe)",
+    )
+    worker.set_defaults(handler=run_worker)
+    worker.add_argument("--domains", type=int, default=20_000,
+                        help="population size (must match the driving "
+                             "scheduler's world)")
+    worker.add_argument("--seed", type=int, default=2015)
+    worker.add_argument("--worker-id", type=int, default=0,
+                        help="identity stamped on every frame")
     return parser
 
 
@@ -451,6 +479,7 @@ def _run_config(args, **overrides) -> RunConfig:
         retry=_retry_policy(args),
         faults=_fault_plan(args),
         cache=CacheConfig(args.cache_dir) if args.cache_dir else None,
+        job_deadline_s=args.job_deadline,
     )
     fields.update(overrides)
     return RunConfig(**fields)
@@ -546,6 +575,15 @@ def run_study(args: argparse.Namespace) -> int:
                 s.cache_misses_by_stage,
                 s.cache_invalidated_by_stage,
             ))
+
+        dispatch = result.scheduler_report
+        if dispatch is not None:
+            print("\n== Job scheduler ==")
+            print(obs.scheduler_report(dispatch.to_dict()))
+            if args.metrics_out:
+                # Explicit export only: the study registry stays
+                # byte-identical to serial unless asked.
+                dispatch.to_metrics(session.registry)
 
         _render_figures(args, wanted, world, result)
 
@@ -981,6 +1019,26 @@ def run_rov(args: argparse.Namespace) -> int:
         say(obs.rov_report(summary))
         if args.json:
             _write_json(args.json, summary, say)
+    return 0
+
+
+def run_worker(args: argparse.Namespace) -> int:
+    """``ripki worker``: the stdio side of the framed job protocol.
+
+    Frames own stdout, so all human-readable chatter goes to stderr.
+    A driving scheduler on the other end of the pipe compares the
+    hello frame's digests with its own before dispatching; a job
+    whose digests still mismatch is refused with a typed error frame.
+    """
+    from repro.exec.worker import serve_stdio
+
+    say = functools.partial(print, file=sys.stderr)
+    world = _build_world(args, say)
+    config = RunConfig(retry=_retry_policy(args), faults=_fault_plan(args))
+    study = MeasurementStudy.from_ecosystem(world)
+    say(f"worker {args.worker_id}: serving job frames on stdio")
+    answered = serve_stdio(study, config, worker_id=args.worker_id)
+    say(f"worker {args.worker_id}: {answered} jobs answered")
     return 0
 
 

@@ -25,7 +25,7 @@ from repro.core.records import DomainMeasurement, NameMeasurement
 from repro.core.rpki_validation import validate_pairs
 
 # Execution backends; repro.exec re-exports this as MODES.
-RUN_MODES: Tuple[str, ...] = ("auto", "serial", "thread", "process")
+RUN_MODES: Tuple[str, ...] = ("auto", "serial", "thread", "process", "workers")
 
 # Funnel counters, one metric name per StudyStatistics field.  The
 # labelled entries share a metric family split by name form.
@@ -289,8 +289,10 @@ class StudyResult:
     ):
         self._measurements = measurements
         self.statistics = statistics
-        # Always None; kept because the perf ledger
-        # (benchmarks/ledger/workloads.py) reads the attribute.
+        # Dispatch accounting of a ``workers`` run (a
+        # repro.exec.scheduler.SchedulerReport); None on every other
+        # backend.  Deliberately outside __eq__: how a run was
+        # scheduled must never affect what it measured.
         self.scheduler_report = None
         self._by_name: Dict[str, DomainMeasurement] = {
             m.domain.name: m for m in measurements
@@ -532,6 +534,11 @@ class RunConfig:
     faults: Optional[FaultPlan] = None
     progress: Optional[ProgressSink] = None
     cache: Optional[CacheConfig] = None
+    # Per-job deadline for the long-lived ``workers`` backend; a job
+    # still unanswered after this many wall seconds is re-dispatched
+    # to another worker (the straggler's late answer becomes a
+    # deterministic duplicate).  None picks the scheduler default.
+    job_deadline_s: Optional[float] = None
 
     def __post_init__(self):
         if self.workers < 1:
@@ -540,6 +547,8 @@ class RunConfig:
             raise ValueError(f"mode must be one of {RUN_MODES}, got {self.mode!r}")
         if self.shard_size is not None and self.shard_size < 1:
             raise ValueError("shard_size must be >= 1")
+        if self.job_deadline_s is not None and self.job_deadline_s <= 0:
+            raise ValueError("job_deadline_s must be > 0")
 
     @property
     def resilient(self) -> bool:

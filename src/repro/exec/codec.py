@@ -14,7 +14,7 @@ Two invariants make the codec safe and exact:
 * an :class:`~repro.net.Address` or :class:`~repro.net.Prefix` row is
   the value itself (``tuple(address)``), and decoding rebuilds it
   through the public, validating constructor — the bytes come from a
-  pool pipe or the on-disk snapshot, so a row with host bits set
+  pipe, a socket or the on-disk snapshot, so a row with host bits set
   or a value out of range raises a :class:`~repro.net.NetError`
   instead of becoming a value that violates its own invariant;
 * :class:`~repro.web.alexa.Domain` objects never cross the boundary

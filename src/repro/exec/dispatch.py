@@ -26,10 +26,11 @@ place that promise is implemented:
 The study executor uses the halves separately: its shard runner
 captures itself (a :class:`~repro.exec.executor.ShardOutcome` carries
 the same ``metrics`` / ``spans`` / ``dropped_spans`` trio as
-:class:`Recorded`, because it also has to cross the process pool in
-codec wire form), so :func:`~repro.exec.executor.execute_study`
-dispatches every backend through :func:`map_ordered` and merges the
-outcomes through :func:`merge_recorded`.
+:class:`Recorded`, because it also has to cross the process pool and
+the ``workers`` job protocol in wire form), so
+:func:`~repro.exec.executor.execute_study` dispatches the serial,
+thread and process backends through :func:`map_ordered` and merges the
+outcomes of any backend through :func:`merge_recorded`.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ _POOLS = {
 
 
 class SchedulerError(ReproError):
-    """A pool broke before every batch returned its result."""
+    """Dispatch could not bring every batch's result home exactly once."""
 
 
 def resolve_mode(mode: str, workers: int, parallel: str = "thread") -> str:
@@ -151,10 +152,10 @@ def map_ordered(
     propagates.  On the process backend ``fn``, the batches, and the
     results cross the pickle boundary.
 
-    ``initializer(*initargs)`` runs once wherever ``fn`` will run — in
-    every pool worker before its first batch, on the calling thread
-    for an inline run — so state too large to pickle per batch ships
-    once per worker.  ``receive(batch, result)`` runs parent-side as
+    ``initializer(*initargs)`` is the pool's: it runs once in every
+    pool worker before its first batch, so state too large to pickle
+    per batch ships once per worker; an inline run builds no pool and
+    does not call it.  ``receive(batch, result)`` runs parent-side as
     each batch completes and what it returns takes the result's place,
     so a wire-form result is decoded while other batches still
     compute.
@@ -177,8 +178,6 @@ def map_ordered(
         return result
 
     if _inline(mode, workers, batches):
-        if initializer is not None:
-            initializer(*initargs)
         return [
             finish(position, fn(batch))
             for position, batch in enumerate(batches)

@@ -19,7 +19,7 @@ bit-identical to the serial run:
 * **trace spans** — per-shard collectors are grafted under the run's
   root span via :meth:`TraceCollector.absorb`.
 
-Three backends share one shard-runner code path, all dispatched
+Four backends share one shard-runner code path.  Three are dispatched
 through :func:`repro.exec.dispatch.map_ordered`:
 
 * ``process`` — a process pool, true parallelism; the study
@@ -31,7 +31,13 @@ through :func:`repro.exec.dispatch.map_ordered`:
   exists for determinism tests and for a future IO-bound (live DNS)
   resolver,
 * ``serial`` — the shard pipeline on the calling thread, for
-  debugging the sharded path itself.
+  debugging the sharded path itself;
+
+and the fourth through :class:`repro.exec.scheduler.WorkerScheduler`:
+
+* ``workers`` — N long-lived forked worker processes speaking the
+  length-prefixed JSON job protocol (:mod:`repro.exec.jobs`) with
+  work-stealing, per-job deadlines, and straggler re-dispatch.
 
 ``auto`` resolves to ``process`` when ``workers > 1``
 (:func:`repro.exec.dispatch.resolve_mode`).
@@ -40,7 +46,7 @@ through :func:`repro.exec.dispatch.map_ordered`:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.core.pipeline import (
     _make_reporter,
@@ -154,8 +160,7 @@ def run_shard(
 # the (large) resolver/table-dump/payload state is pickled once per
 # worker instead of once per shard.  The config crosses the boundary
 # progress-stripped (the sink is the one non-picklable field; ticks
-# happen parent-side anyway).  A process run that dispatch runs inline
-# (one worker or one shard) installs it in the calling process.
+# happen parent-side anyway).
 _WORKER_STUDY: Optional[MeasurementStudy] = None
 _WORKER_OBSERVE: bool = False
 _WORKER_CONFIG: Optional[RunConfig] = None
@@ -243,10 +248,10 @@ def execute_study(study: MeasurementStudy, config: RunConfig) -> StudyResult:
             session.record_invalidation(registry)
 
     reporter = _make_reporter(config.progress, total=len(study.ranking))
-    ticker = (
+    ticker: Callable[[Shard], None] = (
         (lambda shard: reporter.tick(len(shard)))
         if reporter is not None
-        else None
+        else (lambda shard: None)
     )
 
     with trace.span(
@@ -260,7 +265,16 @@ def execute_study(study: MeasurementStudy, config: RunConfig) -> StudyResult:
         shards = plan_shards(
             domains, shard_size=config.shard_size, workers=workers
         )
-        if resolved == "process":
+        scheduler_report = None
+        if resolved == "workers":
+            from repro.exec.scheduler import WorkerScheduler
+
+            outcomes, scheduler_report = WorkerScheduler(config).run(
+                study, shards, observe, ticker, session
+            )
+        elif resolved == "process" and workers > 1 and len(shards) > 1:
+            # A pool is built: ship the study once per child and bring
+            # the shards home in wire form.
             outcomes = map_ordered(
                 _process_shard,
                 shards,
@@ -298,4 +312,6 @@ def execute_study(study: MeasurementStudy, config: RunConfig) -> StudyResult:
         merge_recorded(outcomes, root)
     if reporter is not None:
         reporter.done()
-    return StudyResult(measurements, stats)
+    result = StudyResult(measurements, stats)
+    result.scheduler_report = scheduler_report
+    return result

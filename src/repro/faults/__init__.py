@@ -38,6 +38,7 @@ from repro.faults.plan import (
     DNS_TRUNCATED_CHAIN,
     DUMP_CORRUPT,
     DUMP_MISSING_ROUTE,
+    EXEC_KINDS,
     FAULT_KINDS,
     PROFILES,
     RTR_CACHE_RESET,
@@ -51,6 +52,9 @@ from repro.faults.plan import (
     WORLD_PP_OUTAGE,
     WORLD_ROA_ISSUE,
     WORLD_ROA_WITHDRAW,
+    WORKER_CRASH,
+    WORKER_GARBAGE,
+    WORKER_STALL,
     FaultPlan,
 )
 from repro.faults.retry import (
@@ -68,6 +72,7 @@ __all__ = [
     "DNS_TRUNCATED_CHAIN",
     "DUMP_CORRUPT",
     "DUMP_MISSING_ROUTE",
+    "EXEC_KINDS",
     "FAULT_KINDS",
     "FaultPlan",
     "FaultyResolver",
@@ -94,5 +99,8 @@ __all__ = [
     "WORLD_PP_OUTAGE",
     "WORLD_ROA_ISSUE",
     "WORLD_ROA_WITHDRAW",
+    "WORKER_CRASH",
+    "WORKER_GARBAGE",
+    "WORKER_STALL",
     "call_with_retry",
 ]

@@ -46,6 +46,13 @@ WORLD_CRL_SKIP = "world.crl_skip"            # CA missed its CRL refresh
 WORLD_ROA_ISSUE = "world.roa_issue"          # CA signs another prefix
 WORLD_ROA_WITHDRAW = "world.roa_withdraw"    # CA withdraws a published ROA
 WORLD_KEY_ROLLOVER = "world.key_rollover"    # CA starts a staged key rollover
+# Execution-substrate events (the distributed scheduler's per-job
+# decisions; consulted only by the ``workers`` backend, keyed by
+# ``shard:<index>`` and the dispatch attempt, so the same plan leaves
+# serial/thread/process runs untouched).
+WORKER_CRASH = "worker.crash"      # worker process dies mid-job
+WORKER_STALL = "worker.stall"      # worker blows its job deadline
+WORKER_GARBAGE = "worker.garbage"  # worker emits an undecodable frame
 
 # The measurement-side kinds; "chaos" soaks exactly these.
 _MEASUREMENT_KINDS: Tuple[str, ...] = (
@@ -69,7 +76,13 @@ WORLD_KINDS: Tuple[str, ...] = (
     WORLD_KEY_ROLLOVER,
 )
 
-FAULT_KINDS: Tuple[str, ...] = _MEASUREMENT_KINDS + WORLD_KINDS
+EXEC_KINDS: Tuple[str, ...] = (
+    WORKER_CRASH,
+    WORKER_STALL,
+    WORKER_GARBAGE,
+)
+
+FAULT_KINDS: Tuple[str, ...] = _MEASUREMENT_KINDS + WORLD_KINDS + EXEC_KINDS
 
 # Named profiles for the CLI.  "flaky" models everyday measurement
 # weather (most sites recover within a retry or two); "degraded"
@@ -99,6 +112,15 @@ PROFILES: Dict[str, Dict[str, float]] = {
         SERVE_TIMEOUT: 0.05,
     },
     "chaos": {kind: 0.30 for kind in _MEASUREMENT_KINDS},
+    # Scheduler-substrate weather: worker processes crash, stall past
+    # their deadline, or corrupt their reply stream, but the funnel
+    # itself stays healthy — re-dispatch must mask every event, so a
+    # run under this profile is bit-identical to a fault-free one.
+    "unreliable-workers": {
+        WORKER_CRASH: 0.30,
+        WORKER_STALL: 0.20,
+        WORKER_GARBAGE: 0.10,
+    },
 }
 
 

@@ -48,6 +48,7 @@ from repro.obs.report import (
     degradation_report,
     rov_report,
     rtrd_report,
+    scheduler_report,
     serve_report,
     stage_timing_report,
     timing_table,
@@ -121,6 +122,7 @@ __all__ = [
     "registry_to_wire",
     "reset_logging",
     "rtrd_report",
+    "scheduler_report",
     "scope",
     "serve_report",
     "stage_timing_report",

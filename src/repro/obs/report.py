@@ -294,3 +294,32 @@ def rov_report(summary: Mapping[str, object], top: int = 10) -> str:
                 f"({len(futures) - top} more futures not shown)"
             )
     return "\n".join(lines)
+
+
+def scheduler_report(summary: Mapping[str, object]) -> str:
+    """Render a scheduler run summary as a dispatch-accounting table.
+
+    ``summary`` is the plain-dict shape of
+    :meth:`repro.exec.scheduler.SchedulerReport.to_dict` (same
+    rationale as :func:`degradation_report`: this module takes
+    values, not pipeline objects).
+    """
+    table = TextTable(["scheduler", "value"])
+    table.add_row("backend", summary.get("backend", "?"))
+    table.add_row("workers", summary.get("workers", 0))
+    table.add_row("jobs", summary.get("jobs_total", 0))
+    table.add_row("dispatched", summary.get("dispatched", 0))
+    table.add_row("completed", summary.get("completed", 0))
+    table.add_row("re-dispatched", summary.get("redispatched", 0))
+    table.add_row("duplicate results", summary.get("duplicates", 0))
+    table.add_row("jobs stolen", summary.get("stolen", 0))
+    table.add_row("worker deaths", summary.get("worker_deaths", 0))
+    table.add_row("quarantined", summary.get("quarantined", 0))
+    table.add_row("respawns", summary.get("respawns", 0))
+    deadline = summary.get("deadline_s")
+    if deadline is not None:
+        table.add_row("job deadline", f"{deadline:g}s")
+    backoff = summary.get("backoff_virtual_s", 0.0) or 0.0
+    table.add_row("virtual backoff", f"{backoff:.3f}s")
+    return table.render()
+

@@ -475,6 +475,31 @@ class TestEverySubcommand:
         assert "summary:" not in captured.err
         _assert_obs_disabled()
 
+    def test_worker_hello_then_eof(self, capsys, monkeypatch):
+        import io
+        import sys
+
+        from repro.exec import decode_frames
+
+        stdout = io.TextIOWrapper(io.BytesIO())
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"")))
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = main(
+            ["worker", "--domains", "200", "--seed", "3", "--worker-id", "7"]
+        )
+        assert code == 0
+        frames, rest = decode_frames(stdout.buffer.getvalue())
+        assert rest == b""
+        assert [frame["type"] for frame in frames] == ["hello"]
+        assert frames[0]["worker_id"] == 7
+        assert sorted(frames[0]["digests"]) == ["config", "dump", "vrps", "zone"]
+        assert capsys.readouterr().err.splitlines() == [
+            "building world: 200 domains, seed 3 ...",
+            "worker 7: serving job frames on stdio",
+            "worker 7: 0 jobs answered",
+        ]
+        _assert_obs_disabled()
+
     def test_failure_stops_telemetry_and_disables_obs(self, capsys):
         import re
         import socket
@@ -514,6 +539,8 @@ class TestRovOffersOnlyWhatItHonours:
         with pytest.raises(SystemExit) as raised:
             build_parser().parse_args(["rov", *flag])
         assert raised.value.code == 2
+        for command in ("run", "world"):
+            build_parser().parse_args([command, *flag])
 
     def test_bare_json_with_telemetry_keeps_stdout_pure(self, capsys):
         """The telemetry banner follows the tables to stderr."""
@@ -533,7 +560,7 @@ def _opt(*flags, default=None, choices=None):
     return (flags, default, choices)
 
 
-_FAULT_PROFILES = ("chaos", "degraded", "flaky")
+_FAULT_PROFILES = ("chaos", "degraded", "flaky", "unreliable-workers")
 _TELEMETRY = {
     "telemetry_port": _opt("--telemetry-port"),
     "telemetry_host": _opt("--telemetry-host", default="127.0.0.1"),
@@ -543,15 +570,19 @@ _EXECUTOR = {
     "workers": _opt("--workers", "--num-workers", default=1),
     "exec_mode": _opt(
         "--exec-mode", default="auto",
-        choices=("auto", "serial", "thread", "process"),
+        choices=("auto", "serial", "thread", "process", "workers"),
     ),
     "shard_size": _opt("--shard-size"),
+    "job_deadline": _opt("--job-deadline"),
 }
-# ``rov`` dispatches through repro.rov, which plans its own batches:
-# it offers no shard size.
+# ``rov`` dispatches through repro.rov, which has no ``workers``
+# backend, no shard size and no job deadline: it offers none of them.
 _ROV_EXECUTOR = {
     "workers": _EXECUTOR["workers"],
-    "exec_mode": _EXECUTOR["exec_mode"],
+    "exec_mode": _opt(
+        "--exec-mode", default="auto",
+        choices=("auto", "serial", "thread", "process"),
+    ),
 }
 _FAULTS = {
     "fault_profile": _opt("--fault-profile", choices=_FAULT_PROFILES),
@@ -657,15 +688,13 @@ PARSER_SURFACE = {
         "json": _opt("--json"),
         "metrics_out": _opt("--metrics-out"),
     },
+    "worker": {
+        **_FAULTS,
+        "domains": _opt("--domains", default=20_000),
+        "seed": _opt("--seed", default=2015),
+        "worker_id": _opt("--worker-id", default=0),
+    },
 }
-
-# What went with the ``workers`` backend: each is a usage error now.
-REMOVED_SURFACE = (
-    ("run", "--exec-mode", "workers"),
-    ("run", "--job-deadline", "2"),
-    ("run", "--fault-profile", "unreliable-workers"),
-    ("worker",),
-)
 
 
 def test_parser_surface_is_pinned():
@@ -693,11 +722,3 @@ def test_parser_surface_is_pinned():
         for command, parser in commands.choices.items()
     }
     assert surface == PARSER_SURFACE
-
-
-@pytest.mark.parametrize("argv", REMOVED_SURFACE, ids=" ".join)
-def test_removed_surface_is_a_usage_error(argv, capsys):
-    with pytest.raises(SystemExit) as raised:
-        main(list(argv))
-    assert raised.value.code == 2
-    assert "usage: ripki" in capsys.readouterr().err

@@ -13,7 +13,6 @@ from repro import obs
 from repro.core import CacheConfig, MeasurementStudy, RunConfig, pipeline_statistics
 from repro.core.pipeline import StudyStatistics
 from repro.faults import FaultPlan
-from repro.net import NetError
 from repro.web import EcosystemConfig, WebEcosystem
 from repro.exec import (
     MODES,
@@ -158,29 +157,6 @@ class TestSerialParallelEquivalence:
         assert study.run(config=RunConfig(workers=2, mode="thread")) == serial
 
 
-GOOD_ADDRESS = [4, 0x0A000001]
-GOOD_PAIR = [4, 0x0A000000, 8, 64500, "valid"]
-
-# Rows that break the value's own invariant; the bytes come from a
-# pool pipe or an on-disk ``form`` artifact, so decode must reject them.
-HOSTILE_ROWS = {
-    "pair-host-bits-below-length": {"pair": [4, 0x0A000001, 8, 64500, "valid"]},
-    "pair-family-5": {"pair": [5, 0x0A000000, 8, 64500, "valid"]},
-    "pair-negative-value": {"pair": [4, -(1 << 24), 8, 64500, "valid"]},
-    "pair-value-over-128-bits": {"pair": [6, 1 << 128, 0, 64500, "valid"]},
-    "pair-length-over-family-bits": {"pair": [4, 0, 33, 64500, "valid"]},
-    "address-out-of-range": {"address": [4, 1 << 32]},
-    "address-negative": {"address": [6, -1]},
-    "address-family-5": {"address": [5, 1]},
-}
-
-
-def value_row_wire(address=GOOD_ADDRESS, pair=GOOD_PAIR) -> list:
-    """One domain's ``encode_measurements`` form around the two rows."""
-    name = ["example.com", True, [address], 0, 0, 0, 0, [pair], "", 0, []]
-    return [[name, name]]
-
-
 class TestWireCodec:
     """The compact shard-result form used on the process-pool path."""
 
@@ -232,26 +208,14 @@ class TestWireCodec:
     def test_empty_round_trip(self):
         assert decode_measurements(encode_measurements([]), []) == []
 
-    def test_well_formed_rows_decode(self):
-        (measurement,) = decode_measurements(
-            value_row_wire(), _domains(1)
-        )
-        assert tuple(measurement.www.addresses[0]) == tuple(GOOD_ADDRESS)
-        assert tuple(measurement.www.pairs[0].prefix) == tuple(GOOD_PAIR[:3])
-
-    @pytest.mark.parametrize("case", sorted(HOSTILE_ROWS))
-    def test_codec_raises_typed_net_error(self, case):
-        with pytest.raises(NetError):
-            decode_measurements(
-                value_row_wire(**HOSTILE_ROWS[case]), _domains(1)
-            )
-
 
 class TestExecutorPlumbing:
     def test_rejects_unknown_mode(self, study):
         with pytest.raises(ValueError):
             RunConfig(workers=2, mode="fibers")
-        assert MODES == ("auto", "serial", "thread", "process")
+        assert set(MODES) == {
+            "auto", "serial", "thread", "process", "workers"
+        }
 
     def test_run_shard_records_only_its_share(self, study, small_world):
         shard = Shard(index=0, domains=tuple(small_world.ranking.top(10)))

@@ -1,10 +1,14 @@
 """Golden-file tests pinning the user-facing output of a fixed run.
 
-Four artifacts of a ``--domains 400 --seed 2015`` study are pinned
+Three artifacts of a ``--domains 400 --seed 2015`` study are pinned
 byte-for-byte under ``tests/goldens/``:
 
 * ``run_stdout.txt`` — the CLI's complete stdout (wall-clock figures
   masked as ``<T>s``),
+* ``run_stdout_workers.txt`` — the same run through ``--exec-mode
+  workers --workers 2``, including the job-scheduler report table
+  (load-balancing counters — stolen/re-dispatched/duplicates — are
+  timing-dependent and masked as ``<N>``),
 * ``metrics.prom`` — the exact Prometheus exposition of an observed
   run (every histogram in the pipeline observes counts, not
   durations, so the text is deterministic),
@@ -43,6 +47,8 @@ CLI_ARGV = [
     "--figure", "cdn-as",
 ]
 
+WORKERS_CLI_ARGV = CLI_ARGV + ["--exec-mode", "workers", "--workers", "2"]
+
 _REGEN_HINT = (
     "golden mismatch for {name}; if the change is intentional, run\n"
     "  PYTHONPATH=src python tests/test_golden_outputs.py --regen"
@@ -51,6 +57,20 @@ _REGEN_HINT = (
 
 def _mask_times(text: str) -> str:
     return re.sub(r"\d+\.\d+s", "<T>s", text)
+
+
+def _mask_scheduler(text: str) -> str:
+    """Mask the load-balancing counters of the scheduler table.
+
+    How many jobs were stolen (or re-dispatched past a deadline) is a
+    race between workers; everything else in the table is pinned.
+    """
+    return re.sub(
+        r"^(re-dispatched|duplicate results|jobs stolen)(\s+)\d+ *$",
+        lambda match: f"{match.group(1)}{match.group(2)}<N>",
+        text,
+        flags=re.MULTILINE,
+    )
 
 
 def _normalize_timings(table: str) -> str:
@@ -69,12 +89,12 @@ def _normalize_timings(table: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cli_stdout() -> str:
+def _cli_stdout(argv=CLI_ARGV) -> str:
     from repro.cli import main
 
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
-        code = main(CLI_ARGV)
+        code = main(argv)
     assert code == 0
     return _mask_times(buffer.getvalue())
 
@@ -133,6 +153,9 @@ def _generate_all():
     metrics_text, timings_text = _observed_artifacts()
     return {
         "run_stdout.txt": _cli_stdout(),
+        "run_stdout_workers.txt": _mask_scheduler(
+            _cli_stdout(WORKERS_CLI_ARGV)
+        ),
         "metrics.prom": metrics_text,
         "stage_timings.txt": timings_text,
         "rov_whatif.json": _rov_artifact(),
@@ -147,8 +170,8 @@ def generated():
 class TestGoldenOutputs:
     @pytest.mark.parametrize(
         "name",
-        ["run_stdout.txt", "metrics.prom", "stage_timings.txt",
-         "rov_whatif.json"],
+        ["run_stdout.txt", "run_stdout_workers.txt", "metrics.prom",
+         "stage_timings.txt", "rov_whatif.json"],
     )
     def test_matches_golden(self, generated, name):
         path = GOLDEN_DIR / name
@@ -164,6 +187,17 @@ class TestGoldenOutputs:
         # The funnel summary survives masking.
         assert "== Section 4 statistics ==" in text
         assert "== Table 1: top domains with RPKI coverage ==" in text
+
+    def test_workers_stdout_pins_scheduler_report(self, generated):
+        text = generated["run_stdout_workers.txt"]
+        assert "== Job scheduler ==" in text
+        assert re.search(r"backend\s+workers", text)
+        assert re.search(r"jobs stolen\s+<N>", text)
+        # The measurement sections must match the serial stdout exactly:
+        # scheduling is presentation, not data.
+        serial = generated["run_stdout.txt"]
+        marker = "== Table 1: top domains with RPKI coverage =="
+        assert text.split(marker)[1] == serial.split(marker)[1]
 
     def test_process_backend_is_hash_seed_independent(
         self, fresh_python, tmp_path

@@ -98,12 +98,13 @@ class TestRunConfigAPI:
         """Walks the dataclass: a field added to RunConfig must ship too."""
         values = {
             "workers": 3,
-            "mode": "process",
+            "mode": "workers",
             "shard_size": 7,
             "retry": RetryPolicy(max_attempts=5),
             "faults": flaky_config.faults,
             "progress": lambda event: None,
             "cache": CacheConfig("/nonexistent/cache"),
+            "job_deadline_s": 2.5,
         }
         specs = dataclasses.fields(RunConfig)
         assert [spec.name for spec in specs] == list(values)
