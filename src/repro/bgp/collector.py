@@ -57,16 +57,6 @@ class TableDump:
         """All rows whose prefix covers the address, shortest first."""
         return [entry for _prefix, entry in self._trie.covering(target)]
 
-    def covering_prefixes(self, target: Union[Address, Prefix]) -> List[Prefix]:
-        """Distinct covering prefixes of the address, shortest first."""
-        seen: Set[Prefix] = set()
-        ordered: List[Prefix] = []
-        for prefix, _entry in self._trie.covering(target):
-            if prefix not in seen:
-                seen.add(prefix)
-                ordered.append(prefix)
-        return ordered
-
     def origins_for_prefix(
         self, prefix: Prefix, exclude_as_sets: bool = True
     ) -> Set[ASN]:

@@ -13,7 +13,7 @@ without re-running the simulation.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Iterator, List, Union
+from typing import Union
 
 from repro.bgp.aspath import ASPath
 from repro.bgp.collector import TableDump, TableDumpEntry
@@ -90,12 +90,3 @@ def read_dump(path: Union[str, Path]) -> TableDump:
         "ripki_dump_rows_read_total", "Table-dump rows parsed"
     ).inc(rows)
     return dump
-
-
-def merge_dump_files(paths: Iterable[Union[str, Path]]) -> TableDump:
-    """Union several collector dump files (multi-collector view)."""
-    merged = TableDump()
-    for path in paths:
-        for entry in read_dump(path):
-            merged.add(entry)
-    return merged

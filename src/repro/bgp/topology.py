@@ -168,19 +168,6 @@ class ASTopology:
     def edge_count(self) -> int:
         return sum(len(adj) for adj in self._adjacency.values()) // 2
 
-    def is_connected(self) -> bool:
-        """True when a walk from any one AS reaches every other."""
-        if not self._adjacency:
-            return False
-        seen = {next(iter(self._adjacency))}
-        frontier = list(seen)
-        while frontier:
-            for neighbor in self._adjacency[frontier.pop()]:
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    frontier.append(neighbor)
-        return len(seen) == len(self._adjacency)
-
     # -- generation ------------------------------------------------------
 
     @classmethod

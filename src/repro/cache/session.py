@@ -145,10 +145,6 @@ class CacheSession:
         """The validated artifact under ``key``, or None."""
         return self._entries[stage].get(key)
 
-    def valid_counts(self) -> Dict[str, int]:
-        """How many artifacts survived validation, per stage."""
-        return {stage: len(self._entries[stage]) for stage in STAGES}
-
     # -- accounting ----------------------------------------------------------
 
     @property

@@ -78,15 +78,26 @@ def _intern_deltas(stages: Dict[str, dict]) -> Tuple[Dict[str, dict], List[list]
 
 
 def _expand_deltas(stages: Dict[str, dict], table: List[list]) -> Dict[str, dict]:
-    """Inverse of :func:`_intern_deltas`; raises on a malformed store."""
+    """Inverse of :func:`_intern_deltas`.
+
+    Raises ``KeyError`` / ``IndexError`` / ``TypeError`` on a store
+    whose maps, artifacts or delta rows have the wrong shape.
+    """
+    if not isinstance(stages, dict):
+        raise TypeError("stages is not a mapping")
     expanded_stages: Dict[str, dict] = {}
     for stage, entries in stages.items():
         slot = DELTAS_INDEX[stage]
+        if not isinstance(entries, dict):
+            raise TypeError(f"stage {stage!r} is not a mapping")
         expanded_entries = {}
         for key, entry in entries.items():
             expanded = list(entry)
+            rows = entry[slot]
+            if set(map(len, rows)) - {2}:
+                raise TypeError(f"{stage} artifact {key!r}: bad delta row")
             expanded[slot] = [
-                list(table[index]) + [series] for index, series in entry[slot]
+                list(table[index]) + [series] for index, series in rows
             ]
             expanded_entries[key] = expanded
         expanded_stages[stage] = expanded_entries

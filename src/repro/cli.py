@@ -51,6 +51,22 @@ from repro.web import EcosystemConfig, HTTPArchiveClassifier, WebEcosystem
 from repro.world import WORLD_PROFILES
 
 
+def _positive_int(text: str) -> int:
+    """argparse ``type=``: a count that a config would reject below 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse ``type=``: a duration that must be strictly positive."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value:g}")
+    return value
+
+
 def _session_parent() -> argparse.ArgumentParser:
     """The flags every :class:`_Session` command takes (argparse parent)."""
     parent = argparse.ArgumentParser(add_help=False)
@@ -81,7 +97,8 @@ def _exec_parent(study: bool) -> argparse.ArgumentParser:
     """
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("execution")
-    group.add_argument("--workers", "--num-workers", type=int, default=1,
+    group.add_argument("--workers", "--num-workers", type=_positive_int,
+                       default=1,
                        help="worker count for the sharded executor "
                             "(1 = classic serial loop)")
     if not study:
@@ -96,10 +113,10 @@ def _exec_parent(study: bool) -> argparse.ArgumentParser:
                             "pool when --workers > 1; workers: "
                             "long-lived framed worker processes with "
                             "work-stealing and straggler re-dispatch)")
-    group.add_argument("--shard-size", type=int, default=None,
+    group.add_argument("--shard-size", type=_positive_int, default=None,
                        help="domains per shard (default: scaled to "
                             "workers)")
-    group.add_argument("--job-deadline", type=float, default=None,
+    group.add_argument("--job-deadline", type=_positive_float, default=None,
                        metavar="SEC",
                        help="per-job deadline for --exec-mode workers; "
                             "an unanswered job is re-dispatched to "
@@ -129,9 +146,9 @@ def _dispatch_parent() -> argparse.ArgumentParser:
     """Shared service-dispatch flag group (argparse parent)."""
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("dispatch")
-    group.add_argument("--workers", type=int, default=1,
+    group.add_argument("--workers", type=_positive_int, default=1,
                        help="dispatch thread count (1 = serial)")
-    group.add_argument("--batch-size", type=int, default=None,
+    group.add_argument("--batch-size", type=_positive_int, default=None,
                        help="items per dispatch batch "
                             "(default: scaled to workers)")
     return parent

@@ -85,14 +85,6 @@ _STAT_HELP = {
         "Stored artifacts dropped at session open, by stage",
 }
 
-# Stage name -> the counter that proves the stage observed work.
-PIPELINE_STAGES: Dict[str, str] = {
-    "rank": "ripki_domains_measured_total",
-    "dns": "ripki_dns_resolutions_total",
-    "prefix": "ripki_prefix_lookups_total",
-    "rpki": "ripki_rpki_validations_total",
-}
-
 ProgressSink = Union[ProgressReporter, Callable[[ProgressEvent], None]]
 
 
@@ -181,10 +173,6 @@ class StudyStatistics:
         return self.degraded_domains / self.domain_count
 
     @property
-    def total_pairs(self) -> int:
-        return self.www_pairs + self.plain_pairs
-
-    @property
     def invalid_dns_fraction(self) -> float:
         if not self.domain_count:
             return 0.0
@@ -261,18 +249,6 @@ class StudyStatistics:
                 if child.value:
                     mapping[key[0]] = int(child.value)
         return stats
-
-    def observed_stages(self, registry) -> List[str]:
-        """Funnel stages whose counters recorded work in ``registry``."""
-        observed = []
-        for stage, metric in PIPELINE_STAGES.items():
-            instrument = registry.get(metric)
-            if instrument is None:
-                continue
-            series = instrument.series()
-            if any(child.value > 0 for _key, child in series):
-                observed.append(stage)
-        return observed
 
     def consistent_with(self, registry) -> bool:
         """Sanity check: do the registry's funnel counters match us?"""

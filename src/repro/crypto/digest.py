@@ -30,8 +30,3 @@ def canonical_bytes(obj: Any) -> bytes:
     mutation of a signed field changes it.
     """
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
-def digest_struct(obj: Any) -> bytes:
-    """SHA-256 over the canonical serialisation of a structure."""
-    return sha256(canonical_bytes(obj))

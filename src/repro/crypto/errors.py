@@ -9,7 +9,3 @@ class CryptoError(ReproError):
 
 class SignatureError(CryptoError):
     """A signature failed to verify or could not be produced."""
-
-
-class KeyError_(CryptoError):
-    """A key is malformed (name avoids shadowing the builtin)."""

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.crypto.digest import sha256_hex
-from repro.crypto.errors import KeyError_
 
 
 @dataclass(frozen=True)
@@ -31,13 +30,6 @@ class PublicKey:
 
     def to_dict(self) -> Dict[str, str]:
         return {"n": format(self.modulus, "x"), "e": format(self.exponent, "x")}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, str]) -> "PublicKey":
-        try:
-            return cls(int(data["n"], 16), int(data["e"], 16))
-        except (KeyError, ValueError) as exc:
-            raise KeyError_(f"malformed public key dict: {exc}") from exc
 
 
 @dataclass(frozen=True)

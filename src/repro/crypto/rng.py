@@ -114,18 +114,3 @@ class DeterministicRNG:
             if threshold < running:
                 return item
         return items[-1]
-
-    def pareto(self, alpha: float) -> float:
-        """Sample from a Pareto distribution (heavy-tailed popularity)."""
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
-        uniform = 1.0 - self.random()
-        return uniform ** (-1.0 / alpha)
-
-    def expovariate(self, rate: float) -> float:
-        """Sample from an exponential distribution with the given rate."""
-        import math
-
-        if rate <= 0:
-            raise ValueError("rate must be positive")
-        return -math.log(1.0 - self.random()) / rate

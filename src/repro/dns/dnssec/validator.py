@@ -96,6 +96,3 @@ class ValidatingResolver:
         ):
             return SecurityStatus.BOGUS
         return SecurityStatus.SECURE
-
-    def is_secure(self, fqdn: str, records: Sequence[str]) -> bool:
-        return self.validate(fqdn, records) is SecurityStatus.SECURE

@@ -130,9 +130,6 @@ class ZoneTree:
     def zone(self, name: str) -> Optional[SignedZone]:
         return self._zones.get(name)
 
-    def zone_names(self) -> List[str]:
-        return sorted(self._zones)
-
     def authoritative_zone(self, fqdn: str) -> SignedZone:
         """The most specific existing zone containing ``fqdn``."""
         candidate = fqdn

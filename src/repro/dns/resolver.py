@@ -19,7 +19,6 @@ from repro.net import Address
 from repro.obs.runtime import metrics
 
 MAX_CHAIN_LENGTH = 16
-DEFAULT_CACHE_SIZE = 65_536
 
 
 class RCode(enum.Enum):
@@ -119,9 +118,6 @@ class RecursiveResolver:
             ).inc()
         self._cache[key] = _copy_answer(answer)
         return answer
-
-    def cache_clear(self) -> None:
-        self._cache.clear()
 
     def _resolve(self, name: str, rtypes: Sequence[RecordType]) -> Answer:
         answer = Answer(name=name, rcode=RCode.NOERROR)

@@ -19,7 +19,7 @@ retryable rather than a permanent protocol error).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Union
+from typing import Callable, List, Optional
 
 from repro.bgp.errors import BGPError
 from repro.dns.errors import DNSError
@@ -220,6 +220,3 @@ class FaultyTransport:
 
     def __repr__(self) -> str:
         return f"<FaultyTransport {self._label} over {self._transport!r}>"
-
-
-FaultySubstrate = Union[FaultyResolver, FaultyTableDump, FaultyTransport]

@@ -207,9 +207,6 @@ class FaultPlan:
         """Does attempt number ``attempt`` (0-based) fail for this site?"""
         return attempt < self.failures_for(kind, key)
 
-    def active_kinds(self) -> Tuple[str, ...]:
-        return tuple(kind for kind, rate in self.rates if rate > 0.0)
-
     def describe(self) -> str:
         parts = ", ".join(
             f"{kind}={rate:g}" for kind, rate in self.rates if rate > 0.0

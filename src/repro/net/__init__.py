@@ -13,7 +13,7 @@ from repro.net.addr import (
     parse_address,
     parse_prefix,
 )
-from repro.net.asn import ASN, parse_asn
+from repro.net.asn import ASN
 from repro.errors import ReproError
 from repro.net.errors import AddressError, NetError, PrefixError
 from repro.net.special import (
@@ -33,7 +33,6 @@ __all__ = [
     "ReproError",
     "is_special_purpose",
     "parse_address",
-    "parse_asn",
     "parse_prefix",
     "special_purpose_registry",
 ]

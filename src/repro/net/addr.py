@@ -229,12 +229,6 @@ class Prefix(tuple):
     def network(self) -> Address:
         return Address(self[0], self[1])
 
-    @property
-    def broadcast_value(self) -> int:
-        """Numeric value of the highest address inside the prefix."""
-        family, value, length = self
-        return value | ((1 << (_BITS[family] - length)) - 1)
-
     def key_bits(self) -> int:
         """Top ``length`` bits of the network, as an integer key."""
         family, value, length = self
@@ -262,15 +256,6 @@ class Prefix(tuple):
             raise PrefixError(f"supernet length {length} longer than /{own_length}")
         host_bits = _BITS[family] - length
         return Prefix(family, (value >> host_bits) << host_bits, length)
-
-    def subnets(self) -> Tuple["Prefix", "Prefix"]:
-        """Split into the two half-length+1 subnets."""
-        family, value, length = self
-        if length >= _BITS[family]:
-            raise PrefixError(f"cannot split a host prefix /{length}")
-        child = length + 1
-        high = value | 1 << (_BITS[family] - child)
-        return Prefix(family, value, child), Prefix(family, high, child)
 
     def addresses(self, limit: int = 1 << 16) -> Iterator[Address]:
         """Iterate the addresses in the prefix (guarded by ``limit``)."""

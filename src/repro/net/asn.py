@@ -4,12 +4,7 @@ from __future__ import annotations
 
 from repro.net.errors import ASNError
 
-AS_TRANS = 23456
 MAX_ASN = (1 << 32) - 1
-
-# Private-use ASN ranges (RFC 6996).
-_PRIVATE_16 = (64512, 65534)
-_PRIVATE_32 = (4200000000, 4294967294)
 
 
 class ASN(int):
@@ -26,29 +21,8 @@ class ASN(int):
             raise ASNError(f"AS number out of 32-bit range: {value}")
         return super().__new__(cls, value)
 
-    @property
-    def is_private(self) -> bool:
-        return (
-            _PRIVATE_16[0] <= self <= _PRIVATE_16[1]
-            or _PRIVATE_32[0] <= self <= _PRIVATE_32[1]
-        )
-
-    @property
-    def is_reserved(self) -> bool:
-        return self == 0 or self == AS_TRANS or self == MAX_ASN
-
     def __str__(self) -> str:
         return f"AS{int(self)}"
 
     def __repr__(self) -> str:
         return f"ASN({int(self)})"
-
-
-def parse_asn(text: str) -> ASN:
-    """Parse ``'AS64500'``, ``'as64500'``, or ``'64500'``."""
-    text = text.strip()
-    if text[:2].lower() == "as":
-        text = text[2:]
-    if not text.isdigit():
-        raise ASNError(f"invalid AS number literal: {text!r}")
-    return ASN(int(text))

@@ -81,11 +81,3 @@ def is_special_purpose(target: Union[Address, Prefix, str]) -> bool:
     if isinstance(target, Prefix):
         target = target.network
     return bool(special_purpose_registry().covering(target))
-
-
-def special_purpose_reason(target: Union[Address, str]) -> Optional[str]:
-    """Registry entry name covering the address, or None."""
-    if isinstance(target, str):
-        target = Address.parse(target)
-    matches = special_purpose_registry().covering(target)
-    return matches[-1][1] if matches else None

@@ -1,6 +1,6 @@
 """Observability for the measurement pipeline (``repro.obs``).
 
-Four instruments, one switchboard:
+Three instruments, one switchboard:
 
 * :mod:`repro.obs.metrics` — Counter/Gauge/Histogram registry with
   Prometheus-text and JSON exposition,
@@ -8,8 +8,6 @@ Four instruments, one switchboard:
   with an in-memory collector and per-name aggregation,
 * :mod:`repro.obs.progress` — callback-based rate/ETA reporting for
   long runs,
-* :mod:`repro.obs.logging` — structured key=value logging behind the
-  ``REPRO_LOG_LEVEL`` knob,
 * :mod:`repro.obs.runtime` — the process-wide enable/disable switch
   (null implementations by default, so instrumentation is free when
   nobody is watching),
@@ -22,7 +20,6 @@ Four instruments, one switchboard:
 """
 
 from repro.obs.http import HealthSource, TelemetryServer
-from repro.obs.logging import get_logger, kv, reset_logging
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     NULL_REGISTRY,
@@ -111,8 +108,6 @@ __all__ = [
     "disable",
     "enable",
     "estimate_quantiles",
-    "get_logger",
-    "kv",
     "merge_registries",
     "metrics",
     "observability_enabled",
@@ -120,7 +115,6 @@ __all__ = [
     "registry_from_snapshot",
     "registry_from_wire",
     "registry_to_wire",
-    "reset_logging",
     "rtrd_report",
     "scheduler_report",
     "scope",

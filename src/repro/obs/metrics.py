@@ -131,10 +131,6 @@ class Gauge(_Metric):
         self._require_leaf()
         self._value += amount
 
-    def dec(self, amount: Number = 1) -> None:
-        self._require_leaf()
-        self._value -= amount
-
     def _absorb(self, other: "Gauge") -> None:
         # Gauges merge additively: shard-local table sizes / depths
         # sum to the whole; point-in-time gauges should be set after
@@ -228,9 +224,6 @@ class _NullInstrument:
         return self
 
     def inc(self, amount: Number = 1) -> None:
-        pass
-
-    def dec(self, amount: Number = 1) -> None:
         pass
 
     def set(self, value: Number) -> None:

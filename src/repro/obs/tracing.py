@@ -223,48 +223,6 @@ class TraceCollector:
             "dropped": self.dropped,
         }
 
-    def to_chrome_trace(self) -> Dict[str, object]:
-        """Chrome trace-event JSON (Perfetto / ``chrome://tracing``).
-
-        Every finished span becomes one complete ("X") event with
-        microsecond timestamps relative to the earliest span, so
-        cross-shard grafted traces open as one aligned timeline.
-        ``span_id``/``parent_id`` ride along in ``args`` — the
-        parent/child structure :meth:`absorb` preserves survives the
-        export verbatim.  Open spans (no end yet) are skipped.
-        """
-        finished = [span for span in self._spans if span.end is not None]
-        origin = min((span.start for span in finished), default=0.0)
-        events: List[Dict[str, object]] = []
-        for span in finished:
-            args: Dict[str, object] = dict(span.attributes)
-            args["span_id"] = span.span_id
-            if span.parent_id is not None:
-                args["parent_id"] = span.parent_id
-            if span.error is not None:
-                args["error"] = span.error
-            events.append(
-                {
-                    "name": span.name,
-                    "ph": "X",
-                    "ts": round((span.start - origin) * 1_000_000, 3),
-                    "dur": round(span.duration * 1_000_000, 3),
-                    "pid": 1,
-                    "tid": 1,
-                    "cat": "ripki",
-                    "args": args,
-                }
-            )
-        return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-    def write_chrome_trace(self, path) -> int:
-        """Write :meth:`to_chrome_trace`; returns the event count."""
-        trace = self.to_chrome_trace()
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(trace, handle, indent=1)
-            handle.write("\n")
-        return len(trace["traceEvents"])
-
     def dump(self, path) -> int:
         """Write the trace as JSON; returns the span count written."""
         with open(path, "w") as handle:
@@ -321,9 +279,6 @@ class NullTracer:
 
     def to_json(self) -> Dict[str, object]:
         return {"spans": [], "dropped": 0}
-
-    def to_chrome_trace(self) -> Dict[str, object]:
-        return {"traceEvents": [], "displayTimeUnit": "ms"}
 
     def clear(self) -> None:
         pass

@@ -418,9 +418,6 @@ class SLOTracker:
             },
         )
 
-    def statuses(self) -> Dict[str, SLOStatus]:
-        return {name: self.status(name) for name in self.names()}
-
     def export(self, registry) -> None:
         """Write every objective's gauges into ``registry``."""
         latency = registry.gauge(

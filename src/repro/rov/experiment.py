@@ -149,10 +149,6 @@ class ASVerdict:
         )
 
 
-# Canonical per-round evidence: asn -> (invalid, pinpoint, suspect, anchor)
-RoundEvidence = Dict[int, Tuple[int, int, int, int]]
-
-
 @dataclass(frozen=True)
 class RoundResult:
     """One round's canonical, merge-ready outcome."""

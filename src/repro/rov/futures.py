@@ -43,10 +43,6 @@ class AdoptionFuture:
         asns = ",".join(str(int(a)) for a in self.enforce)
         return f"{self.name}|sign:{orgs}|enforce:{asns}"
 
-    @property
-    def is_baseline(self) -> bool:
-        return not self.sign and not self.enforce
-
 
 def named_future(world, name: str) -> AdoptionFuture:
     """One of the three pinned scenarios over a built ecosystem."""

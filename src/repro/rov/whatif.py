@@ -29,7 +29,7 @@ ecosystem, so it pickles cheaply into process pools.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from repro.bgp.hijack import HijackScenario
 from repro.bgp.messages import Announcement
@@ -228,17 +228,6 @@ class WhatIfEngine:
 
     def _run_batch(self, batch: Batch) -> List[ExposureDelta]:
         return [self.run(future) for future in batch.items]
-
-    def trajectory(
-        self,
-        steps: Iterable,
-        future: AdoptionFuture,
-    ) -> List[ExposureDelta]:
-        """Optional world coupling: score ``future`` against each
-        :class:`~repro.world.engine.WorldStep`'s observed VRP set, so
-        an adoption future can be tracked across CA churn, outages,
-        and rollovers."""
-        return [self.run(future, base_payloads=step.payloads) for step in steps]
 
     # -- internals --------------------------------------------------------
 

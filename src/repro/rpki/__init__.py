@@ -20,7 +20,7 @@ measurement step (4) depends on:
 from repro.errors import ReproError
 from repro.rpki.cert import CertificateAuthority, ResourceCertificate
 from repro.rpki.crl import CertificateRevocationList
-from repro.rpki.errors import RPKIError, ValidationError
+from repro.rpki.errors import RPKIError
 from repro.rpki.manifest import Manifest
 from repro.rpki.repository import PublicationPoint, Repository
 from repro.rpki.resources import ASNRange, ResourceSet
@@ -47,6 +47,5 @@ __all__ = [
     "TrustAnchorLocator",
     "VRP",
     "ValidatedPayloads",
-    "ValidationError",
     "ValidationReport",
 ]

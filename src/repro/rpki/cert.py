@@ -290,9 +290,5 @@ class CertificateAuthority:
         """Add a serial to this CA's revocation set."""
         self.revoked_serials.add(serial)
 
-    def next_serial(self) -> int:
-        """Expose serial allocation for ROA/manifest issuance helpers."""
-        return next(self._serials)
-
     def __repr__(self) -> str:
         return f"<CertificateAuthority {self.name!r}>"

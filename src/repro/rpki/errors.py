@@ -7,9 +7,5 @@ class RPKIError(ReproError):
     """Base class for RPKI failures."""
 
 
-class ValidationError(RPKIError):
-    """An object failed relying-party validation."""
-
-
 class IssuanceError(RPKIError):
     """A CA refused to issue an object (e.g. resources not held)."""

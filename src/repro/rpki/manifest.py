@@ -52,9 +52,6 @@ class Manifest:
                 return entry_hash
         return None
 
-    def as_dict(self) -> Dict[str, str]:
-        return dict(self.entries)
-
     def __repr__(self) -> str:
         return f"<Manifest #{self.manifest_number} {len(self.entries)} entries>"
 

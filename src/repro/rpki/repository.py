@@ -9,7 +9,7 @@ paper's step 4: "ROA data of all trust anchors ... are collected").
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 from repro.crypto.digest import sha256_hex
 from repro.rpki.cert import CertificateAuthority, ResourceCertificate
@@ -99,14 +99,6 @@ class Repository:
 
     def points(self) -> Iterator[PublicationPoint]:
         return iter(self._points.values())
-
-    def iter_roas(self) -> Iterator[Tuple[str, ROA]]:
-        """All published ROAs across every publication point."""
-        for point in self._points.values():
-            yield from point.roas.items()
-
-    def roa_count(self) -> int:
-        return sum(len(point.roas) for point in self._points.values())
 
     def __len__(self) -> int:
         return len(self._points)

@@ -10,7 +10,7 @@ certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.net import ASN, Prefix
 
@@ -91,9 +91,6 @@ class ResourceSet:
     def asn_ranges(self) -> Tuple[ASNRange, ...]:
         return self._asn_ranges
 
-    def is_empty(self) -> bool:
-        return not self._prefixes and not self._asn_ranges
-
     def covers_prefix(self, prefix: Prefix) -> bool:
         """True when some held prefix covers ``prefix``."""
         return any(held.covers(prefix) for held in self._prefixes)
@@ -117,21 +114,9 @@ class ResourceSet:
             self._asn_ranges + other._asn_ranges,
         )
 
-    def with_prefixes(self, prefixes: Iterable[Prefix]) -> "ResourceSet":
-        return ResourceSet(self._prefixes + tuple(prefixes), self._asn_ranges)
-
     def with_asns(self, asns: Iterable[Union[int, ASN]]) -> "ResourceSet":
         new_ranges = tuple(ASNRange.single(asn) for asn in asns)
         return ResourceSet(self._prefixes, self._asn_ranges + new_ranges)
-
-    def iter_asns(self, limit: int = 1 << 20) -> Iterator[ASN]:
-        """Iterate individual ASNs (guarded against huge ranges)."""
-        count = sum(int(r.high) - int(r.low) + 1 for r in self._asn_ranges)
-        if count > limit:
-            raise ValueError(f"refusing to iterate {count} ASNs (limit {limit})")
-        for rng in self._asn_ranges:
-            for value in range(int(rng.low), int(rng.high) + 1):
-                yield ASN(value)
 
     def to_dict(self) -> Dict[str, List]:
         """Canonical serialisable form (used in signed payloads)."""
@@ -139,14 +124,6 @@ class ResourceSet:
             "prefixes": [str(p) for p in self._prefixes],
             "asns": [[int(r.low), int(r.high)] for r in self._asn_ranges],
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, List]) -> "ResourceSet":
-        prefixes = [Prefix.parse(text) for text in data.get("prefixes", [])]
-        ranges = [
-            ASNRange(ASN(low), ASN(high)) for low, high in data.get("asns", [])
-        ]
-        return cls(prefixes, ranges)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ResourceSet):

@@ -107,10 +107,6 @@ class Session:
             and self.served_serial is not None
         )
 
-    @property
-    def bytes_sent(self) -> int:
-        return self.snapshot_bytes_sent + self.diff_bytes_sent
-
     def __repr__(self) -> str:
         return (
             f"<Session {self.sid} {self.state.value} "

@@ -8,7 +8,6 @@ content itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
 
 from repro.crypto.keys import PublicKey
 from repro.rpki.cert import CertificateAuthority, ResourceCertificate
@@ -31,16 +30,6 @@ class TrustAnchorLocator:
     def matches(self, certificate: ResourceCertificate) -> bool:
         """True when the certificate carries exactly the pinned key."""
         return certificate.public_key == self.public_key
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"name": self.name, "public_key": self.public_key.to_dict()}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "TrustAnchorLocator":
-        return cls(
-            name=str(data["name"]),
-            public_key=PublicKey.from_dict(data["public_key"]),
-        )
 
     def __repr__(self) -> str:
         return f"<TAL {self.name!r} {self.fingerprint()[:12]}>"

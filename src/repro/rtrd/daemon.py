@@ -118,18 +118,6 @@ class PublishStats:
     snapshot_frame_bytes: int = 0
     synchronized: int = 0
 
-    @property
-    def pushed_bytes(self) -> int:
-        return self.delta_bytes + self.snapshot_bytes
-
-    @property
-    def delta_saving_fraction(self) -> float:
-        """Fraction of the snapshot-equivalent bytes the diffs saved."""
-        equivalent = self.snapshot_frame_bytes * self.notified
-        if equivalent <= 0:
-            return 0.0
-        return max(0.0, 1.0 - self.pushed_bytes / equivalent)
-
 
 def summarize_publishes(
     daemon: "RTRDaemon", elapsed_s: Optional[float] = None

@@ -68,11 +68,6 @@ CDN_CATALOGUE: Tuple[CDNOperator, ...] = (
     CDNOperator("Yottaa", as_count=3, market_share=1.0),
 )
 
-PAPER_TOTAL_CDN_ASES = 199
-PAPER_RPKI_ENTRIES = 4
-PAPER_RPKI_ORIGIN_ASES = 3
-
-
 def total_cdn_ases() -> int:
     return sum(operator.as_count for operator in CDN_CATALOGUE)
 

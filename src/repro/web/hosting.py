@@ -99,13 +99,6 @@ class HostingOutcome:
     ground_truth: Dict[str, DomainHosting] = field(default_factory=dict)
     caches: Dict[str, List[CDNCache]] = field(default_factory=dict)
 
-    def cdn_domains(self) -> List[str]:
-        return [
-            name
-            for name, hosting in self.ground_truth.items()
-            if hosting.uses_cdn
-        ]
-
 
 class HostingModel:
     """Assigns hosting and writes DNS records for a ranking."""

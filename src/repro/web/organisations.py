@@ -122,6 +122,3 @@ class AddressAllocator:
         self._v6_cursors[rir] = index + 1
         value = pool.value | (index << (128 - 32))
         return Prefix(6, value, 32)
-
-    def allocated_count(self, rir: str) -> int:
-        return self._cursors[rir]

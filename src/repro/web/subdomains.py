@@ -67,9 +67,6 @@ class SubdomainDeployment:
             if used.name == network.name
         ]
 
-    def sharded_count(self) -> int:
-        return sum(1 for subs in self.subdomains.values() if subs)
-
 
 class SubdomainModel:
     """Adds sharded subdomains and ad networks to a built world."""

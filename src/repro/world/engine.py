@@ -20,7 +20,7 @@ event ledger and per-step VRP sets bit-for-bit, on any backend.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.crypto import DeterministicRNG
 from repro.faults import (
@@ -297,10 +297,6 @@ class WorldEngine:
         return self._time
 
     @property
-    def step_index(self) -> int:
-        return self._step_index
-
-    @property
     def steps(self) -> List[WorldStep]:
         return list(self._steps)
 
@@ -315,14 +311,6 @@ class WorldEngine:
 
     def authorities(self) -> List[str]:
         return [actor.name for actor in self._actors]
-
-    def origin_asns(self) -> Set[ASN]:
-        """Every origin AS the world's holdings map to."""
-        return {
-            asn
-            for actor in self._actors
-            for asn in actor.holdings.values()
-        }
 
     # -- stepping -------------------------------------------------------
 

@@ -29,18 +29,6 @@ ROLLOVER_STAGED = "rollover.staged"
 ROLLOVER_COMPLETED = "rollover.completed"
 STEP_OBSERVED = "step.observed"
 
-EVENT_KINDS: Tuple[str, ...] = (
-    ROA_ISSUED,
-    ROA_WITHDRAWN,
-    ROA_EXPIRED,
-    MANIFEST_SKIPPED,
-    CRL_SKIPPED,
-    PP_OUTAGE,
-    ROLLOVER_STAGED,
-    ROLLOVER_COMPLETED,
-    STEP_OBSERVED,
-)
-
 
 @dataclass(frozen=True)
 class WorldEvent:
@@ -68,9 +56,6 @@ class WorldEvent:
             subject=subject,
             detail=tuple(sorted(detail.items())),
         )
-
-    def detail_dict(self) -> Dict[str, Detail]:
-        return dict(self.detail)
 
     def to_row(self) -> Dict[str, Detail]:
         """A JSON-ready flat record (for ``ripki world --json``)."""

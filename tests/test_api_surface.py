@@ -1,19 +1,16 @@
 """Public API surface: ``__all__`` audits and the RunConfig-only entry."""
 
 import importlib
+from pathlib import Path
 
 import pytest
 
-PUBLIC_MODULES = [
-    "repro.core",
-    "repro.faults",
-    "repro.obs",
-    "repro.registry",
-    "repro.rov",
-    "repro.rpki",
-    "repro.rtrd",
-    "repro.world",
-]
+# Every package under src/repro: each declares a literal __all__.
+SRC = Path(__file__).resolve().parents[1] / "src"
+PUBLIC_MODULES = sorted(
+    ".".join(init.parent.relative_to(SRC).parts)
+    for init in (SRC / "repro").rglob("__init__.py")
+)
 
 
 class TestAllAudits:

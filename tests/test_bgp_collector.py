@@ -76,12 +76,6 @@ class TestTableDump:
         covering = dump.covering_entries(Address.parse("10.0.1.1"))
         assert [e.prefix for e in covering] == [P("10.0.0.0/8"), P("10.0.0.0/16")]
 
-    def test_covering_prefixes_deduped(self, world):
-        _topo, state = world
-        dump = RouteCollector("rrc00", [1, 2]).collect(state)
-        prefixes = dump.covering_prefixes(Address.parse("10.0.1.1"))
-        assert prefixes == [P("10.0.0.0/8"), P("10.0.0.0/16")]
-
     def test_origins_for_prefix(self, world):
         _topo, state = world
         dump = RouteCollector("rrc00", [1, 2]).collect(state)

@@ -5,7 +5,6 @@ import pytest
 from repro.bgp import ASPath, TableDump, TableDumpEntry
 from repro.bgp.dumps import (
     format_entry,
-    merge_dump_files,
     parse_entry,
     read_dump,
     write_dump,
@@ -77,8 +76,8 @@ class TestFiles:
         assert len(loaded) == 3
         assert loaded.prefixes() == dump.prefixes()
         # The index is rebuilt: covering lookups work on the copy.
-        covering = loaded.covering_prefixes(Address.parse("10.0.1.1"))
-        assert [str(p) for p in covering] == ["10.0.0.0/8", "10.0.0.0/16"]
+        covering = loaded.covering_entries(Address.parse("10.0.1.1"))
+        assert [str(e.prefix) for e in covering] == ["10.0.0.0/8", "10.0.0.0/16"]
 
     def test_read_skips_comments_and_blanks(self, dump, tmp_path):
         path = tmp_path / "rrc00.dump"
@@ -86,17 +85,6 @@ class TestFiles:
         content = "# comment\n\n" + path.read_text()
         path.write_text(content)
         assert len(read_dump(path)) == 3
-
-    def test_merge_files(self, dump, tmp_path):
-        a = tmp_path / "a.dump"
-        b = tmp_path / "b.dump"
-        write_dump(dump, a)
-        write_dump(
-            TableDump([entry("203.0.113.0/24", "2914 64510", 2914)]), b
-        )
-        merged = merge_dump_files([a, b])
-        assert len(merged) == 4
-        assert Prefix.parse("203.0.113.0/24") in merged.prefixes()
 
 
 class TestEcosystemDump(object):

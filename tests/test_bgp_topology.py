@@ -100,11 +100,6 @@ class TestQueries:
         assert [n.asn for n in triangle.by_role(ASRole.TIER1)] == [1]
         assert triangle.by_role(ASRole.CDN) == []
 
-    def test_is_connected(self, triangle):
-        assert triangle.is_connected()
-        triangle.add_as(99, "ISLAND")
-        assert not triangle.is_connected()
-
 
 class TestGeneration:
     def test_generated_topology_shape(self):
@@ -115,7 +110,6 @@ class TestGeneration:
         assert len(topo) == 62
         assert len(topo.by_role(ASRole.TIER1)) == 4
         assert len(topo.by_role(ASRole.CDN)) == 3
-        assert topo.is_connected()
 
     def test_tier1_clique(self):
         topo = ASTopology.generate(DeterministicRNG(2), tier1=4, transit=5,

@@ -61,6 +61,25 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--figure", "9"])
 
+    @pytest.mark.parametrize(
+        "flag", ["--workers", "--shard-size", "--job-deadline"]
+    )
+    def test_zero_is_a_usage_error_before_any_world_is_built(
+        self, flag, capsys
+    ):
+        with pytest.raises(SystemExit) as raised:
+            main(["run", "--domains", "50", flag, "0"])
+        assert raised.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[-1].startswith(
+            f"ripki run: error: argument {flag}"
+        )
+        assert "building" not in captured.out + captured.err
+
+    def test_zero_domains_still_runs(self, capsys):
+        assert main(["run", "--domains", "0", "--figure", "table1"]) == 0
+        assert "Table 1" in capsys.readouterr().out
+
 
 class TestEndToEnd:
     def test_tiny_run_all_figures(self, capsys):

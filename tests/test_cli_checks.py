@@ -1,0 +1,60 @@
+"""The CI jobs' artifact checks, as tier-1 tests.
+
+Each case drives ``main([...])`` with the arguments its former
+``.github/workflows/ci.yml`` job passed and asserts on the artifacts
+in ``tmp_path``, so whoever changes a check can also run it.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+from repro.cli import main
+
+PROM = Path(__file__).resolve().parents[1] / ".github" / "scripts" / "prom.py"
+
+
+def read_counters(path):
+    """The parse the remaining CI heredocs share (one copy: ``prom.py``)."""
+    spec = importlib.util.spec_from_file_location("prom", PROM)
+    prom = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(prom)
+    return prom.read_counters(path)
+
+
+def test_smoke_run_with_metrics(tmp_path):
+    """Was the ``smoke`` job: one observed run, metrics and trace checked."""
+    metrics_path = tmp_path / "m.prom"
+    trace_path = tmp_path / "t.json"
+    code = main(
+        ["run", "--domains", "500", "--figure", "table1",
+         "--metrics-out", str(metrics_path), "--trace-out", str(trace_path)]
+    )
+    assert code == 0
+    counters = read_counters(metrics_path)
+
+    # Every funnel stage observed work.
+    for name in (
+        "ripki_domains_measured_total",
+        "ripki_dns_resolutions_total",
+        "ripki_prefix_lookups_total",
+    ):
+        assert counters.get(name), f"stage counter {name} is missing or zero"
+    rpki_total = sum(
+        value for name, value in counters.items()
+        if name.startswith("ripki_rpki_validations_total")
+    )
+    assert rpki_total, "no RPKI validations recorded"
+
+    # The trace names the stages and the world build's own spans.
+    spans = {
+        span["name"] for span in json.loads(trace_path.read_text())["spans"]
+    }
+    assert len(spans) >= 4, sorted(spans)
+    assert {"web.ecosystem.build", "bgp.propagation.propagate"} <= spans
+
+    # Structural, not a timing: sharing trees across announcements
+    # with one origination key is what keeps the build cheap.
+    announcements = counters.get("ripki_bgp_announcements_total", 0)
+    route_trees = counters.get("ripki_bgp_route_trees_total", 0)
+    assert 0 < route_trees <= announcements

@@ -105,22 +105,3 @@ def test_weighted_choice_errors():
         rng.weighted_choice(["a"], [1.0, 2.0])
     with pytest.raises(ValueError):
         rng.weighted_choice(["a"], [0.0])
-
-
-def test_pareto_heavy_tail():
-    rng = DeterministicRNG(11)
-    samples = [rng.pareto(1.0) for _ in range(2000)]
-    assert all(s >= 1.0 for s in samples)
-    assert max(samples) > 20  # heavy tail produces large values
-    with pytest.raises(ValueError):
-        rng.pareto(0)
-
-
-def test_expovariate():
-    rng = DeterministicRNG(12)
-    samples = [rng.expovariate(2.0) for _ in range(2000)]
-    assert all(s >= 0 for s in samples)
-    mean = sum(samples) / len(samples)
-    assert 0.4 < mean < 0.6  # expected 1/rate = 0.5
-    with pytest.raises(ValueError):
-        rng.expovariate(0)

@@ -81,7 +81,6 @@ class TestValidation:
         assert resolver.validate("www.example.com", records) is (
             SecurityStatus.SECURE
         )
-        assert resolver.is_secure("www.example.com", records)
 
     def test_insecure_below_unsigned_delegation(self, tree):
         resolver = ValidatingResolver(tree)

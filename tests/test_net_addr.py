@@ -149,13 +149,6 @@ class TestPrefix:
         with pytest.raises(PrefixError):
             Prefix.parse("10.0.0.0/8").supernet(16)
 
-    def test_subnets(self):
-        low, high = Prefix.parse("10.0.0.0/8").subnets()
-        assert str(low) == "10.0.0.0/9"
-        assert str(high) == "10.128.0.0/9"
-        with pytest.raises(PrefixError):
-            Prefix.parse("10.0.0.1/32").subnets()
-
     def test_addresses_iteration(self):
         addrs = list(Prefix.parse("192.0.2.0/30").addresses())
         assert [str(a) for a in addrs] == [
@@ -177,11 +170,6 @@ class TestPrefix:
             prefix.nth_address(256)
         with pytest.raises(PrefixError):
             prefix.nth_address(-1)
-
-    def test_broadcast_value(self):
-        assert Prefix.parse("10.0.0.0/24").broadcast_value == 0x0A0000FF
-        host = Prefix.parse("10.0.0.7/32")
-        assert host.broadcast_value == host.value
 
     def test_key_bits(self):
         assert Prefix.parse("128.0.0.0/1").key_bits() == 1

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net import ASN, parse_asn
+from repro.net import ASN
 from repro.net.errors import ASNError
 
 
@@ -26,30 +26,3 @@ def test_range_validation():
         ASN(1 << 32)
     with pytest.raises(ASNError):
         ASN(-1)
-
-
-def test_private_ranges():
-    assert ASN(64512).is_private
-    assert ASN(65534).is_private
-    assert ASN(4200000000).is_private
-    assert not ASN(64511).is_private
-    assert not ASN(65535).is_private
-    assert not ASN(3320).is_private
-
-
-def test_reserved():
-    assert ASN(0).is_reserved
-    assert ASN(23456).is_reserved
-    assert ASN((1 << 32) - 1).is_reserved
-    assert not ASN(64500).is_reserved
-
-
-@pytest.mark.parametrize("text,expected", [("AS64500", 64500), ("as1", 1), ("99", 99)])
-def test_parse(text, expected):
-    assert parse_asn(text) == expected
-
-
-@pytest.mark.parametrize("bad", ["", "AS", "ASxyz", "12.3", "-5"])
-def test_parse_rejects(bad):
-    with pytest.raises(ASNError):
-        parse_asn(bad)

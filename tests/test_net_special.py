@@ -3,7 +3,6 @@
 import pytest
 
 from repro.net import Address, Prefix, is_special_purpose
-from repro.net.special import special_purpose_reason
 
 
 @pytest.mark.parametrize(
@@ -63,12 +62,6 @@ def test_accepts_address_and_prefix_objects():
     assert is_special_purpose(Prefix.parse("10.0.0.0/8"))
     assert is_special_purpose("192.168.0.0/16")
     assert not is_special_purpose(Prefix.parse("8.8.8.0/24"))
-
-
-def test_reason_reports_most_specific_entry():
-    assert "1918" in special_purpose_reason("10.0.0.1")
-    assert "Loopback" in special_purpose_reason("127.0.0.1")
-    assert special_purpose_reason("8.8.8.8") is None
 
 
 def test_registry_is_shared_instance():

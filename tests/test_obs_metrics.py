@@ -95,12 +95,11 @@ class TestLabels:
 
 
 class TestGauge:
-    def test_set_inc_dec(self):
+    def test_set_inc(self):
         gauge = MetricsRegistry().gauge("ripki_vrps")
         gauge.set(10)
         gauge.inc(5)
-        gauge.dec(3)
-        assert gauge.value == 12
+        assert gauge.value == 15
 
 
 class TestHistogram:

@@ -1,17 +1,9 @@
-"""Progress-callback cadence and structured logging."""
+"""Progress-callback cadence."""
 
 import io
-import logging
 
 import pytest
 
-from repro.obs.logging import (
-    KeyValueFormatter,
-    configured_level,
-    get_logger,
-    kv,
-    reset_logging,
-)
 from repro.obs.progress import (
     CaptureProgress,
     ProgressEvent,
@@ -172,54 +164,3 @@ class TestBatchedTicks:
         assert text.startswith("\r")
         assert text.endswith("\n")
 
-
-class TestStructuredLogging:
-    def setup_method(self):
-        reset_logging()
-
-    def teardown_method(self):
-        reset_logging()
-
-    def test_key_value_formatting(self):
-        stream = io.StringIO()
-        log = get_logger("repro.test", stream=stream)
-        log.warning("rtr sync", extra=kv(serial=12, vrps=48_201))
-        line = stream.getvalue().strip()
-        assert "WARNING repro.test: rtr sync serial=12 vrps=48201" in line
-
-    def test_values_with_spaces_are_quoted(self):
-        stream = io.StringIO()
-        log = get_logger("repro.test", stream=stream)
-        log.error("oops", extra=kv(reason="it broke"))
-        assert "reason='it broke'" in stream.getvalue()
-
-    def test_level_env_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LOG_LEVEL", "DEBUG")
-        assert configured_level() == logging.DEBUG
-        monkeypatch.setenv("REPRO_LOG_LEVEL", "not-a-level")
-        assert configured_level() == logging.WARNING
-        monkeypatch.delenv("REPRO_LOG_LEVEL")
-        assert configured_level() == logging.WARNING
-
-    def test_loggers_nest_under_repro_root(self):
-        log = get_logger("rpki.rtr")
-        assert log.name == "repro.rpki.rtr"
-        assert get_logger("repro.core").name == "repro.core"
-
-    def test_single_handler_installed(self):
-        get_logger("repro.a")
-        get_logger("repro.b")
-        assert len(logging.getLogger("repro").handlers) == 1
-
-    def test_formatter_renders_exceptions(self):
-        formatter = KeyValueFormatter()
-        try:
-            raise RuntimeError("bad")
-        except RuntimeError:
-            import sys
-
-            record = logging.LogRecord(
-                "repro", logging.ERROR, __file__, 1, "failed", (),
-                sys.exc_info(),
-            )
-        assert "RuntimeError: bad" in formatter.format(record)

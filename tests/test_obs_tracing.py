@@ -160,36 +160,3 @@ class TestNullTracer:
         assert NULL_TRACER.spans() == []
         assert NULL_TRACER.aggregate() == {}
         assert not NULL_TRACER.enabled
-
-
-class TestChromeTrace:
-    def test_spans_become_complete_events(self, tmp_path):
-        tracer = TraceCollector()
-        with tracer.span("campaign", seed=7):
-            with tracer.span("resolve"):
-                pass
-            with tracer.span("validate"):
-                pass
-        trace = tracer.to_chrome_trace()
-        events = trace["traceEvents"]
-        assert [event["name"] for event in events] == [
-            "resolve", "validate", "campaign",
-        ]
-        assert all(event["ph"] == "X" for event in events)
-        assert min(event["ts"] for event in events) == 0.0
-        by_name = {event["name"]: event for event in events}
-        campaign_id = by_name["campaign"]["args"]["span_id"]
-        assert by_name["resolve"]["args"]["parent_id"] == campaign_id
-        assert by_name["validate"]["args"]["parent_id"] == campaign_id
-        assert "parent_id" not in by_name["campaign"]["args"]
-        assert by_name["campaign"]["args"]["seed"] == 7
-
-        out = tmp_path / "trace.json"
-        assert tracer.write_chrome_trace(out) == 3
-        assert json.loads(out.read_text())["displayTimeUnit"] == "ms"
-
-    def test_open_spans_are_skipped(self):
-        tracer = TraceCollector()
-        active = tracer.span("open")
-        active.__enter__()
-        assert tracer.to_chrome_trace()["traceEvents"] == []

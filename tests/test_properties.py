@@ -142,7 +142,8 @@ def test_prefix_text_roundtrip(prefix):
 @given(prefixes)
 def test_prefix_contains_its_network_and_broadcast(prefix):
     assert prefix.contains(prefix.network)
-    assert prefix.contains(Address(prefix.family, prefix.broadcast_value))
+    host_bits = (1 << (prefix.bits - prefix.length)) - 1
+    assert prefix.contains(Address(prefix.family, prefix.value | host_bits))
     assert prefix.covers(prefix)
 
 
@@ -152,17 +153,6 @@ def test_supernet_always_covers(prefix, data):
     supernet = prefix.supernet(length)
     assert supernet.covers(prefix)
     assert supernet.length == length
-
-
-@given(ipv4_prefixes())
-def test_subnets_partition_parent(prefix):
-    if prefix.length >= prefix.bits:
-        return
-    low, high = prefix.subnets()
-    assert prefix.covers(low) and prefix.covers(high)
-    assert low != high
-    assert low.supernet(prefix.length) == prefix
-    assert high.supernet(prefix.length) == prefix
 
 
 # -- Address / Prefix are the int tuples --------------------------------------
@@ -306,12 +296,6 @@ def test_resource_set_covers_itself_and_subsets(prefix_list, asn_list):
     )
     assert full.covers(subset)
     assert ResourceSet.all_resources().covers(full)
-
-
-@given(st.lists(ipv4_prefixes(), max_size=8))
-def test_resource_set_dict_roundtrip(prefix_list):
-    rs = ResourceSet(prefix_list)
-    assert ResourceSet.from_dict(rs.to_dict()) == rs
 
 
 # -- exec wire codec ----------------------------------------------------------------
@@ -499,13 +483,12 @@ def span_forests(draw):
 
 @given(span_forests())
 @settings(max_examples=50)
-def test_chrome_trace_preserves_structure_under_absorb(parents):
+def test_absorb_preserves_span_structure(parents):
     """Grafting a span forest keeps every parent/child edge intact.
 
-    The Chrome-trace export must tell the same story after a
-    cross-shard merge: absorbed spans keep their in-batch parents
-    (through re-identification) and batch roots re-root under the
-    merging span.
+    A trace must tell the same story after a cross-shard merge:
+    absorbed spans keep their in-batch parents (through
+    re-identification) and batch roots re-root under the merging span.
     """
     source = [
         Span(
@@ -525,16 +508,13 @@ def test_chrome_trace_preserves_structure_under_absorb(parents):
     root_id = collector.spans("root")[0].span_id
     collector.absorb(source, parent_id=root_id)
 
-    trace = collector.to_chrome_trace()
-    by_name = {event["name"]: event for event in trace["traceEvents"]}
+    by_name = {span.name: span for span in collector.spans()}
     assert len(by_name) == len(parents) + 1
-    assert min(event["ts"] for event in trace["traceEvents"]) == 0.0
+    assert len({span.span_id for span in by_name.values()}) == len(by_name)
     for index, parent in enumerate(parents):
-        args = by_name[f"s{index}"]["args"]
+        grafted = by_name[f"s{index}"]
         if parent is None:
-            assert args["parent_id"] == root_id
+            assert grafted.parent_id == root_id
         else:
-            assert args["parent_id"] == by_name[f"s{parent}"]["args"]["span_id"]
-    # Durations survive the µs conversion within rounding.
-    for index in range(len(parents)):
-        assert by_name[f"s{index}"]["dur"] == 500000.0
+            assert grafted.parent_id == by_name[f"s{parent}"].span_id
+        assert grafted.duration == 0.5

@@ -255,8 +255,6 @@ class TestFutures:
         )
         assert future.sign == ("a", "b")
         assert future.enforce == (ASN(10), ASN(20))
-        assert not future.is_baseline
-        assert AdoptionFuture(name="y").is_baseline
         assert "sign:a,b" in future.label()
 
 

@@ -5,9 +5,6 @@ import pytest
 from repro.crypto import DeterministicRNG
 from repro.web import AlexaRanking, CDN_CATALOGUE, total_cdn_ases
 from repro.web.cdn import (
-    PAPER_RPKI_ENTRIES,
-    PAPER_RPKI_ORIGIN_ASES,
-    PAPER_TOTAL_CDN_ASES,
     catalogue_by_name,
     market_weights,
 )
@@ -60,14 +57,14 @@ class TestCDNCatalogue:
             assert expected in names
 
     def test_paper_as_count(self):
-        assert total_cdn_ases() == PAPER_TOTAL_CDN_ASES == 199
+        assert total_cdn_ases() == 199
 
     def test_internap_is_the_only_signer(self):
         signers = [op for op in CDN_CATALOGUE if op.signed_prefixes]
         assert [op.name for op in signers] == ["Internap"]
         internap = signers[0]
-        assert internap.signed_prefixes == PAPER_RPKI_ENTRIES == 4
-        assert internap.signed_origin_ases == PAPER_RPKI_ORIGIN_ASES == 3
+        assert internap.signed_prefixes == 4
+        assert internap.signed_origin_ases == 3
         assert internap.as_count == 41  # "Internap operates at least 41 ASes"
 
     def test_suffixes_generated(self):

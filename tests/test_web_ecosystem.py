@@ -15,9 +15,6 @@ class TestWorldShape:
     def test_domain_count(self, small_world):
         assert len(small_world.ranking) == 2000
 
-    def test_topology_connected(self, small_world):
-        assert small_world.topology.is_connected()
-
     def test_cdn_as_count_matches_paper(self, small_world):
         cdn_ases = small_world.topology.by_role(ASRole.CDN)
         assert len(cdn_ases) == 199

@@ -171,14 +171,6 @@ class TestFromEcosystem:
             digests.append(engine.ledger.digest())
         assert digests[0] == digests[1]
 
-    def test_origin_asns_feed_the_registry(self):
-        from repro.registry import registry_for_origins
-
-        engine = synthetic(seed=7)
-        database = registry_for_origins(engine.origin_asns())
-        for asn in engine.origin_asns():
-            assert database.lookup(asn) is not None
-
 
 class TestBackendIndependence:
     @pytest.mark.parametrize("mode,workers", [
@@ -241,7 +233,7 @@ class TestWorldSinkIntegration:
             invalidated += sum(
                 result.statistics.cache_invalidated_by_stage.values()
             )
-        assert engine.step_index == 50
+        assert engine.current.index == 50
         assert len(world_sink.steps) == 51
         # Churn must actually reach the snapshot cache and the wire.
         assert invalidated > 0
