@@ -5,11 +5,17 @@ first contact or after a Cache Reset, Serial Query after a Serial
 Notify.  The table is exposed as a
 :class:`~repro.rpki.vrp.ValidatedPayloads` so a BGP speaker can run
 RFC 6811 origin validation directly against it.
+
+One cache feeds many routers the same bytes, so what depends only on
+the bytes is done once (:func:`decode_shared`) and what depends on the
+session — the RFC 8210 state machine — is done per router.
 """
 
 from __future__ import annotations
 
+import collections
 import enum
+import functools
 from typing import Dict, List, Optional, Tuple
 
 from repro.rpki.rtr.errors import RTRProtocolError
@@ -32,13 +38,49 @@ from repro.obs.runtime import metrics
 from repro.rpki.rtr.transport import InMemoryTransport
 from repro.rpki.vrp import VRP, ValidatedPayloads
 
+# Distinct receive buffers whose decode is remembered.  One pump round
+# sees at most one Serial Notify, one snapshot, one Cache Reset and a
+# diff per serial still in the cache's history (16 by default), however
+# many routers there are; 64 leaves room for two caches' worth.  It is
+# a constant, not a knob: a working set under the bound is unaffected
+# by it, one over it only decodes again, and what the memo can pin is
+# 64 frames either way.
+FRAME_MEMO_SIZE = 64
 
-def _pdu_counter():
-    return metrics().counter(
-        "ripki_rtr_client_pdus_total",
-        "PDUs handled by the router side, by type",
-        labelnames=("type",),
-    )
+# A prefix PDU's table entry: ``((prefix, max_length, asn), VRP)``.
+Record = Tuple[Tuple, VRP]
+Step = Tuple[PDU, Optional[Record]]
+
+
+@functools.lru_cache(maxsize=FRAME_MEMO_SIZE)
+def decode_shared(
+    buffer: bytes, trust_anchor: str
+) -> Tuple[Tuple[Step, ...], bytes]:
+    """:func:`decode_stream`, once per distinct byte string.
+
+    Returns every complete PDU in ``buffer`` paired with its table
+    entry (``None`` unless it is a prefix PDU), and the remainder.
+    Decoding is a pure function of the bytes and the result is
+    immutable, so every router that receives the same frame shares one
+    tuple of PDU objects, and every table that holds a record holds a
+    reference to the one key and the one :class:`VRP` built here.
+    They live as long as this memo or some table refers to them.
+
+    The memo is keyed by content: a corrupted, truncated or
+    garbage-prefixed buffer is a different key and takes the full
+    checking decode, and a raised :class:`RTRProtocolError` is never
+    remembered.  Two threads that miss on the same bytes both decode;
+    either result is correct (as for the cache's encoded-frame caches).
+    """
+    pdus, remainder = decode_stream(buffer)
+    return tuple((pdu, _record(pdu, trust_anchor)) for pdu in pdus), remainder
+
+
+def _record(pdu: PDU, trust_anchor: str) -> Optional[Record]:
+    if not isinstance(pdu, (IPv4PrefixPDU, IPv6PrefixPDU)):
+        return None
+    vrp = pdu.to_vrp(trust_anchor)
+    return (vrp.prefix, vrp.max_length, int(vrp.asn)), vrp
 
 
 class ClientState(enum.Enum):
@@ -88,23 +130,65 @@ class RTRClient:
     # -- event pump --------------------------------------------------------
 
     def poll(self) -> None:
-        """Consume every PDU the cache has queued for us."""
-        self._buffer += self._transport.receive()
+        """Consume every PDU the cache has queued for us.
+
+        An error is fatal to the session (RFC 8210): once in ``ERROR``
+        the client drains its socket and discards what it read.  Only
+        a fresh client (a reconnect, or
+        :meth:`~repro.rtrd.session.SessionManager.revive`) starts over.
+        """
+        data = self._transport.receive()
+        if self.state is ClientState.ERROR:
+            return
+        self._buffer += data
         try:
-            pdus, self._buffer = decode_stream(self._buffer)
+            steps, self._buffer = decode_shared(
+                self._buffer, self._trust_anchor
+            )
         except RTRProtocolError as error:
             self._fail(ErrorCode(error.error_code), str(error))
             return
-        for pdu in pdus:
-            self._handle(pdu)
-            if self.state is ClientState.ERROR:
-                break  # RFC 8210: an error is fatal to the session
-
-    def _handle(self, pdu: PDU) -> None:
         counters = metrics()
+        handled = 0
+        for handled, (pdu, record) in enumerate(steps, 1):
+            self._handle(pdu, record, counters)
+            if self.state is ClientState.ERROR:
+                break
         if counters.enabled:
-            _pdu_counter().labels(type=type(pdu).__name__).inc()
-        if isinstance(pdu, SerialNotifyPDU):
+            by_type = collections.Counter(
+                type(pdu).__name__ for pdu, _record in steps[:handled]
+            )
+            for name, count in by_type.items():
+                counters.counter(
+                    "ripki_rtr_client_pdus_total",
+                    "PDUs handled by the router side, by type",
+                    labelnames=("type",),
+                ).labels(type=name).inc(count)
+
+    def _handle(self, pdu: PDU, record: Optional[Record], counters) -> None:
+        if record is not None:
+            # A prefix PDU: by far the most common, so tested first.
+            pending = self._pending
+            if pending is None:
+                self._fail(
+                    ErrorCode.CORRUPT_DATA, "prefix PDU outside a response"
+                )
+                return
+            key, vrp = record
+            if pdu.flags & FLAG_ANNOUNCE:
+                if key in pending:
+                    self._fail(
+                        ErrorCode.DUPLICATE_ANNOUNCEMENT, f"announce {vrp}"
+                    )
+                    return
+                pending[key] = vrp
+            elif key in pending:
+                del pending[key]
+            else:
+                self._fail(
+                    ErrorCode.WITHDRAWAL_OF_UNKNOWN_RECORD, f"withdraw {vrp}"
+                )
+        elif isinstance(pdu, SerialNotifyPDU):
             # Out-of-band poke: fetch the diff unless already syncing.
             if self.state is ClientState.SYNCING:
                 return
@@ -143,23 +227,6 @@ class RTRClient:
             # a Reset Query starts from scratch (table empty on first
             # sync, and we cleared it when we saw Cache Reset).
             self._pending = dict(self._table)
-        elif isinstance(pdu, (IPv4PrefixPDU, IPv6PrefixPDU)):
-            if self._pending is None:
-                self._fail(
-                    ErrorCode.CORRUPT_DATA, "prefix PDU outside a response"
-                )
-                return
-            vrp = pdu.to_vrp(self._trust_anchor)
-            key = (vrp.prefix, vrp.max_length, int(vrp.asn))
-            if pdu.flags & FLAG_ANNOUNCE:
-                self._pending[key] = vrp
-            elif key in self._pending:
-                del self._pending[key]
-            else:
-                self._fail(
-                    ErrorCode.WITHDRAWAL_OF_UNKNOWN_RECORD, f"withdraw {vrp}"
-                )
-                return
         elif isinstance(pdu, EndOfDataPDU):
             if self._pending is None:
                 self._fail(ErrorCode.CORRUPT_DATA, "End of Data outside response")
@@ -211,6 +278,7 @@ class RTRClient:
     def _fail(self, code: ErrorCode, message: str) -> None:
         self.state = ClientState.ERROR
         self._pending = None
+        self._buffer = b""
         self.last_error = ErrorReportPDU(code, b"", message)
         metrics().counter(
             "ripki_rtr_client_errors_total",

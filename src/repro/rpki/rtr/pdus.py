@@ -63,7 +63,11 @@ class ErrorCode(enum.IntEnum):
 
 
 class PDU:
-    """Base class; subclasses implement ``body()`` and ``session_field``."""
+    """Base class; subclasses implement ``body()`` and ``session_field``.
+
+    Every PDU is immutable, so one decoded object can stand for the
+    same bytes at every receiver.
+    """
 
     pdu_type: PduType
 
@@ -84,7 +88,7 @@ class PDU:
         return header + body
 
 
-@dataclass
+@dataclass(frozen=True)
 class SerialNotifyPDU(PDU):
     """Cache -> router: new data is available."""
 
@@ -99,7 +103,7 @@ class SerialNotifyPDU(PDU):
         return struct.pack("!I", self.serial)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SerialQueryPDU(PDU):
     """Router -> cache: send me the diff since ``serial``."""
 
@@ -114,14 +118,14 @@ class SerialQueryPDU(PDU):
         return struct.pack("!I", self.serial)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ResetQueryPDU(PDU):
     """Router -> cache: send me everything."""
 
     pdu_type = PduType.RESET_QUERY
 
 
-@dataclass
+@dataclass(frozen=True)
 class CacheResponsePDU(PDU):
     """Cache -> router: data follows."""
 
@@ -132,7 +136,7 @@ class CacheResponsePDU(PDU):
         return self.session_id
 
 
-@dataclass
+@dataclass(frozen=True)
 class IPv4PrefixPDU(PDU):
     """One IPv4 VRP, announced or withdrawn."""
 
@@ -157,7 +161,7 @@ class IPv4PrefixPDU(PDU):
         return VRP(self.prefix, self.max_length, self.asn, trust_anchor)
 
 
-@dataclass
+@dataclass(frozen=True)
 class IPv6PrefixPDU(PDU):
     """One IPv6 VRP, announced or withdrawn."""
 
@@ -189,7 +193,7 @@ def prefix_pdu(flags: int, vrp: VRP) -> PDU:
     return IPv6PrefixPDU(flags, vrp.prefix, vrp.max_length, vrp.asn)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EndOfDataPDU(PDU):
     """Cache -> router: transfer complete; includes refresh timers."""
 
@@ -213,14 +217,14 @@ class EndOfDataPDU(PDU):
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class CacheResetPDU(PDU):
     """Cache -> router: I cannot diff from your serial, reset."""
 
     pdu_type = PduType.CACHE_RESET
 
 
-@dataclass
+@dataclass(frozen=True)
 class ErrorReportPDU(PDU):
     """Either direction: a fatal protocol error."""
 
@@ -245,11 +249,12 @@ class ErrorReportPDU(PDU):
 def decode_pdu(data: bytes) -> Tuple[PDU, int]:
     """Decode one PDU from the front of ``data``.
 
-    Returns the PDU and the number of bytes consumed.  Raises
-    :class:`RTRProtocolError` on malformed input; raises
-    ``IncompleteRead`` sentinel via returning ``(None, 0)``?  No —
-    callers must pass at least one whole PDU; use
-    :func:`decode_stream` for buffers.
+    Returns the PDU and the number of bytes consumed (its length
+    field).  ``data`` must hold at least one whole PDU: a short header
+    or a body shorter than the length field raises
+    :class:`RTRProtocolError`, as does any malformed field.  For a
+    receive buffer that may end mid-PDU use :func:`decode_stream`,
+    which keeps the incomplete tail as its remainder.
     """
     if len(data) < HEADER.size:
         raise RTRProtocolError("truncated header", ErrorCode.CORRUPT_DATA)

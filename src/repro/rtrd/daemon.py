@@ -266,28 +266,32 @@ class RTRDaemon:
         router round-trips an empty diff.
         """
         started = self._clock()
-        before_delta, before_snapshot = self._byte_totals()
-        serial_before = self._cache.serial
-        announced, withdrawn = self._cache.load(vrps)
-        stats = PublishStats(
-            serial=self._cache.serial,
-            announced=announced,
-            withdrawn=withdrawn,
-            advanced=self._cache.serial != serial_before,
-        )
-        if stats.advanced:
-            stats.snapshot_frame_bytes = len(self._cache.snapshot_frame())
-            stats.notified = sum(
-                1
-                for session in self._cache.sessions()
-                if session.synchronized
-                and self._cache.notify_session(session)
+        trace = tracer()
+        with trace.span("rtrd.publish"):
+            before_delta, before_snapshot = self._byte_totals()
+            serial_before = self._cache.serial
+            with trace.span("rtrd.cache.load"):  # the diff build
+                announced, withdrawn = self._cache.load(vrps)
+            stats = PublishStats(
+                serial=self._cache.serial,
+                announced=announced,
+                withdrawn=withdrawn,
+                advanced=self._cache.serial != serial_before,
             )
-            stats.rounds = self.pump()
-        after_delta, after_snapshot = self._byte_totals()
-        stats.delta_bytes = after_delta - before_delta
-        stats.snapshot_bytes = after_snapshot - before_snapshot
-        stats.synchronized = len(self._manager.synchronized())
+            if stats.advanced:
+                stats.snapshot_frame_bytes = len(self._cache.snapshot_frame())
+                with trace.span("rtrd.notify"):
+                    stats.notified = sum(
+                        1
+                        for session in self._cache.sessions()
+                        if session.synchronized
+                        and self._cache.notify_session(session)
+                    )
+                stats.rounds = self.pump()
+            after_delta, after_snapshot = self._byte_totals()
+            stats.delta_bytes = after_delta - before_delta
+            stats.snapshot_bytes = after_snapshot - before_snapshot
+            stats.synchronized = len(self._manager.synchronized())
         stats.elapsed_s = self._clock() - started
         self.publishes.append(stats)
         self._record_publish(stats)

@@ -58,3 +58,28 @@ def test_smoke_run_with_metrics(tmp_path):
     announcements = counters.get("ripki_bgp_announcements_total", 0)
     route_trees = counters.get("ripki_bgp_route_trees_total", 0)
     assert 0 < route_trees <= announcements
+
+
+def test_rtr_serve_churn(tmp_path):
+    """Was the ``rtr-serve`` job: a 1000-session churn converges."""
+    summary_path = tmp_path / "rtrd.json"
+    code = main(
+        ["rtrd", "--vrps", "500", "--sessions", "1000", "--rounds", "3",
+         "--workers", "4", "--world-changes", "50",
+         "--json", str(summary_path),
+         "--metrics-out", str(tmp_path / "rtrd.prom")]
+    )
+    assert code == 0
+    summary = json.loads(summary_path.read_text())
+
+    # Every session ended synchronized, none left quarantined after
+    # the final restart pass.
+    assert summary["synchronized"] == 1000
+    assert summary["quarantined"] == 0
+    # The churn run converged bit-identically.
+    churn = summary["churn"]
+    assert churn["converged"] and churn["diverged"] == 0, churn
+    # Diffs were cheaper than re-snapshotting every notified router.
+    assert summary["delta_saving_ratio"] > 1.0, summary
+    # Push-latency quantiles were recorded.
+    assert summary["push_p99_ms"]

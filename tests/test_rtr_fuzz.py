@@ -1,6 +1,6 @@
 """Hypothesis fuzzing of the RTR wire codec and session endpoints.
 
-Three layers of property:
+Four layers of property:
 
 * **round-trip** — for every PDU type in :mod:`repro.rpki.rtr.pdus`,
   ``decode_pdu(pdu.encode())`` reproduces the PDU exactly and
@@ -10,6 +10,10 @@ Three layers of property:
   either decode or raise a *typed* :class:`~repro.errors.ReproError`
   subclass; a raw ``struct.error`` / ``IndexError`` /
   ``UnicodeDecodeError`` escaping the codec is a bug.
+* **shared decode** — the router side's memoised
+  :func:`~repro.rpki.rtr.client.decode_shared` answers exactly as a
+  fresh :func:`decode_stream` does for clean, cut and bit-flipped
+  buffers alike, and never remembers a failure.
 * **session resilience** — endpoints fed garbage through
   :class:`InMemoryTransport` never leak exceptions: the client parks
   in ``ERROR`` (or survives unharmed if the bytes merely buffered),
@@ -24,7 +28,7 @@ from repro.errors import ReproError
 from repro.net import ASN, Address, Prefix
 from repro.net.addr import IPV4, IPV6
 from repro.rpki.rtr import RTRCache, RTRClient, TransportPair
-from repro.rpki.rtr.client import ClientState
+from repro.rpki.rtr.client import FRAME_MEMO_SIZE, ClientState, decode_shared
 from repro.rpki.rtr.errors import RTRProtocolError
 from repro.rpki.rtr.pdus import (
     HEADER,
@@ -188,6 +192,76 @@ class TestHostileBytes:
                 ErrorCode.UNSUPPORTED_VERSION,
                 ErrorCode.CORRUPT_DATA,  # header itself may claim len<8
             )
+
+
+# -- shared decode ------------------------------------------------------------
+
+
+@st.composite
+def damaged_streams(draw):
+    """A valid PDU stream, cut anywhere, with up to three bytes flipped."""
+    stream = draw(st.lists(pdus, min_size=1, max_size=8))
+    whole = b"".join(pdu.encode() for pdu in stream)
+    buffer = bytearray(
+        whole[: draw(st.integers(min_value=0, max_value=len(whole)))]
+    )
+    for _flip in range(draw(st.integers(min_value=0, max_value=3))):
+        if buffer:
+            position = draw(
+                st.integers(min_value=0, max_value=len(buffer) - 1)
+            )
+            buffer[position] ^= draw(st.integers(min_value=1, max_value=255))
+    return bytes(buffer)
+
+
+class TestSharedDecode:
+    @given(buffer=damaged_streams())
+    def test_memoised_decode_equals_a_fresh_decode(self, buffer):
+        try:
+            expected = decode_stream(buffer)
+        except RTRProtocolError as error:
+            expected = error.error_code
+        for _attempt in range(2):  # a miss, then whatever the memo kept
+            try:
+                steps, remainder = decode_shared(buffer, "fuzz")
+            except RTRProtocolError as error:
+                assert error.error_code == expected
+                continue
+            assert ([pdu for pdu, _record in steps], remainder) == expected
+            for pdu, record in steps:
+                if isinstance(pdu, (IPv4PrefixPDU, IPv6PrefixPDU)):
+                    key = (pdu.prefix, pdu.max_length, int(pdu.asn))
+                    assert record == (key, pdu.to_vrp("fuzz"))
+                else:
+                    assert record is None
+
+    def test_a_failure_is_never_remembered(self):
+        decode_shared.cache_clear()
+        corrupt = b"\x01\x02garb\xff\xff\xff\xff"
+        for _attempt in range(2):
+            try:
+                decode_shared(corrupt, "fuzz")
+                assert False, "decoded an implausible length"
+            except RTRProtocolError as error:
+                assert error.error_code == ErrorCode.CORRUPT_DATA
+        info = decode_shared.cache_info()
+        assert (info.hits, info.currsize) == (0, 0)
+        assert info.maxsize == FRAME_MEMO_SIZE
+
+    def test_a_damaged_copy_never_answers_for_the_clean_frame(self):
+        clean = (
+            CacheResponsePDU(7).encode()
+            + IPv4PrefixPDU(1, Prefix.parse("10.0.0.0/16"), 24, ASN(64500))
+            .encode()
+            + EndOfDataPDU(7, 3).encode()
+        )
+        damaged = bytearray(clean)
+        damaged[-25] ^= 0x01  # low byte of the ASN: still decodes
+        for buffer in (clean, bytes(damaged), clean):
+            steps, _rest = decode_shared(buffer, "fuzz")
+            assert [pdu for pdu, _record in steps] == decode_stream(buffer)[0]
+        assert decode_shared(clean, "fuzz")[0][1][0].asn == ASN(64500)
+        assert decode_shared(bytes(damaged), "fuzz")[0][1][0].asn == ASN(64501)
 
 
 # -- session resilience -------------------------------------------------------

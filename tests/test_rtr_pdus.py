@@ -79,6 +79,13 @@ class TestRoundtrips:
         assert isinstance(v6, IPv6PrefixPDU)
         assert v4.to_vrp().prefix == Prefix.parse("10.0.0.0/8")
 
+    def test_pdus_are_immutable(self):
+        # One decoded PDU is shared by every router that got its bytes.
+        pdu, _consumed = decode_pdu(EndOfDataPDU(5, 100).encode())
+        with pytest.raises(AttributeError):
+            pdu.serial = 101
+        assert hash(pdu) == hash(EndOfDataPDU(5, 100))
+
 
 class TestMalformed:
     def test_truncated_header(self):

@@ -202,6 +202,60 @@ class TestErrors:
         client.poll()
         assert client.state is ClientState.ERROR
 
+    def test_error_is_fatal_under_trickled_delivery(self, session):
+        pair, cache, client = session
+        from repro.rpki.rtr.pdus import (
+            FLAG_ANNOUNCE,
+            CacheResponsePDU,
+            EndOfDataPDU,
+            prefix_pdu,
+        )
+
+        record = prefix_pdu(FLAG_ANNOUNCE, vrp("10.0.0.0/16", 16, 1)).encode()
+        pair.cache_side.send(record)
+        client.poll()
+        assert client.state is ClientState.ERROR
+        pair.cache_side.receive()  # the client's own Error Report
+        # A whole valid response, one PDU per poll: a dead session must
+        # not walk back to SYNCHRONISED without ever having asked.
+        for frame in (
+            CacheResponsePDU(9).encode(),
+            record,
+            EndOfDataPDU(9, 5).encode(),
+        ):
+            pair.cache_side.send(frame)
+            client.poll()
+            assert client.state is ClientState.ERROR
+        assert client.serial is None
+        assert len(client) == 0
+        assert pair.router_side.pending() == 0  # drained ...
+        assert pair.cache_side.pending() == 0   # ... and nothing sent
+
+    def test_duplicate_announcement_is_error(self, session):
+        pair, cache, client = session
+        from repro.rpki.rtr.pdus import (
+            FLAG_ANNOUNCE,
+            CacheResponsePDU,
+            EndOfDataPDU,
+            ErrorCode,
+            prefix_pdu,
+        )
+
+        cache.load([vrp("10.0.0.0/16", 16, 1)])
+        client.start()
+        pump(pair, cache, client)
+        assert len(client) == 1
+        # A diff that announces a record the table already holds.
+        pair.cache_side.send(
+            CacheResponsePDU(9).encode()
+            + prefix_pdu(FLAG_ANNOUNCE, vrp("10.0.0.0/16", 16, 1)).encode()
+            + EndOfDataPDU(9, 2).encode()
+        )
+        client.poll()
+        assert client.state is ClientState.ERROR
+        assert client.last_error.error_code is ErrorCode.DUPLICATE_ANNOUNCEMENT
+        assert client.serial == 1 and len(client) == 1  # nothing committed
+
 
 class TestCacheHousekeeping:
     def test_load_returns_diff_counts(self):

@@ -1,12 +1,15 @@
 """Unit tests for the long-lived RTR daemon (repro.rtrd)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro import obs
 from repro.net import ASN, Prefix
 from repro.obs.window import SLOTracker
 from repro.rpki.rtr.cache import SessionState
-from repro.rpki.rtr.client import ClientState
+from repro.rpki.rtr.client import FRAME_MEMO_SIZE, ClientState, decode_shared
 from repro.rpki.vrp import VRP
 from repro.rtrd import (
     PUSH_SLO,
@@ -169,6 +172,111 @@ class TestDispatchEquivalence:
             assert diffs is not None and diffs.value == 8
 
 
+class CorruptingTransport:
+    """A router-side endpoint that flips one byte of what it reads."""
+
+    def __init__(self, transport, position):
+        self._transport = transport
+        self._position = position
+
+    def receive(self):
+        data = bytearray(self._transport.receive())
+        if len(data) > self._position:
+            data[self._position] ^= 0x01
+        return bytes(data)
+
+    def __getattr__(self, attr):
+        return getattr(self._transport, attr)
+
+
+class TestSharedTables:
+    """One decode per distinct frame; tables are references to it."""
+
+    # Byte 0 is the protocol version (fatal); byte 27 is the low byte
+    # of the first record's ASN (decodes, to a different table).
+    @pytest.mark.parametrize(
+        "position, state",
+        [(0, ClientState.ERROR), (27, ClientState.SYNCHRONISED)],
+    )
+    def test_a_poisoned_buffer_never_answers_for_a_clean_one(
+        self, position, state
+    ):
+        decode_shared.cache_clear()
+        daemon = RTRDaemon()
+        daemon.publish(world_slice(20))
+        routers = [daemon.manager.connect() for _ in range(5)]
+        victim = routers[2]  # polled after two siblings, before two
+        victim.client._transport = CorruptingTransport(
+            victim.pair.router_side, position
+        )
+        daemon.pump(routers)
+        assert victim.client.state is state
+        truth = wire_table(daemon.vrps())
+        assert wire_table(victim.client.vrps()) != truth
+        siblings = [r for r in routers if r is not victim]
+        assert all(r.synchronized for r in siblings)
+        assert all(wire_table(r.client.vrps()) == truth for r in siblings)
+
+    def test_serial_tables_share_one_vrp_per_record(self):
+        daemon = RTRDaemon(RtrdConfig(workers=1))
+        daemon.publish(world_slice(30))
+        first, second, third = daemon.connect_many(3)
+        daemon.publish(world_slice(30, start=5))
+        tables = [r.client.vrps() for r in (first, second, third)]
+        assert len(tables[0]) == 30
+        for records in zip(*tables):
+            assert records[1] is records[0] and records[2] is records[0]
+        keys = [list(r.client._table) for r in (first, second, third)]
+        for record_keys in zip(*keys):
+            assert record_keys[1] is record_keys[0] is record_keys[2]
+
+    def test_threaded_tables_share_at_most_one_vrp_per_worker(self):
+        decode_shared.cache_clear()  # let the first decodes race
+        workers = 4
+        daemon = RTRDaemon(RtrdConfig(workers=workers, batch_size=2))
+        daemon.publish(world_slice(30))
+        routers = daemon.connect_many(16)
+        daemon.publish(world_slice(30, start=5))
+        assert not daemon.diverged_routers()
+        for records in zip(*(r.client.vrps() for r in routers)):
+            assert len({id(record) for record in records}) <= workers
+
+    def test_reconnect_churn_leaves_nothing_behind(self):
+        decode_shared.cache_clear()
+        daemon = RTRDaemon()
+        history_limit = daemon.config.history_limit
+        world = SyntheticVRPWorld(60, seed="memo-bound")
+        daemon.publish(world.vrps())
+        daemon.connect_many(6)
+        decoded = []  # a weak reference to every VRP a table ever held
+        for _publish in range(10 * history_limit):
+            world.advance(10)  # mints VRPs no earlier round has seen
+            daemon.publish(world.vrps())
+            for router in daemon.routers():
+                decoded += map(weakref.ref, router.client.vrps())
+                daemon.disconnect(router.name)
+            daemon.connect_many(6)
+        del router  # a disconnected router still holds its last table
+        assert not daemon.diverged_routers()
+        info = decode_shared.cache_info()
+        assert info.misses > FRAME_MEMO_SIZE >= info.currsize
+
+        def alive():
+            gc.collect()
+            return {id(ref()) for ref in decoded if ref() is not None}
+
+        # Only the tables and the memoised frames own a decoded VRP:
+        # let both go and every one of them is collectable.
+        assert len({id(ref) for ref in decoded}) > 2 * FRAME_MEMO_SIZE * len(world)
+        assert len(alive()) <= FRAME_MEMO_SIZE * len(world)
+        decode_shared.cache_clear()
+        assert alive() <= {
+            id(vrp) for r in daemon.routers() for vrp in r.client.vrps()
+        }
+        del daemon
+        assert not alive()
+
+
 class TestTelemetry:
     def test_publish_metrics(self):
         with obs.scope() as (registry, _tracer):
@@ -182,6 +290,26 @@ class TestTelemetry:
             assert outcomes.labels(outcome="noop").value == 1
             pushed = registry.get("ripki_rtrd_push_bytes_total")
             assert pushed.labels(kind="diff").value > 0
+
+    def test_publish_phases_have_spans(self):
+        with obs.scope() as (_registry, trace):
+            daemon = RTRDaemon()
+            daemon.publish(world_slice(5))
+            daemon.connect_many(2)
+            daemon.publish(world_slice(5, start=1))
+            daemon.publish(world_slice(5, start=1))  # no-op: load only
+        publishes = trace.spans("rtrd.publish")
+        assert len(publishes) == 3
+        children = [
+            sorted(
+                span.name
+                for span in trace.spans()
+                if span.parent_id == publish.span_id
+            )
+            for publish in publishes
+        ]
+        phases = ["rtrd.cache.load", "rtrd.notify", "rtrd.pump"]
+        assert children == [phases, phases, ["rtrd.cache.load"]]
 
     def test_slo_and_health_attach(self):
         from repro.obs.http import HealthSource
