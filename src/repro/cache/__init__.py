@@ -4,14 +4,17 @@ The steady-state workload of a production-scale RPKI measurement is
 delta-shaped: between two campaigns most zone records, table-dump rows
 and ROAs are unchanged, so most per-stage work — DNS answers per name
 form, prefix/origin matches per IP address, validation outcomes per
-(prefix, origin) pair — recomputes byte-identical artifacts.  This
-package stores those artifacts keyed by digests of their inputs
-(:mod:`repro.cache.fingerprint`), re-validates them at session open
-(:mod:`repro.cache.session`: whole-input digests fast-path, per-name
-zone fingerprints and a VRP-delta index for precision), and replays
-them through a caching funnel (:mod:`repro.cache.funnel`) whose warm
-measurements — and metric ticks, via captured metric deltas — are
-bit-identical to a cold run's.
+(prefix, origin) pair — recomputes byte-identical artifacts.  The
+funnel (:class:`repro.core.pipeline.Funnel`) already keeps exactly
+those artifacts in memory, one per distinct key; this package is the
+load and save of that memo.  It stores the artifacts keyed by digests
+of their inputs (:mod:`repro.cache.fingerprint`), decodes and
+re-validates them at session open (:mod:`repro.cache.session`:
+whole-input digests fast-path, per-name zone fingerprints and a
+VRP-delta index for precision) and seeds every funnel of the run with
+them.  Each artifact carries the metric delta its computation made,
+so warm measurements — and metric ticks — are bit-identical to a cold
+run's.
 
 Wired in through :class:`repro.core.pipeline.CacheConfig` on a
 :class:`~repro.core.pipeline.RunConfig`; the sharded executor opens
@@ -29,7 +32,6 @@ from repro.cache.fingerprint import (
     vrp_items,
     zone_digest,
 )
-from repro.cache.funnel import CachedFunnel
 from repro.cache.session import CacheSession
 from repro.cache.store import (
     STAGES,
@@ -44,7 +46,6 @@ __all__ = [
     "STAGES",
     "STORE_VERSION",
     "CacheSession",
-    "CachedFunnel",
     "config_fingerprint",
     "dump_digest",
     "input_digests",

@@ -12,7 +12,7 @@ artifact maps — one per stage granularity:
   only, where per-stage splitting would break retry determinism).
 
 Every artifact carries the metric delta its computation produced (the
-:func:`repro.obs.metrics.registry_to_wire` form) so cache hits replay
+:func:`repro.obs.metrics.registry_to_wire` form) so cache hits account
 the exact counter ticks of a recomputation.  Those deltas repeat the
 same few metric descriptors tens of thousands of times, so the store
 interns descriptors into one table on save and expands them on load —
@@ -33,11 +33,10 @@ from typing import Dict, List, Optional, Tuple
 STORE_VERSION = 1
 STORE_FILENAME = "snapshot.json"
 
-# Stage granularities, in the order the funnel runs them.
+# Stage granularities, in the order the funnel runs them.  Every
+# artifact is a list whose last slot is its metric delta; the rest of
+# each stage's layout is repro.cache.session's row codec.
 STAGES: Tuple[str, ...] = ("dns", "prefix", "rpki", "form")
-
-# Index of the metric-delta slot inside each stage's artifact list.
-DELTAS_INDEX: Dict[str, int] = {"dns": 5, "prefix": 3, "rpki": 1, "form": 2}
 
 
 def store_path(directory: str) -> str:
@@ -50,12 +49,11 @@ def _intern_deltas(stages: Dict[str, dict]) -> Tuple[Dict[str, dict], List[list]
     index_of: Dict[tuple, int] = {}
     compact_stages: Dict[str, dict] = {}
     for stage, entries in stages.items():
-        slot = DELTAS_INDEX[stage]
         compact_entries = {}
         for key, entry in entries.items():
             compact = list(entry)
             interned = []
-            for name, kind, help, labelnames, buckets, series in entry[slot]:
+            for name, kind, help, labelnames, buckets, series in entry[-1]:
                 descriptor = (
                     name,
                     kind,
@@ -71,7 +69,7 @@ def _intern_deltas(stages: Dict[str, dict]) -> Tuple[Dict[str, dict], List[list]
                         [name, kind, help, list(labelnames), buckets]
                     )
                 interned.append([index, series])
-            compact[slot] = interned
+            compact[-1] = interned
             compact_entries[key] = compact
         compact_stages[stage] = compact_entries
     return compact_stages, table
@@ -87,16 +85,17 @@ def _expand_deltas(stages: Dict[str, dict], table: List[list]) -> Dict[str, dict
         raise TypeError("stages is not a mapping")
     expanded_stages: Dict[str, dict] = {}
     for stage, entries in stages.items():
-        slot = DELTAS_INDEX[stage]
+        if stage not in STAGES:
+            raise KeyError(f"unknown stage {stage!r}")
         if not isinstance(entries, dict):
             raise TypeError(f"stage {stage!r} is not a mapping")
         expanded_entries = {}
         for key, entry in entries.items():
             expanded = list(entry)
-            rows = entry[slot]
+            rows = entry[-1]
             if set(map(len, rows)) - {2}:
                 raise TypeError(f"{stage} artifact {key!r}: bad delta row")
-            expanded[slot] = [
+            expanded[-1] = [
                 list(table[index]) + [series] for index, series in rows
             ]
             expanded_entries[key] = expanded

@@ -16,13 +16,18 @@ from repro.bgp import TableDump
 from repro.dns import PublicResolver
 from repro.faults import DEFAULT_RETRY_POLICY, FaultPlan, RetryPolicy
 from repro.obs.progress import ProgressEvent, ProgressReporter
-from repro.obs.runtime import metrics, tracer
+from repro.obs.metrics import (
+    MetricsRegistry,
+    registry_from_wire,
+    registry_to_wire,
+)
+from repro.obs.runtime import metrics, thread_scope, tracer
 from repro.rpki import ValidatedPayloads
 from repro.web.alexa import AlexaRanking, Domain
 from repro.core.dns_mapping import measure_name
-from repro.core.prefix_mapping import map_addresses
+from repro.core.prefix_mapping import map_single_address
 from repro.core.records import DomainMeasurement, NameMeasurement
-from repro.core.rpki_validation import validate_pairs
+from repro.core.rpki_validation import validate_single_pair
 
 # Execution backends; repro.exec re-exports this as MODES.
 RUN_MODES: Tuple[str, ...] = ("auto", "serial", "thread", "process", "workers")
@@ -309,34 +314,166 @@ class StudyResult:
         return f"<StudyResult {len(self._measurements)} domains>"
 
 
-def measure_domain(
-    resolver: PublicResolver,
-    table_dump: TableDump,
-    payloads: ValidatedPayloads,
-    domain: Domain,
-) -> DomainMeasurement:
-    """Steps 2-4 for one domain (both name forms).
+class Funnel:
+    """Steps 2-4 that do each distinct thing once.
 
-    Module-level and free of study state so shard workers — including
-    process-pool workers, which need a picklable callable — run the
-    exact code path the serial loop runs.
+    Section 3 is stage-major: resolve the names, map the *set* of
+    addresses, validate the *set* of (prefix, origin) pairs.  A funnel
+    keeps a memo per distinct address (step 3) and per distinct pair
+    (step 4); with a snapshot-cache ``session`` open it also keeps one
+    per name form — the DNS answer on plain runs, the whole
+    fault-injected form on resilient ones (retry decisions follow the
+    sequence of faultable calls, so a fault run never splits a form
+    into stages).  The session seeds the memo (:attr:`memo` starts as
+    a copy of ``session.memo``) and takes back what the funnel
+    computed (:meth:`repro.cache.session.CacheSession.fresh_rows`);
+    degraded forms are never kept.  One funnel serves one
+    :func:`run_funnel` call — a run or a shard — and is dropped with it.
+
+    Metrics stay exact.  A miss runs under a scratch registry when
+    metrics are on or a session will store its delta; the delta is
+    kept as wire rows, one copy per distinct content.  Misses and hits
+    only count uses, and :meth:`finish` merges each delta times its
+    uses, once — so a hit is accounted as ``delta × hits`` per call,
+    never replayed per hit.  Under the null runtime with no session
+    nothing is captured.  Hits and misses
+    by stage key (``prefix``, ``rpki``, ``dns.www``, ``form.plain`` …)
+    are :attr:`hits` / :attr:`misses`; only cache-backed runs report
+    them.
     """
-    www = _measure_form(resolver, table_dump, payloads, domain.www_name)
-    plain = _measure_form(resolver, table_dump, payloads, domain.name)
-    return DomainMeasurement(domain=domain, www=www, plain=plain)
+
+    def __init__(self, study: "MeasurementStudy", config=None, session=None):
+        self._resolver = study.resolver
+        self._dump = study.table_dump
+        self._payloads = study.payloads
+        self._session = session
+        self._inner = (
+            study.resilient_funnel(config)
+            if config is not None and config.resilient
+            else None
+        )
+        self._live = metrics()
+        self._observe = self._live.enabled
+        self._capture = self._observe or session is not None
+        #: Stage -> key -> ``(value, metric delta)``.
+        self.memo: Dict[str, dict] = (
+            {stage: dict(table) for stage, table in session.memo.items()}
+            if session is not None
+            else {"prefix": {}, "rpki": {}}
+        )
+        # Metric deltas by content (most misses tick alike), and the
+        # uses — misses and hits — each delta has to be accounted for.
+        self._deltas: Dict[str, list] = {}
+        self._uses: Dict[int, list] = {}
+        self.hits: Dict[str, int] = {}
+        self.misses: Dict[str, int] = {}
+
+    def measure_domain(self, domain: Domain) -> DomainMeasurement:
+        """Steps 2-4 for one domain (both name forms)."""
+        www = self.measure_form(domain.www_name, "www")
+        plain = self.measure_form(domain.name, "plain")
+        return DomainMeasurement(domain=domain, www=www, plain=plain)
+
+    def measure_form(self, name: str, form: str) -> NameMeasurement:
+        """Steps 2-4 for one name form (``form`` is "www" or "plain")."""
+        if self._inner is not None:
+            return self._measure_resilient(name, form)
+        if self._session is None:
+            measurement = measure_name(self._resolver, name)
+        else:
+            resolved, addresses, excluded, cnames = self._memo(
+                "dns", f"dns.{form}", name, _dns_answer, self._resolver, name
+            )
+            measurement = NameMeasurement(
+                name, resolved, list(addresses), excluded, cname_count=cnames
+            )
+        if measurement.resolved and measurement.addresses:
+            pairs: set = set()
+            with tracer().span("stage.prefix", name=name):
+                for address in measurement.addresses:
+                    mapped, unreachable, as_set = self._memo(
+                        "prefix", "prefix", address,
+                        map_single_address, self._dump, address,
+                    )
+                    pairs.update(mapped)
+                    measurement.unreachable_addresses += unreachable
+                    measurement.as_set_excluded += as_set
+            with tracer().span("stage.rpki"):
+                measurement.pairs = [
+                    self._memo(
+                        "rpki", "rpki", pair,
+                        validate_single_pair, self._payloads, *pair,
+                    )
+                    for pair in sorted(pairs)
+                ]
+        return measurement
+
+    def _measure_resilient(self, name: str, form: str) -> NameMeasurement:
+        if self._session is None:
+            return self._inner.measure_form(name)
+        measurement = self._memo(
+            "form", f"form.{form}", name, self._inner.measure_form, name
+        )
+        if measurement.degraded_stage:
+            # A partial answer, not a reusable one.
+            del self.memo["form"][name]
+        return measurement
+
+    def _memo(self, stage: str, label: str, key, compute, *args):
+        """``compute(*args)`` for ``key``, computed once per funnel."""
+        table = self.memo[stage]
+        entry = table.get(key)
+        if entry is None:
+            self.misses[label] = self.misses.get(label, 0) + 1
+            entry = table[key] = self._compute(compute, *args)
+        else:
+            self.hits[label] = self.hits.get(label, 0) + 1
+        if self._observe:
+            delta = entry[1]
+            use = self._uses.get(id(delta))
+            if use is None:
+                self._uses[id(delta)] = [delta, 1]
+            else:
+                use[1] += 1
+        return entry[0]
+
+    def _compute(self, compute, *args) -> tuple:
+        """``(value, metric delta)``; the delta is wire rows, interned."""
+        if not self._capture:
+            return compute(*args), None
+        scratch = MetricsRegistry()
+        with thread_scope(scratch, tracer()):
+            value = compute(*args)
+        delta = registry_to_wire(scratch)
+        return value, self._deltas.setdefault(repr(delta), delta)
+
+    def finish(self) -> None:
+        """Account every use: each distinct delta times its uses, once."""
+        if not self._observe:
+            return
+        for delta, times in self._uses.values():
+            self._live.merge(registry_from_wire(delta), times=times)
+        if self._session is not None:
+            for metric, counts in (
+                (CACHE_HITS_METRIC, self.hits),
+                (CACHE_MISSES_METRIC, self.misses),
+            ):
+                counter = self._live.counter(
+                    metric, _STAT_HELP[metric], labelnames=("stage",)
+                )
+                for label, count in sorted(counts.items()):
+                    counter.labels(stage=label).inc(count)
 
 
-def _measure_form(
-    resolver: PublicResolver,
-    table_dump: TableDump,
-    payloads: ValidatedPayloads,
-    name: str,
-) -> NameMeasurement:
+def _dns_answer(resolver: PublicResolver, name: str) -> tuple:
+    """Step 2 as the memo keeps it: ``(resolved, addresses, excluded, cnames)``."""
     measurement = measure_name(resolver, name)
-    if measurement.resolved and measurement.addresses:
-        pairs = map_addresses(table_dump, measurement)
-        measurement.pairs = validate_pairs(payloads, pairs)
-    return measurement
+    return (
+        measurement.resolved,
+        tuple(measurement.addresses),
+        measurement.excluded_special,
+        measurement.cname_count,
+    )
 
 
 def accumulate_measurement(
@@ -421,31 +558,17 @@ def run_funnel(
 
     The one per-domain loop: :meth:`MeasurementStudy.run` walks the
     whole ranking through it and every shard worker
-    (:func:`repro.exec.executor.run_shard`) its slice.  A resilient
-    ``config`` (one carrying a fault plan) routes every domain through
-    a fresh :class:`~repro.core.resilience.ResilientFunnel`; a cache
-    ``session`` additionally wraps that in a
-    :class:`~repro.cache.funnel.CachedFunnel`, which serves validated
-    artifacts and collects fresh ones — returned third (stage -> key
-    -> entry; ``None`` on uncached runs).  ``on_domain`` fires after
-    each domain.
+    (:func:`repro.exec.executor.run_shard`) its slice, each through one
+    :class:`Funnel`.  A resilient ``config`` (one carrying a fault
+    plan) measures every form through a
+    :class:`~repro.core.resilience.ResilientFunnel`.  A cache
+    ``session`` seeds the funnel's memo; the rows of what the funnel
+    computed come back third (stage -> key -> row; ``None`` on
+    uncached runs).  ``on_domain`` fires after each domain.
     """
     resilient = config is not None and config.resilient
     cached = session is not None
-    funnel = study.resilient_funnel(config) if resilient else None
-    if cached:
-        from repro.cache.funnel import CachedFunnel
-
-        funnel = CachedFunnel(
-            study.resolver,
-            study.table_dump,
-            study.payloads,
-            session,
-            inner=funnel,
-        )
-    measure = (
-        funnel.measure_domain if funnel is not None else study.measure_domain
-    )
+    funnel = Funnel(study, config, session)
     counters = metrics()
     _register_funnel_counters(counters, resilient=resilient, cached=cached)
     measured = counters.counter(
@@ -455,16 +578,18 @@ def run_funnel(
     measurements: List[DomainMeasurement] = []
     stats = StudyStatistics(domain_count=len(domains))
     for domain in domains:
-        measurement = measure(domain)
+        measurement = funnel.measure_domain(domain)
         measurements.append(measurement)
         accumulate_measurement(stats, measurement)
         measured.inc()
         if on_domain is not None:
             on_domain()
-    if cached:
-        stats.cache_hits_by_stage = dict(funnel.hits)
-        stats.cache_misses_by_stage = dict(funnel.misses)
-    return measurements, stats, funnel.fresh if cached else None
+    funnel.finish()
+    if not cached:
+        return measurements, stats, None
+    stats.cache_hits_by_stage = dict(funnel.hits)
+    stats.cache_misses_by_stage = dict(funnel.misses)
+    return measurements, stats, session.fresh_rows(funnel.memo, study.resolver)
 
 
 def _make_reporter(
@@ -653,8 +778,14 @@ class MeasurementStudy:
 
     def measure_domain(self, domain: Domain) -> DomainMeasurement:
         """Steps 2-4 for one domain (both name forms)."""
-        return measure_domain(self._resolver, self._dump, self._payloads, domain)
+        funnel = Funnel(self)
+        measurement = funnel.measure_domain(domain)
+        funnel.finish()
+        return measurement
 
     def _measure_form(self, name: str) -> NameMeasurement:
         """Steps 2-4 for a single name form (used by ContinuousStudy)."""
-        return _measure_form(self._resolver, self._dump, self._payloads, name)
+        funnel = Funnel(self)
+        measurement = funnel.measure_form(name, "plain")
+        funnel.finish()
+        return measurement

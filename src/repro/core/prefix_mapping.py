@@ -24,8 +24,8 @@ def map_single_address(
     """Step 3 for one address: ``(pairs, unreachable, as_set_excluded)``.
 
     Ticks the stage counters for exactly this address's share of the
-    work, so the snapshot cache can capture the metric delta of one
-    address as its artifact and replay it on a later hit.
+    work, so the funnel's per-address memo can capture one address's
+    metric delta and account it once per hit.
     """
     counters = metrics()
     counters.counter(

@@ -20,9 +20,8 @@ def validate_single_pair(
 ) -> PrefixOriginPair:
     """Step 4 for one (prefix, origin) pair, ticking its outcome counter.
 
-    The per-pair granularity lets the snapshot cache capture the
-    metric delta of one validation as its artifact and replay it on a
-    later hit.
+    The per-pair granularity lets the funnel's per-pair memo capture
+    the metric delta of one validation and account it once per hit.
     """
     pair = PrefixOriginPair(
         prefix=prefix,

@@ -22,6 +22,7 @@ hot paths pay only an attribute call when observability is disabled.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 Number = Union[int, float]
@@ -40,6 +41,9 @@ class MetricError(ValueError):
     """Raised on metric misuse (type clash, bad labels)."""
 
 
+# Memoised: scratch registries (the funnel captures one per distinct
+# address and pair) create the same few instruments over and over.
+@lru_cache(maxsize=256)
 def _check_name(name: str) -> str:
     if not name or not all(c.isalnum() or c in "_:" for c in name):
         raise MetricError(f"invalid metric name {name!r}")
@@ -107,8 +111,8 @@ class Counter(_Metric):
             raise MetricError(f"counter {self.name} cannot decrease")
         self._value += amount
 
-    def _absorb(self, other: "Counter") -> None:
-        self._value += other._value
+    def _absorb(self, other: "Counter", times: int = 1) -> None:
+        self._value += other._value * times
 
     @property
     def value(self) -> Number:
@@ -131,11 +135,11 @@ class Gauge(_Metric):
         self._require_leaf()
         self._value += amount
 
-    def _absorb(self, other: "Gauge") -> None:
+    def _absorb(self, other: "Gauge", times: int = 1) -> None:
         # Gauges merge additively: shard-local table sizes / depths
         # sum to the whole; point-in-time gauges should be set after
         # the merge by whoever owns them.
-        self._value += other._value
+        self._value += other._value * times
 
     @property
     def value(self) -> Number:
@@ -182,16 +186,16 @@ class Histogram(_Metric):
                 return
         self._counts[-1] += 1
 
-    def _absorb(self, other: "Histogram") -> None:
+    def _absorb(self, other: "Histogram", times: int = 1) -> None:
         if other.buckets != self.buckets:
             raise MetricError(
                 f"histogram {self.name} bucket mismatch: "
                 f"{other.buckets} != {self.buckets}"
             )
         for index, count in enumerate(other._counts):
-            self._counts[index] += count
-        self._sum += other._sum
-        self._count += other._count
+            self._counts[index] += count * times
+        self._sum += other._sum * times
+        self._count += other._count * times
 
     @property
     def count(self) -> int:
@@ -301,15 +305,20 @@ class MetricsRegistry:
 
     # -- merging -----------------------------------------------------------
 
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
+    def merge(
+        self, other: "MetricsRegistry", times: int = 1
+    ) -> "MetricsRegistry":
         """Fold every series of ``other`` into this registry.
 
         Counters and gauges add their values, histograms add their
         bucket counts/sums; series present only in ``other`` are
         created (including zero-valued ones, so pre-registered funnel
-        series survive the merge).  A name registered with a
-        different kind, label set, or bucket layout raises
-        :class:`MetricError`.  Returns ``self`` so merges chain.
+        series survive the merge).  ``times`` folds ``other`` in that
+        many times over in one pass — exactly ``times`` separate merges
+        for integer-valued series, which is every series a funnel
+        stage ticks.  A name registered with a different kind, label
+        set, or bucket layout raises :class:`MetricError`.  Returns
+        ``self`` so merges chain.
         """
         for name in other.names():
             theirs = other.get(name)
@@ -329,7 +338,7 @@ class MetricsRegistry:
                 target = mine
                 if theirs.labelnames:
                     target = mine.labels(**dict(zip(theirs.labelnames, key)))
-                target._absorb(child)
+                target._absorb(child, times)
         return self
 
     # -- exposition --------------------------------------------------------

@@ -9,8 +9,9 @@ The load-bearing guarantees under test:
 * a single changed ROA invalidates exactly the (prefix, origin)
   artifacts its prefix covers, never the DNS layer;
 * degraded forms are never written to the store;
-* the store is a cache, not a source of truth: version mismatches and
-  corruption load as a cold start, never an error.
+* the store is a cache, not a source of truth: version mismatches,
+  corruption and rows that fail their checking constructor load as a
+  cold start, never an error.
 """
 
 import dataclasses
@@ -219,6 +220,9 @@ class TestWarmRuns:
     @pytest.mark.parametrize("damage", [
         "truncated", "wrong-version", "stages-not-a-mapping",
         "delta-row-not-a-pair",
+        # Rows that parse but fail a checking constructor at open.
+        "rpki-key-not-a-pair-under-vrp-drift", "prefix-row-with-host-bits",
+        "unknown-verdict", "short-vrp-set-row",
     ])
     def test_unusable_store_runs_cold_and_is_replaced(
         self, study, tmp_path, damage
@@ -229,20 +233,36 @@ class TestWarmRuns:
         with open(path) as handle:
             text = handle.read()
         payload = json.loads(text)
+        stages = payload["stages"]
         if damage == "wrong-version":
             payload["version"] = STORE_VERSION + 1
         elif damage == "stages-not-a-mapping":
-            payload["stages"] = list(payload["stages"])
+            payload["stages"] = list(stages)
         elif damage == "delta-row-not-a-pair":
-            entry = next(iter(payload["stages"]["dns"].values()))
+            entry = next(iter(stages["dns"].values()))
             entry[5][0] = entry[5][0] + ["extra"]
+        elif damage == "rpki-key-not-a-pair-under-vrp-drift":
+            stages["rpki"]["x:y"] = next(iter(stages["rpki"].values()))
+            payload["digests"]["vrps"] = "drifted"
+        elif damage == "prefix-row-with-host-bits":
+            pairs = next(row[0] for row in stages["prefix"].values() if row[0])
+            family, value, length, origin = pairs[0]
+            assert length < 32
+            pairs[0] = [family, value | 1, length, origin]
+        elif damage == "unknown-verdict":
+            next(iter(stages["rpki"].values()))[0] = "bogus"
+        elif damage == "short-vrp-set-row":
+            payload["vrp_set"][0] = payload["vrp_set"][0][:2]
+            payload["digests"]["vrps"] = "drifted"
         damaged = (
             text[: len(text) // 2] if damage == "truncated"
             else json.dumps(payload)
         )
         with open(path, "w") as handle:
             handle.write(damaged)
-        assert load_store(str(tmp_path)) is None
+        if load_store(str(tmp_path)) is not None:
+            session = CacheSession.open(str(tmp_path), study, config)
+            assert not any(session.memo.values())
 
         reference = study.run()
         rerun = study.run(config=config)
@@ -251,6 +271,8 @@ class TestWarmRuns:
         misses = rerun.statistics.cache_misses_by_stage
         assert misses["dns.www"] == misses["dns.plain"] == len(study.ranking)
         assert load_store(str(tmp_path)) is not None
+        warm = study.run(config=config)
+        assert warm.statistics.cache_misses_by_stage == {}
 
     def test_unobserved_cold_run_still_feeds_observed_warm_run(
         self, study, tmp_path
@@ -383,8 +405,8 @@ class TestSessionObject:
         study.run(config=config)
         session = CacheSession.open(str(tmp_path), study, config)
         for domain in study.ranking:
-            assert session.get("dns", domain.www_name) is not None
-            assert session.get("dns", domain.name) is not None
+            assert domain.www_name in session.memo["dns"]
+            assert domain.name in session.memo["dns"]
         assert session.invalidated == {}
 
     def test_record_invalidation_ticks_registry(self, study, tmp_path):

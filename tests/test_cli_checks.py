@@ -83,3 +83,53 @@ def test_rtr_serve_churn(tmp_path):
     assert summary["delta_saving_ratio"] > 1.0, summary
     # Push-latency quantiles were recorded.
     assert summary["push_p99_ms"]
+
+
+def _run_args(*extra):
+    return ["run", "--domains", "2000", "--seed", "2015", *extra]
+
+
+def _family_total(counters, family):
+    return sum(
+        value for name, value in counters.items() if name.startswith(family)
+    )
+
+
+def test_cache_cold_then_warm(tmp_path):
+    """Was the ``cache`` job: a warm run recomputes nothing, ticks the same."""
+    cache_dir = str(tmp_path / "snap")
+    cold_path, warm_path = tmp_path / "cold.prom", tmp_path / "warm.prom"
+    for path in (cold_path, warm_path):
+        code = main(_run_args(
+            "--cache-dir", cache_dir, "--metrics-out", str(path)
+        ))
+        assert code == 0
+    cold, warm = read_counters(cold_path), read_counters(warm_path)
+    assert _family_total(warm, "ripki_cache_hits_total") > 0
+    assert _family_total(warm, "ripki_cache_misses_total") == 0
+
+    def strip_cache(counters):
+        return {
+            name: value for name, value in counters.items()
+            if not name.startswith("ripki_cache_")
+        }
+
+    assert strip_cache(warm) == strip_cache(cold)
+
+
+def test_fault_profile_accounts_degradation(tmp_path):
+    """Was the ``faults`` job (and ``parallel``'s flags): a 4-worker
+    fault-injected run records its degradation, retries and faults."""
+    metrics_path = tmp_path / "faults.prom"
+    code = main(_run_args(
+        "--fault-profile", "flaky", "--workers", "4",
+        "--progress", "--figure", "table1",
+        "--metrics-out", str(metrics_path),
+    ))
+    assert code == 0
+    counters = read_counters(metrics_path)
+    for name in ("ripki_degraded_domains_total", "ripki_retries_total"):
+        assert counters.get(name), f"resilience counter {name} missing or zero"
+    assert _family_total(counters, "ripki_faults_injected_total"), (
+        "no injected faults recorded"
+    )

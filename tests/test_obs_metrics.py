@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
@@ -266,3 +268,43 @@ class TestMerge:
         forward = merge_registries(shards).snapshot()
         backward = merge_registries(list(reversed(shards))).snapshot()
         assert forward == backward
+
+
+# One funnel-shaped delta: a counter, a labelled counter and a
+# histogram, all integer-valued like every series a stage ticks.
+_deltas = st.fixed_dictionaries({
+    "counter": st.integers(0, 10**6),
+    "labelled": st.dictionaries(
+        st.sampled_from(["valid", "invalid", "not_found"]),
+        st.integers(0, 1000),
+        max_size=3,
+    ),
+    "observed": st.lists(st.integers(0, 10), max_size=6),
+})
+
+
+def _delta_registry(delta):
+    registry = MetricsRegistry()
+    registry.counter("ripki_lookups_total", "help").inc(delta["counter"])
+    labelled = registry.counter(
+        "ripki_validations_total", "help", labelnames=("state",)
+    )
+    for state, count in delta["labelled"].items():
+        labelled.labels(state=state).inc(count)
+    histogram = registry.histogram("ripki_hops", "help", buckets=(1, 2, 4))
+    for value in delta["observed"]:
+        histogram.observe(value)
+    return registry
+
+
+class TestMergeTimes:
+    """``merge(d, times=k)`` is k merges of ``d`` in one pass."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(base=_deltas, delta=_deltas, times=st.integers(1, 50))
+    def test_renders_like_repeated_merges(self, base, delta, times):
+        once = _delta_registry(base).merge(_delta_registry(delta), times=times)
+        repeated = _delta_registry(base)
+        for _ in range(times):
+            repeated.merge(_delta_registry(delta))
+        assert once.render_prometheus() == repeated.render_prometheus()
