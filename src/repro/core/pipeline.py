@@ -298,12 +298,6 @@ class StudyResult:
         """Measurements ordered by rank (rank 1 first)."""
         return sorted(self._measurements, key=lambda m: m.rank)
 
-    def rank_slice(self, first: int, last: int) -> List[DomainMeasurement]:
-        """Measurements with ``first <= rank <= last``, rank-ordered."""
-        if first > last:
-            raise ValueError(f"empty rank slice [{first}, {last}]")
-        return [m for m in self.by_rank() if first <= m.rank <= last]
-
     def lookup(self, name: str) -> Optional[DomainMeasurement]:
         return self._by_name.get(name)
 

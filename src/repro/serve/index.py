@@ -15,6 +15,11 @@ types of the serving layer:
 * :meth:`rank_slice` — aggregate exposure statistics over a rank
   window of the Alexa list.
 
+``rank_slice`` never reads a measurement at query time: the build
+freezes per-rank cumulative counters (one ``array`` column per
+counter and per RFC 6811 state), so a window is two bisects over the
+sorted ranks and one subtraction per column.
+
 Answers are snapshots of the index's state at build time; the index
 is never mutated after construction, which is what makes it safe to
 hammer from a thread pool without locks.  Staleness is a property of
@@ -26,6 +31,8 @@ current inputs.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -38,6 +45,18 @@ from repro.rpki.vrp import OriginValidation, VRP, ValidatedPayloads
 # How the index was populated, recorded for reports.
 SOURCE_STUDY = "study"
 SOURCE_CACHE = "cache"
+
+# The prefix-sum columns behind rank_slice: its counters in
+# RankSliceAnswer field order, then one column per RFC 6811 state in
+# value order (the order RankSliceAnswer.verdicts lists them).
+_COUNTERS = (
+    "usable", "rpki_enabled", "fully_covered", "degraded",
+    "pairs", "covered_pairs",
+)
+_STATES = tuple(sorted(OriginValidation, key=lambda state: state.value))
+_STATE_COLUMN = {
+    state: len(_COUNTERS) + i for i, state in enumerate(_STATES)
+}
 
 
 @dataclass(frozen=True)
@@ -134,6 +153,8 @@ class ServingIndex:
         self._by_name: Dict[str, DomainMeasurement] = {
             m.domain.name: m for m in self._measurements
         }
+        self._ranks = array("q", (m.rank for m in self._measurements))
+        self._sums = _prefix_sums(self._measurements)
         self._route_count = route_count
         self.digests: Dict[str, str] = dict(digests or {})
         self.source = source
@@ -276,39 +297,19 @@ class ServingIndex:
         """Aggregate exposure over ranks ``first..last`` (inclusive)."""
         if first > last:
             raise ValueError(f"empty rank slice [{first}, {last}]")
-        usable = rpki_enabled = fully_covered = degraded = 0
-        pairs = covered_pairs = 0
-        verdicts: Dict[str, int] = {}
-        window = [
-            m for m in self._measurements if first <= m.rank <= last
-        ]
-        for measurement in window:
-            if measurement.usable:
-                usable += 1
-            if measurement.rpki_enabled:
-                rpki_enabled += 1
-            if measurement.degraded:
-                degraded += 1
-            combined = measurement.combined_pairs()
-            if combined and all(pair.covered for pair in combined):
-                fully_covered += 1
-            for pair in combined:
-                pairs += 1
-                if pair.covered:
-                    covered_pairs += 1
-                key = pair.state.value
-                verdicts[key] = verdicts.get(key, 0) + 1
+        lo = bisect_left(self._ranks, first)
+        hi = bisect_right(self._ranks, last)
+        counts = [column[hi] - column[lo] for column in self._sums]
         return RankSliceAnswer(
             first=first,
             last=last,
-            domains=len(window),
-            usable=usable,
-            rpki_enabled=rpki_enabled,
-            fully_covered=fully_covered,
-            degraded=degraded,
-            pairs=pairs,
-            covered_pairs=covered_pairs,
-            verdicts=tuple(sorted(verdicts.items())),
+            domains=hi - lo,
+            **dict(zip(_COUNTERS, counts)),
+            verdicts=tuple(
+                (state.value, count)
+                for state, count in zip(_STATES, counts[len(_COUNTERS):])
+                if count
+            ),
         )
 
     # -- introspection -------------------------------------------------------
@@ -338,3 +339,35 @@ class ServingIndex:
             f"<ServingIndex {len(self)} domains, {self.vrp_count} VRPs, "
             f"{self.route_count} routes, source={self.source}>"
         )
+
+
+def _prefix_sums(
+    measurements: Tuple[DomainMeasurement, ...],
+) -> Tuple[array, ...]:
+    """Running totals of every rank_slice column over ``measurements``.
+
+    Each column has ``len(measurements) + 1`` entries and entry ``i``
+    sums records ``[0, i)``, so records ``[lo, hi)`` sum to
+    ``column[hi] - column[lo]``.  ``combined_pairs()`` runs once per
+    record, here, and never at query time.
+    """
+    width = len(_COUNTERS) + len(_STATES)
+    columns = tuple(array("q", [0]) for _ in range(width))
+    totals = [0] * width
+    for measurement in measurements:
+        combined = measurement.combined_pairs()
+        covered = sum(1 for pair in combined if pair.covered)
+        row = [
+            measurement.usable,
+            measurement.rpki_enabled,
+            bool(combined) and covered == len(combined),
+            measurement.degraded,
+            len(combined),
+            covered,
+        ] + [0] * len(_STATES)
+        for pair in combined:
+            row[_STATE_COLUMN[pair.state]] += 1
+        for i, value in enumerate(row):
+            totals[i] += value
+            columns[i].append(totals[i])
+    return columns

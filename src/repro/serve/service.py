@@ -372,8 +372,8 @@ def summarize_responses(
 ) -> Dict[str, object]:
     """JSON-ready latency/verdict summary of one dispatched run.
 
-    The CLI's closing table, its ``--json`` payload and the CI smoke
-    checks all consume this one shape.  Quantiles
+    The CLI's closing table, its ``--json`` payload and the golden
+    checks on that payload all consume this one shape.  Quantiles
     are bucket-estimated (see :func:`_kind_summary`), matching the
     live Prometheus series bucket for bucket.
     """

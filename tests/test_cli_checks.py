@@ -133,3 +133,29 @@ def test_fault_profile_accounts_degradation(tmp_path):
     assert _family_total(counters, "ripki_faults_injected_total"), (
         "no injected faults recorded"
     )
+
+
+def test_serve_loadgen_matches_golden(tmp_path):
+    """Was the ``serve`` job: a flaky 4-worker load keeps the golden
+    verdict histogram and accounts its degradation."""
+    summary_path, metrics_path = tmp_path / "serve.json", tmp_path / "serve.prom"
+    code = main(
+        ["serve", "--domains", "400", "--seed", "2015", "--queries", "2000",
+         "--workers", "4", "--fault-profile", "flaky",
+         "--json", str(summary_path), "--metrics-out", str(metrics_path)]
+    )
+    assert code == 0
+    summary = json.loads(summary_path.read_text())
+    golden = json.loads(
+        (Path(__file__).parent / "goldens" / "serve_summary.json").read_text()
+    )
+
+    assert summary["qps"] > 0
+    for kind, entry in summary["by_kind"].items():
+        assert 0 < entry["p99_ms"] < 1000, (kind, entry)
+    assert summary["verdicts"] == golden["verdicts"]
+    assert summary["degraded"] == golden["flaky_degraded"]
+    degraded = _family_total(
+        read_counters(metrics_path), "ripki_serve_degraded_total"
+    )
+    assert degraded == sum(summary["degraded"].values())

@@ -23,9 +23,10 @@ import json
 import pytest
 
 from repro.core import MeasurementStudy
+from repro.core.records import DomainMeasurement
 from repro.crypto.rng import DeterministicRNG
 from repro.exec.codec import encode_measurements
-from repro.net import ASN, Address, Prefix
+from repro.net import ASN, Address, Prefix, PrefixTrie
 from repro.net.addr import IPV4
 from repro.rpki.vrp import OriginValidation
 from repro.serve import (
@@ -359,6 +360,68 @@ class TestRankSliceDifferential:
         full = index.rank_slice(1, index.max_rank)
         assert full.domains == len(by_rank)
         assert full.usable == sum(1 for m in by_rank if m.usable)
+
+    def test_non_contiguous_ranks(self, frozen):
+        """Every third record: windows that start, end or sit in a gap.
+
+        The full index's ranks are contiguous, so a bisect that is off
+        by one at a gap would still pass the stream above.
+        """
+        study, result, _index = frozen
+        sparse = result.by_rank()[1::3]
+        index = ServingIndex(study.payloads, PrefixTrie(), sparse)
+        ranks = [m.rank for m in sparse]
+        low, high = ranks[0], ranks[-1]
+        assert low > 1, "no window can fall wholly before the first rank"
+        windows = [
+            (0, low), (-7, low + 10), (-3, 0),         # first <= 0
+            (high - 10, high + 50), (high, 10**9),     # last > max_rank
+            (1, low - 1), (-5, low - 1),               # wholly before
+            (high + 1, high + 1), (high + 1, 10**9),   # wholly after
+            (low, high), (-(10**9), 10**9),            # the whole list
+        ]
+        for rank in ranks[::7]:
+            windows += [
+                (rank, rank),                  # a present rank
+                (rank + 1, rank + 1),          # a gap
+                (rank + 1, rank + 2),          # a window inside a gap
+                (rank - 1, rank + 1),          # gap, rank, gap
+                (rank + 1, rank + 9),          # starts and ends in gaps
+            ]
+        rng = DeterministicRNG(SEED).fork("diff.rank_slice.sparse")
+        for _ in range(500):
+            first = rng.randint(-5, high + 5)
+            windows.append((first, first + rng.randint(0, 60)))
+        queries = [Query.rank_slice(first, last) for first, last in windows]
+        for response in run_both_backends(index, queries):
+            key = (response.query.first, response.query.last)
+            assert response.answer == self.aggregate(sparse, *key), key
+        assert index.rank_slice(low, high).domains == len(sparse)
+        assert index.rank_slice(high + 1, 10**9).domains == 0
+
+    def test_queries_read_no_measurement(self, frozen, monkeypatch):
+        """The no-scan property: answers come from build-time sums."""
+        _study, result, index = frozen
+        rng = DeterministicRNG(SEED).fork("diff.rank_slice.cost")
+        queries = rank_slice_queries(rng, index)[:1_000]
+        by_rank = result.by_rank()
+        expected = [
+            self.aggregate(by_rank, query.first, query.last)
+            for query in queries
+        ]
+        calls = []
+        combined_pairs = DomainMeasurement.combined_pairs
+
+        def counted(measurement):
+            calls.append(measurement)
+            return combined_pairs(measurement)
+
+        monkeypatch.setattr(DomainMeasurement, "combined_pairs", counted)
+        answers = [
+            index.rank_slice(query.first, query.last) for query in queries
+        ]
+        assert calls == []
+        assert answers == expected
 
     @staticmethod
     def aggregate(measurements, first, last):

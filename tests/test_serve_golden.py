@@ -3,7 +3,8 @@
 One world (400 domains, seed 2015), one generated load (2,000
 queries, seed 2015, Zipf 1.1) — the deterministic parts of the run
 summary (query mix, verdict histogram, fault-degradation counts) are
-pinned in ``tests/goldens/serve_summary.json``.  The CI serve job
+pinned in ``tests/goldens/serve_summary.json``.
+``tests/test_cli_checks.py::test_serve_loadgen_matches_golden``
 replays the same parameters through the CLI and checks its ``--json``
 output against the same file, so a drift in the load generator, the
 index, or the fault schedule fails both here and there.
