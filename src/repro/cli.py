@@ -147,7 +147,8 @@ def _dispatch_parent() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("dispatch")
     group.add_argument("--workers", type=_positive_int, default=1,
-                       help="dispatch thread count (1 = serial)")
+                       help="dispatch thread count (1 = serial); rtrd "
+                            "uses it only with --rtrd-mode thread")
     group.add_argument("--batch-size", type=_positive_int, default=None,
                        help="items per dispatch batch "
                             "(default: scaled to workers)")
@@ -298,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "(older routers get a Cache Reset)")
     rtrd.add_argument("--rtrd-mode", choices=["auto", "serial", "thread"],
                       default="auto",
-                      help="dispatch backend (auto: thread pool when "
-                           "--workers > 1)")
+                      help="dispatch backend (auto: pump inline on "
+                           "one thread; thread: a --workers pool)")
     rtrd.add_argument("--json", metavar="FILE", default=None,
                       help="write the run summary as JSON to FILE")
 

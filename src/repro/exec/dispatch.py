@@ -69,7 +69,8 @@ def resolve_mode(mode: str, workers: int, parallel: str = "thread") -> str:
 
     ``parallel`` is the backend ``auto`` means when ``workers > 1``
     (``process`` for the CPU-bound study and ROV paths, ``thread`` for
-    the shared-state serve and RTR paths); explicit modes pass through.
+    the serve path, ``serial`` for rtrd's pumps); explicit modes pass
+    through.
     """
     if mode not in RUN_MODES:
         raise ValueError(f"mode must be one of {RUN_MODES}, got {mode!r}")

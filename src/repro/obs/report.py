@@ -159,12 +159,15 @@ def rtrd_report(summary: Mapping[str, object]) -> str:
     :func:`repro.rtrd.daemon.summarize_publishes` (same rationale as
     :func:`serve_report`: this module takes values, not daemons).
     """
-    sessions = TextTable(["sessions", "synchronized", "quarantined", "serial"])
+    sessions = TextTable(
+        ["sessions", "synchronized", "quarantined", "serial", "dispatch"]
+    )
     sessions.add_row(
         summary.get("sessions", 0),
         summary.get("synchronized", 0),
         summary.get("quarantined", 0),
         summary.get("serial", 0),
+        summary.get("mode", "serial"),
     )
     pushes = TextTable(
         ["publishes", "advanced", "no-op", "p50 ms", "p99 ms"]

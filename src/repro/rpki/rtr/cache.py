@@ -42,9 +42,14 @@ from repro.rpki.rtr.pdus import (
     decode_stream,
     prefix_pdu,
 )
+from repro.net.addr import IPV4
 from repro.obs.runtime import metrics
 from repro.rpki.rtr.transport import InMemoryTransport
 from repro.rpki.vrp import VRP
+
+# Encoded sizes (RFC 8210, version 1) of a snapshot response's parts:
+# Cache Response, IPv4 Prefix, IPv6 Prefix, End of Data.
+_RESPONSE_BYTES, _IPV4_BYTES, _IPV6_BYTES, _END_OF_DATA_BYTES = 8, 20, 32, 24
 
 
 def _vrp_key(vrp: VRP) -> Tuple:
@@ -432,6 +437,19 @@ class RTRCache:
             ).encode()
             self._snapshot_frame = bytes(out)
         return self._snapshot_frame
+
+    def snapshot_frame_size(self) -> int:
+        """``len(self.snapshot_frame())``, counted instead of encoded."""
+        ipv4 = sum(
+            1 for vrp in self._current.values() if vrp.prefix.family == IPV4
+        )
+        ipv6 = len(self._current) - ipv4
+        return (
+            _RESPONSE_BYTES
+            + _IPV4_BYTES * ipv4
+            + _IPV6_BYTES * ipv6
+            + _END_OF_DATA_BYTES
+        )
 
     def diff_frame(self, since: int) -> bytes:
         """The incremental response from ``since``, encoded once."""

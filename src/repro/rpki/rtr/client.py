@@ -8,7 +8,9 @@ RFC 6811 origin validation directly against it.
 
 One cache feeds many routers the same bytes, so what depends only on
 the bytes is done once (:func:`decode_shared`) and what depends on the
-session — the RFC 8210 state machine — is done per router.
+session — the RFC 8210 state machine — is done per router.  A run of
+prefix PDUs that provably cannot fail against a router's open response
+is one table update, not one state-machine step per PDU.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import collections
 import enum
 import functools
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from repro.rpki.rtr.errors import RTRProtocolError
 from repro.rpki.rtr.pdus import (
@@ -52,14 +54,36 @@ Record = Tuple[Tuple, VRP]
 Step = Tuple[PDU, Optional[Record]]
 
 
+class Run(NamedTuple):
+    """Consecutive prefix PDUs of one frame with pairwise distinct keys.
+
+    Ends at ``stop`` (a step index; the run's start is its key in
+    :attr:`Frame.runs`).  ``announce`` maps each announced key to its
+    VRP in PDU order, ``withdraw`` holds the withdrawn keys.  Built
+    once per distinct frame and shared by every router: read, never
+    mutated.
+    """
+
+    stop: int
+    announce: Dict[Tuple, VRP]
+    withdraw: FrozenSet[Tuple]
+
+
+class Frame(NamedTuple):
+    """One decoded receive buffer, as every router that reads it sees it."""
+
+    steps: Tuple[Step, ...]
+    runs: Dict[int, Run]    # by the index of the run's first step
+    remainder: bytes
+
+
 @functools.lru_cache(maxsize=FRAME_MEMO_SIZE)
-def decode_shared(
-    buffer: bytes, trust_anchor: str
-) -> Tuple[Tuple[Step, ...], bytes]:
+def decode_shared(buffer: bytes, trust_anchor: str) -> Frame:
     """:func:`decode_stream`, once per distinct byte string.
 
     Returns every complete PDU in ``buffer`` paired with its table
-    entry (``None`` unless it is a prefix PDU), and the remainder.
+    entry (``None`` unless it is a prefix PDU), the runs those prefix
+    PDUs group into, and the remainder.
     Decoding is a pure function of the bytes and the result is
     immutable, so every router that receives the same frame shares one
     tuple of PDU objects, and every table that holds a record holds a
@@ -73,7 +97,34 @@ def decode_shared(
     either result is correct (as for the cache's encoded-frame caches).
     """
     pdus, remainder = decode_stream(buffer)
-    return tuple((pdu, _record(pdu, trust_anchor)) for pdu in pdus), remainder
+    steps = tuple((pdu, _record(pdu, trust_anchor)) for pdu in pdus)
+    return Frame(steps, _runs(steps), remainder)
+
+
+def _runs(steps: Tuple[Step, ...]) -> Dict[int, Run]:
+    """Cut the prefix PDUs into maximal runs of pairwise distinct keys.
+
+    A non-prefix PDU ends a run; so does a key the run already holds,
+    which starts the next one.
+    """
+    runs: Dict[int, Run] = {}
+    start, announce, withdraw = 0, {}, set()
+    # The trailing non-prefix step closes the last run.
+    for index, (pdu, record) in enumerate(steps + ((None, None),)):
+        key = None if record is None else record[0]
+        if record is None or key in announce or key in withdraw:
+            if announce or withdraw:
+                runs[start] = Run(index, announce, frozenset(withdraw))
+                announce, withdraw = {}, set()
+            if record is None:
+                continue
+        if not announce and not withdraw:
+            start = index
+        if pdu.flags & FLAG_ANNOUNCE:
+            announce[key] = record[1]
+        else:
+            withdraw.add(key)
+    return runs
 
 
 def _record(pdu: PDU, trust_anchor: str) -> Optional[Record]:
@@ -136,13 +187,18 @@ class RTRClient:
         the client drains its socket and discards what it read.  Only
         a fresh client (a reconnect, or
         :meth:`~repro.rtrd.session.SessionManager.revive`) starts over.
+
+        A run of prefix PDUs is applied in one step when it cannot
+        fail (:meth:`_apply`); otherwise it goes through :meth:`_handle`
+        one PDU at a time from its first, so errors, state and
+        counters are those of the per-PDU walk either way.
         """
         data = self._transport.receive()
         if self.state is ClientState.ERROR:
             return
         self._buffer += data
         try:
-            steps, self._buffer = decode_shared(
+            steps, runs, self._buffer = decode_shared(
                 self._buffer, self._trust_anchor
             )
         except RTRProtocolError as error:
@@ -150,10 +206,14 @@ class RTRClient:
             return
         counters = metrics()
         handled = 0
-        for handled, (pdu, record) in enumerate(steps, 1):
-            self._handle(pdu, record, counters)
-            if self.state is ClientState.ERROR:
-                break
+        while handled < len(steps) and self.state is not ClientState.ERROR:
+            run = runs.get(handled)
+            if run is not None and self._apply(run):
+                handled = run.stop
+            else:
+                pdu, record = steps[handled]
+                self._handle(pdu, record, counters)
+                handled += 1
         if counters.enabled:
             by_type = collections.Counter(
                 type(pdu).__name__ for pdu, _record in steps[:handled]
@@ -164,6 +224,27 @@ class RTRClient:
                     "PDUs handled by the router side, by type",
                     labelnames=("type",),
                 ).labels(type=name).inc(count)
+
+    def _apply(self, run: Run) -> bool:
+        """Apply a whole run to the open response; False if it might fail.
+
+        Its keys are pairwise distinct, so when no announced key is
+        pending yet and every withdrawn one is, each PDU would succeed
+        and the result (dict order included) is this update.  The
+        disjointness test iterates the smaller side, so a diff costs
+        its own size, not the table's.
+        """
+        pending = self._pending
+        if (
+            pending is None
+            or not pending.keys().isdisjoint(run.announce.keys())
+            or not run.withdraw <= pending.keys()
+        ):
+            return False
+        pending.update(run.announce)
+        for key in run.withdraw:
+            del pending[key]
+        return True
 
     def _handle(self, pdu: PDU, record: Optional[Record], counters) -> None:
         if record is not None:
@@ -226,7 +307,9 @@ class RTRClient:
             # Diffs apply on top of the current table; a response after
             # a Reset Query starts from scratch (table empty on first
             # sync, and we cleared it when we saw Cache Reset).
-            self._pending = dict(self._table)
+            # ``copy()`` clones the hash table; ``dict(table)`` would
+            # re-insert every entry once withdrawals have left holes.
+            self._pending = self._table.copy()
         elif isinstance(pdu, EndOfDataPDU):
             if self._pending is None:
                 self._fail(ErrorCode.CORRUPT_DATA, "End of Data outside response")

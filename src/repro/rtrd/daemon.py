@@ -10,16 +10,22 @@ population; :meth:`publish` installs a new VRP world, fans a Serial
 Notify out to every synchronized session, and pumps the resulting
 serve/poll exchanges to quiescence.
 
-Dispatch is the query service's model exactly: the router list is cut
-into contiguous batches with the executor's planner
-(:func:`repro.exec.sharding.plan_batches`) and every serve/poll round
-goes through the shared ordered-dispatch primitive
-(:func:`repro.exec.dispatch.run_batches`), so serial and threaded
-pumps produce identical router tables and identical counter totals.
+Every serve/poll round goes through the shared ordered-dispatch
+primitive (:func:`repro.exec.dispatch.run_batches`) over contiguous
+router batches cut by the executor's planner
+(:func:`repro.exec.sharding.plan_batches`).  ``auto`` pumps inline on
+the calling thread, whatever ``workers`` says: a publish costs one
+decode per distinct frame and, per router, one table update per run
+of prefix PDUs (:mod:`repro.rpki.rtr.client`), which a GIL-bound pool
+that starts afresh every round only slows down.  ``mode="thread"``
+still runs the batches on a pool, and serial and threaded pumps
+produce identical router tables and identical counter totals.
 Batches are disjoint router sets and the cache's world state is
 read-only during a pump, so threads never contend on session state;
 the encoded snapshot/diff frame caches are a benign race (both
-threads compute the same bytes).
+threads compute the same bytes).  A publish sizes the full-snapshot
+response it reports by counting VRPs per family, so the snapshot is
+encoded only when some router asks for it.
 """
 
 from __future__ import annotations
@@ -97,7 +103,7 @@ class RtrdConfig:
 
     @property
     def resolved_mode(self) -> str:
-        return resolve_mode(self.mode, self.workers)
+        return resolve_mode(self.mode, self.workers, parallel="serial")
 
 
 @dataclass
@@ -145,6 +151,7 @@ def summarize_publishes(
     pushed = delta_bytes + snapshot_bytes
     manager = daemon.manager
     summary: Dict[str, object] = {
+        "mode": daemon.config.resolved_mode,
         "serial": daemon.serial,
         "publishes": len(daemon.publishes),
         "advanced": len(advanced),
@@ -279,7 +286,7 @@ class RTRDaemon:
                 advanced=self._cache.serial != serial_before,
             )
             if stats.advanced:
-                stats.snapshot_frame_bytes = len(self._cache.snapshot_frame())
+                stats.snapshot_frame_bytes = self._cache.snapshot_frame_size()
                 with trace.span("rtrd.notify"):
                     stats.notified = sum(
                         1
@@ -424,14 +431,30 @@ class RTRDaemon:
         )
 
     def diverged_routers(self) -> List[SimulatedRouter]:
-        """Alive, non-lagging routers whose table differs on the wire."""
+        """Alive, non-lagging routers whose table differs on the wire.
+
+        Tables share their record objects, so each distinct one is
+        encoded once per call; every router's sorted wire bytes are
+        still compared with the cache's in full.
+        """
         truth = wire_table(self._cache.vrps())
+        encoded: Dict[int, Tuple[VRP, bytes]] = {}
+
+        def encode(vrp: VRP) -> bytes:
+            entry = encoded.get(id(vrp))
+            if entry is None:
+                # Holding the VRP keeps its id from being reused.
+                entry = encoded[id(vrp)] = (
+                    vrp, prefix_pdu(FLAG_ANNOUNCE, vrp).encode()
+                )
+            return entry[1]
+
         return [
             router
             for router in self._manager.routers()
             if router.alive
             and not router.lagging
-            and wire_table(router.client.vrps()) != truth
+            and b"".join(sorted(map(encode, router.client.vrps()))) != truth
         ]
 
     def __repr__(self) -> str:

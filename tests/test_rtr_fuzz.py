@@ -223,7 +223,7 @@ class TestSharedDecode:
             expected = error.error_code
         for _attempt in range(2):  # a miss, then whatever the memo kept
             try:
-                steps, remainder = decode_shared(buffer, "fuzz")
+                steps, _runs, remainder = decode_shared(buffer, "fuzz")
             except RTRProtocolError as error:
                 assert error.error_code == expected
                 continue
@@ -258,10 +258,12 @@ class TestSharedDecode:
         damaged = bytearray(clean)
         damaged[-25] ^= 0x01  # low byte of the ASN: still decodes
         for buffer in (clean, bytes(damaged), clean):
-            steps, _rest = decode_shared(buffer, "fuzz")
+            steps = decode_shared(buffer, "fuzz").steps
             assert [pdu for pdu, _record in steps] == decode_stream(buffer)[0]
-        assert decode_shared(clean, "fuzz")[0][1][0].asn == ASN(64500)
-        assert decode_shared(bytes(damaged), "fuzz")[0][1][0].asn == ASN(64501)
+        assert decode_shared(clean, "fuzz").steps[1][0].asn == ASN(64500)
+        assert decode_shared(bytes(damaged), "fuzz").steps[1][0].asn == ASN(
+            64501
+        )
 
 
 # -- session resilience -------------------------------------------------------

@@ -1,0 +1,254 @@
+"""Whole-run apply against the per-PDU state machine.
+
+:func:`~repro.rpki.rtr.client.decode_shared` groups a frame's
+consecutive prefix PDUs into runs of pairwise distinct keys, and
+:meth:`RTRClient.poll` applies a run as one table update when no PDU
+in it can fail.  The oracle is the same client with that shortcut
+switched off, so every PDU walks :meth:`RTRClient._handle`.  Both are
+fed the same bytes in the same pieces; after every delivery the two
+must agree on the table (order and object identity included), the
+open response, the session state, the errors they raised and sent,
+and every metric they recorded.
+"""
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro import obs
+from repro.net import ASN, Prefix
+from repro.obs.metrics import MetricsRegistry
+from repro.rpki.rtr import RTRClient, TransportPair
+from repro.rpki.rtr.client import ClientState, decode_shared
+from repro.rpki.rtr.pdus import (
+    FLAG_ANNOUNCE,
+    FLAG_WITHDRAW,
+    CacheResetPDU,
+    CacheResponsePDU,
+    EndOfDataPDU,
+    ErrorCode,
+    ErrorReportPDU,
+    IPv4PrefixPDU,
+    IPv6PrefixPDU,
+    SerialNotifyPDU,
+)
+
+SESSION = 7
+
+# A small key space, so duplicates and unknown withdrawals are common.
+KEYS = [
+    (IPv4PrefixPDU, Prefix.parse("10.0.0.0/16"), 24, ASN(64500)),
+    (IPv4PrefixPDU, Prefix.parse("10.0.0.0/16"), 24, ASN(64501)),
+    (IPv4PrefixPDU, Prefix.parse("10.0.0.0/16"), 20, ASN(64500)),
+    (IPv4PrefixPDU, Prefix.parse("10.1.0.0/16"), 16, ASN(64500)),
+    (IPv4PrefixPDU, Prefix.parse("192.0.2.0/24"), 24, ASN(64502)),
+    (IPv6PrefixPDU, Prefix.parse("2001:db8::/32"), 48, ASN(64500)),
+    (IPv6PrefixPDU, Prefix.parse("2001:db8::/32"), 32, ASN(64503)),
+]
+
+
+def announce(index):
+    cls, prefix, max_length, asn = KEYS[index]
+    return cls(FLAG_ANNOUNCE, prefix, max_length, asn)
+
+
+def withdraw(index):
+    cls, prefix, max_length, asn = KEYS[index]
+    return cls(FLAG_WITHDRAW, prefix, max_length, asn)
+
+
+RESPONSE = CacheResponsePDU(SESSION)
+
+
+def end(serial=1):
+    return EndOfDataPDU(SESSION, serial)
+
+
+keys = st.integers(min_value=0, max_value=len(KEYS) - 1)
+prefix_pdus = st.one_of(keys.map(announce), keys.map(withdraw))
+controls = st.sampled_from(
+    [
+        RESPONSE,
+        CacheResponsePDU(SESSION + 1),   # a foreign session: fatal
+        end(1),
+        end(2),
+        SerialNotifyPDU(SESSION, 2),
+        SerialNotifyPDU(SESSION + 1, 2),
+        CacheResetPDU(),
+        ErrorReportPDU(ErrorCode.INTERNAL_ERROR, b"", "cache gave up"),
+    ]
+)
+
+
+@st.composite
+def responses(draw):
+    """One response's PDUs: mostly well framed, sometimes not."""
+    pdus = [RESPONSE] if draw(st.integers(0, 7)) else []
+    pdus += draw(st.lists(prefix_pdus, max_size=10))
+    if draw(st.integers(0, 7)):
+        pdus.append(end(draw(st.integers(1, 3))))
+    if not draw(st.integers(0, 5)):
+        position = draw(st.integers(0, len(pdus)))
+        pdus.insert(position, draw(controls))
+    return pdus
+
+
+# One delivery: the PDUs, and where their bytes are cut into the
+# pieces the router reads one poll at a time.
+deliveries = st.tuples(
+    st.lists(responses(), min_size=1, max_size=2).map(
+        lambda groups: [pdu for group in groups for pdu in group]
+    ),
+    st.lists(st.integers(min_value=0, max_value=4096), max_size=3),
+)
+
+
+class PerPduClient(RTRClient):
+    """The oracle: every PDU goes through ``_handle``."""
+
+    def _apply(self, run):
+        return False
+
+
+def connect(cls):
+    pair = TransportPair()
+    client = cls(pair.router_side, trust_anchor="differential")
+    client.start()
+    pair.cache_side.receive()   # the Reset Query
+    return pair, client, MetricsRegistry()
+
+
+def deliver(endpoint, data):
+    pair, client, registry = endpoint
+    pair.cache_side.send(data)
+    with obs.scope(registry):
+        client.poll()
+    return pair.cache_side.receive()   # what the router sent back
+
+
+def assert_same(subject, oracle):
+    (_pair, a, registry_a), (_pair, b, registry_b) = subject, oracle
+    assert a.vrps() == b.vrps()
+    for (key_a, vrp_a), (key_b, vrp_b) in zip(
+        a._table.items(), b._table.items()
+    ):
+        assert key_a is key_b and vrp_a is vrp_b
+    assert (a._pending is None) == (b._pending is None)
+    if a._pending is not None:
+        assert list(a._pending.items()) == list(b._pending.items())
+        for (key_a, vrp_a), (key_b, vrp_b) in zip(
+            a._pending.items(), b._pending.items()
+        ):
+            assert key_a is key_b and vrp_a is vrp_b
+    assert a.state is b.state
+    assert (a.session_id, a.serial, a.refresh_interval) == (
+        b.session_id,
+        b.serial,
+        b.refresh_interval,
+    )
+    assert a.last_error == b.last_error
+    assert a._buffer == b._buffer
+    assert registry_a.snapshot() == registry_b.snapshot()
+
+
+def pieces(data, cuts):
+    bounds = sorted({0, len(data), *(cut % (len(data) + 1) for cut in cuts)})
+    return [data[lo:hi] for lo, hi in zip(bounds, bounds[1:])] or [b""]
+
+
+class TestWholeRunApply:
+    @settings(max_examples=300, deadline=None)
+    @given(script=st.lists(deliveries, min_size=1, max_size=5),
+           broken=st.integers(0, 9).map(lambda n: n == 0))
+    # A duplicate announcement inside one run and across runs.
+    @example(script=[([RESPONSE, announce(0), announce(1), announce(0),
+                       end()], [])], broken=False)
+    @example(script=[([RESPONSE, announce(0), end(1)], []),
+                     ([RESPONSE, announce(1), announce(0), end(2)], [])],
+             broken=False)
+    # A withdrawal of a record the router never held.
+    @example(script=[([RESPONSE, announce(0), withdraw(1), end()], [])],
+             broken=False)
+    # One key announced and withdrawn (and back) within one response.
+    @example(script=[([RESPONSE, announce(0), announce(2), withdraw(0),
+                       announce(0), end()], [])], broken=False)
+    # A prefix PDU before the Cache Response.
+    @example(script=[([announce(0), RESPONSE, end()], [])], broken=False)
+    # A response split mid-run (and mid-PDU) by trickled delivery.
+    @example(script=[([RESPONSE, announce(0), announce(1), announce(3),
+                       announce(5), end()], [30, 50, 101])], broken=False)
+    # A client already in ERROR drains and discards.
+    @example(script=[([RESPONSE, announce(0), end()], [])], broken=True)
+    @example(script=[([RESPONSE, announce(0),
+                       ErrorReportPDU(ErrorCode.NO_DATA_AVAILABLE),
+                       announce(1), end()], []),
+                     ([RESPONSE, announce(2), end()], [])],
+             broken=False)
+    def test_matches_the_per_pdu_walk(self, script, broken):
+        subject, oracle = connect(RTRClient), connect(PerPduClient)
+        if broken:
+            for _pair, client, registry in (subject, oracle):
+                with obs.scope(registry):
+                    client._fail(ErrorCode.INTERNAL_ERROR, "already broken")
+                assert client.state is ClientState.ERROR
+        for pdus, cuts in script:
+            data = b"".join(pdu.encode() for pdu in pdus)
+            for piece in pieces(data, cuts):
+                assert deliver(subject, piece) == deliver(oracle, piece)
+                assert_same(subject, oracle)
+
+    def test_a_clean_response_is_applied_without_a_per_pdu_step(self):
+        decode_shared.cache_clear()
+        handled = []
+
+        class Counting(RTRClient):
+            def _handle(self, pdu, record, counters):
+                handled.append(type(pdu).__name__)
+                super()._handle(pdu, record, counters)
+
+        endpoint = connect(Counting)
+        stream = [RESPONSE, *map(announce, range(len(KEYS))), end(1)]
+        deliver(endpoint, b"".join(pdu.encode() for pdu in stream))
+        fresh = IPv4PrefixPDU(
+            FLAG_ANNOUNCE, Prefix.parse("10.2.0.0/16"), 24, ASN(64500)
+        )
+        diff = [RESPONSE, withdraw(0), fresh, withdraw(6), end(2)]
+        deliver(endpoint, b"".join(pdu.encode() for pdu in diff))
+        client = endpoint[1]
+        assert client.state is ClientState.SYNCHRONISED
+        assert len(client) == len(KEYS) - 1
+        assert handled == ["CacheResponsePDU", "EndOfDataPDU"] * 2
+
+
+class TestRuns:
+    @given(stream=st.lists(st.one_of(prefix_pdus, controls), max_size=24))
+    def test_runs_partition_the_prefix_pdus(self, stream):
+        steps, runs, _rest = decode_shared(
+            b"".join(pdu.encode() for pdu in stream), "runs"
+        )
+        covered = []
+        for start, run in sorted(runs.items()):
+            assert start >= (covered[-1] + 1 if covered else 0)
+            records = [record for _pdu, record in steps[start:run.stop]]
+            assert None not in records
+            keys = [key for key, _vrp in records]
+            assert len(set(keys)) == len(keys)
+            # Maximal: the next step ends the run for a reason.
+            if run.stop < len(steps):
+                following = steps[run.stop][1]
+                assert following is None or following[0] in keys
+            announced = [
+                record
+                for (pdu, _record), record in zip(steps[start:run.stop], records)
+                if pdu.flags & FLAG_ANNOUNCE
+            ]
+            assert list(run.announce.items()) == announced
+            for (key_a, vrp_a), (key_b, vrp_b) in zip(
+                run.announce.items(), announced
+            ):
+                assert key_a is key_b and vrp_a is vrp_b
+            assert run.withdraw == set(keys) - set(run.announce)
+            covered.extend(range(start, run.stop))
+        prefix_positions = [
+            index for index, (_pdu, record) in enumerate(steps) if record
+        ]
+        assert covered == prefix_positions

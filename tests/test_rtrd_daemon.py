@@ -45,7 +45,9 @@ class TestConfig:
 
     def test_auto_mode_resolution(self):
         assert RtrdConfig(workers=1).resolved_mode == "serial"
-        assert RtrdConfig(workers=4).resolved_mode == "thread"
+        # auto pumps inline: threads only when asked for by name.
+        assert RtrdConfig(workers=4).resolved_mode == "serial"
+        assert RtrdConfig(workers=4, mode="thread").resolved_mode == "thread"
         assert RtrdConfig(workers=4, mode="serial").resolved_mode == "serial"
 
 
@@ -99,6 +101,40 @@ class TestPublish:
         daemon.publish(world_slice(3))      # no-op
         daemon.publish(world_slice(4))
         assert [s.advanced for s in daemon.publishes] == [True, False, True]
+
+
+def mixed_slice(n, start=0):
+    """``world_slice`` with every third VRP moved to IPv6."""
+    return [
+        vrp(f"2001:db8:{i:x}::/48", 64, 64500 + i)
+        if i % 3 == 0
+        else vrp(f"10.{i}.0.0/16", 24, 64500 + i)
+        for i in range(start, start + n)
+    ]
+
+
+class TestSnapshotSize:
+    def test_counted_size_equals_the_encoded_frame(self):
+        daemon = RTRDaemon()
+        daemon.connect_many(2)
+        for step in range(5):
+            stats = daemon.publish(mixed_slice(12 + step, start=3 * step))
+            assert stats.advanced
+            assert stats.snapshot_frame_bytes == len(
+                daemon.cache.snapshot_frame()
+            )
+        families = {v.prefix.family for v in daemon.vrps()}
+        assert len(families) == 2
+
+    def test_a_diff_only_publish_encodes_no_snapshot(self):
+        daemon = RTRDaemon()
+        daemon.publish(mixed_slice(10))
+        daemon.connect_many(3)  # the connect encodes serial 1's snapshot
+        stats = daemon.publish(mixed_slice(10, start=1))
+        assert stats.notified == 3 and stats.delta_bytes > 0
+        assert stats.snapshot_bytes == 0
+        assert stats.snapshot_frame_bytes > 0
+        assert daemon.cache._snapshot_frame is None
 
 
 class TestLagAndHistory:
@@ -156,12 +192,14 @@ class TestDispatchEquivalence:
             return daemon.serial, wire_table(daemon.vrps()), tables
 
         serial_run = run(RtrdConfig(workers=1))
-        threaded_run = run(RtrdConfig(workers=4, batch_size=3))
+        threaded_run = run(RtrdConfig(workers=4, mode="thread", batch_size=3))
         assert serial_run == threaded_run
 
     def test_threaded_counters_merge(self):
         with obs.scope() as (registry, _tracer):
-            daemon = RTRDaemon(RtrdConfig(workers=4, batch_size=2))
+            daemon = RTRDaemon(
+                RtrdConfig(workers=4, mode="thread", batch_size=2)
+            )
             daemon.publish(world_slice(10))
             daemon.connect_many(8)
             daemon.publish(world_slice(10, start=1))
@@ -233,13 +271,32 @@ class TestSharedTables:
     def test_threaded_tables_share_at_most_one_vrp_per_worker(self):
         decode_shared.cache_clear()  # let the first decodes race
         workers = 4
-        daemon = RTRDaemon(RtrdConfig(workers=workers, batch_size=2))
+        daemon = RTRDaemon(
+            RtrdConfig(workers=workers, mode="thread", batch_size=2)
+        )
         daemon.publish(world_slice(30))
         routers = daemon.connect_many(16)
         daemon.publish(world_slice(30, start=5))
         assert not daemon.diverged_routers()
         for records in zip(*(r.client.vrps() for r in routers)):
             assert len({id(record) for record in records}) <= workers
+
+    def test_diverged_routers_compares_every_table(self):
+        daemon = RTRDaemon()
+        daemon.publish(world_slice(20))
+        routers = daemon.connect_many(4)
+        assert daemon.diverged_routers() == []
+        # An equal record that is not the shared object still matches.
+        key, shared = next(iter(routers[0].client._table.items()))
+        routers[0].client._table[key] = vrp(
+            str(shared.prefix), shared.max_length, int(shared.asn)
+        )
+        # A missing record and a changed origin do not.
+        del routers[1].client._table[key]
+        routers[2].client._table[key] = vrp(
+            str(shared.prefix), shared.max_length, int(shared.asn) + 1
+        )
+        assert daemon.diverged_routers() == routers[1:3]
 
     def test_reconnect_churn_leaves_nothing_behind(self):
         decode_shared.cache_clear()
@@ -341,6 +398,20 @@ class TestTelemetry:
         assert summary["synchronized"] == 3
         assert summary["delta_saving_ratio"] > 1.0
         assert summary["elapsed_s"] == 1.25
+        assert summary["mode"] == "serial"
+
+    @pytest.mark.parametrize(
+        "mode, resolved", [("auto", "serial"), ("thread", "thread")]
+    )
+    def test_summary_and_report_name_the_dispatch_mode(self, mode, resolved):
+        daemon = RTRDaemon(RtrdConfig(workers=2, mode=mode))
+        daemon.publish(world_slice(5))
+        daemon.connect_many(2)
+        summary = summarize_publishes(daemon)
+        assert summary["mode"] == resolved
+        header, _rule, row = obs.rtrd_report(summary).splitlines()[:3]
+        assert header.split()[-1] == "dispatch"
+        assert row.split()[-1] == resolved
 
     def test_rtrd_report_renders(self):
         daemon = RTRDaemon()

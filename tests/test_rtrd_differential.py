@@ -39,9 +39,9 @@ PROFILES = {
 }
 
 
-def churned_daemon(profile, workers=1, world_seed="diff-world"):
+def churned_daemon(profile, workers=1, world_seed="diff-world", mode="auto"):
     world = SyntheticVRPWorld(120, seed=world_seed)
-    daemon = RTRDaemon(RtrdConfig(workers=workers))
+    daemon = RTRDaemon(RtrdConfig(workers=workers, mode=mode))
     daemon.publish(world.vrps())
     daemon.connect_many(profile.target_sessions)
     summary = run_churn(daemon, world, profile)
@@ -74,8 +74,9 @@ class TestDifferential:
             PROFILES[name], workers=1
         )
         thread_daemon, _w2, thread_summary = churned_daemon(
-            PROFILES[name], workers=4
+            PROFILES[name], workers=4, mode="thread"
         )
+        assert thread_daemon.config.resolved_mode == "thread"
         assert serial_summary == thread_summary
         assert wire_table(serial_daemon.vrps()) == wire_table(
             thread_daemon.vrps()
