@@ -32,7 +32,6 @@ from repro.core.pipeline import (
     StudyResult,
     StudyStatistics,
 )
-from repro.core.resilience import ResilientFunnel
 from repro.core.transparency import TransparencyReport, audit_domain
 from repro.core.records import DomainMeasurement, NameMeasurement, PrefixOriginPair
 from repro.core.reports import (
@@ -56,7 +55,6 @@ __all__ = [
     "MeasurementStudy",
     "NameMeasurement",
     "PrefixOriginPair",
-    "ResilientFunnel",
     "RtrSink",
     "RunConfig",
     "StudyResult",

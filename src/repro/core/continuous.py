@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.pipeline import (
+    Funnel,
     MeasurementStudy,
     RunConfig,
     StudyResult,
@@ -234,7 +235,11 @@ class ContinuousStudy:
     """A repeatable campaign over one study configuration.
 
     With a plain config the refresh uses the paper's www/apex equality
-    heuristic (bounded staleness, roughly halved query volume).  With
+    heuristic (bounded staleness, roughly halved query volume), through
+    one :class:`~repro.core.pipeline.Funnel` per campaign: each
+    distinct address and pair is computed once, and a config's fault
+    plan and retry policy apply to a refresh exactly as to the
+    baseline, so a refresh of an unchanged world equals it.  With
     a cache-carrying :class:`~repro.core.pipeline.RunConfig` the
     refresh instead runs the study through the snapshot cache: every
     form whose inputs are unchanged is carried over *exactly* (no
@@ -354,14 +359,16 @@ class ContinuousStudy:
 
     def _heuristic_refresh(self) -> Tuple[StudyResult, RefreshStats]:
         stats = RefreshStats()
+        funnel = Funnel(self._study, self._config)
         measurements: List[DomainMeasurement] = []
-        aggregate = StudyStatistics(domain_count=len(self._study._ranking))
-        for domain in self._study._ranking:
+        ranking = self._study.ranking
+        aggregate = StudyStatistics(domain_count=len(ranking))
+        for domain in ranking:
             prior = self._previous.lookup(domain.name)
-            plain = self._study._measure_form(domain.name)
+            plain = funnel.measure_form(domain.name, "plain")
             stats.apex_measured += 1
             if self._must_remeasure_www(prior, plain):
-                www = self._study._measure_form(domain.www_name)
+                www = funnel.measure_form(domain.www_name, "www")
                 stats.www_measured += 1
             else:
                 www = prior.www
@@ -369,6 +376,7 @@ class ContinuousStudy:
             measurement = DomainMeasurement(domain=domain, www=www, plain=plain)
             measurements.append(measurement)
             accumulate_measurement(aggregate, measurement)
+        funnel.finish()
         return StudyResult(measurements, aggregate), stats
 
     @staticmethod

@@ -14,7 +14,16 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.bgp import TableDump
 from repro.dns import PublicResolver
-from repro.faults import DEFAULT_RETRY_POLICY, FaultPlan, RetryPolicy
+from repro.errors import RetryExhausted
+from repro.faults import (
+    DEFAULT_RETRY_POLICY,
+    AttemptCell,
+    FaultPlan,
+    FaultyResolver,
+    FaultyTableDump,
+    RetryPolicy,
+    call_with_retry,
+)
 from repro.obs.progress import ProgressEvent, ProgressReporter
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -25,12 +34,16 @@ from repro.obs.runtime import metrics, thread_scope, tracer
 from repro.rpki import ValidatedPayloads
 from repro.web.alexa import AlexaRanking, Domain
 from repro.core.dns_mapping import measure_name
-from repro.core.prefix_mapping import map_single_address
+from repro.core.prefix_mapping import map_addresses, map_single_address
 from repro.core.records import DomainMeasurement, NameMeasurement
-from repro.core.rpki_validation import validate_single_pair
+from repro.core.rpki_validation import validate_pairs, validate_single_pair
 
 # Execution backends; repro.exec re-exports this as MODES.
 RUN_MODES: Tuple[str, ...] = ("auto", "serial", "thread", "process", "workers")
+
+# Stage names recorded in NameMeasurement.degraded_stage.
+STAGE_DNS = "dns"
+STAGE_PREFIX = "prefix"
 
 # Funnel counters, one metric name per StudyStatistics field.  The
 # labelled entries share a metric family split by name form.
@@ -316,22 +329,35 @@ class Funnel:
     keeps a memo per distinct address (step 3) and per distinct pair
     (step 4); with a snapshot-cache ``session`` open it also keeps one
     per name form — the DNS answer on plain runs, the whole
-    fault-injected form on resilient ones (retry decisions follow the
-    sequence of faultable calls, so a fault run never splits a form
-    into stages).  The session seeds the memo (:attr:`memo` starts as
-    a copy of ``session.memo``) and takes back what the funnel
-    computed (:meth:`repro.cache.session.CacheSession.fresh_rows`);
-    degraded forms are never kept.  One funnel serves one
-    :func:`run_funnel` call — a run or a shard — and is dropped with it.
+    fault-injected form on resilient ones.  The session seeds the memo
+    (:attr:`memo` starts as a copy of ``session.memo``) and takes back
+    what the funnel computed
+    (:meth:`repro.cache.session.CacheSession.fresh_rows`); degraded
+    forms are never kept.  One funnel serves one :func:`run_funnel`
+    call — a run or a shard — or one refresh campaign, and is dropped
+    with it.
 
-    Metrics stay exact.  A miss runs under a scratch registry when
-    metrics are on or a session will store its delta; the delta is
-    kept as wire rows, one copy per distinct content.  Misses and hits
-    only count uses, and :meth:`finish` merges each delta times its
-    uses, once — so a hit is accounted as ``delta × hits`` per call,
-    never replayed per hit.  Under the null runtime with no session
-    nothing is captured.  Hits and misses
-    by stage key (``prefix``, ``rpki``, ``dns.www``, ``form.plain`` …)
+    A resilient ``config`` (one carrying a fault plan) wraps the
+    resolver and table dump in fault injectors and walks each form
+    under the retry policy: the DNS stage, then steps 3-4 on a trial
+    copy of its outcome.  Retry decisions follow the sequence of
+    faultable calls, so that walk never uses the address and pair
+    memo.  A stage that exhausts its retries degrades the form
+    (``degraded_stage`` "dns" or "prefix") instead of failing the
+    study; retries spent and faults observed are recorded on the form.
+    Fault decisions are pure functions of (plan seed, kind, site key,
+    attempt), so any partition of the ranking over funnels yields
+    bit-identical measurements.
+
+    Metrics stay exact.  A miss — and each retried attempt — runs
+    under a scratch registry when metrics are on or a session will
+    store its delta; the delta is kept as wire rows, one copy per
+    distinct content, and a failed attempt's delta is dropped with
+    it.  Misses and hits only count uses, and :meth:`finish` merges
+    each delta times its uses, once — so a hit is accounted as
+    ``delta × hits`` per call, never replayed per hit.  Under the null
+    runtime with no session nothing is captured.  Hits and misses by
+    stage key (``prefix``, ``rpki``, ``dns.www``, ``form.plain`` …)
     are :attr:`hits` / :attr:`misses`; only cache-backed runs report
     them.
     """
@@ -341,11 +367,19 @@ class Funnel:
         self._dump = study.table_dump
         self._payloads = study.payloads
         self._session = session
-        self._inner = (
-            study.resilient_funnel(config)
-            if config is not None and config.resilient
-            else None
-        )
+        self._resilient = config is not None and config.resilient
+        if self._resilient:
+            self._retry = config.retry
+            self._cell = AttemptCell()
+            self._form_faults: Dict[str, int] = {}
+            self._resolver = FaultyResolver(
+                self._resolver, config.faults,
+                attempt=self._cell, on_fault=self._record_fault,
+            )
+            self._dump = FaultyTableDump(
+                self._dump, config.faults,
+                attempt=self._cell, on_fault=self._record_fault,
+            )
         self._live = metrics()
         self._observe = self._live.enabled
         self._capture = self._observe or session is not None
@@ -370,8 +404,16 @@ class Funnel:
 
     def measure_form(self, name: str, form: str) -> NameMeasurement:
         """Steps 2-4 for one name form (``form`` is "www" or "plain")."""
-        if self._inner is not None:
-            return self._measure_resilient(name, form)
+        if self._resilient:
+            if self._session is None:
+                return self._measure_faulty(name)
+            measurement = self._memo(
+                "form", f"form.{form}", name, self._measure_faulty, name
+            )
+            if measurement.degraded_stage:
+                # A partial answer, not a reusable one.
+                del self.memo["form"][name]
+            return measurement
         if self._session is None:
             measurement = measure_name(self._resolver, name)
         else:
@@ -402,16 +444,71 @@ class Funnel:
                 ]
         return measurement
 
-    def _measure_resilient(self, name: str, form: str) -> NameMeasurement:
-        if self._session is None:
-            return self._inner.measure_form(name)
-        measurement = self._memo(
-            "form", f"form.{form}", name, self._inner.measure_form, name
-        )
-        if measurement.degraded_stage:
-            # A partial answer, not a reusable one.
-            del self.memo["form"][name]
+    def _record_fault(self, kind: str) -> None:
+        self._form_faults[kind] = self._form_faults.get(kind, 0) + 1
+
+    def _measure_faulty(self, name: str) -> NameMeasurement:
+        """Steps 2-4 for one name form under the retry policy."""
+        self._form_faults = {}
+        retries = 0
+        try:
+            measurement, attempts = self._retried(
+                STAGE_DNS, name, measure_name, self._resolver, name
+            )
+            retries += attempts - 1
+        except RetryExhausted as exhausted:
+            retries += exhausted.attempts - 1
+            measurement = NameMeasurement(name=name, degraded_stage=STAGE_DNS)
+        else:
+            if measurement.resolved and measurement.addresses:
+                try:
+                    mapped, attempts = self._retried(
+                        STAGE_PREFIX, name, self._map_and_validate, measurement
+                    )
+                    retries += attempts - 1
+                    measurement = mapped
+                except RetryExhausted as exhausted:
+                    retries += exhausted.attempts - 1
+                    measurement.degraded_stage = STAGE_PREFIX
+        measurement.retries = retries
+        measurement.faults = tuple(sorted(self._form_faults.items()))
         return measurement
+
+    def _map_and_validate(self, base: NameMeasurement) -> NameMeasurement:
+        """Steps 3-4 on a trial copy of the DNS outcome.
+
+        ``map_addresses`` mutates its measurement (unreachable/AS_SET
+        counts); retrying on a copy keeps ``base`` pristine until an
+        attempt completes, and leaves it untouched on exhaustion.
+        """
+        trial = NameMeasurement(
+            name=base.name,
+            resolved=base.resolved,
+            addresses=list(base.addresses),
+            excluded_special=base.excluded_special,
+            cname_count=base.cname_count,
+        )
+        pairs = map_addresses(self._dump, trial)
+        trial.pairs = validate_pairs(self._payloads, pairs)
+        return trial
+
+    def _retried(self, stage: str, name: str, compute, *args) -> tuple:
+        """``(compute(*args), attempts)`` under the retry policy.
+
+        Each attempt runs through :meth:`_compute`, so a failed one's
+        metric ticks go with its scratch registry; the successful
+        attempt's delta lands in the active registry — the live one,
+        or the form's own scratch when the form memo is capturing.
+        """
+        (value, delta), attempts = call_with_retry(
+            lambda: self._compute(compute, *args),
+            policy=self._retry,
+            key=f"{stage}|{name}",
+            attempt_cell=self._cell,
+        )
+        if delta is not None:
+            metrics().merge(registry_from_wire(delta))
+        return value, attempts
 
     def _memo(self, stage: str, label: str, key, compute, *args):
         """``compute(*args)`` for ``key``, computed once per funnel."""
@@ -553,9 +650,8 @@ def run_funnel(
     The one per-domain loop: :meth:`MeasurementStudy.run` walks the
     whole ranking through it and every shard worker
     (:func:`repro.exec.executor.run_shard`) its slice, each through one
-    :class:`Funnel`.  A resilient ``config`` (one carrying a fault
-    plan) measures every form through a
-    :class:`~repro.core.resilience.ResilientFunnel`.  A cache
+    :class:`Funnel`, which measures every form under a resilient
+    ``config``'s fault plan and retry policy.  A cache
     ``session`` seeds the funnel's memo; the rows of what the funnel
     computed come back third (stage -> key -> row; ``None`` on
     uncached runs).  ``on_domain`` fires after each domain.
@@ -718,8 +814,8 @@ class MeasurementStudy:
         removed: ``workers`` > 1 shards the ranking into contiguous
         rank chunks and fans them out through :mod:`repro.exec`,
         ``mode`` picks the execution backend, ``faults``/``retry``
-        activate the resilience layer
-        (:mod:`repro.core.resilience`), and ``progress`` receives
+        make the :class:`Funnel` inject faults and retry (degrading a
+        form rather than failing the study), and ``progress`` receives
         rate/ETA events.  The result is bit-identical across backends
         for any fixed config.
         """
@@ -757,29 +853,9 @@ class MeasurementStudy:
             reporter.done()
         return StudyResult(measurements, stats)
 
-    def resilient_funnel(self, config: RunConfig):
-        """The fault-injected funnel a resilient ``config`` demands."""
-        from repro.core.resilience import ResilientFunnel
-
-        assert config.faults is not None
-        return ResilientFunnel(
-            self._resolver,
-            self._dump,
-            self._payloads,
-            faults=config.faults,
-            retry=config.retry,
-        )
-
     def measure_domain(self, domain: Domain) -> DomainMeasurement:
         """Steps 2-4 for one domain (both name forms)."""
         funnel = Funnel(self)
         measurement = funnel.measure_domain(domain)
-        funnel.finish()
-        return measurement
-
-    def _measure_form(self, name: str) -> NameMeasurement:
-        """Steps 2-4 for a single name form (used by ContinuousStudy)."""
-        funnel = Funnel(self)
-        measurement = funnel.measure_form(name, "plain")
         funnel.finish()
         return measurement

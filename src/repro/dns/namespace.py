@@ -9,9 +9,10 @@ when no vantage-specific records exist.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.dns.records import RecordType, ResourceRecord, normalise_name
+from repro.net import Address
 
 GLOBAL_VANTAGE = ""
 
@@ -29,7 +30,10 @@ class Namespace:
         self._names.add(record.name)
 
     def add_address(
-        self, name: str, address: str, vantage: str = GLOBAL_VANTAGE
+        self,
+        name: str,
+        address: Union[str, Address],
+        vantage: str = GLOBAL_VANTAGE,
     ) -> None:
         self.add(ResourceRecord.a(name, address), vantage)
 

@@ -61,25 +61,11 @@ class Answer:
 
 
 class RecursiveResolver:
-    """Resolves names against a :class:`Namespace` from one vantage.
+    """Resolves names against a :class:`Namespace` from one vantage."""
 
-    ``cache_size > 0`` enables a per-resolver answer cache (FIFO
-    eviction, keyed by name and record types).  The cache is off by
-    default because the namespace is mutable — callers that know
-    their namespace is frozen (a built world) can turn it on.  Hits,
-    misses, and evictions are counted in the active metrics registry.
-    """
-
-    def __init__(
-        self,
-        namespace: Namespace,
-        vantage: str = GLOBAL_VANTAGE,
-        cache_size: int = 0,
-    ):
+    def __init__(self, namespace: Namespace, vantage: str = GLOBAL_VANTAGE):
         self._namespace = namespace
         self.vantage = vantage
-        self._cache_size = cache_size
-        self._cache: dict = {}
 
     @property
     def namespace(self) -> Namespace:
@@ -93,33 +79,6 @@ class RecursiveResolver:
     ) -> Answer:
         """Resolve ``name``, following CNAMEs, for the given types."""
         name = normalise_name(name)
-        if self._cache_size:
-            return self._resolve_cached(name, rtypes)
-        return self._resolve(name, rtypes)
-
-    def _resolve_cached(self, name: str, rtypes: Sequence[RecordType]) -> Answer:
-        counters = metrics()
-        key = (name, tuple(rtypes))
-        hit = self._cache.get(key)
-        if hit is not None:
-            counters.counter(
-                "ripki_dns_cache_hits_total", "Resolver answer-cache hits"
-            ).inc()
-            return _copy_answer(hit)
-        counters.counter(
-            "ripki_dns_cache_misses_total", "Resolver answer-cache misses"
-        ).inc()
-        answer = self._resolve(name, rtypes)
-        if len(self._cache) >= self._cache_size:
-            # FIFO eviction keeps behaviour deterministic.
-            self._cache.pop(next(iter(self._cache)))
-            counters.counter(
-                "ripki_dns_cache_evictions_total", "Resolver answer-cache evictions"
-            ).inc()
-        self._cache[key] = _copy_answer(answer)
-        return answer
-
-    def _resolve(self, name: str, rtypes: Sequence[RecordType]) -> Answer:
         answer = Answer(name=name, rcode=RCode.NOERROR)
         current = name
         seen = {current}
@@ -161,13 +120,3 @@ class RecursiveResolver:
             ).observe(answer.cname_count)
         return answer
 
-
-def _copy_answer(answer: Answer) -> Answer:
-    """Shallow-copy an answer so cache entries stay immutable."""
-    return Answer(
-        name=answer.name,
-        rcode=answer.rcode,
-        addresses=list(answer.addresses),
-        cname_chain=list(answer.cname_chain),
-        records=list(answer.records),
-    )

@@ -36,13 +36,9 @@ DEFAULT_RESOLVERS = (GOOGLE_DNS, OPEN_DNS, LOOKING_GLASS_US01)
 class PublicResolver:
     """A named public resolver over the shared namespace."""
 
-    def __init__(
-        self, namespace: Namespace, spec: ResolverSpec, cache_size: int = 0
-    ):
+    def __init__(self, namespace: Namespace, spec: ResolverSpec):
         self.spec = spec
-        self._resolver = RecursiveResolver(
-            namespace, vantage=spec.vantage, cache_size=cache_size
-        )
+        self._resolver = RecursiveResolver(namespace, vantage=spec.vantage)
 
     @property
     def name(self) -> str:

@@ -18,7 +18,8 @@ regression-tested:
   retried calls.
 
 The pipeline-facing glue — turning retry exhaustion into per-domain
-``degraded`` outcomes — lives in :mod:`repro.core.resilience`.
+``degraded`` outcomes — is :class:`repro.core.pipeline.Funnel` under a
+resilient :class:`~repro.core.pipeline.RunConfig`.
 """
 
 from repro.errors import ReproError, RetryExhausted, TransientFault

@@ -9,11 +9,10 @@ bit-deterministic:
   derived from a hash, not a PRNG stream, so two workers retrying the
   same site compute identical backoff sequences regardless of
   scheduling order;
-* **virtual time by default** — backoff delays are *accounted*
-  against the policy's budget but not slept unless the caller passes
-  a ``sleeper``.  The synthetic substrates fail instantly, so real
-  sleeping would only slow the simulation down and couple results to
-  the wall clock; a live deployment passes ``sleeper=time.sleep``.
+* **virtual time** — backoff delays are *accounted* against the
+  policy's budget but never slept.  The synthetic substrates fail
+  instantly, so real sleeping would only slow the simulation down and
+  couple results to the wall clock.
 
 The loop retries on any :class:`~repro.errors.ReproError` — the one
 catchable surface the unified exception hierarchy provides — and
@@ -103,8 +102,6 @@ def call_with_retry(
     policy: RetryPolicy = DEFAULT_RETRY_POLICY,
     key: str = "",
     attempt_cell: Optional[AttemptCell] = None,
-    sleeper: Optional[Callable[[float], None]] = None,
-    on_retry: Optional[Callable[[int, float, ReproError], None]] = None,
 ) -> Tuple[T, int]:
     """Run ``fn`` under ``policy``; returns ``(value, attempts_used)``.
 
@@ -135,10 +132,6 @@ def call_with_retry(
             ):
                 break
             spent += delay
-            if sleeper is not None:
-                sleeper(delay)
-            if on_retry is not None:
-                on_retry(attempt + 1, delay, error)
     raise RetryExhausted(
         key=key, attempts=attempt + 1, cause=last, budget_spent=spent
     ) from last

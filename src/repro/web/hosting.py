@@ -36,7 +36,10 @@ CHAIN_FULL = "full"      # www.d -> edge -> cache (2 CNAMEs)
 CHAIN_SHORT = "short"    # www.d -> cache (1 CNAME)
 CHAIN_NONE = "none"      # not CDN-served
 
-_SPECIAL_ANSWERS = ["127.0.0.1", "10.13.37.1", "192.168.0.10", "0.0.0.0"]
+_SPECIAL_ANSWERS = [
+    Address.parse(text)
+    for text in ("127.0.0.1", "10.13.37.1", "192.168.0.10", "0.0.0.0")
+]
 
 
 @dataclass
@@ -247,7 +250,7 @@ class HostingModel:
                     addresses=[address],
                     third_party=third_party,
                 )
-                namespace.add_address(hostname, str(address))
+                namespace.add_address(hostname, address)
                 pool.append(cache)
             # Vantage-dependent answers: remote resolvers may be steered
             # to a different cache of the same operator.
@@ -256,7 +259,7 @@ class HostingModel:
                     other = pool[(index + 1) % len(pool)]
                     for vantage in ("us-east", "redwood-city"):
                         namespace.add_address(
-                            cache.hostname, str(other.addresses[0]), vantage=vantage
+                            cache.hostname, other.addresses[0], vantage=vantage
                         )
             caches[operator.name] = pool
         return caches
@@ -284,7 +287,7 @@ class HostingModel:
         name = name or domain.name
         addresses = self._hosting_addresses(rng, popular)
         for address in addresses:
-            namespace.add_address(name, str(address))
+            namespace.add_address(name, address)
         if name != domain.name:
             return  # only wiring an alternate form; www handled by caller
         if rng.random() < self._config.noncdn_www_same:
@@ -292,7 +295,7 @@ class HostingModel:
                 namespace.add_cname(domain.www_name, domain.name)
             else:
                 for address in addresses:
-                    namespace.add_address(domain.www_name, str(address))
+                    namespace.add_address(domain.www_name, address)
         else:
             self._wire_direct(
                 domain, namespace, rng, hosting, domain.www_name, popular
@@ -329,13 +332,11 @@ class HostingModel:
             # CDNs do not sign, keeping CDN sites poorly covered (Fig. 4).
             org = next(o for o in self._cdns if o.name == operator.name)
             prefix = rng.choice(org.prefix_list())
-            namespace.add_address(
-                domain.name, str(self._pick_address(prefix, rng))
-            )
+            namespace.add_address(domain.name, self._pick_address(prefix, rng))
         else:
             # Apex points at the origin servers at a conventional hoster.
             for address in self._hosting_addresses(rng, popular):
-                namespace.add_address(domain.name, str(address))
+                namespace.add_address(domain.name, address)
 
     # -- address selection ----------------------------------------------------
 

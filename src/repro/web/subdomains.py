@@ -100,7 +100,7 @@ class SubdomainModel:
             prefix = org.prefix_list()[0]
             hostname = f"serve{index + 1}.adnet{index + 1}.example"
             address = prefix.nth_address(7 + index)
-            world.namespace.add_address(hostname, str(address))
+            world.namespace.add_address(hostname, address)
             networks.append(
                 AdNetwork(
                     name=f"AdNet{index + 1}",

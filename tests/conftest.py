@@ -1,13 +1,16 @@
 """Shared fixtures: a session-scoped small world for integration tests,
-and a fresh interpreter for what must not depend on this process."""
+a fresh interpreter for what must not depend on this process, and a
+count of the funnel's step-3 and step-4 computations."""
 
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
 import repro
+import repro.core.pipeline as pipeline
 from repro.web import EcosystemConfig, WebEcosystem
 
 
@@ -41,3 +44,27 @@ def fresh_python():
         return done.stdout.strip()
 
     return run
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Count the funnel's step-3 and step-4 computations."""
+    counted = {"addresses": 0, "pairs": 0}
+    lock = threading.Lock()
+
+    def counting(key, function):
+        def wrapper(*args):
+            with lock:
+                counted[key] += 1
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(
+        pipeline, "map_single_address",
+        counting("addresses", pipeline.map_single_address),
+    )
+    monkeypatch.setattr(
+        pipeline, "validate_single_pair",
+        counting("pairs", pipeline.validate_single_pair),
+    )
+    return counted

@@ -9,6 +9,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.cli import main
 
 PROM = Path(__file__).resolve().parents[1] / ".github" / "scripts" / "prom.py"
@@ -159,3 +161,36 @@ def test_serve_loadgen_matches_golden(tmp_path):
         read_counters(metrics_path), "ripki_serve_degraded_total"
     )
     assert degraded == sum(summary["degraded"].values())
+
+
+def test_rov_replays_across_backends(tmp_path):
+    """Was the ``rov`` job: adoption inference and what-if futures,
+    replayed byte-identically on a 2-worker process pool."""
+    first_path, second_path = tmp_path / "rov1.json", tmp_path / "rov2.json"
+    assert main(["rov", "--futures", "25", "--json", str(first_path)]) == 0
+    assert main(
+        ["rov", "--futures", "25", "--json", str(second_path),
+         "--exec-mode", "process", "--workers", "2"]
+    ) == 0
+    first = json.loads(first_path.read_text())
+    second = json.loads(second_path.read_text())
+
+    # The campaign pinpointed enforcing ASes, proved others
+    # non-enforcing, and reported no false positives.
+    histogram = first["experiment"]["histogram"]
+    assert histogram["enforcing"], histogram
+    assert histogram["non_enforcing"], histogram
+    assert first["experiment"]["snippet"].split("|")[-1] == "0"
+    # Cross-process / cross-backend determinism.
+    assert first["experiment"]["digest"] == second["experiment"]["digest"]
+    assert first == second
+    # 3 named futures + 25 sampled; universal ROV reduces hijack capture.
+    futures = first["futures"]
+    assert len(futures) == 28
+    full_rov = next(f for f in futures if f["future"] == "full-rov")
+    assert full_rov["deltas"]["hijack_capture_mean"] < 0, full_rov
+
+    # rov offers only the backends it honours: argparse usage error.
+    with pytest.raises(SystemExit) as usage:
+        main(["rov", "--exec-mode", "workers"])
+    assert usage.value.code == 2

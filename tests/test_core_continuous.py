@@ -10,6 +10,7 @@ from repro.core.continuous import (
     ContinuousStudy,
     compare_results,
 )
+from repro.faults import FaultPlan
 from repro.web import EcosystemConfig, WebEcosystem
 
 
@@ -117,6 +118,36 @@ class TestContinuousStudy:
         full = study.run()
         assert compare_results(result, full).stale_fraction < 0.02
         assert stats.apex_measured == len(world.ranking)
+
+    def test_refresh_honours_the_fault_plan(self, world):
+        """An unchanged world refreshes to exactly its fault-run baseline."""
+        study = MeasurementStudy.from_ecosystem(world)
+        config = RunConfig(faults=FaultPlan.from_profile("flaky", seed=2015))
+        continuous = ContinuousStudy(study, config)
+        baseline = continuous.baseline()
+        assert baseline.statistics.degraded_domains > 0
+        result, stats = continuous.refresh()
+        assert list(result) == list(baseline)
+        assert result.statistics == baseline.statistics
+        assert stats.apex_measured == len(world.ranking)
+
+    def test_refresh_computes_each_distinct_address_once(self, world, calls):
+        study = MeasurementStudy.from_ecosystem(world)
+        continuous = ContinuousStudy(study)
+        baseline = continuous.baseline()
+        world.rehost(0.1)
+        calls.update(addresses=0, pairs=0)
+        result, stats = continuous.refresh()
+        forms = [m.plain for m in result] + [
+            m.www for m in result
+            if m.www is not baseline.lookup(m.domain.name).www
+        ]
+        assert len(forms) == stats.total_queries
+        addresses = {a for form in forms if form.resolved for a in form.addresses}
+        pairs = {(p.prefix, p.origin) for form in forms for p in form.pairs}
+        assert calls == {"addresses": len(addresses), "pairs": len(pairs)}
+        # Repeats exist, so the memo is doing something.
+        assert sum(len(form.addresses) for form in forms) > len(addresses)
 
     def test_statistics_track_current_state(self, world):
         study = MeasurementStudy.from_ecosystem(world)

@@ -217,6 +217,10 @@ class TestCallWithRetry:
         assert state["calls"] == 3
         assert info.value.attempts == 3
         assert info.value.key == "victim"
+        # Both backoff delays were spent (virtual time: never slept).
+        assert info.value.budget_spent == pytest.approx(
+            sum(RetryPolicy(max_attempts=3).delays("victim"))
+        )
         assert isinstance(info.value.cause, InjectedDNSFault)
         assert isinstance(info.value.__cause__, InjectedDNSFault)
 
@@ -241,18 +245,6 @@ class TestCallWithRetry:
             fn, policy=RetryPolicy(max_attempts=4), attempt_cell=cell
         )
         assert seen == [0, 1, 2]
-
-    def test_virtual_time_sleeper_and_on_retry(self):
-        slept, notified = [], []
-        fn, _ = self._flaky(2)
-        policy = RetryPolicy(max_attempts=3, backoff_base=0.1, jitter=0.0)
-        call_with_retry(
-            fn, policy=policy, key="k",
-            sleeper=slept.append,
-            on_retry=lambda attempt, delay, error: notified.append(attempt),
-        )
-        assert slept == pytest.approx([0.1, 0.2])
-        assert notified == [1, 2]
 
     def test_stage_budget_cuts_retries_short(self):
         fn, state = self._flaky(10)

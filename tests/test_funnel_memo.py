@@ -6,11 +6,8 @@ call — the whole ranking on a serial run, one shard's slice on a
 sharded one — and the result still equals the per-form oracle.
 """
 
-import threading
-
 import pytest
 
-import repro.core.pipeline as pipeline
 from repro.core import MeasurementStudy, RunConfig
 from repro.core.dns_mapping import measure_name
 from repro.core.prefix_mapping import map_addresses
@@ -25,30 +22,6 @@ def study():
         EcosystemConfig(domain_count=300, seed=11, hoster_count=40, eyeball_count=20)
     )
     return MeasurementStudy.from_ecosystem(world)
-
-
-@pytest.fixture
-def calls(monkeypatch):
-    """Count the funnel's step-3 and step-4 computations."""
-    counted = {"addresses": 0, "pairs": 0}
-    lock = threading.Lock()
-
-    def counting(key, function):
-        def wrapper(*args):
-            with lock:
-                counted[key] += 1
-            return function(*args)
-        return wrapper
-
-    monkeypatch.setattr(
-        pipeline, "map_single_address",
-        counting("addresses", pipeline.map_single_address),
-    )
-    monkeypatch.setattr(
-        pipeline, "validate_single_pair",
-        counting("pairs", pipeline.validate_single_pair),
-    )
-    return counted
 
 
 def _distinct(measurements):

@@ -1,5 +1,5 @@
-"""Instrumentation of the substrates: resolver cache, trie, RTR, dumps,
-and the world build."""
+"""Instrumentation of the substrates: trie, RTR, dumps, and the world
+build."""
 
 import pytest
 
@@ -10,8 +10,6 @@ from repro.bgp.dumps import read_dump, write_dump
 from repro.cache.fingerprint import dump_digest, vrp_items, zone_digest
 from repro.core import MeasurementStudy
 from repro.core.reports import pipeline_statistics
-from repro.dns.namespace import Namespace
-from repro.dns.resolver import RecursiveResolver
 from repro.net import ASN, Address, Prefix
 from repro.net.trie import PrefixTrie
 from repro.rpki.rtr.cache import RTRCache
@@ -19,49 +17,6 @@ from repro.rpki.rtr.client import RTRClient
 from repro.rpki.rtr.transport import TransportPair
 from repro.rpki.vrp import VRP
 from repro.web import EcosystemConfig, WebEcosystem
-
-
-class TestResolverCache:
-    def _namespace(self):
-        namespace = Namespace()
-        namespace.add_address("a.com", "192.0.2.1")
-        namespace.add_cname("www.a.com", "a.com")
-        return namespace
-
-    def test_cache_disabled_by_default(self):
-        resolver = RecursiveResolver(self._namespace())
-        with obs.scope() as (registry, _tracer):
-            resolver.resolve("a.com")
-            resolver.resolve("a.com")
-            assert registry.get("ripki_dns_cache_hits_total") is None
-            assert registry.get("ripki_dns_cache_misses_total") is None
-
-    def test_cache_hits_and_misses_counted(self):
-        resolver = RecursiveResolver(self._namespace(), cache_size=16)
-        with obs.scope() as (registry, _tracer):
-            first = resolver.resolve("a.com")
-            second = resolver.resolve("a.com")
-            third = resolver.resolve("www.a.com")
-            assert registry.get("ripki_dns_cache_misses_total").value == 2
-            assert registry.get("ripki_dns_cache_hits_total").value == 1
-        assert first.addresses == second.addresses
-        assert third.cname_count == 1
-
-    def test_cached_answers_are_isolated_copies(self):
-        resolver = RecursiveResolver(self._namespace(), cache_size=16)
-        first = resolver.resolve("a.com")
-        first.addresses.append(Address.parse("203.0.113.9"))
-        second = resolver.resolve("a.com")
-        assert len(second.addresses) == 1
-
-    def test_eviction_is_fifo_and_counted(self):
-        resolver = RecursiveResolver(self._namespace(), cache_size=1)
-        with obs.scope() as (registry, _tracer):
-            resolver.resolve("a.com")
-            resolver.resolve("www.a.com")  # evicts a.com
-            resolver.resolve("a.com")      # miss again
-            assert registry.get("ripki_dns_cache_evictions_total").value == 2
-            assert registry.get("ripki_dns_cache_hits_total") is None
 
 
 class TestTrieCounters:

@@ -15,8 +15,7 @@ import pytest
 
 from repro import obs
 from repro.core import MeasurementStudy, RunConfig, pipeline_statistics
-from repro.core.pipeline import CacheConfig, StudyStatistics
-from repro.core.resilience import ResilientFunnel
+from repro.core.pipeline import CacheConfig, Funnel, StudyStatistics
 from repro.exec import (
     Shard,
     decode_measurements,
@@ -254,14 +253,8 @@ class TestDegradation:
             assert form.unreachable_addresses == 0  # trial copy discarded
 
     def test_funnel_instances_are_interchangeable(self, study, flaky_config):
-        funnel_a = ResilientFunnel(
-            study.resolver, study.table_dump, study.payloads,
-            faults=flaky_config.faults, retry=flaky_config.retry,
-        )
-        funnel_b = ResilientFunnel(
-            study.resolver, study.table_dump, study.payloads,
-            faults=flaky_config.faults, retry=flaky_config.retry,
-        )
+        funnel_a = Funnel(study, flaky_config)
+        funnel_b = Funnel(study, flaky_config)
         domains = study.ranking.top(40)
         assert [funnel_a.measure_domain(d) for d in domains] == [
             funnel_b.measure_domain(d) for d in domains
