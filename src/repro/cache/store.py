@@ -124,10 +124,41 @@ def save_store(
     path = store_path(directory)
     tmp_path = path + ".tmp"
     with open(tmp_path, "w") as handle:
-        json.dump(payload, handle, sort_keys=True, separators=(",", ":"))
+        _write_sorted(handle, payload)
         handle.write("\n")
     os.replace(tmp_path, path)
     return path
+
+
+# ``json.dump`` streams through the pure-Python encoder; ``encode``
+# runs the C one.  Encoding per value keeps that speed without
+# building the whole text in memory.
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _write_sorted(handle, payload: dict) -> None:
+    """``json.dump(payload, sort_keys=True, separators=(",", ":"))``,
+    byte for byte, written one top-level value and stage entry at a
+    time."""
+    handle.write("{")
+    for position, key in enumerate(sorted(payload)):
+        handle.write(f"{',' if position else ''}{_ENCODE(key)}:")
+        if key != "stages":
+            handle.write(_ENCODE(payload[key]))
+            continue
+        stages = payload[key]
+        handle.write("{")
+        for stage_position, stage in enumerate(sorted(stages)):
+            handle.write(f"{',' if stage_position else ''}{_ENCODE(stage)}:{{")
+            entries = stages[stage]
+            for entry_position, entry_key in enumerate(sorted(entries)):
+                handle.write(
+                    f"{',' if entry_position else ''}{_ENCODE(entry_key)}:"
+                    f"{_ENCODE(entries[entry_key])}"
+                )
+            handle.write("}")
+        handle.write("}")
+    handle.write("}")
 
 
 def load_digests(directory: str) -> Optional[Dict[str, str]]:

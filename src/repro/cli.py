@@ -451,8 +451,11 @@ class _Session:
             size = self.registry.write_prometheus(args.metrics_out)
             self.say(f"  metrics: {args.metrics_out} ({size} bytes)")
         if getattr(args, "trace_out", None):
-            spans = self.collector.dump(args.trace_out)
-            self.say(f"  trace: {args.trace_out} ({spans} spans)")
+            kept = self.collector.dump(args.trace_out)
+            self.say(
+                f"  trace: {args.trace_out} ({kept} of "
+                f"{self.collector.seen} spans kept)"
+            )
         if self._server is not None and args.telemetry_linger > 0:
             self.say(
                 f"  telemetry: lingering {args.telemetry_linger:.0f}s "

@@ -25,7 +25,7 @@ place that promise is implemented:
 
 The study executor uses the halves separately: its shard runner
 captures itself (a :class:`~repro.exec.executor.ShardOutcome` carries
-the same ``metrics`` / ``spans`` / ``dropped_spans`` trio as
+the same ``metrics`` / ``spans`` / ``span_stats`` trio as
 :class:`Recorded`, because it also has to cross the process pool and
 the ``workers`` job protocol in wire form), so
 :func:`~repro.exec.executor.execute_study` dispatches the serial,
@@ -38,7 +38,7 @@ from __future__ import annotations
 import concurrent.futures
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, TypeVar
 
 from repro.core.pipeline import RUN_MODES
 from repro.errors import ReproError
@@ -49,7 +49,7 @@ from repro.obs.runtime import (
     thread_scope,
     tracer,
 )
-from repro.obs.tracing import Span, TraceCollector
+from repro.obs.tracing import Span, SpanStats, TraceCollector
 
 B = TypeVar("B")
 R = TypeVar("R")
@@ -81,12 +81,18 @@ def resolve_mode(mode: str, workers: int, parallel: str = "thread") -> str:
 
 @dataclass
 class Recorded:
-    """One batch's result plus the telemetry it recorded."""
+    """One batch's result plus the telemetry it recorded.
+
+    ``spans`` are the batch collector's kept records and
+    ``span_stats`` its exact per-name aggregate, which counts those
+    records and every one it did not keep (``None``: the records are
+    all there is).
+    """
 
     result: object
     metrics: Optional[MetricsRegistry] = None
     spans: List[Span] = field(default_factory=list)
-    dropped_spans: int = 0
+    span_stats: Optional[Dict[str, SpanStats]] = None
 
 
 def record(fn: Callable[[B], R], batch: B, observe: bool) -> Recorded:
@@ -104,7 +110,7 @@ def record(fn: Callable[[B], R], batch: B, observe: bool) -> Recorded:
         result=result,
         metrics=registry,
         spans=collector.spans() if collector is not None else [],
-        dropped_spans=collector.dropped if collector is not None else 0,
+        span_stats=collector.aggregate() if collector is not None else None,
     )
 
 
@@ -112,8 +118,9 @@ def merge_recorded(records: Iterable, root: Optional[Span] = None) -> None:
     """Fold recorded telemetry into the caller's live instruments.
 
     ``records`` is anything carrying ``metrics`` / ``spans`` /
-    ``dropped_spans``, already in merge order; spans are grafted under
-    ``root`` (the caller's open span, ``None`` for top level).
+    ``span_stats``, already in merge order; spans are grafted under
+    ``root`` (the caller's open span, ``None`` for top level) and each
+    aggregate is merged once.
     """
     registry = metrics()
     trace = tracer()
@@ -124,7 +131,7 @@ def merge_recorded(records: Iterable, root: Optional[Span] = None) -> None:
         trace.absorb(
             recorded.spans,
             parent_id=parent_id,
-            dropped=recorded.dropped_spans,
+            stats=recorded.span_stats,
         )
 
 

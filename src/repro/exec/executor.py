@@ -16,8 +16,9 @@ bit-identical to the serial run:
   registries are merged into the caller's active registry, and all
   funnel counters are integer-valued, so
   ``pipeline_statistics(result, registry)`` cross-checks cleanly;
-* **trace spans** — per-shard collectors are grafted under the run's
-  root span via :meth:`TraceCollector.absorb`.
+* **trace spans** — per-shard collectors' kept records are grafted
+  under the run's root span and their exact per-name aggregates
+  merged, via :meth:`TraceCollector.absorb`.
 
 Four backends share one shard-runner code path.  Three are dispatched
 through :func:`repro.exec.dispatch.map_ordered`:
@@ -46,7 +47,7 @@ and the fourth through :class:`repro.exec.scheduler.WorkerScheduler`:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.core.pipeline import (
     _make_reporter,
@@ -74,7 +75,7 @@ from repro.exec.dispatch import (
 from repro.exec.sharding import Shard, plan_shards
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import metrics, observability_enabled, tracer
-from repro.obs.tracing import Span
+from repro.obs.tracing import Span, SpanStats
 
 MODES = RUN_MODES
 
@@ -88,7 +89,7 @@ class ShardOutcome:
     statistics: StudyStatistics
     metrics: Optional[MetricsRegistry] = None
     spans: List[Span] = field(default_factory=list)
-    dropped_spans: int = 0
+    span_stats: Optional[Dict[str, SpanStats]] = None
     # Fresh snapshot-cache artifacts (stage -> key -> entry) on
     # cache-backed runs; adopted by the parent's session in shard order.
     cache_entries: Optional[dict] = None
@@ -149,7 +150,7 @@ def run_shard(
         statistics=stats,
         metrics=recorded.metrics,
         spans=recorded.spans,
-        dropped_spans=recorded.dropped_spans,
+        span_stats=recorded.span_stats,
         cache_entries=cache_entries,
     )
 
@@ -198,21 +199,21 @@ def _process_shard(shard: Shard):
         encode_statistics(outcome.statistics),
         outcome.metrics,
         outcome.spans,
-        outcome.dropped_spans,
+        outcome.span_stats,
         outcome.cache_entries,
     )
 
 
 def _decode_shard(shard: Shard, wire) -> ShardOutcome:
     """Parent side of :func:`_process_shard`."""
-    encoded, stats, registry, spans, dropped, cache_entries = wire
+    encoded, stats, registry, spans, span_stats, cache_entries = wire
     return ShardOutcome(
         index=shard.index,
         measurements=decode_measurements(encoded, shard.domains),
         statistics=decode_statistics(stats),
         metrics=registry,
         spans=spans,
-        dropped_spans=dropped,
+        span_stats=span_stats,
         cache_entries=cache_entries,
     )
 

@@ -27,9 +27,10 @@ Two envelopes cross the stream:
 * :class:`JobResult` — worker → parent: the shard outcome in wire
   form (encoded measurements + statistics via :mod:`repro.exec.codec`,
   the metric delta via :func:`repro.obs.metrics.registry_to_wire`,
-  trace spans, fresh cache entries), tagged with the job id, shard
-  index, attempt, and worker id so the scheduler can resolve
-  duplicate completions deterministically by shard index.
+  kept trace spans and the exact per-name span aggregate, fresh cache
+  entries), tagged with the job id, shard index, attempt, and worker
+  id so the scheduler can resolve duplicate completions
+  deterministically by shard index.
 
 Everything here is JSON-safe by construction: tuples become lists on
 the wire, and every decoder on the return path (``decode_measurements``,
@@ -40,6 +41,7 @@ already accepts list-shaped input, so a JSON round-trip is exact.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -56,7 +58,7 @@ from repro.exec.sharding import Shard
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import RetryPolicy
 from repro.obs.metrics import registry_from_wire, registry_to_wire
-from repro.obs.tracing import Span
+from repro.obs.tracing import Span, SpanStats
 
 # Length prefix: 4-byte unsigned big-endian, like the RTR framing.
 _PREFIX = struct.Struct(">I")
@@ -236,6 +238,58 @@ def decode_spans(wire) -> List[Span]:
         raise JobProtocolError(f"malformed spans: {error}") from None
 
 
+def encode_span_stats(stats) -> Optional[List[list]]:
+    """A span aggregate as 6-field lists (``None`` stays ``None``)."""
+    if stats is None:
+        return None
+    return [
+        [s.name, s.count, s.total, s.min, s.max, s.errors]
+        for s in stats.values()
+    ]
+
+
+def _is_number(value) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def decode_span_stats(wire) -> Optional[Dict[str, SpanStats]]:
+    """Inverse of :func:`encode_span_stats`, checked row by row.
+
+    A row must be a unique name with ``1 <= count``,
+    ``0 <= errors <= count`` and finite seconds with
+    ``0 <= min <= max <= total``; anything else raises
+    :class:`JobProtocolError`.
+    """
+    if wire is None:
+        return None
+    stats: Dict[str, SpanStats] = {}
+    try:
+        for name, count, total, minimum, maximum, errors in wire:
+            if not isinstance(name, str) or name in stats:
+                raise ValueError(f"bad or repeated name {name!r}")
+            counts = (count, errors)
+            if not all(type(value) is int for value in counts) or not (
+                0 <= errors <= count and count >= 1
+            ):
+                raise ValueError(f"{name}: bad counts {counts}")
+            seconds = (minimum, maximum, total)
+            if not all(map(_is_number, seconds)) or not (
+                0 <= minimum <= maximum <= total
+            ):
+                raise ValueError(f"{name}: bad seconds {seconds}")
+            stats[name] = SpanStats(
+                name=name, count=count, total=total,
+                min=minimum, max=maximum, errors=errors,
+            )
+    except (TypeError, ValueError) as error:
+        raise JobProtocolError(f"malformed span aggregate: {error}") from None
+    return stats
+
+
 # -- the envelopes ------------------------------------------------------------
 
 
@@ -304,7 +358,7 @@ class JobResult:
     statistics: list           # encode_statistics() form
     metrics: Optional[list]    # registry_to_wire() form
     spans: list                # encode_spans() form
-    dropped_spans: int = 0
+    span_stats: Optional[list] = None  # encode_span_stats() form
     cache_entries: Optional[dict] = None
 
     def to_wire(self) -> dict:
@@ -318,7 +372,7 @@ class JobResult:
             "statistics": self.statistics,
             "metrics": self.metrics,
             "spans": self.spans,
-            "dropped_spans": self.dropped_spans,
+            "span_stats": self.span_stats,
             "cache_entries": self.cache_entries,
         }
 
@@ -338,7 +392,7 @@ class JobResult:
                 statistics=wire["statistics"],
                 metrics=wire.get("metrics"),
                 spans=wire.get("spans") or [],
-                dropped_spans=wire.get("dropped_spans", 0),
+                span_stats=wire.get("span_stats"),
                 cache_entries=wire.get("cache_entries"),
             )
         except (KeyError, TypeError) as error:
@@ -362,7 +416,7 @@ class JobResult:
                 else None
             ),
             spans=encode_spans(outcome.spans),
-            dropped_spans=outcome.dropped_spans,
+            span_stats=encode_span_stats(outcome.span_stats),
             cache_entries=outcome.cache_entries,
         )
 
@@ -389,6 +443,7 @@ class JobResult:
                 else None
             )
             spans = decode_spans(self.spans)
+            span_stats = decode_span_stats(self.span_stats)
         except JobProtocolError:
             raise
         except Exception as error:  # any codec-shape violation
@@ -401,7 +456,7 @@ class JobResult:
             statistics=statistics,
             metrics=registry,
             spans=spans,
-            dropped_spans=self.dropped_spans,
+            span_stats=span_stats,
             cache_entries=self.cache_entries,
         )
 

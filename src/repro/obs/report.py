@@ -34,13 +34,22 @@ def timing_table(stats: Mapping[str, SpanStats]) -> str:
 
 
 def stage_timing_report(collector: TraceCollector) -> str:
-    """The CLI's closing table over every span the run recorded."""
+    """The CLI's closing table over every span the run recorded.
+
+    The table is the collector's exact per-name aggregate, so it counts
+    every span however few records were kept; the footnote says how
+    many span records the collector did not keep (``--trace-out``
+    holds the rest).
+    """
     stats = collector.aggregate()
     if not stats:
         return "(no spans recorded)"
     lines = [timing_table(stats)]
     if collector.dropped:
-        lines.append(f"({collector.dropped} spans dropped past retention limit)")
+        lines.append(
+            f"({collector.dropped} of {collector.seen} span records not "
+            "kept; every span is counted above)"
+        )
     return "\n".join(lines)
 
 

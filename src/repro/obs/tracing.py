@@ -12,9 +12,14 @@ Usage::
     with tracer.span("stage.dns", domain="example.org"):
         ...
 
-The collector keeps finished spans in memory (bounded; overflow is
-counted, not silently dropped) and can dump JSON or aggregate
-per-name statistics for the CLI's closing timing table.
+The collector folds every span into its per-name :class:`SpanStats`
+as the span closes, so :meth:`TraceCollector.aggregate` (and the CLI's
+closing timing table) counts every span of a run at any scale.  It
+keeps :class:`Span` *records* — for ``--trace-out`` and for callers
+that walk the tree — only for the first ``max_per_name`` spans of each
+name: the few structural spans (``study.run``, ``shard.run``, the
+build stages) are always kept, while per-item ``stage.*`` records stop
+growing with the ranking.
 
 :class:`NullTracer` is the zero-cost default: its ``span()`` returns
 a shared no-op context manager, so disabled tracing costs one method
@@ -26,10 +31,11 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterable, List, Mapping, Optional
 
-DEFAULT_MAX_SPANS = 250_000
+# Span records kept per name; the aggregate counts past it.
+DEFAULT_MAX_PER_NAME = 1024
 
 
 @dataclass
@@ -82,10 +88,20 @@ class SpanStats:
         self.count += 1
         duration = span.duration
         self.total += duration
-        self.min = min(self.min, duration)
-        self.max = max(self.max, duration)
+        if duration < self.min:
+            self.min = duration
+        if duration > self.max:
+            self.max = duration
         if span.error is not None:
             self.errors += 1
+
+    def merge(self, other: "SpanStats") -> None:
+        """Fold another collector's aggregate for this name into this one."""
+        self.count += other.count
+        self.total += other.total
+        self.min = min(self.min, other.min)
+        self.max = max(self.max, other.max)
+        self.errors += other.errors
 
 
 class _ActiveSpan:
@@ -109,16 +125,25 @@ class _ActiveSpan:
 
 
 class TraceCollector:
-    """In-memory trace sink with bounded retention and aggregation."""
+    """In-memory trace sink: an exact per-name aggregate plus bounded records.
+
+    Every span that closes (or is absorbed) is counted in its name's
+    :class:`SpanStats`; its :class:`Span` record is kept only while
+    fewer than ``max_per_name`` records of that name are held.
+    ``len()`` is the records kept, :attr:`seen` the spans counted and
+    :attr:`dropped` the records not kept (their spans are still in the
+    aggregate).
+    """
 
     enabled = True
 
-    def __init__(self, max_spans: int = DEFAULT_MAX_SPANS):
-        self._max_spans = max_spans
+    def __init__(self, max_per_name: int = DEFAULT_MAX_PER_NAME):
+        self._max_per_name = max_per_name
         self._spans: List[Span] = []
+        self._kept: Dict[str, int] = {}
+        self._stats: Dict[str, SpanStats] = {}
         self._stack: List[Span] = []
         self._ids = itertools.count(1)
-        self.dropped = 0
 
     def span(self, name: str, /, **attributes: object) -> _ActiveSpan:
         """Start a child span of whatever span is currently open."""
@@ -145,10 +170,22 @@ class TraceCollector:
             top = self._stack.pop()
             if top is span:
                 break
-        if len(self._spans) < self._max_spans:
-            self._spans.append(span)
-        else:
-            self.dropped += 1
+        self._entry(span.name).add(span)
+        self._keep(span)
+
+    def _entry(self, name: str) -> SpanStats:
+        stats = self._stats.get(name)
+        if stats is None:
+            stats = self._stats[name] = SpanStats(name=name)
+        return stats
+
+    def _keep(self, span: Span) -> bool:
+        kept = self._kept.get(span.name, 0)
+        if kept >= self._max_per_name:
+            return False
+        self._kept[span.name] = kept + 1
+        self._spans.append(span)
+        return True
 
     # -- merging -----------------------------------------------------------
 
@@ -156,7 +193,7 @@ class TraceCollector:
         self,
         spans: "Iterable[Span]",
         parent_id: Optional[int] = None,
-        dropped: int = 0,
+        stats: Optional[Mapping[str, SpanStats]] = None,
     ) -> int:
         """Graft foreign spans (e.g. a shard worker's) into this trace.
 
@@ -164,9 +201,16 @@ class TraceCollector:
         so ids never collide; parent/child links *within* the batch
         are preserved, and spans whose parent is not part of the batch
         are re-rooted under ``parent_id`` (usually the merging run's
-        own span).  ``dropped`` carries the source collector's
-        overflow count forward.  Returns the number of spans kept.
+        own span).  ``stats`` is the source collector's aggregate,
+        which already counts ``spans`` and every record it did not
+        keep: it is merged and the grafted records are not counted
+        again.  Without it the records are all there is, and each is
+        counted.  Records are kept under this collector's per-name
+        bound.  Returns the number of records kept.
         """
+        if stats is not None:
+            for name, entry in stats.items():
+                self._entry(name).merge(entry)
         # Spans arrive in completion order (children before their
         # parents), so assign every new id first, then link.
         batch = list(spans)
@@ -188,57 +232,72 @@ class TraceCollector:
                 end=span.end,
                 error=span.error,
             )
-            if len(self._spans) < self._max_spans:
-                self._spans.append(grafted)
-                kept += 1
-            else:
-                self.dropped += 1
-        self.dropped += dropped
+            if stats is None:
+                self._entry(grafted.name).add(grafted)
+            kept += self._keep(grafted)
         return kept
 
     # -- access ------------------------------------------------------------
 
     def spans(self, name: Optional[str] = None) -> List[Span]:
-        """Finished spans (optionally filtered by name), oldest first."""
+        """Kept span records (optionally filtered by name), oldest first."""
         if name is None:
             return list(self._spans)
         return [span for span in self._spans if span.name == name]
 
     def names(self) -> List[str]:
-        return sorted({span.name for span in self._spans})
+        return sorted(self._stats)
 
     def aggregate(self) -> Dict[str, SpanStats]:
-        """Per-name count/total/min/max/mean, keyed by span name."""
-        stats: Dict[str, SpanStats] = {}
-        for span in self._spans:
-            entry = stats.get(span.name)
-            if entry is None:
-                entry = stats[span.name] = SpanStats(name=span.name)
-            entry.add(span)
-        return dict(sorted(stats.items()))
+        """Per-name count/total/min/max/mean over every span, by name."""
+        return {
+            name: replace(self._stats[name])
+            for name in sorted(self._stats)
+        }
+
+    @property
+    def seen(self) -> int:
+        """Spans counted in the aggregate, kept as records or not."""
+        return sum(stats.count for stats in self._stats.values())
+
+    @property
+    def dropped(self) -> int:
+        """Span records not kept; the aggregate still counts their spans."""
+        return self.seen - len(self._spans)
 
     def to_json(self) -> Dict[str, object]:
         return {
             "spans": [span.to_dict() for span in self._spans],
             "dropped": self.dropped,
+            "aggregate": {
+                name: {
+                    "count": entry.count,
+                    "total": entry.total,
+                    "min": entry.min,
+                    "max": entry.max,
+                    "errors": entry.errors,
+                }
+                for name, entry in self.aggregate().items()
+            },
         }
 
     def dump(self, path) -> int:
-        """Write the trace as JSON; returns the span count written."""
+        """Write the trace as JSON; returns the span records written."""
         with open(path, "w") as handle:
             json.dump(self.to_json(), handle, indent=1)
         return len(self._spans)
 
     def clear(self) -> None:
         self._spans.clear()
+        self._kept.clear()
+        self._stats.clear()
         self._stack.clear()
-        self.dropped = 0
 
     def __len__(self) -> int:
         return len(self._spans)
 
     def __repr__(self) -> str:
-        return f"<TraceCollector {len(self._spans)} spans, {self.dropped} dropped>"
+        return f"<TraceCollector {len(self._spans)} of {self.seen} spans kept>"
 
 
 class _NullSpan:
@@ -260,12 +319,13 @@ class NullTracer:
     """Zero-cost tracer: ``span()`` is a constant-return method."""
 
     enabled = False
+    seen = 0
     dropped = 0
 
     def span(self, name: str, /, **attributes: object) -> _NullSpan:
         return _NULL_SPAN
 
-    def absorb(self, spans, parent_id=None, dropped: int = 0) -> int:
+    def absorb(self, spans, parent_id=None, stats=None) -> int:
         return 0
 
     def spans(self, name: Optional[str] = None) -> List[Span]:
@@ -278,7 +338,7 @@ class NullTracer:
         return {}
 
     def to_json(self) -> Dict[str, object]:
-        return {"spans": [], "dropped": 0}
+        return {"spans": [], "dropped": 0, "aggregate": {}}
 
     def clear(self) -> None:
         pass

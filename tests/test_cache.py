@@ -133,6 +133,37 @@ class TestStoreFormat:
             handle.write("{not json")
         assert load_store(str(tmp_path)) is None
 
+    def test_written_text_is_canonical_json(self, tmp_path):
+        """The store is written value by value, yet reads as one
+        ``json.dumps(..., sort_keys=True)`` of itself: cold, after
+        churn (read + write), and with whole-form fault entries."""
+        # A private world: rehosting mutates the shared namespace.
+        own = WebEcosystem.build(
+            EcosystemConfig(domain_count=150, seed=5, hoster_count=20)
+        )
+        plain = RunConfig(cache=CacheConfig(str(tmp_path / "plain")))
+        faulty = RunConfig(
+            cache=CacheConfig(str(tmp_path / "faulty")),
+            faults=FaultPlan.from_profile("flaky", seed=5),
+        )
+
+        def assert_canonical(config):
+            text = open(store_path(config.cache.directory)).read()
+            canonical = json.dumps(
+                json.loads(text), sort_keys=True, separators=(",", ":")
+            )
+            assert text == canonical + "\n"
+            return text
+
+        MeasurementStudy.from_ecosystem(own).run(config=plain)
+        cold = assert_canonical(plain)
+        MeasurementStudy.from_ecosystem(own).run(config=faulty)
+        assert json.loads(assert_canonical(faulty))["stages"]["form"]
+        assert own.rehost(0.05, generation=1)
+        churned = MeasurementStudy.from_ecosystem(own).run(config=plain)
+        assert sum(churned.statistics.cache_misses_by_stage.values()) > 0
+        assert assert_canonical(plain) != cold
+
 
 class TestRegistryWire:
     def test_histograms_and_labels_round_trip(self):

@@ -7,11 +7,16 @@ in ``tmp_path``, so whoever changes a check can also run it.
 
 import importlib.util
 import json
+import re
+import urllib.error
+import urllib.request
 from pathlib import Path
 
 import pytest
 
+import repro.cli
 from repro.cli import main
+from repro.obs import registry_from_snapshot
 
 PROM = Path(__file__).resolve().parents[1] / ".github" / "scripts" / "prom.py"
 
@@ -194,3 +199,63 @@ def test_rov_replays_across_backends(tmp_path):
     with pytest.raises(SystemExit) as usage:
         main(["rov", "--exec-mode", "workers"])
     assert usage.value.code == 2
+
+
+def _get(url):
+    """Status and body of one GET, error statuses included."""
+    try:
+        with urllib.request.urlopen(url, timeout=5) as response:
+            return response.status, response.read()
+    except urllib.error.HTTPError as error:
+        return error.code, error.read()
+
+
+def test_telemetry_endpoints_match_artifacts(tmp_path, capsys, monkeypatch):
+    """Was the ``telemetry`` job: the live endpoints, scraped during the
+    linger window, agree with the artifacts the run wrote."""
+    summary_path, metrics_path = tmp_path / "serve.json", tmp_path / "serve.prom"
+    linger = 120
+    scraped = {}
+    sleep = repro.cli.time.sleep
+
+    def scrape(seconds):
+        # The CLI's linger sleep: scrape instead of waiting.
+        if seconds != linger:
+            return sleep(seconds)
+        url = re.search(
+            rf"lingering {linger}s at (http://\S+)", capsys.readouterr().out
+        ).group(1)
+        for path in ("/metrics", "/health", "/ready", "/snapshot"):
+            scraped[path] = _get(url + path)
+
+    monkeypatch.setattr(repro.cli.time, "sleep", scrape)
+    code = main(
+        ["serve", "--domains", "400", "--seed", "2015", "--queries", "2000",
+         "--workers", "4", "--telemetry-port", "0",
+         "--telemetry-linger", str(linger),
+         "--json", str(summary_path), "--metrics-out", str(metrics_path)]
+    )
+    assert code == 0
+    assert set(scraped) == {"/metrics", "/health", "/ready", "/snapshot"}
+
+    # /metrics is byte-identical to --metrics-out and carries the SLO
+    # gauges.
+    status, metrics_text = scraped["/metrics"]
+    assert status == 200
+    assert metrics_text == metrics_path.read_bytes()
+    assert b"ripki_slo_compliance_ratio" in metrics_text
+
+    # /health is ready after the run and names every input digest.
+    status, body = scraped["/health"]
+    health = json.loads(body)
+    assert status == 200 and health["ready"], health
+    assert set(health["digests"]) >= {"zone", "dump", "vrps", "config"}
+
+    # /ready is 200 on fresh state.
+    assert scraped["/ready"][0] == 200
+
+    # /snapshot rebuilds the scraped exposition exactly.
+    status, body = scraped["/snapshot"]
+    assert status == 200
+    rebuilt = registry_from_snapshot(json.loads(body)).render_prometheus()
+    assert rebuilt.encode("utf-8") == metrics_text

@@ -128,20 +128,21 @@ class TestTelemetryComesHome:
         assert len(ids) == len(set(ids))
 
     def test_merge_carries_dropped_spans(self):
-        source = TraceCollector(max_spans=1)
-        for name in ("kept", "lost", "lost"):
-            with source.span(name):
+        source = TraceCollector(max_per_name=1)
+        for _ in range(3):
+            with source.span("kept"):
                 pass
         assert source.dropped == 2
         with obs.scope() as (_registry, collector):
             with collector.span("root") as root:
                 merge_recorded(
-                    [Recorded(None, None, source.spans(), source.dropped)],
+                    [Recorded(None, None, source.spans(), source.aggregate())],
                     root,
                 )
         (kept,) = collector.spans("kept")
         assert kept.parent_id == collector.spans("root")[0].span_id
         assert collector.dropped == 2
+        assert collector.aggregate()["kept"].count == 3
 
     def test_disabled_observability_creates_no_instruments(self, monkeypatch):
         def boom(*_args, **_kwargs):

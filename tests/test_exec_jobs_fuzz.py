@@ -13,7 +13,8 @@ Mirrors ``test_rtr_fuzz.py`` for the execution plane:
   prefix row breaks the value's own invariant (host bits set, unknown
   family, value out of range) is rejected by the validating
   constructors: a typed ``NetError`` from the codec, a
-  ``JobProtocolError`` from ``to_outcome``;
+  ``JobProtocolError`` from ``to_outcome``; so is a span-aggregate
+  row with impossible counts or seconds;
 * **scheduler quarantine** — a worker whose reply stream is garbage
   (the seeded ``worker.garbage`` fault) is quarantined and its shard
   re-dispatched: the merged study result stays bit-identical to
@@ -38,9 +39,11 @@ from repro.exec.jobs import (
     JobSpec,
     decode_config,
     decode_frames,
+    decode_span_stats,
     decode_spans,
     encode_config,
     encode_frame,
+    encode_span_stats,
     encode_spans,
 )
 from repro.faults import (
@@ -49,7 +52,7 @@ from repro.faults import (
     RetryPolicy,
 )
 from repro.net import NetError
-from repro.obs.tracing import Span
+from repro.obs.tracing import Span, TraceCollector
 from repro.web import EcosystemConfig, WebEcosystem
 from repro.web.alexa import Domain
 
@@ -97,7 +100,7 @@ job_results = st.builds(
     statistics=st.lists(wire_values, max_size=4),
     metrics=st.none(),
     spans=st.lists(wire_values, max_size=4),
-    dropped_spans=st.integers(min_value=0, max_value=100),
+    span_stats=st.one_of(st.none(), st.lists(wire_values, max_size=4)),
 )
 
 retry_policies = st.builds(
@@ -198,6 +201,19 @@ class TestRoundTrip:
         wire = json.loads(json.dumps(encode_spans(trace)))
         assert decode_spans(wire) == trace
 
+    @given(names=st.lists(
+        st.sampled_from(["shard.run", "stage.dns", "stage.rpki"]), max_size=12
+    ))
+    def test_span_stats_round_trip(self, names):
+        collector = TraceCollector(max_per_name=1)
+        for name in names:
+            with collector.span(name):
+                pass
+        stats = collector.aggregate()
+        wire = json.loads(json.dumps(encode_span_stats(stats)))
+        assert decode_span_stats(wire) == stats
+        assert decode_span_stats(encode_span_stats(None)) is None
+
     @given(specs=st.lists(job_specs, min_size=1, max_size=5),
            cut=st.integers(min_value=0, max_value=10_000))
     def test_stream_split_at_any_boundary(self, specs, cut):
@@ -295,6 +311,37 @@ HOSTILE_ROWS = {
 }
 
 
+# name, count, total, min, max, errors
+GOOD_SPAN_STATS = ["stage.dns", 3, 0.5, 0.1, 0.3, 1]
+
+
+def _stats_row(**changes) -> list:
+    row = dict(zip(("name", "count", "total", "min", "max", "errors"),
+                   GOOD_SPAN_STATS))
+    row.update(changes)
+    return [list(row.values())]
+
+
+HOSTILE_SPAN_STATS = {
+    "not-a-list": 7,
+    "short-row": [GOOD_SPAN_STATS[:5]],
+    "name-not-text": _stats_row(name=5),
+    "repeated-name": [GOOD_SPAN_STATS, GOOD_SPAN_STATS],
+    "count-zero": _stats_row(count=0, errors=0),
+    "count-negative": _stats_row(count=-3),
+    "count-bool": _stats_row(count=True, errors=0),
+    "count-float": _stats_row(count=3.0),
+    "errors-over-count": _stats_row(errors=4),
+    "errors-negative": _stats_row(errors=-1),
+    "total-nan": _stats_row(total=float("nan")),
+    "max-infinite": _stats_row(max=float("inf"), total=float("inf")),
+    "min-negative": _stats_row(min=-0.1),
+    "min-over-max": _stats_row(min=0.4),
+    "max-over-total": _stats_row(max=0.6),
+    "seconds-text": _stats_row(total="0.5"),
+}
+
+
 def value_row_wire(address=GOOD_ADDRESS, pair=GOOD_PAIR) -> list:
     """One domain's ``encode_measurements`` form around the two rows."""
     name = ["example.com", True, [address], 0, 0, 0, 0, [pair], "", 0, []]
@@ -304,13 +351,13 @@ def value_row_wire(address=GOOD_ADDRESS, pair=GOOD_PAIR) -> list:
 class TestHostileValueRows:
     shard = Shard(index=0, domains=(Domain(rank=1, name="example.com"),))
 
-    def result(self, wire: list) -> JobResult:
+    def result(self, wire: list, span_stats=None) -> JobResult:
         """``wire`` as the parent sees it: framed, sent, unframed."""
         sent = JobResult(
             job_id=1, shard_index=0, attempt=0, worker_id=0,
             measurements=wire,
             statistics=list(encode_statistics(StudyStatistics())),
-            metrics=None, spans=[],
+            metrics=None, spans=[], span_stats=span_stats,
         )
         (frame,), _rest = decode_frames(encode_frame(sent.to_wire()))
         return JobResult.from_wire(frame)
@@ -331,6 +378,20 @@ class TestHostileValueRows:
     @pytest.mark.parametrize("case", sorted(HOSTILE_ROWS))
     def test_result_frame_surfaces_as_protocol_error(self, case):
         result = self.result(value_row_wire(**HOSTILE_ROWS[case]))
+        with pytest.raises(JobProtocolError):
+            result.to_outcome(self.shard)
+
+    def test_well_formed_span_stats_decode(self):
+        outcome = self.result(
+            value_row_wire(), span_stats=[GOOD_SPAN_STATS]
+        ).to_outcome(self.shard)
+        assert outcome.span_stats["stage.dns"].count == 3
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_SPAN_STATS))
+    def test_hostile_span_stats_surface_as_protocol_error(self, case):
+        result = self.result(
+            value_row_wire(), span_stats=HOSTILE_SPAN_STATS[case]
+        )
         with pytest.raises(JobProtocolError):
             result.to_outcome(self.shard)
 

@@ -7,6 +7,8 @@ from repro.core import MeasurementStudy, RunConfig
 from repro.core.pipeline import StudyStatistics
 from repro.obs.report import stage_timing_report
 from repro.obs.runtime import metrics, observability_enabled, tracer
+from repro.obs.tracing import TraceCollector
+from repro.web import EcosystemConfig, WebEcosystem
 
 
 @pytest.fixture()
@@ -114,6 +116,65 @@ class TestStageSpans:
         report = stage_timing_report(collector)
         assert "stage.dns" in report
         assert "study.run" in report
+
+
+@pytest.fixture(scope="module")
+def world_600():
+    return WebEcosystem.build(EcosystemConfig(domain_count=600, seed=2015))
+
+
+def _counts(collector) -> dict:
+    return {name: s.count for name, s in collector.aggregate().items()}
+
+
+class TestExactStageTable:
+    """The stage table counts every span, however few records are kept."""
+
+    BOUND = 50  # records per name, far below a 600-domain run's spans
+
+    def _observed(self, world, config=None):
+        collector = TraceCollector(max_per_name=self.BOUND)
+        with obs.scope(trace_collector=collector):
+            result = MeasurementStudy.from_ecosystem(world).run(config=config)
+        return result, collector
+
+    def test_counts_every_stage_span_past_the_record_bound(self, world_600):
+        result, collector = self._observed(world_600)
+        forms = [
+            form
+            for measurement in result
+            for form in (measurement.www, measurement.plain)
+        ]
+        with_addresses = sum(
+            1 for form in forms if form.resolved and form.addresses
+        )
+        stats = collector.aggregate()
+        assert stats["stage.dns"].count == len(forms) == 1200
+        assert stats["stage.prefix"].count == with_addresses
+        assert stats["stage.rpki"].count == with_addresses
+        assert stats["study.run"].count == stats["stage.rank"].count == 1
+        assert len(collector.spans("stage.dns")) == self.BOUND
+        (run,) = collector.spans("study.run")
+        assert run.duration >= stats["stage.dns"].max
+
+        report = stage_timing_report(collector)
+        rows = {line.split()[0]: line.split() for line in report.splitlines()}
+        assert rows["study.run"][1] == "1"
+        assert rows["stage.dns"][1] == "1200"
+        assert f"{collector.dropped} of {collector.seen} span records" in report
+        assert "dropped" not in report
+
+    @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
+    def test_counts_equal_across_backends(self, world_600, mode):
+        plain, plain_collector = self._observed(world_600)
+        sharded, collector = self._observed(
+            world_600, RunConfig(workers=2, mode=mode, shard_size=100)
+        )
+        assert sharded == plain
+        counts = _counts(collector)
+        assert counts.pop("shard.run") == 6
+        assert counts == _counts(plain_collector)
+        assert len(collector.spans("stage.dns")) == self.BOUND
 
 
 class TestProgressThroughPipeline:

@@ -59,12 +59,14 @@ class TestSpans:
 
 class TestCollector:
     def test_retention_bound_counts_drops(self):
-        tracer = TraceCollector(max_spans=2)
-        for index in range(5):
-            with tracer.span(f"s{index}"):
+        tracer = TraceCollector(max_per_name=2)
+        for name in ["s"] * 5 + ["t"]:
+            with tracer.span(name):
                 pass
-        assert len(tracer) == 2
+        assert [span.name for span in tracer.spans()] == ["s", "s", "t"]
         assert tracer.dropped == 3
+        assert tracer.seen == 6
+        assert tracer.aggregate()["s"].count == 5
 
     def test_aggregate_stats(self):
         tracer = TraceCollector()
@@ -87,6 +89,9 @@ class TestCollector:
         assert payload["dropped"] == 0
         names = {span["name"] for span in payload["spans"]}
         assert names == {"study.run", "stage.dns"}
+        assert {
+            name: entry["count"] for name, entry in payload["aggregate"].items()
+        } == {"stage.dns": 1, "study.run": 1}
 
     def test_clear(self):
         tracer = TraceCollector()
@@ -142,13 +147,88 @@ class TestAbsorb:
         assert grafted.attributes is not original.attributes
 
     def test_absorb_respects_retention_and_dropped(self):
-        main = TraceCollector(max_spans=1)
-        main.absorb(self._shard_trace().spans(), dropped=5)
-        assert len(main) == 1
-        assert main.dropped == 1 + 5
+        main = TraceCollector(max_per_name=1)
+        shard = self._shard_trace()
+        with shard.span("stage.dns"):
+            pass
+        assert main.absorb(shard.spans()) == 2
+        assert [span.name for span in main.spans()] == ["stage.dns", "shard.run"]
+        assert main.dropped == 1
+        assert main.aggregate()["stage.dns"].count == 2
 
     def test_null_tracer_absorbs_nothing(self):
         assert NULL_TRACER.absorb([1, 2, 3]) == 0
+
+
+class TestExactAggregate:
+    """The aggregate counts every span; only the records are bounded."""
+
+    BOUND = 4
+
+    def _capped(self, spans: int, errors: int = 0) -> TraceCollector:
+        tracer = TraceCollector(max_per_name=self.BOUND)
+        for index in range(spans):
+            try:
+                with tracer.span("stage.dns", index=index):
+                    if index < errors:
+                        raise ValueError("boom")
+            except ValueError:
+                pass
+        return tracer
+
+    def test_records_stop_at_the_bound_but_every_span_counts(self):
+        fed = 10 * self.BOUND
+        tracer = self._capped(fed, errors=3)
+        assert len(tracer) == self.BOUND
+        assert len(tracer.spans("stage.dns")) == self.BOUND
+        stats = tracer.aggregate()["stage.dns"]
+        assert stats.count == fed
+        assert stats.errors == 3
+        assert tracer.seen == fed
+        assert tracer.dropped == fed - self.BOUND
+
+    def test_structural_spans_are_kept_past_per_item_floods(self):
+        tracer = TraceCollector(max_per_name=self.BOUND)
+        with tracer.span("study.run"):
+            for _ in range(10 * self.BOUND):
+                with tracer.span("stage.dns"):
+                    pass
+        (root,) = tracer.spans("study.run")
+        assert root.end is not None
+        assert tracer.aggregate()["study.run"].count == 1
+
+    def test_clear_empties_the_aggregate_too(self):
+        tracer = self._capped(10 * self.BOUND)
+        tracer.clear()
+        assert tracer.aggregate() == {}
+        assert tracer.seen == tracer.dropped == len(tracer) == 0
+        with tracer.span("stage.dns"):
+            pass
+        assert tracer.aggregate()["stage.dns"].count == 1
+
+    def test_absorbing_a_capped_shard_merges_its_aggregate_once(self):
+        shard = self._capped(10 * self.BOUND, errors=2)
+        main = TraceCollector(max_per_name=self.BOUND)
+        with main.span("study.run") as root:
+            with main.span("stage.dns"):
+                pass
+            kept = main.absorb(
+                shard.spans(), parent_id=root.span_id, stats=shard.aggregate()
+            )
+        assert kept == self.BOUND - 1
+        stats = main.aggregate()["stage.dns"]
+        assert stats.count == 10 * self.BOUND + 1
+        assert stats.errors == 2
+        expected = shard.aggregate()["stage.dns"]
+        assert stats.max >= expected.max
+        assert stats.total >= expected.total
+        assert len(main.spans("stage.dns")) == self.BOUND
+        assert main.seen == 10 * self.BOUND + 2
+
+    def test_aggregate_is_a_copy(self):
+        tracer = self._capped(2)
+        tracer.aggregate()["stage.dns"].count = 99
+        assert tracer.aggregate()["stage.dns"].count == 2
 
 
 class TestNullTracer:
