@@ -14,7 +14,7 @@ unchanged; this module defines what "its inputs" means, per stage:
   nothing else.  The item form feeds the session's delta index.
 * **config fingerprint** — the parts of a :class:`RunConfig` that
   shape measurement *outcomes*: the fault plan and (when resilient)
-  the retry policy.  Worker counts, backends and shard sizes are
+  ``max_attempts``.  Worker counts, backends and shard sizes are
   deliberately excluded — results are bit-identical across them, so
   all backends share one cache.
 
@@ -115,14 +115,13 @@ def config_fingerprint(config: Optional[Any]) -> str:
     """Digest of the outcome-shaping parts of a run config.
 
     A plain run (no fault plan) fingerprints the same regardless of
-    retry settings — the retry loop never executes without faults, so
-    its policy cannot affect artifacts.
+    ``max_attempts`` — the retry loop never executes without faults,
+    so its attempt count cannot affect artifacts.
     """
     if config is None or getattr(config, "faults", None) is None:
         payload: Any = {"resilient": False}
     else:
         faults = config.faults
-        retry = config.retry
         payload = {
             "resilient": True,
             "faults": [
@@ -130,13 +129,6 @@ def config_fingerprint(config: Optional[Any]) -> str:
                 [list(pair) for pair in faults.rates],
                 faults.max_consecutive,
             ],
-            "retry": [
-                retry.max_attempts,
-                retry.backoff_base,
-                retry.backoff_multiplier,
-                retry.backoff_max,
-                retry.jitter,
-                retry.stage_budget,
-            ],
+            "retry": [config.max_attempts],
         }
     return sha256_hex(canonical_bytes(payload))

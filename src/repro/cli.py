@@ -45,7 +45,7 @@ from repro.core import (
 )
 from repro.core.pipeline import RUN_MODES
 from repro.core.reports import render_table1
-from repro.faults import PROFILES, FaultPlan, RetryPolicy
+from repro.faults import PROFILES, FaultPlan
 from repro.rov import ROV_MODES
 from repro.web import EcosystemConfig, HTTPArchiveClassifier, WebEcosystem
 from repro.world import WORLD_PROFILES
@@ -133,12 +133,9 @@ def _fault_parent() -> argparse.ArgumentParser:
                        help="inject deterministic substrate faults "
                             "(seeded from --seed; degraded domains are "
                             "reported, not fatal)")
-    group.add_argument("--retries", type=int, default=3,
+    group.add_argument("--retries", type=_positive_int, default=3,
                        help="attempts per funnel stage before a domain "
                             "degrades (fault runs only)")
-    group.add_argument("--retry-backoff", type=float, default=0.05,
-                       help="base backoff seconds between attempts "
-                            "(accounted deterministically, never slept)")
     return parent
 
 
@@ -485,19 +482,13 @@ def _fault_plan(args) -> Optional[FaultPlan]:
     return FaultPlan.from_profile(args.fault_profile, seed=args.seed)
 
 
-def _retry_policy(args) -> RetryPolicy:
-    return RetryPolicy(
-        max_attempts=args.retries, backoff_base=args.retry_backoff
-    )
-
-
 def _run_config(args, **overrides) -> RunConfig:
     """The ``RunConfig`` the executor, fault and cache flags describe."""
     fields = dict(
         workers=args.workers,
         mode=args.exec_mode,
         shard_size=args.shard_size,
-        retry=_retry_policy(args),
+        max_attempts=args.retries,
         faults=_fault_plan(args),
         cache=CacheConfig(args.cache_dir) if args.cache_dir else None,
         job_deadline_s=args.job_deadline,
@@ -903,7 +894,7 @@ def run_world(args: argparse.Namespace) -> int:
     from repro.rtrd import RTRDaemon
     from repro.world import WorldConfig, WorldEngine, WorldSink
 
-    with _Session(args, slo=True) as session:
+    with _Session(args, slo=True) as session, contextlib.ExitStack() as stack:
         world = _build_world(args, session.say)
         engine = WorldEngine.from_ecosystem(
             world,
@@ -917,7 +908,9 @@ def run_world(args: argparse.Namespace) -> int:
             f"({args.profile!r} profile)"
         )
         study = MeasurementStudy.from_ecosystem(world)
-        cache_dir = args.cache_dir or tempfile.mkdtemp(prefix="ripki-world-")
+        cache_dir = args.cache_dir or stack.enter_context(
+            tempfile.TemporaryDirectory(prefix="ripki-world-")
+        )
         config = _run_config(args, cache=CacheConfig(cache_dir))
         continuous = ContinuousStudy(study, config)
         daemon = RTRDaemon()
@@ -1055,7 +1048,7 @@ def run_worker(args: argparse.Namespace) -> int:
 
     say = functools.partial(print, file=sys.stderr)
     world = _build_world(args, say)
-    config = RunConfig(retry=_retry_policy(args), faults=_fault_plan(args))
+    config = RunConfig(max_attempts=args.retries, faults=_fault_plan(args))
     study = MeasurementStudy.from_ecosystem(world)
     say(f"worker {args.worker_id}: serving job frames on stdio")
     answered = serve_stdio(study, config, worker_id=args.worker_id)

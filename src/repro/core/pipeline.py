@@ -16,12 +16,10 @@ from repro.bgp import TableDump
 from repro.dns import PublicResolver
 from repro.errors import RetryExhausted
 from repro.faults import (
-    DEFAULT_RETRY_POLICY,
     AttemptCell,
     FaultPlan,
     FaultyResolver,
     FaultyTableDump,
-    RetryPolicy,
     call_with_retry,
 )
 from repro.obs.progress import ProgressEvent, ProgressReporter
@@ -338,11 +336,11 @@ class Funnel:
     with it.
 
     A resilient ``config`` (one carrying a fault plan) wraps the
-    resolver and table dump in fault injectors and walks each form
-    under the retry policy: the DNS stage, then steps 3-4 on a trial
-    copy of its outcome.  Retry decisions follow the sequence of
-    faultable calls, so that walk never uses the address and pair
-    memo.  A stage that exhausts its retries degrades the form
+    resolver and table dump in fault injectors and gives each stage of
+    a form up to ``max_attempts`` tries: the DNS stage, then steps 3-4
+    on a trial copy of its outcome.  Retry decisions follow the
+    sequence of faultable calls, so that walk never uses the address
+    and pair memo.  A stage that exhausts its retries degrades the form
     (``degraded_stage`` "dns" or "prefix") instead of failing the
     study; retries spent and faults observed are recorded on the form.
     Fault decisions are pure functions of (plan seed, kind, site key,
@@ -369,7 +367,7 @@ class Funnel:
         self._session = session
         self._resilient = config is not None and config.resilient
         if self._resilient:
-            self._retry = config.retry
+            self._attempts = config.max_attempts
             self._cell = AttemptCell()
             self._form_faults: Dict[str, int] = {}
             self._resolver = FaultyResolver(
@@ -448,7 +446,7 @@ class Funnel:
         self._form_faults[kind] = self._form_faults.get(kind, 0) + 1
 
     def _measure_faulty(self, name: str) -> NameMeasurement:
-        """Steps 2-4 for one name form under the retry policy."""
+        """Steps 2-4 for one name form, each stage retried."""
         self._form_faults = {}
         retries = 0
         try:
@@ -493,7 +491,7 @@ class Funnel:
         return trial
 
     def _retried(self, stage: str, name: str, compute, *args) -> tuple:
-        """``(compute(*args), attempts)`` under the retry policy.
+        """``(compute(*args), attempts)``, retried up to ``max_attempts``.
 
         Each attempt runs through :meth:`_compute`, so a failed one's
         metric ticks go with its scratch registry; the successful
@@ -502,7 +500,7 @@ class Funnel:
         """
         (value, delta), attempts = call_with_retry(
             lambda: self._compute(compute, *args),
-            policy=self._retry,
+            attempts=self._attempts,
             key=f"{stage}|{name}",
             attempt_cell=self._cell,
         )
@@ -651,7 +649,7 @@ def run_funnel(
     whole ranking through it and every shard worker
     (:func:`repro.exec.executor.run_shard`) its slice, each through one
     :class:`Funnel`, which measures every form under a resilient
-    ``config``'s fault plan and retry policy.  A cache
+    ``config``'s fault plan and attempt count.  A cache
     ``session`` seeds the funnel's memo; the rows of what the funnel
     computed come back third (stage -> key -> row; ``None`` on
     uncached runs).  ``on_domain`` fires after each domain.
@@ -721,7 +719,9 @@ class RunConfig:
     workers: int = 1
     mode: str = "auto"
     shard_size: Optional[int] = None
-    retry: RetryPolicy = DEFAULT_RETRY_POLICY
+    # Attempts per funnel stage before a name form degrades (fault
+    # runs only: without a plan nothing fails, so nothing retries).
+    max_attempts: int = 3
     faults: Optional[FaultPlan] = None
     progress: Optional[ProgressSink] = None
     cache: Optional[CacheConfig] = None
@@ -734,6 +734,8 @@ class RunConfig:
     def __post_init__(self):
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
         if self.mode not in RUN_MODES:
             raise ValueError(f"mode must be one of {RUN_MODES}, got {self.mode!r}")
         if self.shard_size is not None and self.shard_size < 1:
@@ -813,7 +815,7 @@ class MeasurementStudy:
         single entry point since the per-call keyword shim was
         removed: ``workers`` > 1 shards the ranking into contiguous
         rank chunks and fans them out through :mod:`repro.exec`,
-        ``mode`` picks the execution backend, ``faults``/``retry``
+        ``mode`` picks the execution backend, ``faults``/``max_attempts``
         make the :class:`Funnel` inject faults and retry (degrading a
         form rather than failing the study), and ``progress`` receives
         rate/ETA events.  The result is bit-identical across backends

@@ -21,7 +21,7 @@ Two refinements matter to the retry machinery:
   plain ``ReproError`` subtypes: retrying them cannot help.
 * :class:`RetryExhausted` is what the retry layer raises when it
   gives up; it carries the attribution the degradation accounting
-  records (key, attempt count, backoff budget spent, last cause).
+  records (key, attempt count, last cause).
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ class RetryExhausted(ReproError):
         key: str,
         attempts: int,
         cause: Optional[BaseException] = None,
-        budget_spent: float = 0.0,
     ):
         super().__init__(
             f"gave up on {key!r} after {attempts} attempt(s): {cause}"
@@ -53,7 +52,6 @@ class RetryExhausted(ReproError):
         self.key = key
         self.attempts = attempts
         self.cause = cause
-        self.budget_spent = budget_spent
 
 
 __all__ = ["ReproError", "RetryExhausted", "TransientFault"]

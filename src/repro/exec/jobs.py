@@ -56,7 +56,6 @@ from repro.exec.codec import (
 )
 from repro.exec.sharding import Shard
 from repro.faults.plan import FaultPlan
-from repro.faults.retry import RetryPolicy
 from repro.obs.metrics import registry_from_wire, registry_to_wire
 from repro.obs.tracing import Span, SpanStats
 
@@ -163,21 +162,13 @@ def read_frame(stream) -> Optional[dict]:
 
 def encode_config(config: RunConfig) -> dict:
     """A :class:`RunConfig` as primitives (progress sink stripped)."""
-    retry = config.retry
     faults = config.faults
     return {
         "workers": config.workers,
         "mode": config.mode,
         "shard_size": config.shard_size,
         "job_deadline_s": config.job_deadline_s,
-        "retry": {
-            "max_attempts": retry.max_attempts,
-            "backoff_base": retry.backoff_base,
-            "backoff_multiplier": retry.backoff_multiplier,
-            "backoff_max": retry.backoff_max,
-            "jitter": retry.jitter,
-            "stage_budget": retry.stage_budget,
-        },
+        "max_attempts": config.max_attempts,
         "faults": None if faults is None else {
             "seed": faults.seed,
             "rates": [[kind, rate] for kind, rate in faults.rates],
@@ -189,7 +180,6 @@ def encode_config(config: RunConfig) -> dict:
 def decode_config(wire: dict) -> RunConfig:
     """Exact inverse of :func:`encode_config` (no progress, no cache)."""
     try:
-        retry = RetryPolicy(**wire["retry"])
         faults = wire["faults"]
         plan = None if faults is None else FaultPlan(
             seed=faults["seed"],
@@ -201,7 +191,7 @@ def decode_config(wire: dict) -> RunConfig:
             mode=wire["mode"],
             shard_size=wire["shard_size"],
             job_deadline_s=wire.get("job_deadline_s"),
-            retry=retry,
+            max_attempts=wire["max_attempts"],
             faults=plan,
         )
     except (KeyError, TypeError, ValueError) as error:

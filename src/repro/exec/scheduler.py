@@ -28,15 +28,13 @@ the worker slot respawned.  If *every* slot is overdue at once —
 a genuinely wedged fleet, e.g. ``--workers 1`` with a worker that
 never answers — the longest-overdue worker is force-replaced so the
 re-dispatched shards always find a live slot instead of the select
-loop blocking forever.  Re-dispatch backoff reuses
-:class:`repro.faults.RetryPolicy` in virtual time: the budget each
-straggler *would* have cost is accounted in the report, never slept.
+loop blocking forever.
 
 Injected scheduler faults (``worker.crash`` / ``worker.stall`` /
 ``worker.garbage``, see :mod:`repro.faults.plan`) are decided by the
 seeded plan per ``(shard, attempt)`` and always recover within
 ``max_consecutive`` attempts, so the dispatch-attempt cap —
-``max(retry.max_attempts, max_consecutive + 1)`` — only ever fires
+``max(max_attempts, max_consecutive + 1)`` — only ever fires
 on a genuinely wedged job.
 """
 
@@ -59,7 +57,7 @@ from repro.exec.jobs import (
     encode_frame,
 )
 from repro.exec.sharding import Shard
-from repro.exec.worker import connection_worker, job_key
+from repro.exec.worker import connection_worker
 
 _RECV_CHUNK = 1 << 16
 
@@ -86,7 +84,6 @@ class SchedulerReport:
     quarantined: int = 0
     respawns: int = 0
     deadline_s: Optional[float] = None
-    backoff_virtual_s: float = 0.0
 
     def to_dict(self) -> Dict[str, object]:
         return asdict(self)
@@ -124,10 +121,6 @@ class SchedulerReport:
             registry.gauge(
                 "ripki_jobs_deadline_seconds", "Per-job dispatch deadline"
             ).set(self.deadline_s)
-        registry.gauge(
-            "ripki_jobs_backoff_virtual_seconds",
-            "Re-dispatch backoff accounted in virtual time, never slept",
-        ).set(self.backoff_virtual_s)
 
 
 class Completions:
@@ -200,7 +193,7 @@ class WorkerScheduler:
             else DEFAULT_JOB_DEADLINE_S
         )
         faults = config.faults
-        attempt_cap = config.retry.max_attempts
+        attempt_cap = config.max_attempts
         if faults is not None:
             attempt_cap = max(attempt_cap, faults.max_consecutive + 1)
 
@@ -283,9 +276,6 @@ class WorkerScheduler:
                     f"attempts (last: {why})"
                 )
             report.redispatched += 1
-            report.backoff_virtual_s += config.retry.backoff_for(
-                job_key(shard_index), attempts[shard_index] - 1
-            )
             urgent.append(shard_index)
 
         def replace(state: _WorkerSlot, why: str) -> None:

@@ -48,9 +48,8 @@ GARBAGE_EXIT = 18
 
 # How far past the deadline an injected straggler sleeps: long enough
 # that the re-dispatched copy wins, short enough to keep tests quick.
-# Unlike the re-dispatch backoff (virtual time, never slept), a stall
-# is necessarily real wall clock — missing the deadline *is* the
-# fault — so the overshoot beyond the deadline is capped at an
+# A stall is necessarily real wall clock — missing the deadline *is*
+# the fault — so the overshoot beyond the deadline is capped at an
 # absolute ceiling: with the default 30 s deadline a stall costs at
 # most deadline + STALL_OVERSHOOT_MAX_S, not 75 s.  Pair
 # ``unreliable-workers`` with a short ``--job-deadline`` to keep

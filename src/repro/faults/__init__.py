@@ -1,21 +1,20 @@
 """Deterministic fault injection and retry machinery (``repro.faults``).
 
 Real RPKI measurement is dominated by partial failure: flaky
-resolvers, stale or truncated route-collector dumps, dropped RTR
-sessions.  This package makes those failure modes *first-class and
-reproducible* so the pipeline's resilience can be exercised and
-regression-tested:
+resolvers, stale or truncated route-collector dumps, a query service
+behind its world.  This package makes those failure modes
+*first-class and reproducible* so the pipeline's resilience can be
+exercised and regression-tested:
 
 * :mod:`repro.faults.plan` — :class:`FaultPlan`, a seeded per-site
   hash schedule of injected faults, independent of sharding and
   worker count;
 * :mod:`repro.faults.injectors` — proxies that wrap the real
-  substrates (resolver, table dump, RTR transport) and raise typed
-  :class:`InjectedFault` errors on schedule;
-* :mod:`repro.faults.retry` — :class:`RetryPolicy` (exponential
-  backoff with deterministic jitter and a per-call budget) and
-  :func:`call_with_retry`, the loop that turns transient faults into
-  retried calls.
+  substrates (resolver, table dump) and raise typed
+  :class:`InjectedFault` errors on schedule (the query service
+  consults the plan itself and raises :class:`InjectedServeFault`);
+* :mod:`repro.faults.retry` — :func:`call_with_retry`, the loop that
+  turns transient faults into a bounded number of retried calls.
 
 The pipeline-facing glue — turning retry exhaustion into per-domain
 ``degraded`` outcomes — is :class:`repro.core.pipeline.Funnel` under a
@@ -26,11 +25,9 @@ from repro.errors import ReproError, RetryExhausted, TransientFault
 from repro.faults.injectors import (
     FaultyResolver,
     FaultyTableDump,
-    FaultyTransport,
     InjectedDNSFault,
     InjectedDumpFault,
     InjectedFault,
-    InjectedRTRFault,
     InjectedServeFault,
 )
 from repro.faults.plan import (
@@ -42,8 +39,6 @@ from repro.faults.plan import (
     EXEC_KINDS,
     FAULT_KINDS,
     PROFILES,
-    RTR_CACHE_RESET,
-    RTR_SESSION_DROP,
     SERVE_STALE,
     SERVE_TIMEOUT,
     WORLD_CRL_SKIP,
@@ -58,16 +53,10 @@ from repro.faults.plan import (
     WORKER_STALL,
     FaultPlan,
 )
-from repro.faults.retry import (
-    DEFAULT_RETRY_POLICY,
-    AttemptCell,
-    RetryPolicy,
-    call_with_retry,
-)
+from repro.faults.retry import AttemptCell, call_with_retry
 
 __all__ = [
     "AttemptCell",
-    "DEFAULT_RETRY_POLICY",
     "DNS_SERVFAIL",
     "DNS_TIMEOUT",
     "DNS_TRUNCATED_CHAIN",
@@ -78,18 +67,13 @@ __all__ = [
     "FaultPlan",
     "FaultyResolver",
     "FaultyTableDump",
-    "FaultyTransport",
     "InjectedDNSFault",
     "InjectedDumpFault",
     "InjectedFault",
-    "InjectedRTRFault",
     "InjectedServeFault",
     "PROFILES",
     "ReproError",
     "RetryExhausted",
-    "RetryPolicy",
-    "RTR_CACHE_RESET",
-    "RTR_SESSION_DROP",
     "SERVE_STALE",
     "SERVE_TIMEOUT",
     "TransientFault",

@@ -30,12 +30,9 @@ from repro.faults.plan import (
     DNS_TRUNCATED_CHAIN,
     DUMP_CORRUPT,
     DUMP_MISSING_ROUTE,
-    RTR_CACHE_RESET,
-    RTR_SESSION_DROP,
     FaultPlan,
 )
 from repro.faults.retry import AttemptCell
-from repro.rpki.rtr.errors import RTRError
 
 FaultCallback = Optional[Callable[[str], None]]
 
@@ -55,10 +52,6 @@ class InjectedDNSFault(InjectedFault, DNSError):
 
 class InjectedDumpFault(InjectedFault, BGPError):
     """An injected table-dump failure (corrupt or missing-route read)."""
-
-
-class InjectedRTRFault(InjectedFault, RTRError):
-    """An injected RTR transport failure (dropped session)."""
 
 
 class InjectedServeFault(InjectedFault):
@@ -161,62 +154,3 @@ class FaultyTableDump:
 
     def __repr__(self) -> str:
         return f"<FaultyTableDump over {self._dump!r}>"
-
-
-class FaultyTransport:
-    """An RTR transport proxy injecting session-level faults.
-
-    Keys are per-operation sequence numbers (``label|send|N``), so
-    with rate *r* each send independently drops with probability *r*
-    — a flaky TCP session — and each receive may be replaced by a
-    Cache Reset, modelling a cache that restarted and lost the
-    in-flight response (a "Cache-Reset storm" at high rates).
-    """
-
-    def __init__(
-        self,
-        transport,
-        plan: FaultPlan,
-        label: str = "rtr",
-        on_fault: FaultCallback = None,
-    ):
-        self._transport = transport
-        self._plan = plan
-        self._label = label
-        self._on_fault = on_fault
-        self._sent = 0
-        self._received = 0
-
-    def send(self, data: bytes) -> None:
-        key = f"{self._label}|send|{self._sent}"
-        self._sent += 1
-        if self._plan.should_fail(RTR_SESSION_DROP, key, 0):
-            if self._on_fault is not None:
-                self._on_fault(RTR_SESSION_DROP)
-            raise InjectedRTRFault(
-                RTR_SESSION_DROP, key, f"injected session drop at {key}"
-            )
-        self._transport.send(data)
-
-    def receive(self) -> bytes:
-        key = f"{self._label}|recv|{self._received}"
-        self._received += 1
-        if self._plan.should_fail(RTR_CACHE_RESET, key, 0):
-            if self._on_fault is not None:
-                self._on_fault(RTR_CACHE_RESET)
-            # The cache restarted: whatever was in flight is lost and
-            # the router sees a Cache Reset instead.
-            from repro.rpki.rtr.pdus import CacheResetPDU
-
-            self._transport.receive()
-            return CacheResetPDU().encode()
-        return self._transport.receive()
-
-    def pending(self) -> int:
-        return self._transport.pending()
-
-    def __getattr__(self, attr):
-        return getattr(self._transport, attr)
-
-    def __repr__(self) -> str:
-        return f"<FaultyTransport {self._label} over {self._transport!r}>"

@@ -14,12 +14,12 @@ resilience tests lean on:
   bit-identical :class:`~repro.core.pipeline.StudyResult`\\ s;
 * **retry-aware** — a faulty site fails a bounded number of
   *consecutive* attempts (``1..max_consecutive``) and then recovers,
-  so a retry policy with enough attempts heals some sites while
-  others exhaust their budget and degrade.
+  so enough attempts heal some sites while others run out of
+  attempts and degrade.
 
 Keys are whatever identifies the call site: the queried name for DNS,
-the looked-up address for table dumps, an operation sequence tag for
-RTR transports.
+the looked-up address for table dumps, the query for the serving
+layer.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ DNS_TIMEOUT = "dns.timeout"
 DNS_TRUNCATED_CHAIN = "dns.truncated_chain"
 DUMP_CORRUPT = "dump.corrupt"
 DUMP_MISSING_ROUTE = "dump.missing_route"
-RTR_SESSION_DROP = "rtr.session_drop"
-RTR_CACHE_RESET = "rtr.cache_reset"
 SERVE_STALE = "serve.stale"      # query hit a snapshot behind the world
 SERVE_TIMEOUT = "serve.timeout"  # upstream refresh missed its deadline
 # CA-side lifecycle events (the repro.world engine's per-step decisions;
@@ -61,8 +59,6 @@ _MEASUREMENT_KINDS: Tuple[str, ...] = (
     DNS_TRUNCATED_CHAIN,
     DUMP_CORRUPT,
     DUMP_MISSING_ROUTE,
-    RTR_SESSION_DROP,
-    RTR_CACHE_RESET,
     SERVE_STALE,
     SERVE_TIMEOUT,
 )
@@ -95,8 +91,6 @@ PROFILES: Dict[str, Dict[str, float]] = {
         DNS_TRUNCATED_CHAIN: 0.02,
         DUMP_CORRUPT: 0.03,
         DUMP_MISSING_ROUTE: 0.02,
-        RTR_SESSION_DROP: 0.05,
-        RTR_CACHE_RESET: 0.02,
         SERVE_STALE: 0.04,
         SERVE_TIMEOUT: 0.02,
     },
@@ -106,8 +100,6 @@ PROFILES: Dict[str, Dict[str, float]] = {
         DNS_TRUNCATED_CHAIN: 0.05,
         DUMP_CORRUPT: 0.08,
         DUMP_MISSING_ROUTE: 0.05,
-        RTR_SESSION_DROP: 0.12,
-        RTR_CACHE_RESET: 0.05,
         SERVE_STALE: 0.10,
         SERVE_TIMEOUT: 0.05,
     },

@@ -331,7 +331,5 @@ def scheduler_report(summary: Mapping[str, object]) -> str:
     deadline = summary.get("deadline_s")
     if deadline is not None:
         table.add_row("job deadline", f"{deadline:g}s")
-    backoff = summary.get("backoff_virtual_s", 0.0) or 0.0
-    table.add_row("virtual backoff", f"{backoff:.3f}s")
     return table.render()
 

@@ -174,7 +174,6 @@ class ServeConfig:
     batch_size: Optional[int] = None
     faults: Optional[FaultPlan] = None
     simulated_io_s: float = 0.0
-    assume_stale: bool = False         # mark every answer stale
     # Windowed SLO accounting: every answered query feeds the
     # tracker's per-kind latency objective ("serve.<kind>"), a marked
     # answer counts against the error budget.  Excluded from config
@@ -269,8 +268,6 @@ class QueryService:
 
     def _guard(self, query: Query) -> str:
         """Consult the fault plan; a caught fault becomes a marker."""
-        if self.config.assume_stale:
-            return MARKER_STALE
         plan = self.config.faults
         if plan is None:
             return ""

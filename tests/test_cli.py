@@ -62,7 +62,7 @@ class TestParser:
             build_parser().parse_args(["run", "--figure", "9"])
 
     @pytest.mark.parametrize(
-        "flag", ["--workers", "--shard-size", "--job-deadline"]
+        "flag", ["--workers", "--shard-size", "--job-deadline", "--retries"]
     )
     def test_zero_is_a_usage_error_before_any_world_is_built(
         self, flag, capsys
@@ -393,9 +393,15 @@ class TestEverySubcommand:
         } <= _metric_families(metrics_path)
         _assert_obs_disabled()
 
-    def test_world(self, capsys, tmp_path):
+    def test_world(self, capsys, monkeypatch, tmp_path):
         import json
+        import tempfile
 
+        # Without --cache-dir the run caches in a temporary directory,
+        # which must be gone when it returns.
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
         json_path = tmp_path / "w.json"
         metrics_path = tmp_path / "m.prom"
         code = main(
@@ -434,6 +440,7 @@ class TestEverySubcommand:
             "ripki_slo_compliance_ratio",
         } <= _metric_families(metrics_path)
         _assert_obs_disabled()
+        assert not list(scratch.glob("ripki-world-*"))
 
     ROV_ARGS = ["rov", "--domains", "120", "--seed", "3", "--rounds", "4",
                 "--vantages", "4", "--futures", "1", "--samples", "2"]
@@ -606,7 +613,6 @@ _ROV_EXECUTOR = {
 _FAULTS = {
     "fault_profile": _opt("--fault-profile", choices=_FAULT_PROFILES),
     "retries": _opt("--retries", default=3),
-    "retry_backoff": _opt("--retry-backoff", default=0.05),
 }
 _DISPATCH = {
     "workers": _opt("--workers", default=1),

@@ -201,6 +201,52 @@ def test_rov_replays_across_backends(tmp_path):
     assert usage.value.code == 2
 
 
+def test_world_churn_reaches_cache_rtr_and_ledger(tmp_path):
+    """Was the ``world`` job, at 400 domains instead of 1 000: 25
+    ``sloppy-ca`` steps of CA churn reach the cache, the RTR feed and
+    the ledger, and a bare engine replays the ledger digest."""
+    from repro.web import EcosystemConfig, WebEcosystem
+    from repro.world import WorldConfig, WorldEngine
+
+    json_path, metrics_path = tmp_path / "world.json", tmp_path / "world.prom"
+    code = main(
+        ["world", "--domains", "400", "--seed", "2015",
+         "--profile", "sloppy-ca", "--steps", "25",
+         "--json", str(json_path), "--metrics-out", str(metrics_path)]
+    )
+    assert code == 0
+    payload = json.loads(json_path.read_text())
+    summary = payload["summary"]
+    assert summary["steps"] == 25, "world did not complete every step"
+    assert summary["vrps_added_total"] and summary["vrps_removed_total"], (
+        "no VRP churn recorded"
+    )
+    assert summary["stale_point_observations"], (
+        "sloppy-ca opened no stale windows"
+    )
+    assert payload["invalidated_artifacts"], (
+        "churn never invalidated a cached artifact"
+    )
+    assert payload["rtr_delta_entries"], "churn never reached the RTR wire"
+    assert len(payload["ledger"]) == sum(summary["events_by_kind"].values()), (
+        "ledger rows disagree with the event counts"
+    )
+    counters = read_counters(metrics_path)
+    assert _family_total(counters, "ripki_cache_invalidated_total") == (
+        payload["invalidated_artifacts"]
+    )
+
+    # Replay: the same seed and profile rebuild the CLI run's ledger.
+    world = WebEcosystem.build(EcosystemConfig(domain_count=400, seed=2015))
+    engine = WorldEngine.from_ecosystem(
+        world, WorldConfig(profile="sloppy-ca", seed=2015)
+    )
+    engine.run(25)
+    assert engine.ledger.digest() == summary["ledger_digest"], (
+        "replay digest diverges from the CLI run"
+    )
+
+
 def _get(url):
     """Status and body of one GET, error statuses included."""
     try:

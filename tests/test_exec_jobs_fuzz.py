@@ -46,11 +46,7 @@ from repro.exec.jobs import (
     encode_span_stats,
     encode_spans,
 )
-from repro.faults import (
-    WORKER_GARBAGE,
-    FaultPlan,
-    RetryPolicy,
-)
+from repro.faults import WORKER_GARBAGE, FaultPlan
 from repro.net import NetError
 from repro.obs.tracing import Span, TraceCollector
 from repro.web import EcosystemConfig, WebEcosystem
@@ -103,15 +99,6 @@ job_results = st.builds(
     span_stats=st.one_of(st.none(), st.lists(wire_values, max_size=4)),
 )
 
-retry_policies = st.builds(
-    RetryPolicy,
-    max_attempts=st.integers(min_value=1, max_value=8),
-    backoff_base=st.floats(min_value=0.0, max_value=2.0),
-    backoff_multiplier=st.floats(min_value=1.0, max_value=4.0),
-    backoff_max=st.floats(min_value=0.0, max_value=30.0),
-    jitter=st.floats(min_value=0.0, max_value=1.0),
-)
-
 fault_plans = st.builds(
     lambda seed, rate, cap: FaultPlan.from_rates(
         {WORKER_GARBAGE: rate}, seed=seed, max_consecutive=cap
@@ -126,7 +113,7 @@ run_configs = st.builds(
     workers=st.integers(min_value=1, max_value=8),
     mode=st.sampled_from(["auto", "serial", "thread", "process", "workers"]),
     shard_size=st.one_of(st.none(), st.integers(min_value=1, max_value=5000)),
-    retry=retry_policies,
+    max_attempts=st.integers(min_value=1, max_value=8),
     faults=st.one_of(st.none(), fault_plans),
     job_deadline_s=st.one_of(
         st.none(), st.floats(min_value=0.01, max_value=600.0)
@@ -189,12 +176,22 @@ class TestRoundTrip:
     def test_config_round_trip(self, config):
         wire = json.loads(json.dumps(encode_config(config)))
         decoded = decode_config(wire)
-        assert decoded.retry == config.retry
+        assert decoded.max_attempts == config.max_attempts
         assert decoded.faults == config.faults
         assert decoded.workers == config.workers
         assert decoded.mode == config.mode
         assert decoded.shard_size == config.shard_size
         assert decoded.job_deadline_s == config.job_deadline_s
+
+    @pytest.mark.parametrize("max_attempts", [0, -1, "3", None, "missing"])
+    def test_config_with_bad_max_attempts_is_refused(self, max_attempts):
+        wire = encode_config(RunConfig())
+        if max_attempts == "missing":
+            del wire["max_attempts"]
+        else:
+            wire["max_attempts"] = max_attempts
+        with pytest.raises(JobProtocolError):
+            decode_config(wire)
 
     @given(trace=spans)
     def test_span_round_trip(self, trace):
@@ -463,7 +460,7 @@ class TestSchedulerQuarantine:
         try:
             fuzzed = jobs_world.run(config=RunConfig(
                 workers=2, mode="workers", shard_size=24,
-                retry=RetryPolicy(max_attempts=3), job_deadline_s=30.0,
+                max_attempts=3, job_deadline_s=30.0,
             ))
         finally:
             signal.alarm(0)

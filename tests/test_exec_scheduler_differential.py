@@ -23,12 +23,7 @@ from repro import obs
 from repro.core import MeasurementStudy, RunConfig
 from repro.exec import execute_study
 from repro.exec.scheduler import SchedulerReport
-from repro.faults import (
-    WORKER_CRASH,
-    WORKER_STALL,
-    FaultPlan,
-    RetryPolicy,
-)
+from repro.faults import WORKER_CRASH, WORKER_STALL, FaultPlan
 from repro.web import EcosystemConfig, WebEcosystem
 
 SEED = 2015
@@ -68,7 +63,7 @@ def make_config(mode: str, rates) -> RunConfig:
         workers=1 if mode == "serial" else WORKERS,
         mode=mode,
         shard_size=SHARD_SIZE,
-        retry=RetryPolicy(max_attempts=3),
+        max_attempts=3,
         faults=faults,
         job_deadline_s=DEADLINE_S,
     )
@@ -156,7 +151,6 @@ class TestSchedulerAccounting:
         )
         report = result.scheduler_report
         assert report.redispatched > 0
-        assert report.backoff_virtual_s > 0.0
         assert report.completed == report.jobs_total
 
     def test_wedged_worker_is_force_replaced(self, diff_study, monkeypatch):
@@ -192,7 +186,7 @@ class TestSchedulerAccounting:
         try:
             result = execute_study(diff_study, config=RunConfig(
                 workers=1, mode="workers", shard_size=SHARD_SIZE,
-                retry=RetryPolicy(max_attempts=3),
+                max_attempts=3,
                 # Roomy enough that only the wedged shard ever trips
                 # it, small enough to keep the test quick.
                 job_deadline_s=1.0,

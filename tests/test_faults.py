@@ -1,4 +1,4 @@
-"""Unit tests for repro.faults: plans, retry policy, injectors.
+"""Unit tests for repro.faults: plans, the retry loop, injectors.
 
 The properties under test are the three the resilience layer leans
 on: the unified exception hierarchy, determinism of the fault
@@ -12,25 +12,19 @@ from repro.bgp.errors import BGPError
 from repro.dns.errors import DNSError
 from repro.errors import ReproError, RetryExhausted, TransientFault
 from repro.faults import (
-    DEFAULT_RETRY_POLICY,
     DNS_SERVFAIL,
     DNS_TIMEOUT,
     DUMP_CORRUPT,
     DUMP_MISSING_ROUTE,
     FAULT_KINDS,
     PROFILES,
-    RTR_CACHE_RESET,
-    RTR_SESSION_DROP,
     AttemptCell,
     FaultPlan,
     FaultyResolver,
     FaultyTableDump,
-    FaultyTransport,
     InjectedDNSFault,
     InjectedDumpFault,
     InjectedFault,
-    InjectedRTRFault,
-    RetryPolicy,
     call_with_retry,
 )
 from repro.rpki.rtr.errors import RTRError
@@ -56,8 +50,7 @@ class TestErrorHierarchy:
         # error its caller already handles.
         assert issubclass(InjectedDNSFault, DNSError)
         assert issubclass(InjectedDumpFault, BGPError)
-        assert issubclass(InjectedRTRFault, RTRError)
-        for cls in (InjectedDNSFault, InjectedDumpFault, InjectedRTRFault):
+        for cls in (InjectedDNSFault, InjectedDumpFault):
             assert issubclass(cls, InjectedFault)
             assert issubclass(cls, TransientFault)
             assert issubclass(cls, ReproError)
@@ -154,33 +147,16 @@ class TestFaultPlan:
 
 
 class TestRetryPolicy:
+    """The whole retry policy is one count: ``RunConfig.max_attempts``."""
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_base=-1)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_multiplier=0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=2.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(stage_budget=-0.1)
+        from repro.core.pipeline import RunConfig
 
-    def test_exponential_curve_without_jitter(self):
-        policy = RetryPolicy(
-            max_attempts=5, backoff_base=0.1, backoff_multiplier=2.0,
-            backoff_max=0.5, jitter=0.0,
-        )
-        assert policy.delays("k") == pytest.approx([0.1, 0.2, 0.4, 0.5])
-
-    def test_jitter_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(backoff_base=1.0, jitter=0.2)
-        first = policy.backoff_for("site.example", 0)
-        assert first == policy.backoff_for("site.example", 0)
-        assert 0.8 <= first <= 1.2
-        assert policy.backoff_for("site.example", 0) != policy.backoff_for(
-            "other.example", 0
-        )
+        assert RunConfig().max_attempts == 3
+        with pytest.raises(ValueError):
+            RunConfig(max_attempts=0)
+        with pytest.raises(ValueError):
+            RunConfig(max_attempts=-2)
 
 
 class TestCallWithRetry:
@@ -197,30 +173,22 @@ class TestCallWithRetry:
 
     def test_first_try_success(self):
         fn, state = self._flaky(0)
-        value, attempts = call_with_retry(fn)
+        value, attempts = call_with_retry(fn, attempts=3)
         assert (value, attempts) == ("ok", 1)
         assert state["calls"] == 1
 
     def test_heals_within_budget(self):
         fn, _ = self._flaky(2)
-        value, attempts = call_with_retry(
-            fn, policy=RetryPolicy(max_attempts=3)
-        )
+        value, attempts = call_with_retry(fn, attempts=3)
         assert (value, attempts) == ("ok", 3)
 
     def test_exhaustion_raises_with_accounting(self):
         fn, state = self._flaky(10)
         with pytest.raises(RetryExhausted) as info:
-            call_with_retry(
-                fn, policy=RetryPolicy(max_attempts=3), key="victim"
-            )
+            call_with_retry(fn, attempts=3, key="victim")
         assert state["calls"] == 3
         assert info.value.attempts == 3
         assert info.value.key == "victim"
-        # Both backoff delays were spent (virtual time: never slept).
-        assert info.value.budget_spent == pytest.approx(
-            sum(RetryPolicy(max_attempts=3).delays("victim"))
-        )
         assert isinstance(info.value.cause, InjectedDNSFault)
         assert isinstance(info.value.__cause__, InjectedDNSFault)
 
@@ -229,7 +197,7 @@ class TestCallWithRetry:
             raise TypeError("not a substrate failure")
 
         with pytest.raises(TypeError):
-            call_with_retry(boom, policy=RetryPolicy(max_attempts=5))
+            call_with_retry(boom, attempts=5)
 
     def test_attempt_cell_published_per_attempt(self):
         cell = AttemptCell()
@@ -241,23 +209,8 @@ class TestCallWithRetry:
                 raise InjectedDNSFault(DNS_SERVFAIL, "k")
             return None
 
-        call_with_retry(
-            fn, policy=RetryPolicy(max_attempts=4), attempt_cell=cell
-        )
+        call_with_retry(fn, attempts=4, attempt_cell=cell)
         assert seen == [0, 1, 2]
-
-    def test_stage_budget_cuts_retries_short(self):
-        fn, state = self._flaky(10)
-        policy = RetryPolicy(
-            max_attempts=10, backoff_base=1.0, jitter=0.0, stage_budget=2.5
-        )
-        with pytest.raises(RetryExhausted) as info:
-            call_with_retry(fn, policy=policy, key="k")
-        # The 1s delay fits the 2.5s budget; adding the 2s one would
-        # not, so the loop stops after the second attempt.
-        assert state["calls"] == 2
-        assert info.value.attempts == 2
-        assert info.value.budget_spent == pytest.approx(1.0)
 
 
 class _Resolver:
@@ -340,52 +293,3 @@ class TestInjectors:
 
         assert outcomes(a) == outcomes(b)
         assert "fault" in outcomes(a)
-
-
-class _Pipe:
-    def __init__(self):
-        self.sent = []
-        self.queued = b""
-
-    def send(self, data):
-        self.sent.append(data)
-
-    def receive(self):
-        data, self.queued = self.queued, b""
-        return data
-
-    def pending(self):
-        return len(self.queued)
-
-
-class TestFaultyTransport:
-    def test_session_drop_raises_on_send(self):
-        plan = FaultPlan.from_rates({RTR_SESSION_DROP: 1.0})
-        pipe = _Pipe()
-        faulty = FaultyTransport(pipe, plan)
-        with pytest.raises(InjectedRTRFault):
-            faulty.send(b"query")
-        assert pipe.sent == []
-
-    def test_cache_reset_replaces_inflight_bytes(self):
-        from repro.rpki.rtr.pdus import CacheResetPDU, decode_stream
-
-        plan = FaultPlan.from_rates({RTR_CACHE_RESET: 1.0})
-        pipe = _Pipe()
-        pipe.queued = b"real response bytes"
-        faulty = FaultyTransport(pipe, plan)
-        data = faulty.receive()
-        pdus, rest = decode_stream(data)
-        assert rest == b""
-        assert len(pdus) == 1 and isinstance(pdus[0], CacheResetPDU)
-        assert pipe.queued == b""  # the real response was drained and lost
-
-    def test_clean_plan_is_transparent(self):
-        plan = FaultPlan.from_rates({})
-        pipe = _Pipe()
-        pipe.queued = b"payload"
-        faulty = FaultyTransport(pipe, plan)
-        faulty.send(b"query")
-        assert pipe.sent == [b"query"]
-        assert faulty.receive() == b"payload"
-        assert faulty.pending() == 0

@@ -29,8 +29,8 @@ from repro.faults import (
     DNS_SERVFAIL,
     DNS_TIMEOUT,
     DUMP_CORRUPT,
+    PROFILES,
     FaultPlan,
-    RetryPolicy,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.web.alexa import AlexaRanking
@@ -58,7 +58,7 @@ def clean_result(study):
 def flaky_config():
     return RunConfig(
         faults=FaultPlan.from_profile("flaky", seed=42),
-        retry=RetryPolicy(max_attempts=3),
+        max_attempts=3,
     )
 
 
@@ -78,6 +78,8 @@ class TestRunConfigAPI:
             RunConfig(mode="fibers")
         with pytest.raises(ValueError):
             RunConfig(shard_size=0)
+        with pytest.raises(ValueError):
+            RunConfig(max_attempts=0)
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
@@ -99,7 +101,7 @@ class TestRunConfigAPI:
             "workers": 3,
             "mode": "workers",
             "shard_size": 7,
-            "retry": RetryPolicy(max_attempts=5),
+            "max_attempts": 5,
             "faults": flaky_config.faults,
             "progress": lambda event: None,
             "cache": CacheConfig("/nonexistent/cache"),
@@ -162,7 +164,7 @@ class TestFaultDeterminism:
                                        flaky_result, mode):
         config = RunConfig(
             workers=3, mode=mode, shard_size=64,
-            faults=flaky_config.faults, retry=flaky_config.retry,
+            faults=flaky_config.faults, max_attempts=flaky_config.max_attempts,
         )
         parallel = study.run(config=config)
         assert parallel == flaky_result
@@ -174,14 +176,14 @@ class TestFaultDeterminism:
         for shard_size in (13, 150):
             config = RunConfig(
                 workers=2, mode="thread", shard_size=shard_size,
-                faults=flaky_config.faults, retry=flaky_config.retry,
+                faults=flaky_config.faults, max_attempts=flaky_config.max_attempts,
             )
             assert study.run(config=config) == flaky_result
 
     def test_different_seed_different_outcome(self, study, flaky_config):
         other = RunConfig(
             faults=FaultPlan.from_profile("flaky", seed=43),
-            retry=flaky_config.retry,
+            max_attempts=flaky_config.max_attempts,
         )
         assert study.run(config=other) != study.run(config=flaky_config)
 
@@ -194,7 +196,7 @@ class TestDegradation:
             faults=FaultPlan.from_rates(
                 {DNS_SERVFAIL: 1.0}, seed=1, max_consecutive=10
             ),
-            retry=RetryPolicy(max_attempts=1),
+            max_attempts=1,
         )
         result = study.run(config=config)
         stats = result.statistics
@@ -217,7 +219,7 @@ class TestDegradation:
                 {DNS_SERVFAIL: 0.3, DNS_TIMEOUT: 0.2, DUMP_CORRUPT: 0.2},
                 seed=4, max_consecutive=1,
             ),
-            retry=RetryPolicy(max_attempts=3),
+            max_attempts=3,
         )
         result = study.run(config=config)
         stats = result.statistics
@@ -236,7 +238,7 @@ class TestDegradation:
             faults=FaultPlan.from_rates(
                 {DUMP_CORRUPT: 1.0}, seed=2, max_consecutive=10
             ),
-            retry=RetryPolicy(max_attempts=2),
+            max_attempts=2,
         )
         result = study.run(config=config)
         degraded_forms = [
@@ -339,7 +341,7 @@ class TestObservabilityUnderFaults:
             serial = study.run(config=flaky_config)
         config = RunConfig(workers=3, mode="thread", shard_size=64,
                            faults=flaky_config.faults,
-                           retry=flaky_config.retry)
+                           max_attempts=flaky_config.max_attempts)
         with obs.scope() as (parallel_registry, _):
             parallel = study.run(config=config)
             pipeline_statistics(parallel, registry=parallel_registry)
@@ -392,6 +394,75 @@ class TestShardFaultPath:
         )
 
 
+@pytest.fixture(scope="module")
+def thousand():
+    """A 1 000-domain study, a serving index over it, and 2 000 queries."""
+    from repro.serve import LoadProfile, ServingIndex, generate_load
+    from repro.web import EcosystemConfig, WebEcosystem
+
+    world = WebEcosystem.build(EcosystemConfig(domain_count=1000, seed=2015))
+    study = MeasurementStudy.from_ecosystem(world)
+    index = ServingIndex.build(study, study.run())
+    queries = generate_load(index, LoadProfile(queries=2000, seed=2015))
+    return study, index, queries
+
+
+class TestProfilesListOnlyFaultsThatFire:
+    """A profile kind that no program path injects only makes a fault
+    run look harsher than it is: every kind must fire somewhere."""
+
+    @pytest.mark.parametrize("name", ["flaky", "degraded", "chaos"])
+    def test_every_profile_kind_fires(self, thousand, name):
+        from repro.serve import SERVE_FAULTS_METRIC, QueryService, ServeConfig
+
+        study, index, queries = thousand
+        plan = FaultPlan.from_profile(name, seed=2015)
+        result = study.run(config=RunConfig(faults=plan))
+        fired = set(result.statistics.faults_by_kind)
+        with obs.scope() as (registry, _collector):
+            QueryService(index, ServeConfig(faults=plan)).run(queries)
+        served = registry.get(SERVE_FAULTS_METRIC)
+        fired |= {labels[0] for labels, child in served.series() if child.value}
+        assert fired == set(PROFILES[name])
+
+
+class _FlakyTransport:
+    """An RTR transport that drops sends or loses replies to a reset.
+
+    With ``drop_sends`` every send fails as a dropped session would;
+    each receive whose 0-based index is in ``resets`` drains the real
+    reply and hands the router a Cache Reset instead, as from a cache
+    that restarted with the response in flight.
+    """
+
+    def __init__(self, transport, drop_sends=False, resets=()):
+        self._transport = transport
+        self._drop_sends = drop_sends
+        self._resets = set(resets)
+        self._received = 0
+        self.resets_sent = 0
+
+    def send(self, data):
+        from repro.rpki.rtr.errors import RTRError
+
+        if self._drop_sends:
+            raise RTRError("session dropped")
+        self._transport.send(data)
+
+    def receive(self):
+        from repro.rpki.rtr.pdus import CacheResetPDU
+
+        data = self._transport.receive()
+        index, self._received = self._received, self._received + 1
+        if index in self._resets:
+            self.resets_sent += 1
+            return CacheResetPDU().encode()
+        return data
+
+    def pending(self):
+        return self._transport.pending()
+
+
 class TestRTRClientResilience:
     def _session(self):
         from repro.net import ASN, Prefix
@@ -404,29 +475,20 @@ class TestRTRClientResilience:
         return pair, cache, RTRClient
 
     def test_start_is_syncing_even_when_send_drops(self):
-        from repro.faults import (
-            RTR_SESSION_DROP,
-            FaultyTransport,
-            InjectedRTRFault,
-        )
         from repro.rpki.rtr.client import ClientState
+        from repro.rpki.rtr.errors import RTRError
 
         pair, _cache, RTRClient = self._session()
-        plan = FaultPlan.from_rates({RTR_SESSION_DROP: 1.0})
-        client = RTRClient(FaultyTransport(pair.router_side, plan))
-        with pytest.raises(InjectedRTRFault):
+        client = RTRClient(_FlakyTransport(pair.router_side, drop_sends=True))
+        with pytest.raises(RTRError):
             client.start()
         # The query is outstanding from the client's point of view; a
         # late state write would have left it DISCONNECTED.
         assert client.state is ClientState.SYNCING
 
     def test_refresh_is_syncing_even_when_send_drops(self):
-        from repro.faults import (
-            RTR_SESSION_DROP,
-            FaultyTransport,
-            InjectedRTRFault,
-        )
         from repro.rpki.rtr.client import ClientState
+        from repro.rpki.rtr.errors import RTRError
 
         pair, cache, RTRClient = self._session()
         client = RTRClient(pair.router_side)
@@ -436,28 +498,23 @@ class TestRTRClientResilience:
             client.poll()
         assert client.state is ClientState.SYNCHRONISED
 
-        plan = FaultPlan.from_rates({RTR_SESSION_DROP: 1.0})
-        client._transport = FaultyTransport(pair.router_side, plan)
-        with pytest.raises(InjectedRTRFault):
+        client._transport = _FlakyTransport(pair.router_side, drop_sends=True)
+        with pytest.raises(RTRError):
             client.refresh()
         assert client.state is ClientState.SYNCING
 
     def test_cache_reset_storm_converges(self):
-        from repro.faults import RTR_CACHE_RESET, FaultyTransport
         from repro.rpki.rtr.client import ClientState
 
         pair, cache, RTRClient = self._session()
-        plan = FaultPlan.from_rates({RTR_CACHE_RESET: 0.5}, seed=8)
-        storms = []
-        client = RTRClient(
-            FaultyTransport(pair.router_side, plan, on_fault=storms.append)
-        )
+        transport = _FlakyTransport(pair.router_side, resets=(0, 1, 2))
+        client = RTRClient(transport)
         client.start()
         for _ in range(12):
             cache.serve(pair.cache_side)
             client.poll()
             if client.state is ClientState.SYNCHRONISED:
                 break
-        assert storms.count(RTR_CACHE_RESET) >= 1
+        assert transport.resets_sent == 3
         assert client.state is ClientState.SYNCHRONISED
         assert len(client) == 1

@@ -13,12 +13,11 @@ from repro.bgp.collector import TableDumpEntry
 from repro.core import MeasurementStudy
 from repro.core.pipeline import RunConfig
 from repro.exec import Batch, plan_batches
-from repro.faults import FaultPlan
+from repro.faults import SERVE_STALE, FaultPlan
 from repro.net import ASN, Address, Prefix, PrefixTrie
 from repro.obs import MetricsRegistry, TraceCollector, scope, serve_report
 from repro.rpki.vrp import OriginValidation, VRP, ValidatedPayloads
 from repro.serve import (
-    MARKER_STALE,
     SERVE_DEGRADED_METRIC,
     SERVE_FAULTS_METRIC,
     LoadProfile,
@@ -268,14 +267,6 @@ class TestPinnedDegradationSchedule:
             1 for marker in PINNED_MARKERS if marker
         )
 
-    def test_assume_stale_marks_everything(self):
-        service = QueryService(
-            synthetic_index(), ServeConfig(assume_stale=True)
-        )
-        responses = service.run(self.fixed_queries()[:5])
-        assert all(r.marker == MARKER_STALE for r in responses)
-        assert not any(r.ok for r in responses)
-
 
 class TestSyntheticIndexAnswers:
     def test_validate_states(self):
@@ -355,7 +346,9 @@ class TestSummaries:
 
     def test_summarize_and_report(self):
         index = synthetic_index()
-        service = QueryService(index, ServeConfig(assume_stale=True))
+        service = QueryService(
+            index, ServeConfig(faults=FaultPlan.from_rates({SERVE_STALE: 1.0}))
+        )
         responses = service.run(
             [
                 Query.validate(P("10.0.1.0/24"), 64500),
