@@ -51,20 +51,28 @@ from repro.web import EcosystemConfig, HTTPArchiveClassifier, WebEcosystem
 from repro.world import WORLD_PROFILES
 
 
-def _positive_int(text: str) -> int:
-    """argparse ``type=``: a count that a config would reject below 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _checked(convert, accept, bound: str):
+    """An argparse ``type=`` that rejects values outside ``bound``.
+
+    A hostile value becomes a usage error (exit 2) before any world
+    is built, instead of a late traceback or a silent clamp.
+    """
+    def parse(text: str):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse: "invalid int value"
+    return parse
 
 
-def _positive_float(text: str) -> float:
-    """argparse ``type=``: a duration that must be strictly positive."""
-    value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value:g}")
-    return value
+_count = _checked(int, lambda value: value >= 0, ">= 0")
+_positive_int = _checked(int, lambda value: value >= 1, ">= 1")
+_port = _checked(int, lambda value: 0 <= value <= 65535, "within 0-65535")
+_fraction = _checked(float, lambda value: 0 <= value <= 1, "within [0, 1]")
+_non_negative_float = _checked(float, lambda value: value >= 0, ">= 0")
+_positive_float = _checked(float, lambda value: value > 0, "> 0")
 
 
 def _session_parent() -> argparse.ArgumentParser:
@@ -73,7 +81,7 @@ def _session_parent() -> argparse.ArgumentParser:
     parent.add_argument("--metrics-out", metavar="FILE", default=None,
                         help="write Prometheus text metrics to FILE")
     group = parent.add_argument_group("telemetry")
-    group.add_argument("--telemetry-port", type=int, default=None,
+    group.add_argument("--telemetry-port", type=_port, default=None,
                        metavar="PORT",
                        help="expose /metrics, /health, /ready, and "
                             "/snapshot over HTTP on PORT while the "
@@ -81,8 +89,8 @@ def _session_parent() -> argparse.ArgumentParser:
     group.add_argument("--telemetry-host", default="127.0.0.1",
                        metavar="HOST",
                        help="bind address for --telemetry-port")
-    group.add_argument("--telemetry-linger", type=float, default=0.0,
-                       metavar="SEC",
+    group.add_argument("--telemetry-linger", type=_non_negative_float,
+                       default=0.0, metavar="SEC",
                        help="keep the telemetry endpoints up SEC "
                             "seconds after the work finishes (lets an "
                             "external scraper read the final state)")
@@ -146,9 +154,6 @@ def _dispatch_parent() -> argparse.ArgumentParser:
     group.add_argument("--workers", type=_positive_int, default=1,
                        help="dispatch thread count (1 = serial); rtrd "
                             "uses it only with --rtrd-mode thread")
-    group.add_argument("--batch-size", type=_positive_int, default=None,
-                       help="items per dispatch batch "
-                            "(default: scaled to workers)")
     return parent
 
 
@@ -165,10 +170,10 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", parents=[executor, faults, session],
                          help="build a world and run the full study")
     run.set_defaults(handler=run_study)
-    run.add_argument("--domains", type=int, default=20_000,
+    run.add_argument("--domains", type=_count, default=20_000,
                      help="population size (the paper used 1M)")
     run.add_argument("--seed", type=int, default=2015)
-    run.add_argument("--bins", type=int, default=None,
+    run.add_argument("--bins", type=_positive_int, default=None,
                      help="rank bin size (default: population/100)")
     run.add_argument("--figure", choices=["1", "2", "3", "4", "table1", "cdn-as"],
                      action="append", default=None,
@@ -190,11 +195,11 @@ def build_parser() -> argparse.ArgumentParser:
              "re-measure only what changed",
     )
     refresh.set_defaults(handler=run_refresh)
-    refresh.add_argument("--domains", type=int, default=5_000)
+    refresh.add_argument("--domains", type=_count, default=5_000)
     refresh.add_argument("--seed", type=int, default=2015)
-    refresh.add_argument("--campaigns", type=int, default=3,
+    refresh.add_argument("--campaigns", type=_count, default=3,
                          help="refresh campaigns after the baseline")
-    refresh.add_argument("--churn", type=float, default=0.05,
+    refresh.add_argument("--churn", type=_fraction, default=0.05,
                          help="fraction of domains re-hosted between "
                               "campaigns")
     refresh.add_argument("--cache-dir", metavar="DIR", default=None,
@@ -209,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
              "be made available')",
     )
     export.set_defaults(handler=run_export)
-    export.add_argument("--domains", type=int, default=20_000)
+    export.add_argument("--domains", type=_count, default=20_000)
     export.add_argument("--seed", type=int, default=2015)
     export.add_argument("--outdir", default="ripki-data",
                         help="output directory (created if missing)")
@@ -220,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
              "prefix inventory, RPKI verdicts, actionable findings",
     )
     audit.set_defaults(handler=run_audit)
-    audit.add_argument("--domains", type=int, default=5_000)
+    audit.add_argument("--domains", type=_count, default=5_000)
     audit.add_argument("--seed", type=int, default=2015)
     audit.add_argument("--rank", type=int, action="append", default=None,
                        help="rank(s) to audit (repeatable; default: 1-5)")
@@ -234,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
              "latency/verdict table",
     )
     serve.set_defaults(handler=run_serve)
-    serve.add_argument("--domains", type=int, default=2_000)
+    serve.add_argument("--domains", type=_count, default=2_000)
     serve.add_argument("--seed", type=int, default=2015)
     serve.add_argument("--cache-dir", metavar="DIR", default=None,
                        help="build the index through the snapshot cache "
@@ -244,17 +249,18 @@ def build_parser() -> argparse.ArgumentParser:
                             "'validate P ASN' | 'lookup IP' | "
                             "'domain NAME' | 'rank_slice A B'); "
                             "default: generated load")
-    serve.add_argument("--queries", type=int, default=2_000,
+    serve.add_argument("--queries", type=_count, default=2_000,
                        help="generated load size (ignored with --script)")
     serve.add_argument("--load-seed", type=int, default=None,
                        help="load-generator seed (default: --seed)")
-    serve.add_argument("--zipf", type=float, default=1.1,
+    serve.add_argument("--zipf", type=_positive_float, default=1.1,
                        help="Zipf popularity exponent of the generated load")
     serve.add_argument("--serve-mode", choices=["auto", "serial", "thread"],
                        default="auto",
                        help="dispatch backend (auto: thread pool when "
                             "--workers > 1)")
-    serve.add_argument("--io-wait", type=float, default=0.0, metavar="SEC",
+    serve.add_argument("--io-wait", type=_non_negative_float, default=0.0,
+                       metavar="SEC",
                        help="simulated per-query IO wait (models a live "
                             "deployment's network hop; lets threads "
                             "overlap)")
@@ -274,24 +280,24 @@ def build_parser() -> argparse.ArgumentParser:
              "table and verify every surviving router's table",
     )
     rtrd.set_defaults(handler=run_rtrd)
-    rtrd.add_argument("--vrps", type=int, default=2_000,
+    rtrd.add_argument("--vrps", type=_count, default=2_000,
                       help="synthetic VRP world size")
     rtrd.add_argument("--seed", type=int, default=2015)
-    rtrd.add_argument("--sessions", type=int, default=64,
+    rtrd.add_argument("--sessions", type=_positive_int, default=64,
                       help="target concurrent router sessions")
-    rtrd.add_argument("--rounds", type=int, default=8,
+    rtrd.add_argument("--rounds", type=_positive_int, default=8,
                       help="churn rounds (one world publish each)")
-    rtrd.add_argument("--world-changes", type=int, default=50,
+    rtrd.add_argument("--world-changes", type=_count, default=50,
                       help="VRPs announced/withdrawn per round")
-    rtrd.add_argument("--disconnect", type=float, default=0.05,
+    rtrd.add_argument("--disconnect", type=_fraction, default=0.05,
                       help="fraction of routers disconnecting per round")
-    rtrd.add_argument("--lag", type=float, default=0.1,
+    rtrd.add_argument("--lag", type=_fraction, default=0.1,
                       help="fraction of routers going read-silent "
                            "per round")
-    rtrd.add_argument("--garbage", type=float, default=0.05,
+    rtrd.add_argument("--garbage", type=_fraction, default=0.05,
                       help="fraction of routers sending junk bytes "
                            "per round")
-    rtrd.add_argument("--history", type=int, default=16,
+    rtrd.add_argument("--history", type=_count, default=16,
                       help="serial diffs kept for incremental sync "
                            "(older routers get a Cache Reset)")
     rtrd.add_argument("--rtrd-mode", choices=["auto", "serial", "thread"],
@@ -310,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
              "VRPs",
     )
     world.set_defaults(handler=run_world)
-    world.add_argument("--domains", type=int, default=2_000,
+    world.add_argument("--domains", type=_count, default=2_000,
                        help="ecosystem size backing the measurement side")
     world.add_argument("--seed", type=int, default=2015,
                        help="seed for the ecosystem AND the world's "
@@ -319,9 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
                        default="sloppy-ca",
                        help="CA behaviour profile driving the per-step "
                             "event schedule")
-    world.add_argument("--steps", type=int, default=20,
+    world.add_argument("--steps", type=_count, default=20,
                        help="world steps (one refresh campaign each)")
-    world.add_argument("--grace", type=float, default=2.0,
+    world.add_argument("--grace", type=_non_negative_float, default=2.0,
                        help="relying-party grace window (virtual time "
                             "units) before a stale point's VRPs drop")
     world.add_argument("--cache-dir", metavar="DIR", default=None,
@@ -340,22 +346,22 @@ def build_parser() -> argparse.ArgumentParser:
              "futures with the what-if counterfactual engine",
     )
     rov.set_defaults(handler=run_rov)
-    rov.add_argument("--domains", type=int, default=600,
+    rov.add_argument("--domains", type=_count, default=600,
                      help="ecosystem size backing the what-if funnel")
     rov.add_argument("--seed", type=int, default=2015,
                      help="seed for the ecosystem, the ground-truth "
                           "deployment, and every experiment round")
-    rov.add_argument("--rounds", type=int, default=48,
+    rov.add_argument("--rounds", type=_positive_int, default=48,
                      help="anchor/experiment announcement rounds")
-    rov.add_argument("--vantages", type=int, default=10,
+    rov.add_argument("--vantages", type=_positive_int, default=10,
                      help="vantage points sampled per round")
-    rov.add_argument("--enforce-scale", type=float, default=1.0,
+    rov.add_argument("--enforce-scale", type=_non_negative_float, default=1.0,
                      help="multiplier on the role-dependent ground-"
                           "truth enforcement rates")
-    rov.add_argument("--futures", type=int, default=8,
+    rov.add_argument("--futures", type=_count, default=8,
                      help="sampled adoption futures scored in addition "
                           "to the three named scenarios")
-    rov.add_argument("--samples", type=int, default=12,
+    rov.add_argument("--samples", type=_count, default=12,
                      help="seeded hijack cases replayed per future")
     rov.add_argument("--json", metavar="FILE", nargs="?", const="-",
                      default=None,
@@ -372,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
              "transport a remote scheduler drives over any byte pipe)",
     )
     worker.set_defaults(handler=run_worker)
-    worker.add_argument("--domains", type=int, default=20_000,
+    worker.add_argument("--domains", type=_count, default=20_000,
                         help="population size (must match the driving "
                              "scheduler's world)")
     worker.add_argument("--seed", type=int, default=2015)
@@ -789,7 +795,6 @@ def run_serve(args: argparse.Namespace) -> int:
         service = QueryService(index, ServeConfig(
             workers=args.workers,
             mode=args.serve_mode,
-            batch_size=args.batch_size,
             faults=_fault_plan(args),
             simulated_io_s=args.io_wait,
             slo=session.slo,
@@ -826,7 +831,6 @@ def run_rtrd(args: argparse.Namespace) -> int:
         daemon = RTRDaemon(RtrdConfig(
             workers=args.workers,
             mode=args.rtrd_mode,
-            batch_size=args.batch_size,
             history_limit=args.history,
         ))
         daemon.attach_telemetry(slo=session.slo, health=session.health)

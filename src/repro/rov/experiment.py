@@ -55,6 +55,11 @@ EXPERIMENT_RANGE = Prefix.parse("198.18.0.0/15")
 _MAX_ROUNDS = 256  # (2 ** (24 - 15)) / 2 anchor/experiment /24 pairs
 
 ROV_MODES = ("auto", "serial", "thread", "process")
+# Every WRONG_LENGTH_EVERY-th round announces a maxLength-violating
+# experiment prefix instead of a wrong-origin one; every BOTH_EVERY-th
+# violates both clauses at once.
+WRONG_LENGTH_EVERY = 4
+BOTH_EVERY = 10
 
 
 def experiment_prefix_pair(index: int) -> Tuple[Prefix, Prefix]:
@@ -96,11 +101,6 @@ class ExperimentSpec:
     rounds: int = 64
     vantage_count: int = 12
     seed: int = 2015
-    # Every Nth round announces a maxLength-violating experiment
-    # prefix instead of a wrong-origin one (0 disables).
-    wrong_length_every: int = 4
-    # Every Nth round violates both clauses at once (0 disables).
-    both_every: int = 10
 
     def __post_init__(self):
         if not 1 <= self.rounds <= _MAX_ROUNDS:
@@ -111,8 +111,8 @@ class ExperimentSpec:
     def describe(self) -> str:
         return (
             f"rounds={self.rounds}|vantages={self.vantage_count}"
-            f"|seed={self.seed}|wl={self.wrong_length_every}"
-            f"|both={self.both_every}"
+            f"|seed={self.seed}|wl={WRONG_LENGTH_EVERY}"
+            f"|both={BOTH_EVERY}"
         )
 
 
@@ -286,11 +286,9 @@ def build_round(
     anchor, experiment = experiment_prefix_pair(index)
 
     wrong_origin = ASN(64496 + index)  # documentation range, never in-topology
-    both = spec.both_every and index % spec.both_every == spec.both_every - 1
+    both = index % BOTH_EVERY == BOTH_EVERY - 1
     wrong_length = (
-        not both
-        and spec.wrong_length_every
-        and index % spec.wrong_length_every == spec.wrong_length_every - 1
+        not both and index % WRONG_LENGTH_EVERY == WRONG_LENGTH_EVERY - 1
     )
     vrps = [VRP(anchor, anchor.length, origin, trust_anchor="rov-anchor")]
     if both:

@@ -72,13 +72,17 @@ class SyntheticVRPWorld:
         return len(self._vrps)
 
 
+# The longest a lagging router stays read-silent, in rounds.
+MAX_LAG_ROUNDS = 3
+
+
 @dataclass(frozen=True)
 class ChurnProfile:
     """One seeded churn scenario.
 
     Fractions apply to the population each round: ``disconnect``
     removes routers for good, ``lag`` makes routers stop reading for
-    up to ``max_lag_rounds`` rounds, ``garbage`` injects junk bytes
+    up to ``MAX_LAG_ROUNDS`` rounds, ``garbage`` injects junk bytes
     mid-stream (quarantining the session until the simulated router
     software restarts).  ``world_changes`` VRPs mutate per round.
     """
@@ -88,7 +92,6 @@ class ChurnProfile:
     disconnect: float = 0.05
     lag: float = 0.1
     garbage: float = 0.05
-    max_lag_rounds: int = 3
     world_changes: int = 20
     seed: Seed = "rtrd-churn"
 
@@ -99,8 +102,6 @@ class ChurnProfile:
                 raise ValueError(f"{name} must be a fraction, got {value}")
         if self.rounds < 1 or self.target_sessions < 1:
             raise ValueError("rounds and target_sessions must be >= 1")
-        if self.max_lag_rounds < 1:
-            raise ValueError("max_lag_rounds must be >= 1")
 
 
 @dataclass
@@ -249,5 +250,5 @@ def _assign_lag(
     candidates = [r for r in daemon.manager.alive() if not r.lagging]
     count = int(len(candidates) * profile.lag)
     for router in rng.sample(candidates, min(count, len(candidates))):
-        router.lag = rng.randint(1, profile.max_lag_rounds)
+        router.lag = rng.randint(1, MAX_LAG_ROUNDS)
         summary.lag_assignments += 1

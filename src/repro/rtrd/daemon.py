@@ -48,6 +48,10 @@ DISPATCH_MODES: Tuple[str, ...] = ("auto", "serial", "thread")
 # event per publish, good when the fan-out met the deadline.
 PUSH_SLO = "rtrd.push"
 
+# Serve/poll rounds a single pump may take before giving up; a
+# healthy exchange converges in 2-3 (notify -> query -> diff).
+MAX_PUMP_ROUNDS = 12
+
 PUSH_LATENCY_METRIC = "ripki_rtrd_push_seconds"
 PUSH_BYTES_METRIC = "ripki_rtrd_push_bytes_total"
 PUBLISHES_METRIC = "ripki_rtrd_publishes_total"
@@ -81,13 +85,7 @@ class RtrdConfig:
 
     workers: int = 1
     mode: str = "auto"                # auto | serial | thread
-    batch_size: Optional[int] = None
-    session_id: int = 1
     history_limit: int = 16
-    refresh_interval: int = 3600
-    # Serve/poll rounds a single pump may take before giving up; a
-    # healthy exchange converges in 2-3 (notify -> query -> diff).
-    max_rounds: int = 12
 
     def __post_init__(self):
         if self.mode not in DISPATCH_MODES:
@@ -96,10 +94,6 @@ class RtrdConfig:
             )
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
 
     @property
     def resolved_mode(self) -> str:
@@ -188,9 +182,7 @@ class RTRDaemon:
     ):
         self.config = config or RtrdConfig()
         self._cache = cache or RTRCache(
-            session_id=self.config.session_id,
-            history_limit=self.config.history_limit,
-            refresh_interval=self.config.refresh_interval,
+            history_limit=self.config.history_limit
         )
         self._manager = SessionManager(self._cache)
         self._clock: Callable[[], float] = time.perf_counter
@@ -335,7 +327,7 @@ class RTRDaemon:
             routers=len(population),
             mode=self.config.resolved_mode,
         ) as root:
-            while rounds < self.config.max_rounds:
+            while rounds < MAX_PUMP_ROUNDS:
                 if not self._pending(population):
                     break
                 self._step_all(population, root)
@@ -358,9 +350,7 @@ class RTRDaemon:
     ) -> None:
         run_batches(
             self._step_batch,
-            plan_batches(
-                population, self.config.batch_size, self.config.workers
-            ),
+            plan_batches(population, workers=self.config.workers),
             workers=self.config.workers,
             mode=self.config.resolved_mode,
             root=root,

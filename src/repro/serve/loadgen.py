@@ -20,6 +20,7 @@ targets, so misses and NOT_FOUNDs stay represented.
 from __future__ import annotations
 
 import bisect
+import itertools
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -38,6 +39,11 @@ DEFAULT_MIX: Tuple[Tuple[str, float], ...] = (
     ("domain", 0.25),
     ("rank_slice", 0.10),
 )
+_KINDS = [kind for kind, _weight in DEFAULT_MIX]
+_KIND_CUMULATIVE = list(
+    itertools.accumulate(weight for _kind, weight in DEFAULT_MIX)
+)
+SLICE_WIDTH = 100  # rank_slice window size
 
 
 @dataclass(frozen=True)
@@ -47,19 +53,12 @@ class LoadProfile:
     queries: int = 1_000
     seed: int = 2015
     zipf_exponent: float = 1.1
-    mix: Tuple[Tuple[str, float], ...] = DEFAULT_MIX
-    slice_width: int = 100  # rank_slice window size
 
     def __post_init__(self):
         if self.queries < 0:
             raise ValueError("queries must be >= 0")
         if self.zipf_exponent <= 0:
             raise ValueError("zipf_exponent must be > 0")
-        if self.slice_width < 1:
-            raise ValueError("slice_width must be >= 1")
-        total = sum(weight for _kind, weight in self.mix)
-        if not self.mix or total <= 0:
-            raise ValueError("mix must carry positive weight")
 
 
 def _zipf_cumulative(count: int, exponent: float) -> List[float]:
@@ -82,37 +81,29 @@ def generate_load(
     rng = DeterministicRNG(profile.seed).fork("serve.loadgen")
     cumulative = _zipf_cumulative(len(measurements), profile.zipf_exponent)
     scale = cumulative[-1]
-    kinds = [kind for kind, _weight in profile.mix]
-    kind_cumulative: List[float] = []
-    running = 0.0
-    for _kind, weight in profile.mix:
-        running += weight
-        kind_cumulative.append(running)
     queries: List[Query] = []
     for _ in range(profile.queries):
         position = bisect.bisect_left(
             cumulative, rng.random() * scale
         )
         measurement = measurements[min(position, len(measurements) - 1)]
-        kind = kinds[
+        kind = _KINDS[
             bisect.bisect_left(
-                kind_cumulative, rng.random() * kind_cumulative[-1]
+                _KIND_CUMULATIVE, rng.random() * _KIND_CUMULATIVE[-1]
             )
         ]
-        queries.append(_make_query(rng, index, measurement, kind, profile))
+        queries.append(_make_query(rng, index, measurement, kind))
     return queries
 
 
 def _make_query(
-    rng: DeterministicRNG, index, measurement, kind: str, profile
+    rng: DeterministicRNG, index, measurement, kind: str
 ) -> Query:
     if kind == "domain":
         return Query.domain(measurement.domain.name)
     if kind == "rank_slice":
-        first = max(1, measurement.rank - profile.slice_width // 2)
-        last = min(
-            max(index.max_rank, 1), first + profile.slice_width - 1
-        )
+        first = max(1, measurement.rank - SLICE_WIDTH // 2)
+        last = min(max(index.max_rank, 1), first + SLICE_WIDTH - 1)
         return Query.rank_slice(first, last)
     if kind == "lookup":
         addresses = list(measurement.www.addresses) + list(

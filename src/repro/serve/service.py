@@ -171,7 +171,6 @@ class ServeConfig:
 
     workers: int = 1
     mode: str = "auto"                 # auto | serial | thread
-    batch_size: Optional[int] = None
     faults: Optional[FaultPlan] = None
     simulated_io_s: float = 0.0
     # Windowed SLO accounting: every answered query feeds the
@@ -187,8 +186,6 @@ class ServeConfig:
             )
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if self.simulated_io_s < 0:
             raise ValueError("simulated_io_s must be >= 0")
 
@@ -230,9 +227,7 @@ class QueryService:
         a pure function of the index, the config, and the query.
         """
         ordered = list(queries)
-        batches = plan_batches(
-            ordered, self.config.batch_size, self.config.workers
-        )
+        batches = plan_batches(ordered, workers=self.config.workers)
         mode = self.config.resolved_mode
         with tracer().span(
             "serve.run", queries=len(ordered), mode=mode

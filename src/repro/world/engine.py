@@ -50,34 +50,29 @@ from repro.world.scenarios import world_plan
 from repro.world.view import RelyingPartyView, ViewObservation, vrp_rows
 
 
+# The world's clock and object lifetimes, in the simulation's day
+# units (the ecosystem's certificates use the same scale).  One step
+# is one day and manifests and CRLs are valid for a day and a half, so
+# one missed re-sign leaves a point current and two open a stale
+# window; ``WorldConfig.grace`` (two days by default) is how long a
+# relying party keeps a stale point's VRPs before dropping them.
+STEP = 1.0
+MANIFEST_VALIDITY = 1.5
+CRL_VALIDITY = 1.5
+ROA_VALIDITY = 15.0
+# Synthetic-world shape (WorldEngine.synthetic only).
+SYNTHETIC_CAS = 8
+SYNTHETIC_PREFIXES = 6
+
+
 @dataclass(frozen=True)
 class WorldConfig:
-    """Knobs of the world's clock and object lifetimes.
-
-    Times are in the simulation's day units (the ecosystem's
-    certificates use the same scale).  The defaults make one step one
-    day, with manifests and CRLs valid for a day and a half — so one
-    missed re-sign leaves a point current, two open a stale window —
-    and a two-day relying-party grace before stale VRPs drop.
-    """
+    """What a world run is: its CA behaviour profile, seed and the
+    relying party's grace window (see the constants above)."""
 
     profile: str = "calm"
     seed: int = 0
-    step: float = 1.0
-    manifest_validity: float = 1.5
-    crl_validity: float = 1.5
-    roa_validity: float = 15.0
     grace: float = 2.0
-    # Synthetic-world shape (WorldEngine.synthetic only).
-    synthetic_cas: int = 8
-    synthetic_prefixes: int = 6
-    key_bits: int = 512
-
-    def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("step must be > 0")
-        if self.manifest_validity <= 0 or self.crl_validity <= 0:
-            raise ValueError("validity windows must be > 0")
 
 
 @dataclass
@@ -220,15 +215,15 @@ class WorldEngine:
     def synthetic(cls, config: Optional[WorldConfig] = None) -> "WorldEngine":
         """A self-contained world (no ecosystem build required).
 
-        One trust anchor delegates ``synthetic_cas`` CAs, each holding
-        ``synthetic_prefixes`` /20s out of 60.0.0.0/8 with a
+        One trust anchor delegates ``SYNTHETIC_CAS`` CAs, each holding
+        ``SYNTHETIC_PREFIXES`` /20s out of 60.0.0.0/8 with a
         documentation-range origin AS; half of each CA's holdings
         start signed.  Useful for unit tests and benchmarks.
         """
         config = config or WorldConfig()
         rng = DeterministicRNG(config.seed).fork("world-synthetic")
         anchor = CertificateAuthority.create_trust_anchor(
-            "WORLD-TA", rng.fork("ta"), key_bits=config.key_bits
+            "WORLD-TA", rng.fork("ta")
         )
         repository = Repository()
         repository.add_trust_anchor(anchor.certificate)
@@ -237,14 +232,12 @@ class WorldEngine:
 
         base = 60 << 24
         initial_roas: Dict[str, List] = {}
-        for index in range(config.synthetic_cas):
+        for index in range(SYNTHETIC_CAS):
             name = f"CA-{index:02d}"
             asn = ASN(64496 + index)
             holdings: Dict[Prefix, ASN] = {}
-            for offset in range(config.synthetic_prefixes):
-                value = base + (
-                    (index * config.synthetic_prefixes + offset) << 12
-                )
+            for offset in range(SYNTHETIC_PREFIXES):
+                value = base + ((index * SYNTHETIC_PREFIXES + offset) << 12)
                 holdings[Prefix(4, value, 20)] = asn
             ca = anchor.issue_child_ca(
                 name,
@@ -317,7 +310,7 @@ class WorldEngine:
     def step(self) -> WorldStep:
         """Advance one step: mutate, publish, observe."""
         self._step_index += 1
-        self._time += self._config.step
+        self._time += STEP
         outages = set()
         for actor in self._actors:
             if self._decide(WORLD_PP_OUTAGE, actor):
@@ -429,7 +422,7 @@ class WorldEngine:
             origin,
             [(prefix, max_length)],
             not_before=self._time,
-            not_after=self._time + self._config.roa_validity,
+            not_after=self._time + ROA_VALIDITY,
         )
         actor.roa_sequence += 1
         name = f"world-{actor.roa_sequence}.roa"
@@ -523,7 +516,7 @@ class WorldEngine:
             point.crl = issue_crl(
                 actor.ca,
                 this_update=now,
-                next_update=now + self._config.crl_validity,
+                next_update=now + CRL_VALIDITY,
             )
         if skip_manifest:
             self._emit(ev.MANIFEST_SKIPPED, actor.name)
@@ -534,7 +527,7 @@ class WorldEngine:
                 point.object_hashes(),
                 manifest_number=actor.manifest_number,
                 this_update=now,
-                next_update=now + self._config.manifest_validity,
+                next_update=now + MANIFEST_VALIDITY,
             )
 
     # -- observation ----------------------------------------------------

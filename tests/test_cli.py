@@ -62,17 +62,53 @@ class TestParser:
             build_parser().parse_args(["run", "--figure", "9"])
 
     @pytest.mark.parametrize(
-        "flag", ["--workers", "--shard-size", "--job-deadline", "--retries"]
+        "command, flag, value",
+        [
+            pytest.param("run", flag, "0", id=flag)
+            for flag in ("--workers", "--shard-size", "--job-deadline",
+                         "--retries")
+        ] + [
+            pytest.param(*case, id=" ".join(case))
+            for case in [
+                *((command, "--domains", "-5") for command in (
+                    "run", "refresh", "export", "audit", "serve", "world",
+                    "rov", "worker",
+                )),
+                ("run", "--bins", "0"),
+                ("run", "--bins", "-2"),
+                ("run", "--telemetry-port", "-1"),
+                ("run", "--telemetry-port", "65536"),
+                ("refresh", "--campaigns", "-1"),
+                ("refresh", "--churn", "1.5"),
+                ("serve", "--queries", "-1"),
+                ("serve", "--zipf", "-1"),
+                ("serve", "--io-wait", "-1"),
+                ("rtrd", "--sessions", "0"),
+                ("rtrd", "--world-changes", "-1"),
+                ("rtrd", "--disconnect", "1.5"),
+                ("rtrd", "--lag", "1.5"),
+                ("rtrd", "--garbage", "1.5"),
+                ("world", "--steps", "-1"),
+                ("world", "--grace", "-1"),
+                ("rov", "--rounds", "0"),
+                ("rov", "--vantages", "0"),
+                ("rov", "--futures", "-1"),
+                ("rov", "--samples", "-1"),
+                ("rov", "--enforce-scale", "-1"),
+            ]
+        ],
     )
     def test_zero_is_a_usage_error_before_any_world_is_built(
-        self, flag, capsys
+        self, command, flag, value, capsys
     ):
+        """A zero or otherwise hostile numeric value fails at parse
+        time (exit 2), never after a build or by a silent clamp."""
         with pytest.raises(SystemExit) as raised:
-            main(["run", "--domains", "50", flag, "0"])
+            main([command, flag, value])
         assert raised.value.code == 2
         captured = capsys.readouterr()
         assert captured.err.splitlines()[-1].startswith(
-            f"ripki run: error: argument {flag}"
+            f"ripki {command}: error: argument {flag}"
         )
         assert "building" not in captured.out + captured.err
 
@@ -582,6 +618,59 @@ class TestRovOffersOnlyWhatItHonours:
         _assert_obs_disabled()
 
 
+def _printed(argv, capsys) -> str:
+    """What a command prints, wall-clock figures and padding masked."""
+    import re
+
+    assert main(argv) == 0
+    out = re.sub(r"\d+\.\d+", "<N>", capsys.readouterr().out)
+    return " ".join(out.split())
+
+
+class TestFlagsChangeOutputs:
+    """The ``EFFECT`` rows of ``test_settings_reachability.py`` for
+    CLI flags: each flag, set off its default, changes what its
+    command prints or exports."""
+
+    def test_bins_rebins_the_figures(self, capsys):
+        argv = ["run", "--domains", "100", "--figure", "1"]
+        assert _printed(argv, capsys) != _printed(
+            argv + ["--bins", "7"], capsys
+        )
+
+    def test_run_retries_changes_what_degrades(self, capsys):
+        argv = ["run", "--domains", "200", "--figure", "table1",
+                "--fault-profile", "flaky"]
+        assert _printed(argv, capsys) != _printed(
+            argv + ["--retries", "1"], capsys
+        )
+
+    def test_history_decides_diff_or_snapshot(self, capsys):
+        argv = ["rtrd", "--vrps", "100", "--sessions", "8", "--rounds", "3"]
+        assert _printed(argv, capsys) != _printed(
+            argv + ["--history", "0"], capsys
+        )
+
+    def test_grace_decides_when_stale_points_drop(self, capsys):
+        argv = ["world", "--domains", "100", "--steps", "4"]
+        assert _printed(argv, capsys) != _printed(
+            argv + ["--grace", "0"], capsys
+        )
+
+    def test_world_retries_changes_what_degrades(self, tmp_path):
+        def degraded(*extra):
+            metrics = tmp_path / "world.prom"
+            assert main(["world", "--domains", "100", "--steps", "0",
+                         "--fault-profile", "flaky",
+                         "--metrics-out", str(metrics), *extra]) == 0
+            return [
+                line for line in metrics.read_text().splitlines()
+                if line.startswith("ripki_degraded_domains_total ")
+            ]
+
+        assert degraded() != degraded("--retries", "1")
+
+
 def _opt(*flags, default=None, choices=None):
     return (flags, default, choices)
 
@@ -616,7 +705,6 @@ _FAULTS = {
 }
 _DISPATCH = {
     "workers": _opt("--workers", default=1),
-    "batch_size": _opt("--batch-size"),
 }
 _THREAD_MODES = ("auto", "serial", "thread")
 

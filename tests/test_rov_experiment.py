@@ -135,10 +135,7 @@ class TestBuildRound:
             assert len(first.vantages) == 5
 
     def test_violation_schedule(self, topology):
-        spec = ExperimentSpec(
-            rounds=20, vantage_count=4, seed=4,
-            wrong_length_every=4, both_every=10,
-        )
+        spec = ExperimentSpec(rounds=20, vantage_count=4, seed=4)
         digest = topology_digest(topology)
         # Round 9 and 19 violate both clauses; 3, 7, 11, 15 violate
         # maxLength only; the rest use a wrong-origin ROA.

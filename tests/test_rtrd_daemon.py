@@ -192,14 +192,12 @@ class TestDispatchEquivalence:
             return daemon.serial, wire_table(daemon.vrps()), tables
 
         serial_run = run(RtrdConfig(workers=1))
-        threaded_run = run(RtrdConfig(workers=4, mode="thread", batch_size=3))
+        threaded_run = run(RtrdConfig(workers=4, mode="thread"))
         assert serial_run == threaded_run
 
     def test_threaded_counters_merge(self):
         with obs.scope() as (registry, _tracer):
-            daemon = RTRDaemon(
-                RtrdConfig(workers=4, mode="thread", batch_size=2)
-            )
+            daemon = RTRDaemon(RtrdConfig(workers=4, mode="thread"))
             daemon.publish(world_slice(10))
             daemon.connect_many(8)
             daemon.publish(world_slice(10, start=1))
@@ -271,9 +269,7 @@ class TestSharedTables:
     def test_threaded_tables_share_at_most_one_vrp_per_worker(self):
         decode_shared.cache_clear()  # let the first decodes race
         workers = 4
-        daemon = RTRDaemon(
-            RtrdConfig(workers=workers, mode="thread", batch_size=2)
-        )
+        daemon = RTRDaemon(RtrdConfig(workers=workers, mode="thread"))
         daemon.publish(world_slice(30))
         routers = daemon.connect_many(16)
         daemon.publish(world_slice(30, start=5))

@@ -30,7 +30,7 @@ PROFILES = {
     ),
     "laggy": ChurnProfile(
         rounds=8, target_sessions=16, disconnect=0.0, lag=0.4,
-        garbage=0.0, max_lag_rounds=4, world_changes=16, seed="laggy",
+        garbage=0.0, world_changes=16, seed="laggy",
     ),
     "hostile": ChurnProfile(
         rounds=6, target_sessions=16, disconnect=0.1, lag=0.2,

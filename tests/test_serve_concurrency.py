@@ -163,7 +163,6 @@ class TestBatchedDispatcher:
             ServeConfig(
                 workers=4,
                 mode="thread",
-                batch_size=64,
                 faults=FaultPlan.from_profile("degraded", seed=SEED),
             ),
         )
@@ -175,16 +174,3 @@ class TestBatchedDispatcher:
         serial_totals = counter_totals(serial_reg)
         assert counter_totals(thread_reg) == serial_totals
         assert serial_totals, "no serve counters recorded"
-
-    def test_batch_size_does_not_change_responses(self, index, queries):
-        baseline = QueryService(index, ServeConfig(mode="serial")).run(
-            queries[:600]
-        )
-        for batch_size in (1, 7, 100, 1_000):
-            service = QueryService(
-                index,
-                ServeConfig(
-                    workers=3, mode="thread", batch_size=batch_size
-                ),
-            )
-            assert service.run(queries[:600]) == baseline

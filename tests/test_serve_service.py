@@ -115,8 +115,6 @@ class TestServeConfig:
         with pytest.raises(ValueError):
             ServeConfig(workers=0)
         with pytest.raises(ValueError):
-            ServeConfig(batch_size=0)
-        with pytest.raises(ValueError):
             ServeConfig(simulated_io_s=-0.1)
 
     def test_auto_mode_resolution(self):
@@ -191,12 +189,13 @@ class TestLoadgen:
         assert a != b
 
     def test_zipf_skews_towards_head(self, small_index):
-        queries = generate_load(
-            small_index,
-            LoadProfile(
-                queries=2_000, seed=77, mix=(("domain", 1.0),)
-            ),
-        )
+        queries = [
+            query
+            for query in generate_load(
+                small_index, LoadProfile(queries=8_000, seed=77)
+            )
+            if query.kind == "domain"
+        ]
         head = small_index.measurements[0].domain.name
         tail = small_index.measurements[-1].domain.name
         head_hits = sum(1 for q in queries if q.name == head)
@@ -208,8 +207,6 @@ class TestLoadgen:
             LoadProfile(queries=-1)
         with pytest.raises(ValueError):
             LoadProfile(zipf_exponent=0)
-        with pytest.raises(ValueError):
-            LoadProfile(slice_width=0)
 
 
 # Computed once from FaultPlan.from_profile("degraded", seed=99) over
@@ -246,9 +243,7 @@ class TestPinnedDegradationSchedule:
     def test_schedule_is_dispatch_invariant(self):
         queries = self.fixed_queries()
         serial = self.service(mode="serial").run(queries)
-        threaded = self.service(workers=3, mode="thread", batch_size=7).run(
-            queries
-        )
+        threaded = self.service(workers=3, mode="thread").run(queries)
         assert [r.marker for r in threaded] == [r.marker for r in serial]
 
     def test_degraded_and_fault_counters_tick(self):

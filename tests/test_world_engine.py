@@ -60,16 +60,6 @@ class TestScenarios:
         ]
 
 
-class TestWorldConfig:
-    def test_rejects_nonpositive_step(self):
-        with pytest.raises(ValueError):
-            WorldConfig(step=0.0)
-
-    def test_rejects_nonpositive_validity(self):
-        with pytest.raises(ValueError):
-            WorldConfig(manifest_validity=-1.0)
-
-
 class TestDeterminism:
     def test_same_seed_same_ledger_and_vrps(self):
         a = synthetic()
@@ -118,6 +108,20 @@ class TestChurnMechanics:
         summary = engine.summary()
         assert summary.stale_point_observations > 0
         assert summary.final_vrps > 0
+
+    def test_grace_decides_when_stale_points_drop(self):
+        # Same seed, same CA behaviour: only the relying party's
+        # patience differs, so a zero grace window drops what two days
+        # keep.
+        strict = synthetic(grace=0.0)
+        strict.run(20)
+        lenient = synthetic()
+        lenient.run(20)
+        assert (
+            strict.summary().dropped_point_observations
+            > lenient.summary().dropped_point_observations
+        )
+        assert vrp_rows(strict.payloads) != vrp_rows(lenient.payloads)
 
     def test_rollover_storm_stages_and_completes(self):
         engine = synthetic(profile="rollover-storm", seed=3)
