@@ -1,7 +1,7 @@
 """Analysis utilities: rank binning, summary statistics, text tables."""
 
 from repro.analysis.series import BinnedSeries, bin_means, bin_shares
-from repro.analysis.stats import mean, quantile, trend_slope
+from repro.analysis.stats import mean, trend_slope
 from repro.analysis.tables import TextTable
 
 __all__ = [
@@ -10,6 +10,5 @@ __all__ = [
     "bin_means",
     "bin_shares",
     "mean",
-    "quantile",
     "trend_slope",
 ]

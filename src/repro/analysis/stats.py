@@ -11,17 +11,6 @@ def mean(values: Sequence[float]) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
-def quantile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank quantile (q in [0, 1])."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("q must be in [0, 1]")
-    ordered = sorted(values)
-    if not ordered:
-        return 0.0
-    index = min(len(ordered) - 1, int(q * len(ordered)))
-    return ordered[index]
-
-
 def trend_slope(values: Sequence[float]) -> float:
     """Least-squares slope over index — sign gives the rank trend.
 

@@ -57,23 +57,6 @@ class TableDump:
         """All rows whose prefix covers the address, shortest first."""
         return [entry for _prefix, entry in self._trie.covering(target)]
 
-    def origins_for_prefix(
-        self, prefix: Prefix, exclude_as_sets: bool = True
-    ) -> Set[ASN]:
-        """Origin ASes seen for one exact prefix across all peers."""
-        origins: Set[ASN] = set()
-        for entry in self._trie.lookup_exact(prefix):
-            if exclude_as_sets and entry.has_as_set:
-                continue
-            origin = entry.origin
-            if origin is not None:
-                origins.add(origin)
-        return origins
-
-    def is_reachable(self, target: Union[Address, Prefix]) -> bool:
-        """True when any table row covers the target."""
-        return bool(self._trie.covering(target))
-
     def prefixes(self) -> Set[Prefix]:
         return {entry.prefix for entry in self._entries}
 

@@ -24,13 +24,6 @@ class Relationship(enum.Enum):
     PEER = "peer"          # settlement-free
     PROVIDER = "provider"  # we pay the neighbor
 
-    def inverse(self) -> "Relationship":
-        if self is Relationship.CUSTOMER:
-            return Relationship.PROVIDER
-        if self is Relationship.PROVIDER:
-            return Relationship.CUSTOMER
-        return Relationship.PEER
-
 
 class RouteClass(enum.IntEnum):
     """Preference classes, higher is better (local-pref analogue)."""

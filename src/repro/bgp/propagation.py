@@ -81,9 +81,6 @@ class RoutingState:
     def prefixes(self) -> List[Prefix]:
         return list(self._tables)
 
-    def reachable_ases(self, prefix: Prefix) -> Set[ASN]:
-        return set(self._tables.get(prefix, {}))
-
     def __len__(self) -> int:
         return len(self._tables)
 

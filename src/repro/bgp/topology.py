@@ -156,12 +156,6 @@ class ASTopology:
             }
         return index
 
-    def providers(self, asn: Union[int, ASN]) -> List[ASN]:
-        return list(self.neighbor_index()[Relationship.PROVIDER][self.node(asn).asn])
-
-    def customers(self, asn: Union[int, ASN]) -> List[ASN]:
-        return list(self.neighbor_index()[Relationship.CUSTOMER][self.node(asn).asn])
-
     def peers(self, asn: Union[int, ASN]) -> List[ASN]:
         return list(self.neighbor_index()[Relationship.PEER][self.node(asn).asn])
 

@@ -97,7 +97,7 @@ def input_digests(study) -> Dict[str, str]:
 
     The one spelling of "what world is this": the serving index's
     staleness check, the telemetry health card and the job
-    protocol's hello frame all compare these dicts byte for byte.
+    protocol's digest check all compare these dicts byte for byte.
     """
     return {
         "zone": zone_digest(study.resolver.namespace),

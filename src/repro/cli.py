@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import json
 import sys
 import time
@@ -46,7 +45,6 @@ from repro.core import (
 from repro.core.pipeline import RUN_MODES
 from repro.core.reports import render_table1
 from repro.faults import PROFILES, FaultPlan
-from repro.rov import ROV_MODES
 from repro.web import EcosystemConfig, HTTPArchiveClassifier, WebEcosystem
 from repro.world import WORLD_PROFILES
 
@@ -97,24 +95,14 @@ def _session_parent() -> argparse.ArgumentParser:
     return parent
 
 
-def _exec_parent(study: bool) -> argparse.ArgumentParser:
-    """Shared sharded-executor flag group (argparse parent).
-
-    ``study=False`` is the ``repro.rov`` dispatcher: it offers only
-    the modes and flags that dispatcher honours.
-    """
+def _exec_parent() -> argparse.ArgumentParser:
+    """Shared sharded-executor flag group (argparse parent)."""
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("execution")
     group.add_argument("--workers", "--num-workers", type=_positive_int,
                        default=1,
                        help="worker count for the sharded executor "
                             "(1 = classic serial loop)")
-    if not study:
-        group.add_argument("--exec-mode", choices=list(ROV_MODES),
-                           default="auto",
-                           help="sharded-executor backend (auto: process "
-                                "pool when --workers > 1)")
-        return parent
     group.add_argument("--exec-mode", choices=list(RUN_MODES),
                        default="auto",
                        help="sharded-executor backend (auto: process "
@@ -163,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reproduce the RiPKI (HotNets 2015) measurement study.",
     )
     session = _session_parent()
-    executor = _exec_parent(study=True)
+    executor = _exec_parent()
     faults = _fault_parent()
     dispatch = _dispatch_parent()
     sub = parser.add_subparsers(dest="command", required=True)
@@ -340,12 +328,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     rov = sub.add_parser(
         "rov",
-        parents=[_exec_parent(study=False), session],
+        parents=[session],
         help="infer per-AS ROV enforcement from seeded anchor/"
              "experiment announcement pairs, then score adoption "
              "futures with the what-if counterfactual engine",
     )
     rov.set_defaults(handler=run_rov)
+    rov.add_argument_group("execution").add_argument(
+        "--workers", "--num-workers", type=_positive_int, default=1,
+        help="process-pool size for the experiment rounds and the "
+             "what-if futures (1 = serial)")
     rov.add_argument("--domains", type=_count, default=600,
                      help="ecosystem size backing the what-if funnel")
     rov.add_argument("--seed", type=int, default=2015,
@@ -368,22 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write the full summary as JSON to FILE "
                           "(bare --json: JSON on stdout, tables on "
                           "stderr)")
-
-    worker = sub.add_parser(
-        "worker",
-        parents=[faults],
-        help="serve the framed job protocol over stdin/stdout: build "
-             "a world, announce its input digests, then answer "
-             "JobSpec frames with JobResult frames until EOF (the "
-             "transport a remote scheduler drives over any byte pipe)",
-    )
-    worker.set_defaults(handler=run_worker)
-    worker.add_argument("--domains", type=_count, default=20_000,
-                        help="population size (must match the driving "
-                             "scheduler's world)")
-    worker.add_argument("--seed", type=int, default=2015)
-    worker.add_argument("--worker-id", type=int, default=0,
-                        help="identity stamped on every frame")
     return parser
 
 
@@ -1002,7 +978,7 @@ def run_rov(args: argparse.Namespace) -> int:
         )
         runner = RovExperimentRunner(topology, enforcing, spec)
         started = time.time()
-        report = runner.run(mode=args.exec_mode, workers=args.workers)
+        report = runner.run(workers=args.workers)
         say(f"  campaign: {spec.rounds} rounds x {spec.vantage_count} "
             f"vantages over {as_count} ASes "
             f"({len(enforcing)} truly enforcing) "
@@ -1017,9 +993,7 @@ def run_rov(args: argparse.Namespace) -> int:
             world, hijack_samples=args.samples, seed=args.seed
         )
         started = time.time()
-        deltas = engine.run_futures(
-            futures, mode=args.exec_mode, workers=args.workers
-        )
+        deltas = engine.run_futures(futures, workers=args.workers)
         say(f"  what-if: {len(deltas)} futures x "
             f"{args.samples} hijack replays in {time.time() - started:.1f}s")
 
@@ -1037,26 +1011,6 @@ def run_rov(args: argparse.Namespace) -> int:
         say(obs.rov_report(summary))
         if args.json:
             _write_json(args.json, summary, say)
-    return 0
-
-
-def run_worker(args: argparse.Namespace) -> int:
-    """``ripki worker``: the stdio side of the framed job protocol.
-
-    Frames own stdout, so all human-readable chatter goes to stderr.
-    A driving scheduler on the other end of the pipe compares the
-    hello frame's digests with its own before dispatching; a job
-    whose digests still mismatch is refused with a typed error frame.
-    """
-    from repro.exec.worker import serve_stdio
-
-    say = functools.partial(print, file=sys.stderr)
-    world = _build_world(args, say)
-    config = RunConfig(max_attempts=args.retries, faults=_fault_plan(args))
-    study = MeasurementStudy.from_ecosystem(world)
-    say(f"worker {args.worker_id}: serving job frames on stdio")
-    answered = serve_stdio(study, config, worker_id=args.worker_id)
-    say(f"worker {args.worker_id}: {answered} jobs answered")
     return 0
 
 

@@ -94,12 +94,6 @@ class DeterministicRNG:
             picked.append(pool.pop(index))
         return picked
 
-    def shuffle(self, items: list) -> None:
-        """Fisher–Yates shuffle in place."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randint(0, i)
-            items[i], items[j] = items[j], items[i]
-
     def weighted_choice(self, items: Sequence[T], weights: Sequence[float]) -> T:
         """Choose one element with probability proportional to its weight."""
         if len(items) != len(weights):

@@ -2,9 +2,9 @@
 
 The sharded executor's wire codec (:mod:`repro.exec.codec`) already
 makes shard results primitives-only; this module promotes it to a
-full job protocol so shards can cross *any* byte stream — a socket
-pair to a forked worker, the stdio of a ``ripki worker`` process on
-another box — not just a pickle channel inside one process pool.
+full job protocol so shards cross a socket pair to a forked worker
+as framed bytes, not through a pickle channel inside one process
+pool.
 
 Framing is 4-byte big-endian length + UTF-8 JSON.  The decoder is
 incremental (feed it whatever ``recv`` returned, get back every
@@ -133,8 +133,8 @@ def read_frame(stream) -> Optional[dict]:
 
     Returns ``None`` on clean EOF at a frame boundary; raises
     :class:`JobProtocolError` on EOF mid-frame or a malformed frame.
-    Used by the stdio worker (``ripki worker``); the scheduler side
-    uses the incremental :func:`decode_frames` under a selector.
+    Used by the forked worker; the scheduler side uses the
+    incremental :func:`decode_frames` under a selector.
     """
     prefix = stream.read(PREFIX_SIZE)
     if not prefix:
@@ -459,8 +459,3 @@ def error_frame(worker_id: int, message: str, job_id: Optional[int] = None) -> d
         "job_id": job_id,
         "message": message,
     }
-
-
-def hello_frame(worker_id: int, digests: Dict[str, str]) -> dict:
-    """Worker → parent: identity + input digests, sent once on start."""
-    return {"type": "hello", "worker_id": worker_id, "digests": dict(digests)}

@@ -373,8 +373,6 @@ class WorkerScheduler:
                     f"worker {frame.get('worker_id')} refused job "
                     f"{frame.get('job_id')}: {frame.get('message')}"
                 )
-            elif kind == "hello":
-                pass  # stdio workers announce themselves; forked ones don't
             else:
                 raise JobProtocolError(f"unexpected frame type {kind!r}")
 

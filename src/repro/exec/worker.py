@@ -1,10 +1,8 @@
 """Worker side of the job protocol: a frame-serving shard runner.
 
-One loop serves every transport: the ``workers`` scheduler forks N
-children and hands each a socket pair (the study crosses by fork
-memory, never by pickle); ``ripki worker`` runs the same loop over
-stdin/stdout after building its own world, so a scheduler on another
-machine can drive it through any byte pipe.
+The ``workers`` scheduler forks N children and hands each a socket
+pair (the study crosses by fork memory, never by pickle); each child
+serves job frames from its socket until EOF.
 
 Per job the worker: checks the spec's input digests against its own
 (a worker holding a different world refuses with a typed error frame
@@ -32,7 +30,6 @@ from repro.exec.jobs import (
     decode_config,
     encode_frame,
     error_frame,
-    hello_frame,
     read_frame,
 )
 from repro.exec.sharding import Shard
@@ -101,7 +98,6 @@ def serve_stream(
     digests: Dict[str, str],
     config=None,
     session=None,
-    hello: bool = False,
 ) -> int:
     """Serve job frames from ``reader`` until clean EOF.
 
@@ -111,9 +107,6 @@ def serve_stream(
     """
     from repro.exec.executor import run_shard
 
-    if hello:
-        writer.write(encode_frame(hello_frame(worker_id, digests)))
-        writer.flush()
     domains = list(study.ranking)
     answered = 0
     while True:
@@ -201,24 +194,3 @@ def connection_worker(
             conn.close()
         except OSError:
             pass
-
-
-def serve_stdio(
-    study,
-    config,
-    worker_id: int = 0,
-    reader=None,
-    writer=None,
-) -> int:
-    """The ``ripki worker`` loop: hello frame, then jobs over stdio."""
-    import sys
-
-    from repro.cache.fingerprint import study_digests
-
-    reader = reader if reader is not None else sys.stdin.buffer
-    writer = writer if writer is not None else sys.stdout.buffer
-    digests = study_digests(study, config)
-    return serve_stream(
-        reader, writer, worker_id, study, digests,
-        config=config, hello=True,
-    )

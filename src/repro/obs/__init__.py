@@ -29,13 +29,11 @@ from repro.obs.metrics import (
     MetricError,
     MetricsRegistry,
     NullRegistry,
-    merge_registries,
     registry_from_snapshot,
     registry_from_wire,
     registry_to_wire,
 )
 from repro.obs.progress import (
-    CaptureProgress,
     ProgressEvent,
     ProgressReporter,
     stderr_renderer,
@@ -79,7 +77,6 @@ from repro.obs.window import (
 )
 
 __all__ = [
-    "CaptureProgress",
     "Counter",
     "DEFAULT_BUCKETS",
     "EXPORTED_QUANTILES",
@@ -108,7 +105,6 @@ __all__ = [
     "disable",
     "enable",
     "estimate_quantiles",
-    "merge_registries",
     "metrics",
     "observability_enabled",
     "quantile_from_buckets",

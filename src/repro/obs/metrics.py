@@ -558,21 +558,6 @@ def registry_from_snapshot(snapshot: Mapping[str, dict]) -> MetricsRegistry:
     return registry
 
 
-def merge_registries(
-    registries: Iterable[MetricsRegistry],
-    into: Optional[MetricsRegistry] = None,
-) -> MetricsRegistry:
-    """Merge ``registries`` (in order) into one registry.
-
-    ``into`` is the target (a fresh registry when omitted); the
-    sources are left untouched.
-    """
-    target = into if into is not None else MetricsRegistry()
-    for registry in registries:
-        target.merge(registry)
-    return target
-
-
 def _fmt(value: Number) -> str:
     if isinstance(value, float) and value.is_integer():
         return str(int(value))

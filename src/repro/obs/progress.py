@@ -17,7 +17,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,6 @@ class ProgressReporter:
         self._started = clock()
         self._last_emit = self._started
         self._last_bucket = 0
-        self._emitted = 0
         self._finished = False
         self._lock = threading.Lock()
 
@@ -110,11 +109,6 @@ class ProgressReporter:
             self._finished = True
             self._emit(self._clock(), finished=True)
 
-    @property
-    def emitted(self) -> int:
-        """Number of events delivered so far."""
-        return self._emitted
-
     def _emit(self, now: float, finished: bool) -> None:
         elapsed = now - self._started
         rate = self.count / elapsed if elapsed > 0 else 0.0
@@ -125,7 +119,6 @@ class ProgressReporter:
         self._last_emit = now
         if self._every:
             self._last_bucket = self.count // self._every
-        self._emitted += 1
         self._callback(
             ProgressEvent(
                 count=self.count,
@@ -136,19 +129,6 @@ class ProgressReporter:
                 finished=finished,
             )
         )
-
-
-class CaptureProgress:
-    """A callback that stores every event (for tests and tooling)."""
-
-    def __init__(self):
-        self.events: List[ProgressEvent] = []
-
-    def __call__(self, event: ProgressEvent) -> None:
-        self.events.append(event)
-
-    def __len__(self) -> int:
-        return len(self.events)
 
 
 def stderr_renderer(stream=None) -> ProgressCallback:

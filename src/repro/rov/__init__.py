@@ -24,7 +24,6 @@ from repro.rov.annotation import (
 from repro.rov.experiment import (
     DEFAULT_ENFORCEMENT_RATES,
     EXPERIMENT_RANGE,
-    ROV_MODES,
     ASVerdict,
     ExperimentRound,
     ExperimentSpec,
@@ -46,7 +45,6 @@ from repro.rov.futures import (
     sample_futures,
 )
 from repro.rov.whatif import (
-    WHATIF_MODES,
     ExposureDelta,
     ExposureSnapshot,
     WhatIfEngine,
@@ -64,7 +62,6 @@ __all__ = [
     "annotate_route",
     "DEFAULT_ENFORCEMENT_RATES",
     "EXPERIMENT_RANGE",
-    "ROV_MODES",
     "ASVerdict",
     "ExperimentRound",
     "ExperimentSpec",
@@ -82,7 +79,6 @@ __all__ = [
     "named_future",
     "named_futures",
     "sample_futures",
-    "WHATIF_MODES",
     "ExposureDelta",
     "ExposureSnapshot",
     "WhatIfEngine",

@@ -26,7 +26,7 @@ the ones the sampled vantage sets never covered decisively.
 Every run is deterministic per ``(seed, topology digest, experiment
 spec)``: round inputs derive from a :class:`DeterministicRNG` forked
 from those three values, per-round evidence is merged by commutative
-integer sums, so serial, threaded, and process-pool dispatch produce
+integer sums, so serial and process-pool dispatch produce
 bit-identical reports (pinned by ``RovReport.digest``).
 """
 
@@ -54,7 +54,6 @@ from repro.rpki.vrp import VRP, ValidatedPayloads
 EXPERIMENT_RANGE = Prefix.parse("198.18.0.0/15")
 _MAX_ROUNDS = 256  # (2 ** (24 - 15)) / 2 anchor/experiment /24 pairs
 
-ROV_MODES = ("auto", "serial", "thread", "process")
 # Every WRONG_LENGTH_EVERY-th round announces a maxLength-violating
 # experiment prefix instead of a wrong-origin one; every BOTH_EVERY-th
 # violates both clauses at once.
@@ -178,12 +177,6 @@ class RovReport:
         for entry in self.verdicts.values():
             counts[entry.verdict.value] += 1
         return counts
-
-    def classified(self, verdict: Verdict) -> List[ASN]:
-        return sorted(
-            asn for asn, entry in self.verdicts.items()
-            if entry.verdict is verdict
-        )
 
     @property
     def digest(self) -> str:
@@ -465,9 +458,8 @@ class RovExperimentRunner:
             for index in range(self._spec.rounds)
         ]
 
-    def run(self, mode: str = "auto", workers: int = 1) -> RovReport:
-        if mode not in ROV_MODES:
-            raise ValueError(f"unknown mode {mode!r} (one of {ROV_MODES})")
+    def run(self, workers: int = 1) -> RovReport:
+        """Run every round; ``workers > 1`` runs them in a process pool."""
         shard_results = run_batches(
             functools.partial(
                 _run_rounds,
@@ -478,7 +470,7 @@ class RovExperimentRunner:
             ),
             plan_batches(range(self._spec.rounds), workers=workers),
             workers=workers,
-            mode=resolve_mode(mode, workers, parallel="process"),
+            mode=resolve_mode("auto", workers, parallel="process"),
         )
         results = [result for shard in shard_results for result in shard]
         report = self._aggregate(results)

@@ -21,7 +21,7 @@ then evaluates each :class:`~repro.rov.futures.AdoptionFuture` by
 The hijack sample is drawn once per engine, so every future is scored
 against the *same* attacks — a paired comparison.  All computation is
 pure arithmetic over seeded inputs: a fixed seed yields bit-identical
-:class:`ExposureDelta` lists across serial, thread, and process
+:class:`ExposureDelta` lists across serial and process-pool
 dispatch.  The engine deliberately keeps no reference to the built
 ecosystem, so it pickles cheaply into process pools.
 """
@@ -40,8 +40,6 @@ from repro.exec.sharding import Batch, plan_batches
 from repro.net import ASN, Prefix
 from repro.rov.futures import AdoptionFuture
 from repro.rpki.vrp import VRP, OriginValidation, ValidatedPayloads
-
-WHATIF_MODES = ("auto", "serial", "thread", "process")
 
 _DELTA_FIELDS = (
     "valid_fraction",
@@ -209,12 +207,10 @@ class WhatIfEngine:
     def run_futures(
         self,
         futures: Sequence[AdoptionFuture],
-        mode: str = "auto",
         workers: int = 1,
     ) -> List[ExposureDelta]:
-        """Score a sweep; results are in input order for every backend."""
-        if mode not in WHATIF_MODES:
-            raise ValueError(f"unknown mode {mode!r} (one of {WHATIF_MODES})")
+        """Score a sweep in input order; ``workers > 1`` scores it in a
+        process pool."""
         batches = plan_batches(futures, workers=workers)
         if len(batches) > 1:
             self.baseline()  # compute once so every batch inherits it
@@ -222,7 +218,7 @@ class WhatIfEngine:
             self._run_batch,
             batches,
             workers=workers,
-            mode=resolve_mode(mode, workers, parallel="process"),
+            mode=resolve_mode("auto", workers, parallel="process"),
         )
         return [delta for batch in scored for delta in batch]
 

@@ -31,9 +31,6 @@ class ASNRange:
         asn = ASN(asn)
         return cls(asn, asn)
 
-    def contains(self, asn: Union[int, ASN]) -> bool:
-        return self.low <= int(asn) <= self.high
-
     def covers(self, other: "ASNRange") -> bool:
         return self.low <= other.low and other.high <= self.high
 
@@ -94,9 +91,6 @@ class ResourceSet:
     def covers_prefix(self, prefix: Prefix) -> bool:
         """True when some held prefix covers ``prefix``."""
         return any(held.covers(prefix) for held in self._prefixes)
-
-    def covers_asn(self, asn: Union[int, ASN]) -> bool:
-        return any(held.contains(asn) for held in self._asn_ranges)
 
     def covers(self, other: "ResourceSet") -> bool:
         """RFC 3779 containment: every resource of ``other`` is held."""

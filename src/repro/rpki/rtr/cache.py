@@ -245,15 +245,6 @@ class RTRCache:
     def sessions(self) -> List[Session]:
         return list(self._sessions.values())
 
-    @property
-    def session_count(self) -> int:
-        return len(self._sessions)
-
-    def session_for(
-        self, transport: InMemoryTransport
-    ) -> Optional[Session]:
-        return self._by_transport.get(transport)
-
     def _set_session_gauge(self, counters) -> None:
         counters.gauge(
             "ripki_rtr_cache_sessions", "Currently registered router sessions"

@@ -7,8 +7,6 @@ real framing/encoding path, so transcripts are wire-faithful.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 
 class InMemoryTransport:
     """One endpoint of a duplex byte channel."""
@@ -42,6 +40,3 @@ class TransportPair:
         self.router_side = InMemoryTransport()
         self.cache_side._peer = self.router_side
         self.router_side._peer = self.cache_side
-
-    def endpoints(self) -> Tuple[InMemoryTransport, InMemoryTransport]:
-        return self.cache_side, self.router_side

@@ -38,7 +38,6 @@ from repro.serve.service import (
     QueryService,
     Response,
     ServeConfig,
-    percentile,
     summarize_responses,
 )
 
@@ -68,6 +67,5 @@ __all__ = [
     "generate_load",
     "parse_query",
     "parse_script",
-    "percentile",
     "summarize_responses",
 ]

@@ -90,10 +90,6 @@ class LookupAnswer:
     verdicts: Tuple[Tuple[ASN, OriginValidation], ...]
     as_set_excluded: int = 0
 
-    @property
-    def routed(self) -> bool:
-        return self.prefix is not None
-
 
 @dataclass(frozen=True)
 class DomainAnswer:

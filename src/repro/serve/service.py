@@ -26,7 +26,6 @@ dispatchable request stream:
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -331,15 +330,6 @@ def _answer_states(answer) -> List[str]:
 
 
 # -- response summaries -------------------------------------------------------
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile (q in 0..100) of a value list."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-    return ordered[min(rank, len(ordered)) - 1]
 
 
 def _kind_summary(latencies: List[float]) -> Dict[str, object]:

@@ -56,7 +56,6 @@ class AdoptionConfig:
     # mitigation, secret CDN backup) that never actually announces —
     # exactly the business relation the RPKI then exposes.
     backup_authorization_fraction: float = 0.15
-    key_bits: int = 512
     validation_time: float = 30.0
 
     def adoption_for(self, kind: OrgKind) -> float:
@@ -104,8 +103,9 @@ class AdoptionModel:
         tals: List[TrustAnchorLocator] = []
         rir_names = sorted({org.rir for org in organisations})
         for rir in rir_names:
+            # rsa.DEFAULT_KEY_BITS moduli, inherited by every child CA.
             anchor = CertificateAuthority.create_trust_anchor(
-                rir, self._rng.fork(f"rir:{rir}"), key_bits=config.key_bits
+                rir, self._rng.fork(f"rir:{rir}")
             )
             anchors[rir] = anchor
             repository.add_trust_anchor(anchor.certificate)

@@ -32,7 +32,6 @@ class DnssecConfig:
         }
     )
     unsigned_tlds: Tuple[str, ...] = ()   # registries without DNSSEC
-    key_bits: int = 512
 
     def adoption_for(self, tld: str) -> float:
         return min(0.9, self.base_adoption * self.tld_boost.get(tld, 1.0))
@@ -60,7 +59,7 @@ class DnssecAdoptionModel:
     def build(
         self, ranking: AlexaRanking, namespace: Namespace
     ) -> DnssecDeployment:
-        tree = ZoneTree(self._rng, key_bits=self._config.key_bits)
+        tree = ZoneTree(self._rng)  # zone.DNSSEC_KEY_BITS moduli
         deployment = DnssecDeployment(
             tree=tree, resolver=ValidatingResolver(tree)
         )

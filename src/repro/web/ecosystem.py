@@ -53,6 +53,9 @@ _ROLE_FOR_KIND = {
     OrgKind.CDN: ASRole.CDN,
 }
 
+# The first organisation's ASN; the rest count up from it.
+FIRST_ASN = 1000
+
 _RIR_WEIGHTS = [
     ("RIPE", 0.30),
     ("ARIN", 0.30),
@@ -81,7 +84,6 @@ class EcosystemConfig:
     dark_prefix_count: int = 3             # allocated but never announced
     adoption: AdoptionConfig = field(default_factory=AdoptionConfig)
     hosting: HostingConfig = field(default_factory=HostingConfig)
-    first_asn: int = 1000
 
     def scaled_transit(self) -> int:
         return self.transit_count or min(40, max(8, self.domain_count // 2500))
@@ -172,7 +174,7 @@ class WebEcosystem:
         config = self.config
         allocator = AddressAllocator()
         org_rng = rng.fork("orgs")
-        next_asn = config.first_asn
+        next_asn = FIRST_ASN
 
         rirs = [name for name, _w in _RIR_WEIGHTS]
         rir_weights = [w for _n, w in _RIR_WEIGHTS]

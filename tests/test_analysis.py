@@ -8,7 +8,6 @@ from repro.analysis import (
     bin_means,
     bin_shares,
     mean,
-    quantile,
     trend_slope,
 )
 
@@ -84,15 +83,6 @@ class TestStats:
     def test_mean(self):
         assert mean([1, 2, 3]) == 2.0
         assert mean([]) == 0.0
-
-    def test_quantile(self):
-        values = list(range(100))
-        assert quantile(values, 0.0) == 0
-        assert quantile(values, 0.5) == 50
-        assert quantile(values, 1.0) == 99
-        assert quantile([], 0.5) == 0.0
-        with pytest.raises(ValueError):
-            quantile(values, 1.5)
 
     def test_trend_slope(self):
         assert trend_slope([1.0, 2.0, 3.0]) == pytest.approx(1.0)

@@ -51,8 +51,8 @@ class TestRoutingState:
         assert len(state) == 2
 
     def test_reachable_ases(self, state):
-        assert state.reachable_ases(P("10.0.0.0/16")) == {ASN(1), ASN(2)}
-        assert state.reachable_ases(P("8.0.0.0/8")) == set()
+        assert set(state.routes_for(P("10.0.0.0/16"))) == {ASN(1), ASN(2)}
+        assert set(state.routes_for(P("8.0.0.0/8"))) == set()
 
     def test_repr(self, state):
         assert "2 prefixes" in repr(state)

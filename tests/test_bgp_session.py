@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.bgp import Announcement, ASRole, ASTopology, PropagationEngine, RouteClass
+from repro.bgp import (
+    Announcement,
+    ASRole,
+    ASTopology,
+    PropagationEngine,
+    Relationship,
+    RouteClass,
+)
 from repro.bgp.errors import BGPError
 from repro.bgp.session import BGPSpeaker, SessionSimulator, UpdateMessage
 from repro.crypto import DeterministicRNG
@@ -35,7 +42,7 @@ class TestConvergence:
         assert processed > 0
         assert sim.converged
         state = sim.routing_state()
-        assert state.reachable_ases(P("10.0.0.0/16")) == {
+        assert set(state.routes_for(P("10.0.0.0/16"))) == {
             ASN(a) for a in (1, 2, 3, 4, 5, 6)
         }
 
@@ -53,7 +60,7 @@ class TestConvergence:
         sim.withdraw(P("10.0.0.0/16"), ASN(5))
         sim.run()
         state = sim.routing_state()
-        assert state.reachable_ases(P("10.0.0.0/16")) == set()
+        assert set(state.routes_for(P("10.0.0.0/16"))) == set()
         # Adj-RIB-Out entries are withdrawn too.
         for speaker in sim.speakers.values():
             assert not any(
@@ -138,7 +145,7 @@ class TestEquivalenceWithStaticEngine:
         origins also announce alone, and an AS_SET aggregate naming an
         AS its routes would otherwise cross."""
         one, two, three = (n.asn for n in topo.by_role(ASRole.HOSTER)[:3])
-        upstream = topo.providers(three)[0]
+        upstream = topo.neighbor_index()[Relationship.PROVIDER][three][0]
         return upstream, [
             Announcement.make("10.1.0.0/16", one),
             Announcement.make("10.2.0.0/16", one),
@@ -203,11 +210,11 @@ class TestEquivalenceWithStaticEngine:
             announcements, payloads=payloads, enforcing=enforcing
         )
         dynamic_state = simulate(topo, announcements, payloads, enforcing)
-        assert enforcing <= static_state.reachable_ases(valid)
-        assert not enforcing & static_state.reachable_ases(invalid)
+        assert enforcing <= set(static_state.routes_for(valid))
+        assert not enforcing & set(static_state.routes_for(invalid))
         for prefix in (valid, invalid):
-            assert static_state.reachable_ases(prefix) == (
-                dynamic_state.reachable_ases(prefix)
+            assert set(static_state.routes_for(prefix)) == (
+                set(dynamic_state.routes_for(prefix))
             )
 
     def test_origin_outside_the_topology_lists_an_empty_table(self, diamond):

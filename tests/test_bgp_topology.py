@@ -60,36 +60,35 @@ class TestRelationships:
         assert triangle.relationship(1, 99) is None
 
     def test_helper_lists(self, triangle):
-        assert triangle.providers(2) == [1]
-        assert triangle.customers(1) == [2, 3]
+        index = triangle.neighbor_index()
+        assert index[Relationship.PROVIDER][ASN(2)] == (1,)
+        assert index[Relationship.CUSTOMER][ASN(1)] == (2, 3)
         assert triangle.peers(2) == [3]
-        assert triangle.providers(1) == []
+        assert index[Relationship.PROVIDER][ASN(1)] == ()
 
     def test_helper_lists_are_fresh(self, triangle):
-        customers = triangle.customers(1)
-        assert type(customers) is list
-        assert all(type(asn) is ASN for asn in customers)
-        customers.reverse()
-        customers.append(ASN(99))
-        assert triangle.customers(1) == [2, 3]
+        peers = triangle.peers(2)
+        assert type(peers) is list
+        assert all(type(asn) is ASN for asn in peers)
+        peers.reverse()
+        peers.append(ASN(99))
+        assert triangle.peers(2) == [3]
         with pytest.raises(TopologyError):
             triangle.peers(42)
 
     def test_helper_lists_follow_every_mutator(self, triangle):
-        assert triangle.customers(1) == [2, 3]  # the index is built now
+        customers = triangle.neighbor_index()[Relationship.CUSTOMER]
+        assert customers[ASN(1)] == (2, 3)  # the index is built now
         triangle.add_as(4)
-        assert triangle.providers(4) == []
+        providers = triangle.neighbor_index()[Relationship.PROVIDER]
+        assert providers[ASN(4)] == ()
         triangle.add_provider(customer=4, provider=1)
-        assert triangle.customers(1) == [2, 3, 4]
-        assert triangle.providers(4) == [1]
+        index = triangle.neighbor_index()
+        assert index[Relationship.CUSTOMER][ASN(1)] == (2, 3, 4)
+        assert index[Relationship.PROVIDER][ASN(4)] == (1,)
         triangle.add_peering(4, 2)
         assert triangle.peers(2) == [3, 4]
         assert triangle.peers(4) == [2]
-
-    def test_relationship_inverse(self):
-        assert Relationship.CUSTOMER.inverse() is Relationship.PROVIDER
-        assert Relationship.PROVIDER.inverse() is Relationship.CUSTOMER
-        assert Relationship.PEER.inverse() is Relationship.PEER
 
     def test_edge_count(self, triangle):
         assert triangle.edge_count() == 3
@@ -121,9 +120,10 @@ class TestGeneration:
 
     def test_every_edge_as_has_a_provider(self):
         topo = ASTopology.generate(DeterministicRNG(3))
+        providers = topo.neighbor_index()[Relationship.PROVIDER]
         for role in (ASRole.EYEBALL, ASRole.HOSTER, ASRole.STUB):
             for node in topo.by_role(role):
-                assert topo.providers(node.asn), f"{node} has no provider"
+                assert providers[node.asn], f"{node} has no provider"
 
     def test_deterministic(self):
         a = ASTopology.generate(DeterministicRNG(7))

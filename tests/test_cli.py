@@ -72,7 +72,7 @@ class TestParser:
             for case in [
                 *((command, "--domains", "-5") for command in (
                     "run", "refresh", "export", "audit", "serve", "world",
-                    "rov", "worker",
+                    "rov",
                 )),
                 ("run", "--bins", "0"),
                 ("run", "--bins", "-2"),
@@ -537,31 +537,6 @@ class TestEverySubcommand:
         assert "summary:" not in captured.err
         _assert_obs_disabled()
 
-    def test_worker_hello_then_eof(self, capsys, monkeypatch):
-        import io
-        import sys
-
-        from repro.exec import decode_frames
-
-        stdout = io.TextIOWrapper(io.BytesIO())
-        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"")))
-        monkeypatch.setattr(sys, "stdout", stdout)
-        code = main(
-            ["worker", "--domains", "200", "--seed", "3", "--worker-id", "7"]
-        )
-        assert code == 0
-        frames, rest = decode_frames(stdout.buffer.getvalue())
-        assert rest == b""
-        assert [frame["type"] for frame in frames] == ["hello"]
-        assert frames[0]["worker_id"] == 7
-        assert sorted(frames[0]["digests"]) == ["config", "dump", "vrps", "zone"]
-        assert capsys.readouterr().err.splitlines() == [
-            "building world: 200 domains, seed 3 ...",
-            "worker 7: serving job frames on stdio",
-            "worker 7: 0 jobs answered",
-        ]
-        _assert_obs_disabled()
-
     def test_failure_stops_telemetry_and_disables_obs(self, capsys):
         import re
         import socket
@@ -584,15 +559,16 @@ class TestEverySubcommand:
 class TestRovOffersOnlyWhatItHonours:
     """``rov`` inherited the study executor's whole flag group, so an
     unsupported mode died with a raw ValueError traceback and two
-    flags were accepted and silently ignored."""
+    flags were accepted and silently ignored.  It now takes only
+    ``--workers``: more than one runs the process pool."""
 
     def test_workers_mode_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as raised:
             main(["rov", "--domains", "120", "--exec-mode", "workers"])
         assert raised.value.code == 2
         err = capsys.readouterr().err
-        assert "usage: ripki rov" in err
-        assert "invalid choice: 'workers'" in err
+        assert err.startswith("usage: ripki ")
+        assert "unrecognized arguments: --exec-mode workers" in err
 
     @pytest.mark.parametrize(
         "flag", [["--shard-size", "10"], ["--job-deadline", "2"]]
@@ -690,15 +666,6 @@ _EXECUTOR = {
     "shard_size": _opt("--shard-size"),
     "job_deadline": _opt("--job-deadline"),
 }
-# ``rov`` dispatches through repro.rov, which has no ``workers``
-# backend, no shard size and no job deadline: it offers none of them.
-_ROV_EXECUTOR = {
-    "workers": _EXECUTOR["workers"],
-    "exec_mode": _opt(
-        "--exec-mode", default="auto",
-        choices=("auto", "serial", "thread", "process"),
-    ),
-}
 _FAULTS = {
     "fault_profile": _opt("--fault-profile", choices=_FAULT_PROFILES),
     "retries": _opt("--retries", default=3),
@@ -790,7 +757,8 @@ PARSER_SURFACE = {
         "metrics_out": _opt("--metrics-out"),
     },
     "rov": {
-        **_ROV_EXECUTOR, **_TELEMETRY,
+        **_TELEMETRY,
+        "workers": _EXECUTOR["workers"],
         "domains": _opt("--domains", default=600),
         "seed": _opt("--seed", default=2015),
         "rounds": _opt("--rounds", default=48),
@@ -800,12 +768,6 @@ PARSER_SURFACE = {
         "samples": _opt("--samples", default=12),
         "json": _opt("--json"),
         "metrics_out": _opt("--metrics-out"),
-    },
-    "worker": {
-        **_FAULTS,
-        "domains": _opt("--domains", default=20_000),
-        "seed": _opt("--seed", default=2015),
-        "worker_id": _opt("--worker-id", default=0),
     },
 }
 

@@ -83,14 +83,6 @@ def test_sample_distinct():
         rng.sample([1, 2], 3)
 
 
-def test_shuffle_permutation():
-    rng = DeterministicRNG(8)
-    items = list(range(30))
-    rng.shuffle(items)
-    assert sorted(items) == list(range(30))
-    assert items != list(range(30))  # astronomically unlikely to be identity
-
-
 def test_weighted_choice_bias():
     rng = DeterministicRNG(9)
     counts = {"a": 0, "b": 0}

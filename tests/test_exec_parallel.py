@@ -237,19 +237,19 @@ class TestExecutorPlumbing:
             assert measured is None or measured.value == 0
 
     def test_progress_receives_batched_shard_ticks(self, study, small_world):
-        capture = obs.CaptureProgress()
+        events = []
         reporter = obs.ProgressReporter(
-            total=len(small_world.ranking), callback=capture,
+            total=len(small_world.ranking), callback=events.append,
             every=100, min_interval=-1,
         )
         study.run(config=RunConfig(
             progress=reporter, workers=2, mode="thread", shard_size=150,
         ))
-        assert capture.events[-1].finished
-        assert capture.events[-1].count == len(small_world.ranking)
+        assert events[-1].finished
+        assert events[-1].count == len(small_world.ranking)
         # shard completions arrive 150 at a time and still fire the
         # every=100 stride despite never landing on a multiple of 100
-        assert len(capture.events) > 1
+        assert len(events) > 1
 
     def test_traces_are_grafted_under_the_run(self, study, small_world):
         with obs.scope() as (_registry, collector):

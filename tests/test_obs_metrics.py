@@ -12,7 +12,6 @@ from repro.obs.metrics import (
     MetricError,
     MetricsRegistry,
     NullRegistry,
-    merge_registries,
 )
 
 
@@ -207,16 +206,16 @@ class TestMerge:
         return registry
 
     def test_counters_add(self):
-        merged = merge_registries(
-            [self._shard_registry(3, 1), self._shard_registry(4, 2)]
+        merged = MetricsRegistry().merge(self._shard_registry(3, 1)).merge(
+            self._shard_registry(4, 2)
         )
         assert merged.get("ripki_domains_measured_total").value == 7
         addresses = merged.get("ripki_addresses_total")
         assert addresses.labels(form="www").value == 3
 
     def test_histograms_add_buckets_and_sums(self):
-        merged = merge_registries(
-            [self._shard_registry(1, 1), self._shard_registry(1, 4)]
+        merged = MetricsRegistry().merge(self._shard_registry(1, 1)).merge(
+            self._shard_registry(1, 4)
         )
         histogram = merged.get("ripki_hops")
         assert histogram.count == 2
@@ -235,18 +234,18 @@ class TestMerge:
         source = MetricsRegistry()
         counter = source.counter("ripki_x_total", "h", labelnames=("form",))
         counter.labels(form="www")  # registered, never incremented
-        merged = merge_registries([source])
+        merged = MetricsRegistry().merge(source)
         assert merged.get("ripki_x_total").labels(form="www").value == 0
 
     def test_merge_into_existing_target(self):
         target = MetricsRegistry()
         target.counter("ripki_domains_measured_total", "help").inc(10)
-        merge_registries([self._shard_registry(5, 0)], into=target)
+        target.merge(self._shard_registry(5, 0))
         assert target.get("ripki_domains_measured_total").value == 15
 
     def test_sources_unchanged(self):
         source = self._shard_registry(3, 1)
-        merge_registries([source, self._shard_registry(1, 1)])
+        MetricsRegistry().merge(source).merge(self._shard_registry(1, 1))
         assert source.get("ripki_domains_measured_total").value == 3
 
     def test_kind_clash_raises(self):
@@ -265,9 +264,12 @@ class TestMerge:
 
     def test_merge_order_is_associative_for_int_series(self):
         shards = [self._shard_registry(i, i) for i in (1, 2, 3)]
-        forward = merge_registries(shards).snapshot()
-        backward = merge_registries(list(reversed(shards))).snapshot()
-        assert forward == backward
+        forward, backward = MetricsRegistry(), MetricsRegistry()
+        for shard in shards:
+            forward.merge(shard)
+        for shard in reversed(shards):
+            backward.merge(shard)
+        assert forward.snapshot() == backward.snapshot()
 
 
 # One funnel-shaped delta: a counter, a labelled counter and a

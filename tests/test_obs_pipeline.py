@@ -14,27 +14,27 @@ from repro.web import EcosystemConfig, WebEcosystem
 @pytest.fixture()
 def observed_run(small_world):
     with obs.scope() as (registry, collector):
-        capture = obs.CaptureProgress()
+        events = []
         study = MeasurementStudy.from_ecosystem(small_world)
         reporter = obs.ProgressReporter(
             total=len(small_world.ranking),
-            callback=capture,
+            callback=events.append,
             every=250,
             min_interval=-1,
         )
         result = study.run(config=RunConfig(progress=reporter))
-    return result, registry, collector, capture
+    return result, registry, collector, events
 
 
 class TestStageCounters:
     def test_domains_in_equals_measurements_out(self, observed_run):
-        result, registry, _collector, _capture = observed_run
+        result, registry, _collector, _events = observed_run
         measured = registry.get("ripki_domains_measured_total")
         assert measured.value == len(result)
         assert measured.value == result.statistics.domain_count
 
     def test_exclusion_counters_match_statistics(self, observed_run):
-        result, registry, _collector, _capture = observed_run
+        result, registry, _collector, _events = observed_run
         stats = result.statistics
         assert (
             registry.get("ripki_invalid_dns_domains_total").value
@@ -56,20 +56,20 @@ class TestStageCounters:
         assert pairs.labels(form="plain").value == stats.plain_pairs
 
     def test_dns_resolutions_cover_both_forms(self, observed_run):
-        result, registry, _collector, _capture = observed_run
+        result, registry, _collector, _events = observed_run
         assert (
             registry.get("ripki_dns_resolutions_total").value == 2 * len(result)
         )
 
     def test_rpki_outcomes_sum_to_total_pairs(self, observed_run):
-        result, registry, _collector, _capture = observed_run
+        result, registry, _collector, _events = observed_run
         outcomes = registry.get("ripki_rpki_validations_total")
         total = sum(child.value for _key, child in outcomes.series())
         stats = result.statistics
         assert total == stats.www_pairs + stats.plain_pairs
 
     def test_statistics_round_trip_through_registry(self, observed_run):
-        result, registry, _collector, _capture = observed_run
+        result, registry, _collector, _events = observed_run
         stats = result.statistics
         rebuilt = StudyStatistics.from_metrics(registry)
         assert rebuilt == stats
@@ -96,13 +96,13 @@ class TestStageCounters:
 
 class TestStageSpans:
     def test_one_span_name_per_stage(self, observed_run):
-        _result, _registry, collector, _capture = observed_run
+        _result, _registry, collector, _events = observed_run
         names = set(collector.names())
         assert {"stage.rank", "stage.dns", "stage.prefix", "stage.rpki"} <= names
         assert "study.run" in names
 
     def test_stage_spans_nest_under_study_run(self, observed_run):
-        _result, _registry, collector, _capture = observed_run
+        _result, _registry, collector, _events = observed_run
         run = collector.spans("study.run")[0]
         rank = collector.spans("stage.rank")[0]
         assert rank.parent_id == run.span_id
@@ -112,7 +112,7 @@ class TestStageSpans:
         )
 
     def test_timing_report_renders(self, observed_run):
-        _result, _registry, collector, _capture = observed_run
+        _result, _registry, collector, _events = observed_run
         report = stage_timing_report(collector)
         assert "stage.dns" in report
         assert "study.run" in report
@@ -179,14 +179,14 @@ class TestExactStageTable:
 
 class TestProgressThroughPipeline:
     def test_cadence_and_final_event(self, observed_run, small_world):
-        result, _registry, _collector, capture = observed_run
+        result, _registry, _collector, events = observed_run
         total = len(small_world.ranking)
         expected_strides = total // 250
         # Stride events plus exactly one finished event.
-        assert len(capture.events) == expected_strides + 1
-        assert capture.events[-1].finished
-        assert capture.events[-1].count == total == len(result)
-        counts = [event.count for event in capture.events]
+        assert len(events) == expected_strides + 1
+        assert events[-1].finished
+        assert events[-1].count == total == len(result)
+        counts = [event.count for event in events]
         assert counts == sorted(counts)
 
     def test_bare_callback_is_wrapped(self, small_world):

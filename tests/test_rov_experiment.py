@@ -218,11 +218,6 @@ class TestRunnerReport:
         assert payload["histogram"] == result.histogram()
         assert len(payload["verdicts"]) == len(result.verdicts)
 
-    def test_unknown_mode_rejected(self, topology):
-        runner = RovExperimentRunner(topology, frozenset())
-        with pytest.raises(ValueError):
-            runner.run(mode="distributed")
-
 
 class TestFutures:
     def test_named_futures(self, world):
@@ -275,7 +270,7 @@ class TestWhatIf:
 
     def test_run_futures_keeps_input_order(self, world, engine):
         futures = named_futures(world)
-        deltas = engine.run_futures(futures, mode="serial")
+        deltas = engine.run_futures(futures)
         assert [d.future for d in deltas] == [f.name for f in futures]
 
     def test_whatif_convenience_wrapper(self, world, engine):
@@ -284,10 +279,6 @@ class TestWhatIf:
         assert delta.future == "one-org"
         assert delta.signing_orgs == 1
         assert delta.outcome.valid_fraction >= delta.baseline.valid_fraction
-
-    def test_unknown_mode_rejected(self, engine):
-        with pytest.raises(ValueError):
-            engine.run_futures([], mode="laser")
 
 
 class TestMetrics:
@@ -310,18 +301,17 @@ class TestMetrics:
     def test_whatif_counters_identical_across_backends(self, world):
         engine = WhatIfEngine(world, hijack_samples=3, seed=2015)
         exported = {}
-        for mode in ("serial", "thread", "process"):
+        for workers in (1, 2):  # serial, then the process pool
             registry, _collector = obs.enable()
             try:
-                engine.run_futures(named_futures(world), mode=mode, workers=2)
+                engine.run_futures(named_futures(world), workers=workers)
             finally:
                 obs.disable()
-            exported[mode] = [
+            exported[workers] = [
                 line
                 for line in registry.render_prometheus().splitlines()
                 if line.startswith("ripki_rov_")
             ]
-        assert "ripki_rov_futures_total 3" in exported["serial"]
-        assert "ripki_rov_hijack_replays_total 9" in exported["serial"]
-        assert exported["thread"] == exported["serial"]
-        assert exported["process"] == exported["serial"]
+        assert "ripki_rov_futures_total 3" in exported[1]
+        assert "ripki_rov_hijack_replays_total 9" in exported[1]
+        assert exported[2] == exported[1]

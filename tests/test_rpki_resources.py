@@ -18,11 +18,10 @@ class TestASNRange:
 
     def test_range_contains(self):
         rng = ASNRange(ASN(100), ASN(200))
-        assert rng.contains(100)
-        assert rng.contains(150)
-        assert rng.contains(200)
-        assert not rng.contains(99)
-        assert not rng.contains(201)
+        for inside in (100, 150, 200):
+            assert rng.covers(ASNRange.single(inside))
+        for outside in (99, 201):
+            assert not rng.covers(ASNRange.single(outside))
         assert str(rng) == "AS100-AS200"
 
     def test_covers(self):
@@ -42,9 +41,8 @@ class TestResourceSet:
             prefixes=["10.0.0.0/8", "2001:db8::/32"], asns=[64500, "100-200"]
         )
         assert len(rs.prefixes) == 2
-        assert rs.covers_asn(64500)
-        assert rs.covers_asn(150)
-        assert not rs.covers_asn(64501)
+        assert rs.covers(ResourceSet.from_strings(asns=[64500, 150]))
+        assert not rs.covers(ResourceSet.from_strings(asns=[64501]))
 
     def test_covers_prefix(self):
         rs = ResourceSet.from_strings(prefixes=["10.0.0.0/8"])
@@ -75,9 +73,9 @@ class TestResourceSet:
         b = ResourceSet.from_strings(asns=[64500])
         merged = a.union(b)
         assert merged.covers_prefix(P("10.0.0.0/8"))
-        assert merged.covers_asn(64500)
+        assert merged.covers(b)
         extended = a.with_asns([1, 2])
-        assert extended.covers_asn(2)
+        assert extended.covers(ResourceSet.from_strings(asns=[2]))
         assert extended.covers_prefix(P("10.0.0.0/8"))
 
     def test_dedup_and_order_insensitive_equality(self):

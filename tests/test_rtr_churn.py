@@ -122,10 +122,10 @@ class TestSessionKeying:
         cache = make_cache()
         transports = [InMemoryTransport() for _ in range(50)]
         sessions = [cache.register(t) for t in transports]
-        assert cache.session_count == 50
+        assert len(cache.sessions()) == 50
         for session in sessions:
             cache.unregister(session)
-        assert cache.session_count == 0
+        assert len(cache.sessions()) == 0
         assert cache._sessions == {}
         assert cache._by_transport == {}
 
@@ -133,12 +133,12 @@ class TestSessionKeying:
         cache = make_cache()
         transport = InMemoryTransport()
         assert cache.register(transport) is cache.register(transport)
-        assert cache.session_count == 1
+        assert len(cache.sessions()) == 1
 
     def test_closed_session_is_never_served(self):
         cache = make_cache()
         pair, client = synced_pair(cache)
-        session = cache.session_for(pair.cache_side)
+        session = cache.register(pair.cache_side)
         cache.unregister(session)
         pair.router_side.send(ResetQueryPDU().encode())
         cache.serve_session(session)
@@ -181,7 +181,7 @@ class TestNoOpLoad:
     def test_identical_reload_wakes_no_router(self):
         cache = make_cache()
         pair, client = synced_pair(cache)
-        session = cache.session_for(pair.cache_side)
+        session = cache.register(pair.cache_side)
         cache.notify_session(session)
         pair.router_side.receive()  # drain the first (legitimate) notify
         cache.load([vrp("10.0.0.0/16", 24, 64500)])
@@ -206,7 +206,7 @@ class TestDecodeErrorFatality:
     def test_error_report_sent_once_then_quarantined(self):
         cache = make_cache()
         pair, client = synced_pair(cache)
-        session = cache.session_for(pair.cache_side)
+        session = cache.register(pair.cache_side)
         pair.router_side.send(b"\xff" * 16)  # undecodable
         cache.serve_session(session)
         replied, _ = decode_stream(pair.router_side.receive())
@@ -222,7 +222,7 @@ class TestDecodeErrorFatality:
     def test_quarantine_lifts_only_on_frame_aligned_reset_query(self):
         cache = make_cache()
         pair, client = synced_pair(cache)
-        session = cache.session_for(pair.cache_side)
+        session = cache.register(pair.cache_side)
         pair.router_side.send(b"\xff" * 16)
         cache.serve_session(session)
         pair.router_side.receive()
@@ -252,7 +252,7 @@ class TestDecodeErrorFatality:
     def test_router_error_report_quarantines_without_reply(self):
         cache = make_cache()
         pair, client = synced_pair(cache)
-        session = cache.session_for(pair.cache_side)
+        session = cache.register(pair.cache_side)
         pair.router_side.send(
             ErrorReportPDU(ErrorCode.INTERNAL_ERROR, b"", "router died").encode()
         )

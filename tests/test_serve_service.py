@@ -30,7 +30,6 @@ from repro.serve import (
     generate_load,
     parse_query,
     parse_script,
-    percentile,
     summarize_responses,
 )
 from repro.web import EcosystemConfig, WebEcosystem
@@ -282,7 +281,7 @@ class TestSyntheticIndexAnswers:
 
     def test_lookup_excludes_as_set_rows(self):
         answer = synthetic_index().lookup(A("10.0.1.1"))
-        assert answer.routed and answer.prefix == P("10.0.0.0/16")
+        assert answer.prefix == P("10.0.0.0/16")
         assert answer.origins == (ASN(64500), ASN(64502))
         assert answer.as_set_excluded == 1
         verdicts = dict(answer.verdicts)
@@ -291,7 +290,7 @@ class TestSyntheticIndexAnswers:
 
     def test_lookup_unrouted(self):
         answer = synthetic_index().lookup(A("192.0.2.1"))
-        assert not answer.routed
+        assert answer.prefix is None
         assert answer.origins == () and answer.verdicts == ()
 
     def test_empty_index_misses(self):
@@ -331,14 +330,6 @@ class TestCacheBackedIndex:
 
 
 class TestSummaries:
-    def test_percentile_nearest_rank(self):
-        assert percentile([], 99) == 0.0
-        assert percentile([5.0], 50) == 5.0
-        values = [float(v) for v in range(1, 101)]
-        assert percentile(values, 50) == 50.0
-        assert percentile(values, 99) == 99.0
-        assert percentile(values, 100) == 100.0
-
     def test_summarize_and_report(self):
         index = synthetic_index()
         service = QueryService(

@@ -147,7 +147,6 @@ SETTINGS = {
     "world --json": (SINK, None),
     # -- ripki rov ---------------------------------------------------------
     "rov --workers": (PENDING, PARALLEL),
-    "rov --exec-mode": (PENDING, PARALLEL),
     "rov --metrics-out": (SINK, None),
     "rov --telemetry-port": (DEPLOYMENT, None),
     "rov --telemetry-host": (DEPLOYMENT, None),
@@ -160,12 +159,6 @@ SETTINGS = {
     "rov --futures": (INPUT, None),
     "rov --samples": (INPUT, None),
     "rov --json": (SINK, None),
-    # -- ripki worker: the job-protocol end of --exec-mode workers ---------
-    "worker --fault-profile": (PENDING, PARALLEL),
-    "worker --retries": (PENDING, PARALLEL),
-    "worker --domains": (PENDING, PARALLEL),
-    "worker --seed": (PENDING, PARALLEL),
-    "worker --worker-id": (PENDING, PARALLEL),
     # -- core.pipeline -----------------------------------------------------
     "CacheConfig.directory": (PENDING, CACHE),
     "RunConfig.workers": (PENDING, PARALLEL),
@@ -239,7 +232,6 @@ SETTINGS = {
     "EcosystemConfig.dark_prefix_count": (CALIBRATION, S4),
     "EcosystemConfig.adoption": (CALIBRATION, FIG2),
     "EcosystemConfig.hosting": (CALIBRATION, FIG3),
-    "EcosystemConfig.first_asn": (CALIBRATION, S4),
     "AdoptionConfig.hoster_adoption": (CALIBRATION, FIG2),
     "AdoptionConfig.eyeball_adoption": (CALIBRATION, FIG2),
     "AdoptionConfig.transit_adoption": (CALIBRATION, FIG2),
@@ -248,7 +240,6 @@ SETTINGS = {
     "AdoptionConfig.misconfig_fraction": (CALIBRATION, FIG2),
     "AdoptionConfig.generous_max_length": (CALIBRATION, FIG2),
     "AdoptionConfig.backup_authorization_fraction": (CALIBRATION, EXT),
-    "AdoptionConfig.key_bits": (CALIBRATION, FIG2),
     "AdoptionConfig.validation_time": (CALIBRATION, FIG2),
     "HostingConfig.cdn_top_share": (CALIBRATION, FIG3),
     "HostingConfig.cdn_bottom_share": (CALIBRATION, FIG3),
@@ -272,7 +263,6 @@ SETTINGS = {
     "DnssecConfig.base_adoption": (CALIBRATION, EXT),
     "DnssecConfig.tld_boost": (CALIBRATION, EXT),
     "DnssecConfig.unsigned_tlds": (CALIBRATION, EXT),
-    "DnssecConfig.key_bits": (CALIBRATION, EXT),
     # The resolver services of the vantage-independence experiment.
     "ResolverSpec.name": (CALIBRATION, EXT),
     "ResolverSpec.vantage": (CALIBRATION, EXT),
@@ -299,6 +289,15 @@ DELETED = {
     "LoadProfile.slice_width",
     "ExperimentSpec.wrong_length_every",
     "ExperimentSpec.both_every",
+    "rov --exec-mode",
+    "worker --fault-profile",
+    "worker --retries",
+    "worker --domains",
+    "worker --seed",
+    "worker --worker-id",
+    "AdoptionConfig.key_bits",
+    "DnssecConfig.key_bits",
+    "EcosystemConfig.first_asn",
 }
 
 
