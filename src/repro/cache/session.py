@@ -137,18 +137,6 @@ class CacheSession:
         """Artifacts dropped at open, by stage (plus ``config``)."""
         return dict(self._invalidated)
 
-    def record_invalidation(self, registry) -> None:
-        """Tick ``ripki_cache_invalidated_total{stage=…}`` into a registry."""
-        from repro.core.pipeline import _STAT_HELP, CACHE_INVALIDATED_METRIC
-
-        counter = registry.counter(
-            CACHE_INVALIDATED_METRIC,
-            _STAT_HELP[CACHE_INVALIDATED_METRIC],
-            labelnames=("stage",),
-        )
-        for stage, count in sorted(self._invalidated.items()):
-            counter.labels(stage=stage).inc(count)
-
     # -- writes --------------------------------------------------------------
 
     def fresh_rows(self, memo: Dict[str, dict], resolver) -> Dict[str, dict]:

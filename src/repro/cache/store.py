@@ -30,7 +30,9 @@ import json
 import os
 from typing import Dict, List, Optional, Tuple
 
-STORE_VERSION = 1
+# 2: prefix-stage deltas stopped carrying the unreachable and AS_SET
+# funnel counters, which version-1 stores would count twice.
+STORE_VERSION = 2
 STORE_FILENAME = "snapshot.json"
 
 # Stage granularities, in the order the funnel runs them.  Every

@@ -31,7 +31,6 @@ from repro.core.pipeline import (
     RunConfig,
     StudyResult,
     StudyStatistics,
-    accumulate_measurement,
 )
 from repro.core.records import DomainMeasurement, NameMeasurement
 from repro.obs.runtime import metrics
@@ -361,9 +360,7 @@ class ContinuousStudy:
         stats = RefreshStats()
         funnel = Funnel(self._study, self._config)
         measurements: List[DomainMeasurement] = []
-        ranking = self._study.ranking
-        aggregate = StudyStatistics(domain_count=len(ranking))
-        for domain in ranking:
+        for domain in self._study.ranking:
             prior = self._previous.lookup(domain.name)
             plain = funnel.measure_form(domain.name, "plain")
             stats.apex_measured += 1
@@ -373,10 +370,15 @@ class ContinuousStudy:
             else:
                 www = prior.www
                 stats.www_carried_over += 1
-            measurement = DomainMeasurement(domain=domain, www=www, plain=plain)
-            measurements.append(measurement)
-            accumulate_measurement(aggregate, measurement)
+            measurements.append(
+                DomainMeasurement(domain=domain, www=www, plain=plain)
+            )
         funnel.finish()
+        aggregate = StudyStatistics.from_measurements(measurements)
+        aggregate.to_metrics(
+            metrics(),
+            resilient=self._config is not None and self._config.resilient,
+        )
         return StudyResult(measurements, aggregate), stats
 
     @staticmethod

@@ -43,8 +43,9 @@ RUN_MODES: Tuple[str, ...] = ("auto", "serial", "thread", "process", "workers")
 STAGE_DNS = "dns"
 STAGE_PREFIX = "prefix"
 
-# Funnel counters, one metric name per StudyStatistics field.  The
-# labelled entries share a metric family split by name form.
+# Funnel counters, one metric name per StudyStatistics field, written
+# only by StudyStatistics.to_metrics.  The labelled entries share a
+# metric family split by name form.
 _STAT_METRICS: Dict[str, Tuple[str, Optional[Dict[str, str]]]] = {
     "domain_count": ("ripki_domains_measured_total", None),
     "invalid_dns_domains": ("ripki_invalid_dns_domains_total", None),
@@ -56,28 +57,25 @@ _STAT_METRICS: Dict[str, Tuple[str, Optional[Dict[str, str]]]] = {
     "as_set_exclusions": ("ripki_as_set_exclusions_total", None),
 }
 
-# Resilience counters — registered and ticked only on fault-injected
-# runs, so a run without a fault plan emits byte-identical metrics to
-# one predating the resilience layer.
+# Resilience counters — written only for fault-injected runs, so a run
+# without a fault plan emits byte-identical metrics to one predating
+# the resilience layer.
 _RESILIENCE_METRICS: Dict[str, str] = {
     "degraded_domains": "ripki_degraded_domains_total",
     "retries_total": "ripki_retries_total",
 }
 _FAULTS_METRIC = "ripki_faults_injected_total"
 
-# Snapshot-cache counters — registered and ticked only on cache-backed
-# runs, so a run without a cache emits byte-identical metrics to one
-# predating the cache layer.  Labelled by stage key: per-stage keys
+# Snapshot-cache counters — written only for cache-backed runs, so a
+# run without a cache emits byte-identical metrics to one predating
+# the cache layer.  Labelled by stage key: per-stage keys
 # ("dns.www", "dns.plain", "prefix", "rpki") on plain runs, form-level
 # keys ("form.www", "form.plain") on fault runs, and for invalidation
 # the store stages ("dns", "prefix", "rpki", "form") plus "config".
-CACHE_HITS_METRIC = "ripki_cache_hits_total"
-CACHE_MISSES_METRIC = "ripki_cache_misses_total"
-CACHE_INVALIDATED_METRIC = "ripki_cache_invalidated_total"
 _CACHE_STAT_METRICS: Dict[str, str] = {
-    "cache_hits_by_stage": CACHE_HITS_METRIC,
-    "cache_misses_by_stage": CACHE_MISSES_METRIC,
-    "cache_invalidated_by_stage": CACHE_INVALIDATED_METRIC,
+    "cache_hits_by_stage": "ripki_cache_hits_total",
+    "cache_misses_by_stage": "ripki_cache_misses_total",
+    "cache_invalidated_by_stage": "ripki_cache_invalidated_total",
 }
 
 _STAT_HELP = {
@@ -102,46 +100,6 @@ _STAT_HELP = {
 }
 
 ProgressSink = Union[ProgressReporter, Callable[[ProgressEvent], None]]
-
-
-def _register_funnel_counters(
-    registry, resilient: bool = False, cached: bool = False
-) -> None:
-    """Create every funnel series up front so zero counts are explicit.
-
-    The resilience counters exist only on fault-injected runs
-    (``resilient=True``) and the cache counters only on cache-backed
-    runs (``cached=True``); other runs keep their metric output
-    unchanged.
-    """
-    for metric, labels in _STAT_METRICS.values():
-        labelnames = tuple(labels) if labels else ()
-        counter = registry.counter(metric, _STAT_HELP[metric], labelnames=labelnames)
-        if labels:
-            counter.labels(**labels)
-    if resilient:
-        for metric in _RESILIENCE_METRICS.values():
-            registry.counter(metric, _STAT_HELP[metric])
-        registry.counter(
-            _FAULTS_METRIC, _STAT_HELP[_FAULTS_METRIC], labelnames=("kind",)
-        )
-    if cached:
-        stage_keys = (
-            ("form.www", "form.plain")
-            if resilient
-            else ("dns.www", "dns.plain", "prefix", "rpki")
-        )
-        for metric in (CACHE_HITS_METRIC, CACHE_MISSES_METRIC):
-            counter = registry.counter(
-                metric, _STAT_HELP[metric], labelnames=("stage",)
-            )
-            for stage_key in stage_keys:
-                counter.labels(stage=stage_key)
-        registry.counter(
-            CACHE_INVALIDATED_METRIC,
-            _STAT_HELP[CACHE_INVALIDATED_METRIC],
-            labelnames=("stage",),
-        )
 
 
 @dataclass
@@ -200,13 +158,62 @@ class StudyStatistics:
             return 0.0
         return self.unreachable_addresses / self.total_addresses
 
+    # -- the fold ----------------------------------------------------------
+
+    @classmethod
+    def from_measurements(cls, measurements) -> "StudyStatistics":
+        """Fold domain measurements into the funnel's counts.
+
+        Every run, shard and refresh campaign gets its statistics here;
+        the cache fields are the caller's to set.
+        """
+        stats = cls()
+        faults = stats.faults_by_kind
+        for measurement in measurements:
+            www, plain = measurement.www, measurement.plain
+            stats.domain_count += 1
+            resolved_forms = [form for form in (www, plain) if form.resolved]
+            if resolved_forms and all(
+                not form.addresses and form.excluded_special
+                for form in resolved_forms
+            ):
+                stats.invalid_dns_domains += 1
+            stats.www_addresses += len(www.addresses)
+            stats.plain_addresses += len(plain.addresses)
+            stats.www_pairs += len(www.pairs)
+            stats.plain_pairs += len(plain.pairs)
+            stats.unreachable_addresses += (
+                www.unreachable_addresses + plain.unreachable_addresses
+            )
+            stats.as_set_exclusions += (
+                www.as_set_excluded + plain.as_set_excluded
+            )
+            if measurement.degraded:
+                stats.degraded_domains += 1
+            stats.retries_total += www.retries + plain.retries
+            for form in (www, plain):
+                for kind, count in form.faults:
+                    faults[kind] = faults.get(kind, 0) + count
+        return stats
+
     # -- metrics round-trip ------------------------------------------------
 
-    def to_metrics(self, registry) -> None:
-        """Record every counter into ``registry`` (expects fresh series).
+    def to_metrics(
+        self, registry, *, resilient: bool = False, cached: bool = False
+    ) -> None:
+        """Write the funnel families into ``registry``: their one writer.
 
-        Resilience counters are emitted only when nonzero, so the
-        metric output of a fault-free study is unchanged.
+        Called once per run or campaign, after its funnel finished:
+        by :meth:`MeasurementStudy.run` (serial), by
+        :func:`repro.exec.executor.execute_study` after the shard merge,
+        and by each heuristic refresh campaign.  Counters add, so
+        campaigns sharing a registry sum.  Zero counts are explicit:
+        the eight stat series always; the resilience and fault
+        families on ``resilient`` runs; on ``cached`` runs the hit/miss
+        series of the run's stage keys (``form.*`` when also resilient,
+        else ``dns.*``, ``prefix``, ``rpki``) and the invalidated
+        family.  Other runs get a family only for a nonzero count, so
+        fault-free and cache-free output is unchanged.
         """
         for field_name, (metric, labels) in _STAT_METRICS.items():
             labelnames = tuple(labels) if labels else ()
@@ -218,22 +225,30 @@ class StudyStatistics:
             counter.inc(getattr(self, field_name))
         for field_name, metric in _RESILIENCE_METRICS.items():
             value = getattr(self, field_name)
-            if value:
+            if resilient or value:
                 registry.counter(metric, _STAT_HELP[metric]).inc(value)
-        if self.faults_by_kind:
+        if resilient or self.faults_by_kind:
             faults = registry.counter(
                 _FAULTS_METRIC, _STAT_HELP[_FAULTS_METRIC], labelnames=("kind",)
             )
             for kind, count in sorted(self.faults_by_kind.items()):
                 faults.labels(kind=kind).inc(count)
+        stage_keys = (
+            ("form.www", "form.plain")
+            if resilient
+            else ("dns.www", "dns.plain", "prefix", "rpki")
+        )
         for field_name, metric in _CACHE_STAT_METRICS.items():
-            mapping = getattr(self, field_name)
-            if not mapping:
+            counts = dict(getattr(self, field_name))
+            if not (cached or counts):
                 continue
+            if cached and field_name != "cache_invalidated_by_stage":
+                for stage_key in stage_keys:
+                    counts.setdefault(stage_key, 0)
             counter = registry.counter(
                 metric, _STAT_HELP[metric], labelnames=("stage",)
             )
-            for stage_key, count in sorted(mapping.items()):
+            for stage_key, count in sorted(counts.items()):
                 counter.labels(stage=stage_key).inc(count)
 
     @classmethod
@@ -354,10 +369,13 @@ class Funnel:
     it.  Misses and hits only count uses, and :meth:`finish` merges
     each delta times its uses, once — so a hit is accounted as
     ``delta × hits`` per call, never replayed per hit.  Under the null
-    runtime with no session nothing is captured.  Hits and misses by
-    stage key (``prefix``, ``rpki``, ``dns.www``, ``form.plain`` …)
-    are :attr:`hits` / :attr:`misses`; only cache-backed runs report
-    them.
+    runtime with no session nothing is captured.  These are the stage
+    counters (lookups, validations, trie, DNS); a funnel writes no
+    funnel family — :meth:`StudyStatistics.to_metrics` does, once per
+    run, from the measurements.  Hits and misses by stage key
+    (``prefix``, ``rpki``, ``dns.www``, ``form.plain`` …) are
+    :attr:`hits` / :attr:`misses`; only cache-backed runs report them,
+    through their statistics.
     """
 
     def __init__(self, study: "MeasurementStudy", config=None, session=None):
@@ -542,16 +560,6 @@ class Funnel:
             return
         for delta, times in self._uses.values():
             self._live.merge(registry_from_wire(delta), times=times)
-        if self._session is not None:
-            for metric, counts in (
-                (CACHE_HITS_METRIC, self.hits),
-                (CACHE_MISSES_METRIC, self.misses),
-            ):
-                counter = self._live.counter(
-                    metric, _STAT_HELP[metric], labelnames=("stage",)
-                )
-                for label, count in sorted(counts.items()):
-                    counter.labels(stage=label).inc(count)
 
 
 def _dns_answer(resolver: PublicResolver, name: str) -> tuple:
@@ -565,77 +573,6 @@ def _dns_answer(resolver: PublicResolver, name: str) -> tuple:
     )
 
 
-def accumulate_measurement(
-    stats: StudyStatistics, measurement: DomainMeasurement
-) -> None:
-    """Fold one domain's funnel contribution into ``stats``.
-
-    Also ticks the funnel counters of the *active* registry, so a
-    shard worker running under its own scoped registry records its
-    shard's share and nothing else.
-    """
-    counters = metrics()
-    www, plain = measurement.www, measurement.plain
-    resolved_forms = [form for form in (www, plain) if form.resolved]
-    if resolved_forms and all(
-        not form.addresses and form.excluded_special for form in resolved_forms
-    ):
-        stats.invalid_dns_domains += 1
-        counters.counter(
-            "ripki_invalid_dns_domains_total",
-            _STAT_HELP["ripki_invalid_dns_domains_total"],
-        ).inc()
-    stats.www_addresses += len(www.addresses)
-    stats.plain_addresses += len(plain.addresses)
-    stats.www_pairs += len(www.pairs)
-    stats.plain_pairs += len(plain.pairs)
-    addresses = counters.counter(
-        "ripki_addresses_total",
-        _STAT_HELP["ripki_addresses_total"],
-        labelnames=("form",),
-    )
-    pairs = counters.counter(
-        "ripki_pairs_total",
-        _STAT_HELP["ripki_pairs_total"],
-        labelnames=("form",),
-    )
-    addresses.labels(form="www").inc(len(www.addresses))
-    addresses.labels(form="plain").inc(len(plain.addresses))
-    pairs.labels(form="www").inc(len(www.pairs))
-    pairs.labels(form="plain").inc(len(plain.pairs))
-    # unreachable/AS_SET counters tick live inside step 3
-    # (prefix_mapping); only the plain-int stats accumulate here.
-    stats.unreachable_addresses += (
-        www.unreachable_addresses + plain.unreachable_addresses
-    )
-    stats.as_set_exclusions += www.as_set_excluded + plain.as_set_excluded
-    # Resilience accounting; fault-free measurements carry all-default
-    # fields and skip these counters entirely, keeping plain runs'
-    # metric output unchanged.
-    if measurement.degraded:
-        stats.degraded_domains += 1
-        counters.counter(
-            "ripki_degraded_domains_total",
-            _STAT_HELP["ripki_degraded_domains_total"],
-        ).inc()
-    retries = www.retries + plain.retries
-    if retries:
-        stats.retries_total += retries
-        counters.counter(
-            "ripki_retries_total", _STAT_HELP["ripki_retries_total"]
-        ).inc(retries)
-    for form in (www, plain):
-        for kind, count in form.faults:
-            stats.faults_by_kind[kind] = (
-                stats.faults_by_kind.get(kind, 0) + count
-            )
-            counters.counter(
-                _FAULTS_METRIC,
-                _STAT_HELP[_FAULTS_METRIC],
-                labelnames=("kind",),
-            ).labels(kind=kind).inc(count)
-
-
 def run_funnel(
     study: "MeasurementStudy",
     domains,
@@ -643,37 +580,28 @@ def run_funnel(
     session=None,
     on_domain: Optional[Callable[[], None]] = None,
 ) -> Tuple[List[DomainMeasurement], StudyStatistics, Optional[dict]]:
-    """Steps 2-4 for ``domains``, in order, into the active instruments.
+    """Steps 2-4 for ``domains``, in order, and their statistics.
 
     The one per-domain loop: :meth:`MeasurementStudy.run` walks the
     whole ranking through it and every shard worker
     (:func:`repro.exec.executor.run_shard`) its slice, each through one
     :class:`Funnel`, which measures every form under a resilient
-    ``config``'s fault plan and attempt count.  A cache
-    ``session`` seeds the funnel's memo; the rows of what the funnel
-    computed come back third (stage -> key -> row; ``None`` on
+    ``config``'s fault plan and attempt count.  The active registry
+    gets the funnel's stage counters only; the funnel families are
+    the caller's to write, once, via :meth:`StudyStatistics.to_metrics`.
+    A cache ``session`` seeds the funnel's memo; the rows of what the
+    funnel computed come back third (stage -> key -> row; ``None`` on
     uncached runs).  ``on_domain`` fires after each domain.
     """
-    resilient = config is not None and config.resilient
-    cached = session is not None
     funnel = Funnel(study, config, session)
-    counters = metrics()
-    _register_funnel_counters(counters, resilient=resilient, cached=cached)
-    measured = counters.counter(
-        "ripki_domains_measured_total",
-        _STAT_HELP["ripki_domains_measured_total"],
-    )
     measurements: List[DomainMeasurement] = []
-    stats = StudyStatistics(domain_count=len(domains))
     for domain in domains:
-        measurement = funnel.measure_domain(domain)
-        measurements.append(measurement)
-        accumulate_measurement(stats, measurement)
-        measured.inc()
+        measurements.append(funnel.measure_domain(domain))
         if on_domain is not None:
             on_domain()
     funnel.finish()
-    if not cached:
+    stats = StudyStatistics.from_measurements(measurements)
+    if session is None:
         return measurements, stats, None
     stats.cache_hits_by_stage = dict(funnel.hits)
     stats.cache_misses_by_stage = dict(funnel.misses)
@@ -851,6 +779,7 @@ class MeasurementStudy:
                 config,
                 on_domain=reporter.tick if reporter is not None else None,
             )
+            stats.to_metrics(metrics(), resilient=config.resilient)
         if reporter is not None:
             reporter.done()
         return StudyResult(measurements, stats)

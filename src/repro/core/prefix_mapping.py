@@ -23,20 +23,17 @@ def map_single_address(
 ) -> Tuple[List[Tuple[Prefix, ASN]], int, int]:
     """Step 3 for one address: ``(pairs, unreachable, as_set_excluded)``.
 
-    Ticks the stage counters for exactly this address's share of the
+    Ticks the stage counter for exactly this address's share of the
     work, so the funnel's per-address memo can capture one address's
-    metric delta and account it once per hit.
+    metric delta and account it once per hit.  The unreachable and
+    AS_SET counts come back in the tuple; their families are written
+    from the run's statistics.
     """
-    counters = metrics()
-    counters.counter(
+    metrics().counter(
         "ripki_prefix_lookups_total", "Addresses pushed through step 3"
     ).inc()
     entries = dump.covering_entries(address)
     if not entries:
-        counters.counter(
-            "ripki_unreachable_addresses_total",
-            "Addresses with no covering prefix in the table dump",
-        ).inc()
         return [], 1, 0
     pairs: Set[Tuple[Prefix, ASN]] = set()
     as_set_excluded = 0
@@ -44,10 +41,6 @@ def map_single_address(
         origin = entry.origin
         if origin is None:
             as_set_excluded += 1
-            counters.counter(
-                "ripki_as_set_exclusions_total",
-                "Table rows skipped for an AS_SET origin (RFC 6472)",
-            ).inc()
             continue
         pairs.add((entry.prefix, origin))
     return sorted(pairs), 0, as_set_excluded

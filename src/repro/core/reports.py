@@ -193,10 +193,10 @@ def pipeline_statistics(
 ) -> Dict[str, float]:
     """The counters reported in the first paragraph of Section 4.
 
-    With a metrics ``registry`` the numbers are rebuilt from the
-    funnel counters the instrumented stages recorded — the registry
-    is then the single source of truth shared with any exporter — and
-    a mismatch against the accumulated statistics raises.
+    With a metrics ``registry`` the numbers are rebuilt from its
+    funnel families, which :meth:`StudyStatistics.to_metrics` wrote
+    from ``result.statistics`` at the end of the run; a mismatch —
+    a registry shared with another run, or edited since — raises.
     """
     stats = result.statistics
     if registry is not None:

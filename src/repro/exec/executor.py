@@ -11,10 +11,12 @@ bit-identical to the serial run:
 * **statistics** — every :class:`StudyStatistics` field is an
   integer sum over domains, so summing per-shard statistics in any
   order reproduces the serial accumulation exactly;
-* **metrics** — each shard worker records into its own scoped
-  registry (:class:`repro.obs.runtime.thread_scope`); the per-shard
-  registries are merged into the caller's active registry, and all
-  funnel counters are integer-valued, so
+* **metrics** — each shard worker records its stage counters into
+  its own scoped registry (:class:`repro.obs.runtime.thread_scope`)
+  and the per-shard registries are merged into the caller's active
+  registry; shards write no funnel family.  After the merge the
+  merged statistics write the funnel families once, into that
+  registry (:meth:`StudyStatistics.to_metrics`), so
   ``pipeline_statistics(result, registry)`` cross-checks cleanly;
 * **trace spans** — per-shard collectors' kept records are grafted
   under the run's root span and their exact per-name aggregates
@@ -51,7 +53,6 @@ from typing import Callable, Dict, List, Optional
 
 from repro.core.pipeline import (
     _make_reporter,
-    _register_funnel_counters,
     RUN_MODES,
     MeasurementStudy,
     RunConfig,
@@ -240,13 +241,6 @@ def execute_study(study: MeasurementStudy, config: RunConfig) -> StudyResult:
 
     observe = observability_enabled()
     trace = tracer()
-    if observe:
-        registry = metrics()
-        _register_funnel_counters(
-            registry, resilient=config.resilient, cached=session is not None
-        )
-        if session is not None:
-            session.record_invalidation(registry)
 
     reporter = _make_reporter(config.progress, total=len(study.ranking))
     ticker: Callable[[Shard], None] = (
@@ -311,6 +305,9 @@ def execute_study(study: MeasurementStudy, config: RunConfig) -> StudyResult:
                     session.adopt(outcome.cache_entries)
             session.save()
         merge_recorded(outcomes, root)
+        stats.to_metrics(
+            metrics(), resilient=config.resilient, cached=session is not None
+        )
     if reporter is not None:
         reporter.done()
     result = StudyResult(measurements, stats)

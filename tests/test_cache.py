@@ -440,16 +440,6 @@ class TestSessionObject:
             assert domain.name in session.memo["dns"]
         assert session.invalidated == {}
 
-    def test_record_invalidation_ticks_registry(self, study, tmp_path):
-        config = RunConfig(cache=CacheConfig(str(tmp_path)))
-        session = CacheSession.open(str(tmp_path), study, config)
-        session._invalidated = {"rpki": 3, "form": 1}
-        registry = MetricsRegistry()
-        session.record_invalidation(registry)
-        counter = registry.get("ripki_cache_invalidated_total")
-        assert int(counter.labels(stage="rpki").value) == 3
-        assert int(counter.labels(stage="form").value) == 1
-
 
 class TestCLI:
     def test_run_cache_dir_smoke(self, tmp_path, capsys):

@@ -3,14 +3,17 @@
 Step 3 runs once per distinct address and step 4 once per distinct
 (prefix, origin) pair of a :func:`repro.core.pipeline.run_funnel`
 call — the whole ranking on a serial run, one shard's slice on a
-sharded one — and the result still equals the per-form oracle.
+sharded one — and the result still equals the per-form oracle, down
+to the Prometheus text an observed run renders.
 """
 
 import pytest
 
-from repro.core import MeasurementStudy, RunConfig
+from repro import obs
+from repro.core import MeasurementStudy, RunConfig, StudyStatistics
 from repro.core.dns_mapping import measure_name
 from repro.core.prefix_mapping import map_addresses
+from repro.core.records import DomainMeasurement
 from repro.core.rpki_validation import validate_pairs
 from repro.exec.sharding import plan_shards
 from repro.web import EcosystemConfig, WebEcosystem
@@ -70,3 +73,36 @@ def test_memo_matches_the_per_form_oracle(study):
                     study.payloads, map_addresses(study.table_dump, oracle)
                 )
             assert form == oracle
+
+
+@pytest.fixture(scope="module")
+def memo_free_exposition(study):
+    """Steps 2-4 per form with no memo, then the one funnel-family write."""
+    with obs.scope() as (registry, _collector):
+        measurements = []
+        for domain in study.ranking:
+            forms = []
+            for name in (domain.www_name, domain.name):
+                form = measure_name(study.resolver, name)
+                if form.resolved and form.addresses:
+                    form.pairs = validate_pairs(
+                        study.payloads, map_addresses(study.table_dump, form)
+                    )
+                forms.append(form)
+            measurements.append(DomainMeasurement(domain, *forms))
+        StudyStatistics.from_measurements(measurements).to_metrics(registry)
+    return registry.render_prometheus()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [RunConfig(), RunConfig(workers=3, mode="thread")],
+    ids=["serial", "sharded"],
+)
+def test_observed_run_renders_the_memo_free_walk(
+    study, memo_free_exposition, config
+):
+    """Stage counters (delta x uses) and funnel families both match."""
+    with obs.scope() as (registry, _collector):
+        study.run(config=config)
+    assert registry.render_prometheus() == memo_free_exposition

@@ -5,10 +5,11 @@ import pytest
 from repro import obs
 from repro.core import MeasurementStudy, RunConfig
 from repro.core.pipeline import StudyStatistics
+from repro.faults import FaultPlan
 from repro.obs.report import stage_timing_report
 from repro.obs.runtime import metrics, observability_enabled, tracer
 from repro.obs.tracing import TraceCollector
-from repro.web import EcosystemConfig, WebEcosystem
+from repro.web import AlexaRanking, EcosystemConfig, WebEcosystem
 
 
 @pytest.fixture()
@@ -92,6 +93,49 @@ class TestStageCounters:
         stats.to_metrics(registry)
         assert StudyStatistics.from_metrics(registry) == stats
         assert stats.total_addresses == 23
+
+
+# What an observed run over an empty ranking exports: every funnel
+# series explicit at zero; fault runs add the resilience families.
+_EMPTY_SERIES = [
+    'ripki_addresses_total{form="plain"} 0',
+    'ripki_addresses_total{form="www"} 0',
+    "ripki_as_set_exclusions_total 0",
+    "ripki_domains_measured_total 0",
+    "ripki_invalid_dns_domains_total 0",
+    'ripki_pairs_total{form="plain"} 0',
+    'ripki_pairs_total{form="www"} 0',
+    "ripki_unreachable_addresses_total 0",
+]
+_EMPTY_FAULT_SERIES = sorted(
+    _EMPTY_SERIES
+    + ["ripki_degraded_domains_total 0", "ripki_retries_total 0"]
+)
+
+
+@pytest.mark.parametrize("faulted", [False, True], ids=["plain", "flaky"])
+def test_empty_ranking_exports_every_family_at_zero(small_world, faulted):
+    parts = MeasurementStudy.from_ecosystem(small_world)
+    study = MeasurementStudy(
+        AlexaRanking([]), parts.resolver, parts.table_dump, parts.payloads
+    )
+    faults = FaultPlan.from_profile("flaky", seed=7) if faulted else None
+    texts = []
+    for config in (
+        RunConfig(faults=faults),
+        RunConfig(workers=2, mode="process", faults=faults),
+    ):
+        with obs.scope() as (registry, _collector):
+            study.run(config=config)
+        texts.append(registry.render_prometheus())
+    serial, sharded = texts
+    assert serial == sharded
+    lines = serial.splitlines()
+    series = sorted(line for line in lines if not line.startswith("#"))
+    assert series == (_EMPTY_FAULT_SERIES if faulted else _EMPTY_SERIES)
+    # The fault family is declared even with no fault to count.
+    declared = "# TYPE ripki_faults_injected_total counter" in lines
+    assert declared == faulted
 
 
 class TestStageSpans:

@@ -15,7 +15,11 @@ class, or a method, of a non-``__init__`` module must be *named* by a
 program source (the non-``__init__`` modules under ``src/repro``, the
 benchmarks and the examples).  A definition only tests call is either
 deleted or listed in ``HOOKS`` (the standard library calls it) or
-``ORACLES`` (a test checks program output against it).
+``ORACLES`` (a test checks program output against it).  Methods are
+matched by bare name, so any same-named method a program calls keeps
+a method alive: ``StudyStatistics.to_metrics`` once hid that way, with
+only tests calling it, behind the program's calls of
+``RefreshStats.to_metrics`` and ``SchedulerReport.to_metrics``.
 """
 
 import ast
