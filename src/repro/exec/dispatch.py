@@ -166,7 +166,9 @@ def map_ordered(
     does not call it.  ``receive(batch, result)`` runs parent-side as
     each batch completes and what it returns takes the result's place,
     so a wire-form result is decoded while other batches still
-    compute.
+    compute.  A pooled batch's future, and with it the raw result,
+    is dropped as soon as ``receive`` returns, so the parent never
+    holds a batch's wire beside its decoded copy.
 
     A pool whose worker died (``os._exit``, a signal, the OOM killer)
     raises :class:`SchedulerError` naming a batch it lost; no result
@@ -191,20 +193,24 @@ def map_ordered(
             for position, batch in enumerate(batches)
         ]
     slots: List = [None] * len(batches)
-    position = 0
+    futures: Dict[concurrent.futures.Future, int] = {}
     try:
         with _POOLS[mode](
             max_workers=workers, initializer=initializer, initargs=initargs
         ) as pool:
-            futures = {}
             for position, batch in enumerate(batches):
                 futures[pool.submit(fn, batch)] = position
             for future in concurrent.futures.as_completed(futures):
-                position = futures[future]
-                slots[position] = finish(position, future.result())
+                result = future.result()
+                position = futures.pop(future)
+                del future
+                slots[position] = finish(position, result)
+                # Hold no raw result while the next batch computes.
+                del result
     except concurrent.futures.BrokenExecutor as error:
+        lost = min(futures.values(), default=0)
         raise SchedulerError(
-            f"{mode} pool broke with batch {position} of {len(batches)} "
+            f"{mode} pool broke with batch {lost} of {len(batches)} "
             f"outstanding (a worker died); no result was merged: {error}"
         ) from error
     return slots

@@ -28,7 +28,10 @@ through :func:`repro.exec.dispatch.map_ordered`:
 * ``process`` — a process pool, true parallelism; the study
   (resolver, table dump, payloads) is shipped to each worker once
   via the pool initializer and shard results come back in codec wire
-  form, decoded parent-side as they arrive,
+  form, decoded *and released* parent-side as they arrive: every
+  shard decodes through one intern table per run, so the parent holds
+  one value per distinct address and pair row, and no shard's wire
+  outlives its decoding,
 * ``thread`` — a thread pool; no pickling, workers share the study
   object.  The GIL serialises the pure-Python funnel, so this backend
   exists for determinism tests and for a future IO-bound (live DNS)
@@ -188,8 +191,8 @@ def _process_shard(shard: Shard):
     Measurements and statistics go back to the parent through the
     codec (:mod:`repro.exec.codec`) instead of as pickled record
     objects — the parent deserialises results on one thread, and the
-    compact form halves that bottleneck.  Domains are re-attached
-    parent-side from the shard plan.
+    compact form, one row per distinct value, shrinks that bottleneck.
+    Domains are re-attached parent-side from the shard plan.
     """
     assert _WORKER_STUDY is not None, "worker initializer did not run"
     outcome = run_shard(
@@ -205,12 +208,13 @@ def _process_shard(shard: Shard):
     )
 
 
-def _decode_shard(shard: Shard, wire) -> ShardOutcome:
-    """Parent side of :func:`_process_shard`."""
+def _decode_shard(shard: Shard, wire, table: dict) -> ShardOutcome:
+    """Parent side of :func:`_process_shard`; ``table`` is the run's
+    intern table, so equal rows of any shard decode to one value."""
     encoded, stats, registry, spans, span_stats, cache_entries = wire
     return ShardOutcome(
         index=shard.index,
-        measurements=decode_measurements(encoded, shard.domains),
+        measurements=decode_measurements(encoded, shard.domains, table),
         statistics=decode_statistics(stats),
         metrics=registry,
         spans=spans,
@@ -228,7 +232,9 @@ def execute_study(study: MeasurementStudy, config: RunConfig) -> StudyResult:
     ``config`` bundles every knob (and is what
     :meth:`MeasurementStudy.run` passes).  The progress sink receives
     batched ticks — one ``tick(len(shard))`` per completed shard, in
-    completion order.
+    completion order.  On the process pool each shard's wire result is
+    decoded and released as it arrives, through one intern table for
+    the whole run, so the parent holds a single copy of the result.
     """
     workers = config.workers
     resolved = resolve_mode(config.mode, workers, parallel="process")
@@ -270,6 +276,7 @@ def execute_study(study: MeasurementStudy, config: RunConfig) -> StudyResult:
         elif resolved == "process" and workers > 1 and len(shards) > 1:
             # A pool is built: ship the study once per child and bring
             # the shards home in wire form.
+            table: dict = {}
             outcomes = map_ordered(
                 _process_shard,
                 shards,
@@ -280,7 +287,9 @@ def execute_study(study: MeasurementStudy, config: RunConfig) -> StudyResult:
                 initargs=(
                     study, observe, config.without_progress(), session
                 ),
-                receive=_decode_shard,
+                receive=lambda shard, wire: _decode_shard(
+                    shard, wire, table
+                ),
             )
         else:
             outcomes = map_ordered(

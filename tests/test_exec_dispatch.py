@@ -1,8 +1,10 @@
 """The ordered-dispatch primitive every parallel path is built on."""
 
+import gc
 import os
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -68,6 +70,20 @@ def _set_scale(scale):
 
 def _scaled(batch):
     return [item * _SCALE for item in batch.items]
+
+
+class _Watched:
+    """A batch result a weakref can watch."""
+
+    def __init__(self, index):
+        self.index = index
+
+
+def _watched(batch):
+    # Batches finish in order, well apart, so each is received before
+    # the next completes.
+    time.sleep(0.05 * batch.index)
+    return _Watched(batch.index)
 
 
 def _observed_run(mode):
@@ -190,6 +206,30 @@ class TestInitializerAndReceive:
         assert sorted(received) == list(range(len(BATCHES)))
         # The initializer is the pool's: it never ran in this process.
         assert _SCALE is None
+
+
+class TestReceivedResultsAreReleased:
+    @pytest.mark.parametrize("mode", POOLED)
+    def test_earlier_results_are_dead_when_a_batch_is_received(self, mode):
+        """The parent holds a batch's raw result only until ``receive``
+        returns: a pool that kept its futures held every shard's wire
+        beside its decoded copy until the last shard came home."""
+        watched = []
+        alive_at_receive = []
+
+        def receive(batch, result):
+            gc.collect()
+            alive_at_receive.append(
+                [ref().index for ref in watched if ref() is not None]
+            )
+            watched.append(weakref.ref(result))
+            return result.index
+
+        results = map_ordered(
+            _watched, BATCHES, workers=2, mode=mode, receive=receive
+        )
+        assert results == list(range(len(BATCHES)))
+        assert alive_at_receive == [[]] * len(BATCHES)
 
 
 class TestInline:

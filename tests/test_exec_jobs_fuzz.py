@@ -12,7 +12,9 @@ Mirrors ``test_rtr_fuzz.py`` for the execution plane:
 * **hostile value rows** — a well-framed result whose address or
   prefix row breaks the value's own invariant (host bits set, unknown
   family, value out of range) is rejected by the validating
-  constructors: a typed ``NetError`` from the codec, a
+  constructors, and one whose integer field is a bool or a float, or
+  whose validation state is unknown, by the codec: a typed
+  ``NetError`` (``ReproError`` for the state) from the codec, a
   ``JobProtocolError`` from ``to_outcome``; so is a span-aggregate
   row with impossible counts or seconds;
 * **scheduler quarantine** — a worker whose reply stream is garbage
@@ -305,6 +307,22 @@ HOSTILE_ROWS = {
     "address-out-of-range": {"address": [4, 1 << 32]},
     "address-negative": {"address": [6, -1]},
     "address-family-5": {"address": [5, 1]},
+    # Exact ints only: a bool or float equals an int row and would
+    # otherwise decode to (or intern as) a value it is not.
+    "address-value-bool": {"address": [4, True]},
+    "address-value-float": {"address": [4, 1.0]},
+    "address-family-float": {"address": [4.0, 1]},
+    "pair-value-bool": {"pair": [4, False, 8, 64500, "valid"]},
+    "pair-value-float": {"pair": [4, 0.0, 0, 64500, "valid"]},
+    "pair-length-bool": {"pair": [4, 0, False, 64500, "valid"]},
+    "pair-origin-float": {"pair": [4, 0x0A000000, 8, 1.5, "valid"]},
+    "pair-origin-bool": {"pair": [4, 0x0A000000, 8, True, "valid"]},
+}
+
+HOSTILE_STATES = {
+    "state-unknown": {"pair": [4, 0x0A000000, 8, 64500, "bogus"]},
+    "state-not-text": {"pair": [4, 0x0A000000, 8, 64500, 1]},
+    "state-list": {"pair": [4, 0x0A000000, 8, 64500, ["valid"]]},
 }
 
 
@@ -372,11 +390,36 @@ class TestHostileValueRows:
                 value_row_wire(**HOSTILE_ROWS[case]), self.shard.domains
             )
 
-    @pytest.mark.parametrize("case", sorted(HOSTILE_ROWS))
+    @pytest.mark.parametrize("case", sorted(HOSTILE_STATES))
+    def test_codec_raises_typed_error_on_unknown_state(self, case):
+        with pytest.raises(ReproError):
+            decode_measurements(
+                value_row_wire(**HOSTILE_STATES[case]), self.shard.domains
+            )
+
+    @pytest.mark.parametrize(
+        "case", sorted(HOSTILE_ROWS) + sorted(HOSTILE_STATES)
+    )
     def test_result_frame_surfaces_as_protocol_error(self, case):
-        result = self.result(value_row_wire(**HOSTILE_ROWS[case]))
+        changes = HOSTILE_ROWS.get(case) or HOSTILE_STATES[case]
+        result = self.result(value_row_wire(**changes))
         with pytest.raises(JobProtocolError):
             result.to_outcome(self.shard)
+
+    @pytest.mark.parametrize("case", ["address-value-bool", "pair-origin-bool"])
+    def test_hostile_row_does_not_resolve_to_an_earlier_equal_row(self, case):
+        """A run's intern table is keyed on row values, and ``True ==
+        1``: a bool row after a good int row must still be refused."""
+        good = {"address": [4, 1], "pair": [4, 0x0A000000, 8, 1, "valid"]}
+        (kind, hostile), = HOSTILE_ROWS[case].items()
+        table: dict = {}
+        decode_measurements(
+            value_row_wire(**{kind: good[kind]}), self.shard.domains, table
+        )
+        with pytest.raises(NetError):
+            decode_measurements(
+                value_row_wire(**{kind: hostile}), self.shard.domains, table
+            )
 
     def test_well_formed_span_stats_decode(self):
         outcome = self.result(

@@ -199,6 +199,22 @@ class TestWireCodec:
             for leaf in flatten(encoded)
         )
 
+    def test_equal_values_share_one_row(self, study, small_world):
+        """Pickle's memo then ships each distinct row once."""
+        measurements = self._measure(study, small_world, count=200)
+        encoded = encode_measurements(measurements)
+        rows, occurrences = {}, 0
+        for measurement, wire in zip(measurements, encoded):
+            for form, (_n, _r, addresses, *_, pairs, _d, _t, _f) in zip(
+                (measurement.www, measurement.plain), wire
+            ):
+                values = form.addresses + form.pairs
+                for value, row in zip(values, addresses + pairs):
+                    rows.setdefault(value, set()).add(id(row))
+                    occurrences += 1
+        assert occurrences > len(rows)
+        assert all(len(ids) == 1 for ids in rows.values())
+
     def test_length_mismatch_rejected(self, study, small_world):
         measurements = self._measure(study, small_world, count=3)
         encoded = encode_measurements(measurements)
@@ -207,6 +223,22 @@ class TestWireCodec:
 
     def test_empty_round_trip(self):
         assert decode_measurements(encode_measurements([]), []) == []
+
+
+class TestProcessResultSharing:
+    def test_one_object_per_distinct_value(self, study, serial_baseline):
+        """Every shard decodes through the run's one intern table, so
+        the parent holds each address and pair once, as serial does."""
+        serial, _ = serial_baseline
+        result = study.run(config=RunConfig(workers=2, mode="process"))
+        assert result == serial
+        forms = [form for m in result for form in (m.www, m.plain)]
+        addresses = [a for form in forms for a in form.addresses]
+        pairs = [pair for form in forms for pair in form.pairs]
+        assert len(set(addresses)) < len(addresses)
+        assert len(set(pairs)) < len(pairs)
+        assert len({id(a) for a in addresses}) == len(set(addresses))
+        assert len({id(pair) for pair in pairs}) == len(set(pairs))
 
 
 class TestExecutorPlumbing:
