@@ -1,6 +1,6 @@
 """Golden-file tests pinning the user-facing output of a fixed run.
 
-Three artifacts of a ``--domains 400 --seed 2015`` study are pinned
+The artifacts of a ``--domains 400 --seed 2015`` study are pinned
 byte-for-byte under ``tests/goldens/``:
 
 * ``run_stdout.txt`` — the CLI's complete stdout (wall-clock figures
@@ -15,6 +15,9 @@ byte-for-byte under ``tests/goldens/``:
 * ``stage_timings.txt`` — the stage-timing table reduced to its
   deterministic cells (span names, counts, error counts; the time
   columns vary by machine),
+* ``run_stdout_flaky.txt`` / ``metrics_flaky.prom`` — the CLI stdout
+  and the observed exposition of the same study under the ``flaky``
+  fault profile (retries, degraded forms and the fault counters),
 * ``rov_whatif.json`` — the ROV campaign's verdict histogram and
   replay digest plus the exposure deltas of the three named adoption
   futures (``cdn-top5-sign``, ``tier1-enforce``, ``full-rov``).
@@ -31,7 +34,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import MeasurementStudy
+from repro.core import MeasurementStudy, RunConfig
+from repro.faults import FaultPlan
 from repro.obs import MetricsRegistry, TraceCollector, scope, timing_table
 from repro.web import EcosystemConfig, WebEcosystem
 
@@ -48,6 +52,13 @@ CLI_ARGV = [
 ]
 
 WORKERS_CLI_ARGV = CLI_ARGV + ["--exec-mode", "workers", "--workers", "2"]
+
+FLAKY_CLI_ARGV = [
+    "run",
+    "--domains", str(DOMAINS),
+    "--seed", str(SEED),
+    "--fault-profile", "flaky",
+]
 
 _REGEN_HINT = (
     "golden mismatch for {name}; if the change is intentional, run\n"
@@ -99,7 +110,7 @@ def _cli_stdout(argv=CLI_ARGV) -> str:
     return _mask_times(buffer.getvalue())
 
 
-def _observed_artifacts():
+def _observed_artifacts(config=None):
     world = WebEcosystem.build(
         EcosystemConfig(domain_count=DOMAINS, seed=SEED)
     )
@@ -107,7 +118,7 @@ def _observed_artifacts():
     registry = MetricsRegistry()
     collector = TraceCollector()
     with scope(registry, collector):
-        study.run()
+        study.run(config=config)
     metrics_text = registry.render_prometheus()
     timings_text = _normalize_timings(timing_table(collector.aggregate()))
     return metrics_text, timings_text
@@ -151,6 +162,9 @@ def _rov_artifact() -> str:
 
 def _generate_all():
     metrics_text, timings_text = _observed_artifacts()
+    flaky_metrics_text, _ = _observed_artifacts(
+        RunConfig(faults=FaultPlan.from_profile("flaky", seed=SEED))
+    )
     return {
         "run_stdout.txt": _cli_stdout(),
         "run_stdout_workers.txt": _mask_scheduler(
@@ -159,6 +173,8 @@ def _generate_all():
         "metrics.prom": metrics_text,
         "stage_timings.txt": timings_text,
         "rov_whatif.json": _rov_artifact(),
+        "run_stdout_flaky.txt": _cli_stdout(FLAKY_CLI_ARGV),
+        "metrics_flaky.prom": flaky_metrics_text,
     }
 
 
@@ -171,7 +187,8 @@ class TestGoldenOutputs:
     @pytest.mark.parametrize(
         "name",
         ["run_stdout.txt", "run_stdout_workers.txt", "metrics.prom",
-         "stage_timings.txt", "rov_whatif.json"],
+         "stage_timings.txt", "rov_whatif.json", "run_stdout_flaky.txt",
+         "metrics_flaky.prom"],
     )
     def test_matches_golden(self, generated, name):
         path = GOLDEN_DIR / name
