@@ -20,7 +20,7 @@ Quickstart::
 """
 
 from repro.core import MeasurementStudy, RunConfig, StudyResult
-from repro.errors import ReproError, RetryExhausted, TransientFault
+from repro.errors import ReproError, TransientFault
 from repro.web import EcosystemConfig, WebEcosystem
 
 __version__ = "1.0.0"
@@ -29,7 +29,6 @@ __all__ = [
     "EcosystemConfig",
     "MeasurementStudy",
     "ReproError",
-    "RetryExhausted",
     "RunConfig",
     "StudyResult",
     "TransientFault",

@@ -115,8 +115,8 @@ def config_fingerprint(config: Optional[Any]) -> str:
     """Digest of the outcome-shaping parts of a run config.
 
     A plain run (no fault plan) fingerprints the same regardless of
-    ``max_attempts`` — the retry loop never executes without faults,
-    so its attempt count cannot affect artifacts.
+    ``max_attempts`` — without faults no stage fails an attempt, so
+    the attempt count cannot affect artifacts.
     """
     if config is None or getattr(config, "faults", None) is None:
         payload: Any = {"resilient": False}

@@ -7,22 +7,20 @@ the funnel memo's own types and classifies it as valid or invalidated
 
 * config fingerprint mismatch — nothing is reusable (a fault plan
   changes outcomes, not just timing);
-* zone digest match — every ``dns``/``form`` artifact is valid (the
-  fast path); on mismatch, each artifact's stored CNAME-closure
+* zone digest match — every ``dns`` artifact is valid (the fast
+  path); on mismatch, each artifact's stored CNAME-closure
   fingerprint is recomputed and only changed names are dropped;
-* dump digest mismatch — every ``prefix`` artifact (and every
-  ``form`` artifact, which embeds step-3 results) is dropped;
+* dump digest mismatch — every ``prefix`` artifact is dropped;
 * VRP digest mismatch — the **delta index**: the symmetric
   difference of the stored and current VRP sets is loaded into a
   prefix trie, and a ``rpki`` artifact is dropped exactly when some
   changed/revoked VRP's prefix covers its announced prefix (RFC 6811
-  validation reads nothing else).  ``form`` artifacts are checked
-  against their embedded pairs the same way.
+  validation reads nothing else).
 
 Rows are decoded through the checking constructors (``Address``,
-``Prefix``, ``ASN``, ``OriginValidation``, the shard codec's name
-form); a row that fails one makes the whole store unusable, so the
-run starts cold and :meth:`CacheSession.save` replaces the file.
+``Prefix``, ``ASN``, ``OriginValidation``); a row that fails one
+makes the whole store unusable, so the run starts cold and
+:meth:`CacheSession.save` replaces the file.
 
 The valid entries are :attr:`CacheSession.memo`, which seeds the memo
 of every :class:`repro.core.pipeline.Funnel` of the run (it is plain
@@ -46,7 +44,6 @@ from repro.cache.fingerprint import (
 )
 from repro.cache.store import STAGES, load_store, save_store, store_path
 from repro.core.records import PrefixOriginPair
-from repro.exec.codec import decode_name, encode_name
 from repro.net import ASN, Address, Prefix, PrefixTrie
 from repro.obs.runtime import thread_scope
 from repro.rpki.vrp import OriginValidation
@@ -154,7 +151,7 @@ class CacheSession:
                     continue
                 fingerprint = (
                     name_fingerprint(namespace, vantage, key)
-                    if stage in ("dns", "form")
+                    if stage == "dns"
                     else None
                 )
                 row_key, row = _encode_row(stage, key, value, fingerprint)
@@ -197,7 +194,6 @@ class CacheSession:
 #   prefix "family:value" -> [[[family, value, length, origin]...],
 #                            unreachable, as_set_excluded, delta]
 #   rpki   "family:value:length:origin" -> [state, delta]
-#   form   name          -> [fingerprint, wire name form, delta]
 
 
 def _decode_row(stage: str, key: str, row: list) -> Tuple[object, object]:
@@ -219,15 +215,12 @@ def _decode_row(stage: str, key: str, row: list) -> Tuple[object, object]:
         return Address(*map(int, key.split(":"))), (
             mapped, int(unreachable), int(as_set)
         )
-    if stage == "rpki":
-        state, _delta = row
-        family, value, length, origin = map(int, key.split(":"))
-        pair = PrefixOriginPair(
-            Prefix(family, value, length), ASN(origin), OriginValidation(state)
-        )
-        return (pair.prefix, pair.origin), pair
-    _fingerprint, wire, _delta = row
-    return key, decode_name(wire)
+    state, _delta = row
+    family, value, length, origin = map(int, key.split(":"))
+    pair = PrefixOriginPair(
+        Prefix(family, value, length), ASN(origin), OriginValidation(state)
+    )
+    return (pair.prefix, pair.origin), pair
 
 
 def _encode_row(stage: str, key, value, fingerprint) -> Tuple[str, list]:
@@ -245,10 +238,8 @@ def _encode_row(stage: str, key, value, fingerprint) -> Tuple[str, list]:
             unreachable,
             as_set,
         ]
-    if stage == "rpki":
-        prefix, origin = key
-        return "{}:{}:{}:{}".format(*prefix, int(origin)), [value.state.value]
-    return key, [fingerprint, list(encode_name(value))]
+    prefix, origin = key
+    return "{}:{}:{}:{}".format(*prefix, int(origin)), [value.state.value]
 
 
 def _classify(decoded, old_digests, digests, delta, resolver):
@@ -263,18 +254,11 @@ def _classify(decoded, old_digests, digests, delta, resolver):
     dump_ok = old_digests["dump"] == digests["dump"]
 
     def valid(stage: str, key, value, row: list) -> bool:
-        if stage in ("prefix", "form") and not dump_ok:
-            return False    # form artifacts embed step-3 results
-        if stage in ("dns", "form") and not zone_ok:
-            if name_fingerprint(namespace, vantage, key) != row[0]:
-                return False
-        if delta is None:
-            return True
-        if stage == "rpki":
-            return not delta.covering(value.prefix)
-        if stage == "form":
-            return not any(delta.covering(pair.prefix) for pair in value.pairs)
-        return True
+        if stage == "prefix":
+            return dump_ok
+        if stage == "dns":
+            return zone_ok or name_fingerprint(namespace, vantage, key) == row[0]
+        return delta is None or not delta.covering(value.prefix)
 
     memo: Dict[str, dict] = {stage: {} for stage in STAGES}
     rows: Dict[str, dict] = {stage: {} for stage in STAGES}

@@ -2,14 +2,13 @@
 
 One JSON file (``snapshot.json``) per cache directory holds the input
 digests the artifacts were computed under, the VRP set itself (the
-delta index needs the old set, not just its digest), and four
-artifact maps — one per stage granularity:
+delta index needs the old set, not just its digest), and three
+artifact maps — one per stage granularity, on plain and fault runs
+alike:
 
 * ``dns``    — per name form: the DNS answer,
 * ``prefix`` — per IP address: its (prefix, origin) matches,
-* ``rpki``   — per (prefix, origin) pair: its validation outcome,
-* ``form``   — per name form: a whole-funnel measurement (fault runs
-  only, where per-stage splitting would break retry determinism).
+* ``rpki``   — per (prefix, origin) pair: its validation outcome.
 
 Every artifact carries the metric delta its computation produced (the
 :func:`repro.obs.metrics.registry_to_wire` form) so cache hits account
@@ -32,13 +31,15 @@ from typing import Dict, List, Optional, Tuple
 
 # 2: prefix-stage deltas stopped carrying the unreachable and AS_SET
 # funnel counters, which version-1 stores would count twice.
-STORE_VERSION = 2
+# 3: the whole-form ``form`` stage of fault runs is gone; fault runs
+# store per-stage rows like plain runs.
+STORE_VERSION = 3
 STORE_FILENAME = "snapshot.json"
 
 # Stage granularities, in the order the funnel runs them.  Every
 # artifact is a list whose last slot is its metric delta; the rest of
 # each stage's layout is repro.cache.session's row codec.
-STAGES: Tuple[str, ...] = ("dns", "prefix", "rpki", "form")
+STAGES: Tuple[str, ...] = ("dns", "prefix", "rpki")
 
 
 def store_path(directory: str) -> str:

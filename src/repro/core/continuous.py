@@ -345,14 +345,10 @@ class ContinuousStudy:
         hits = result.statistics.cache_hits_by_stage
         misses = result.statistics.cache_misses_by_stage
         stats = RefreshStats(
-            apex_measured=misses.get("dns.plain", 0)
-            + misses.get("form.plain", 0),
-            www_measured=misses.get("dns.www", 0)
-            + misses.get("form.www", 0),
-            www_carried_over=hits.get("dns.www", 0)
-            + hits.get("form.www", 0),
-            apex_carried_over=hits.get("dns.plain", 0)
-            + hits.get("form.plain", 0),
+            apex_measured=misses.get("dns.plain", 0),
+            www_measured=misses.get("dns.www", 0),
+            www_carried_over=hits.get("dns.www", 0),
+            apex_carried_over=hits.get("dns.plain", 0),
         )
         return result, stats
 

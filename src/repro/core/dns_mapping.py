@@ -11,7 +11,6 @@ from typing import List, Optional, Tuple
 
 from repro.dns import PublicResolver
 from repro.dns.errors import DNSError, ResolutionError
-from repro.errors import TransientFault
 from repro.net import Address, is_special_purpose
 from repro.obs.runtime import metrics, tracer
 from repro.core.records import NameMeasurement
@@ -27,10 +26,6 @@ def measure_name(resolver: PublicResolver, name: str) -> NameMeasurement:
         ).inc()
         try:
             answer = resolver.resolve(name)
-        except TransientFault:
-            # Injected faults subclass DNSError but must reach the
-            # retry loop instead of counting as a permanent failure.
-            raise
         except (DNSError, ResolutionError):
             counters.counter(
                 "ripki_dns_resolution_errors_total",

@@ -9,19 +9,14 @@ validation outcome."
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.bgp import TableDump
 from repro.dns import PublicResolver
-from repro.errors import RetryExhausted
-from repro.faults import (
-    AttemptCell,
-    FaultPlan,
-    FaultyResolver,
-    FaultyTableDump,
-    call_with_retry,
-)
+from repro.faults import DNS_KINDS, DUMP_KINDS, FaultPlan, stage_outcome
+from repro.net import Address
 from repro.obs.progress import ProgressEvent, ProgressReporter
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -32,9 +27,9 @@ from repro.obs.runtime import metrics, thread_scope, tracer
 from repro.rpki import ValidatedPayloads
 from repro.web.alexa import AlexaRanking, Domain
 from repro.core.dns_mapping import measure_name
-from repro.core.prefix_mapping import map_addresses, map_single_address
+from repro.core.prefix_mapping import map_single_address
 from repro.core.records import DomainMeasurement, NameMeasurement
-from repro.core.rpki_validation import validate_pairs, validate_single_pair
+from repro.core.rpki_validation import validate_single_pair
 
 # Execution backends; repro.exec re-exports this as MODES.
 RUN_MODES: Tuple[str, ...] = ("auto", "serial", "thread", "process", "workers")
@@ -68,10 +63,9 @@ _FAULTS_METRIC = "ripki_faults_injected_total"
 
 # Snapshot-cache counters — written only for cache-backed runs, so a
 # run without a cache emits byte-identical metrics to one predating
-# the cache layer.  Labelled by stage key: per-stage keys
-# ("dns.www", "dns.plain", "prefix", "rpki") on plain runs, form-level
-# keys ("form.www", "form.plain") on fault runs, and for invalidation
-# the store stages ("dns", "prefix", "rpki", "form") plus "config".
+# the cache layer.  Labelled by stage key ("dns.www", "dns.plain",
+# "prefix", "rpki"), and for invalidation by store stage ("dns",
+# "prefix", "rpki") plus "config".
 _CACHE_STAT_METRICS: Dict[str, str] = {
     "cache_hits_by_stage": "ripki_cache_hits_total",
     "cache_misses_by_stage": "ripki_cache_misses_total",
@@ -210,10 +204,9 @@ class StudyStatistics:
         campaigns sharing a registry sum.  Zero counts are explicit:
         the eight stat series always; the resilience and fault
         families on ``resilient`` runs; on ``cached`` runs the hit/miss
-        series of the run's stage keys (``form.*`` when also resilient,
-        else ``dns.*``, ``prefix``, ``rpki``) and the invalidated
-        family.  Other runs get a family only for a nonzero count, so
-        fault-free and cache-free output is unchanged.
+        series of the stage keys (``dns.*``, ``prefix``, ``rpki``) and
+        the invalidated family.  Other runs get a family only for a
+        nonzero count, so fault-free and cache-free output is unchanged.
         """
         for field_name, (metric, labels) in _STAT_METRICS.items():
             labelnames = tuple(labels) if labels else ()
@@ -233,17 +226,12 @@ class StudyStatistics:
             )
             for kind, count in sorted(self.faults_by_kind.items()):
                 faults.labels(kind=kind).inc(count)
-        stage_keys = (
-            ("form.www", "form.plain")
-            if resilient
-            else ("dns.www", "dns.plain", "prefix", "rpki")
-        )
         for field_name, metric in _CACHE_STAT_METRICS.items():
             counts = dict(getattr(self, field_name))
             if not (cached or counts):
                 continue
             if cached and field_name != "cache_invalidated_by_stage":
-                for stage_key in stage_keys:
+                for stage_key in ("dns.www", "dns.plain", "prefix", "rpki"):
                     counts.setdefault(stage_key, 0)
             counter = registry.counter(
                 metric, _STAT_HELP[metric], labelnames=("stage",)
@@ -340,42 +328,41 @@ class Funnel:
     Section 3 is stage-major: resolve the names, map the *set* of
     addresses, validate the *set* of (prefix, origin) pairs.  A funnel
     keeps a memo per distinct address (step 3) and per distinct pair
-    (step 4); with a snapshot-cache ``session`` open it also keeps one
-    per name form — the DNS answer on plain runs, the whole
-    fault-injected form on resilient ones.  The session seeds the memo
+    (step 4); with a snapshot-cache ``session`` open it also keeps the
+    DNS answer per name form.  The session seeds the memo
     (:attr:`memo` starts as a copy of ``session.memo``) and takes back
     what the funnel computed
-    (:meth:`repro.cache.session.CacheSession.fresh_rows`); degraded
-    forms are never kept.  One funnel serves one :func:`run_funnel`
-    call — a run or a shard — or one refresh campaign, and is dropped
-    with it.
+    (:meth:`repro.cache.session.CacheSession.fresh_rows`).  One funnel
+    serves one :func:`run_funnel` call — a run or a shard — or one
+    refresh campaign, and is dropped with it.
 
-    A resilient ``config`` (one carrying a fault plan) wraps the
-    resolver and table dump in fault injectors and gives each stage of
-    a form up to ``max_attempts`` tries: the DNS stage, then steps 3-4
-    on a trial copy of its outcome.  Retry decisions follow the
-    sequence of faultable calls, so that walk never uses the address
-    and pair memo.  A stage that exhausts its retries degrades the form
-    (``degraded_stage`` "dns" or "prefix") instead of failing the
-    study; retries spent and faults observed are recorded on the form.
-    Fault decisions are pure functions of (plan seed, kind, site key,
-    attempt), so any partition of the ranking over funnels yields
-    bit-identical measurements.
+    A resilient ``config`` (one carrying a fault plan) lays the plan
+    over the same walk.  Every injected fault fails a call and alters
+    no data, so :func:`~repro.faults.stage_outcome` gives a stage's
+    attempts, faults and degradation from the plan alone (sites: the
+    name for DNS, each address for the table dump, decided once per
+    distinct address; ``max_attempts`` attempts).  The funnel asks it
+    before each stage and runs the stage only if it does not degrade,
+    so a degraded form (``degraded_stage`` "dns" or "prefix", DNS
+    outcome kept) does no work for — and leaves no memo entry of — the
+    stage it lost.  Retries spent and faults observed are recorded on
+    the form.  A real substrate error is not a fault: it propagates,
+    as on a plain run.  Fault decisions are pure functions of (plan
+    seed, kind, site key), so any partition of the ranking over
+    funnels yields bit-identical measurements.
 
-    Metrics stay exact.  A miss — and each retried attempt — runs
-    under a scratch registry when metrics are on or a session will
-    store its delta; the delta is kept as wire rows, one copy per
-    distinct content, and a failed attempt's delta is dropped with
-    it.  Misses and hits only count uses, and :meth:`finish` merges
-    each delta times its uses, once — so a hit is accounted as
-    ``delta × hits`` per call, never replayed per hit.  Under the null
-    runtime with no session nothing is captured.  These are the stage
-    counters (lookups, validations, trie, DNS); a funnel writes no
-    funnel family — :meth:`StudyStatistics.to_metrics` does, once per
-    run, from the measurements.  Hits and misses by stage key
-    (``prefix``, ``rpki``, ``dns.www``, ``form.plain`` …) are
-    :attr:`hits` / :attr:`misses`; only cache-backed runs report them,
-    through their statistics.
+    Metrics stay exact.  A miss runs under a scratch registry when
+    metrics are on or a session will store its delta; the delta is
+    kept as wire rows, one copy per distinct content.  Misses and hits
+    only count uses, and :meth:`finish` merges each delta times its
+    uses, once — so a hit is accounted as ``delta × hits`` per call,
+    never replayed per hit.  Under the null runtime with no session
+    nothing is captured.  These are the stage counters (lookups,
+    validations, trie, DNS); a funnel writes no funnel family —
+    :meth:`StudyStatistics.to_metrics` does, once per run, from the
+    measurements.  Hits and misses by stage key (``prefix``, ``rpki``,
+    ``dns.www``, ``dns.plain``) are :attr:`hits` / :attr:`misses`;
+    only cache-backed runs report them, through their statistics.
     """
 
     def __init__(self, study: "MeasurementStudy", config=None, session=None):
@@ -383,19 +370,11 @@ class Funnel:
         self._dump = study.table_dump
         self._payloads = study.payloads
         self._session = session
-        self._resilient = config is not None and config.resilient
-        if self._resilient:
+        self._plan = config.faults if config is not None else None
+        if self._plan is not None:
             self._attempts = config.max_attempts
-            self._cell = AttemptCell()
-            self._form_faults: Dict[str, int] = {}
-            self._resolver = FaultyResolver(
-                self._resolver, config.faults,
-                attempt=self._cell, on_fault=self._record_fault,
-            )
-            self._dump = FaultyTableDump(
-                self._dump, config.faults,
-                attempt=self._cell, on_fault=self._record_fault,
-            )
+            #: Address -> its failing dump kinds, ``(kind, failures)``.
+            self._dump_faults: Dict[Address, tuple] = {}
         self._live = metrics()
         self._observe = self._live.enabled
         self._capture = self._observe or session is not None
@@ -420,111 +399,83 @@ class Funnel:
 
     def measure_form(self, name: str, form: str) -> NameMeasurement:
         """Steps 2-4 for one name form (``form`` is "www" or "plain")."""
-        if self._resilient:
-            if self._session is None:
-                return self._measure_faulty(name)
-            measurement = self._memo(
-                "form", f"form.{form}", name, self._measure_faulty, name
-            )
-            if measurement.degraded_stage:
-                # A partial answer, not a reusable one.
-                del self.memo["form"][name]
-            return measurement
-        if self._session is None:
-            measurement = measure_name(self._resolver, name)
-        else:
-            resolved, addresses, excluded, cnames = self._memo(
-                "dns", f"dns.{form}", name, _dns_answer, self._resolver, name
-            )
-            measurement = NameMeasurement(
-                name, resolved, list(addresses), excluded, cname_count=cnames
-            )
+        if self._plan is not None:
+            return self._measure_under_plan(name, form)
+        measurement = self._resolve(name, form)
         if measurement.resolved and measurement.addresses:
-            pairs: set = set()
-            with tracer().span("stage.prefix", name=name):
-                for address in measurement.addresses:
-                    mapped, unreachable, as_set = self._memo(
-                        "prefix", "prefix", address,
-                        map_single_address, self._dump, address,
-                    )
-                    pairs.update(mapped)
-                    measurement.unreachable_addresses += unreachable
-                    measurement.as_set_excluded += as_set
-            with tracer().span("stage.rpki"):
-                measurement.pairs = [
-                    self._memo(
-                        "rpki", "rpki", pair,
-                        validate_single_pair, self._payloads, *pair,
-                    )
-                    for pair in sorted(pairs)
-                ]
+            self._map(measurement)
         return measurement
 
-    def _record_fault(self, kind: str) -> None:
-        self._form_faults[kind] = self._form_faults.get(kind, 0) + 1
-
-    def _measure_faulty(self, name: str) -> NameMeasurement:
-        """Steps 2-4 for one name form, each stage retried."""
-        self._form_faults = {}
-        retries = 0
-        try:
-            measurement, attempts = self._retried(
-                STAGE_DNS, name, measure_name, self._resolver, name
-            )
-            retries += attempts - 1
-        except RetryExhausted as exhausted:
-            retries += exhausted.attempts - 1
-            measurement = NameMeasurement(name=name, degraded_stage=STAGE_DNS)
+    def _measure_under_plan(self, name: str, form: str) -> NameMeasurement:
+        """Steps 2-4 for one name form, each stage run only if it heals."""
+        used, fired, degraded = stage_outcome(
+            self._plan.failing_kinds(DNS_KINDS, name), self._attempts
+        )
+        retries = used - 1
+        if degraded:
+            measurement = NameMeasurement(name, degraded_stage=STAGE_DNS)
         else:
+            measurement = self._resolve(name, form)
             if measurement.resolved and measurement.addresses:
-                try:
-                    mapped, attempts = self._retried(
-                        STAGE_PREFIX, name, self._map_and_validate, measurement
-                    )
-                    retries += attempts - 1
-                    measurement = mapped
-                except RetryExhausted as exhausted:
-                    retries += exhausted.attempts - 1
+                used, dump_fired, degraded = stage_outcome(
+                    [
+                        pair
+                        for address in measurement.addresses
+                        for pair in self._failing_at(address)
+                    ],
+                    self._attempts,
+                )
+                retries += used - 1
+                fired += dump_fired
+                if degraded:
                     measurement.degraded_stage = STAGE_PREFIX
-        measurement.retries = retries
-        measurement.faults = tuple(sorted(self._form_faults.items()))
+                else:
+                    self._map(measurement)
+        if fired:
+            measurement.retries = retries
+            measurement.faults = tuple(sorted(Counter(fired).items()))
         return measurement
 
-    def _map_and_validate(self, base: NameMeasurement) -> NameMeasurement:
-        """Steps 3-4 on a trial copy of the DNS outcome.
+    def _failing_at(self, address: Address) -> tuple:
+        """The dump kinds failing at ``address``, decided once per funnel."""
+        failing = self._dump_faults.get(address)
+        if failing is None:
+            failing = self._dump_faults[address] = self._plan.failing_kinds(
+                DUMP_KINDS, str(address)
+            )
+        return failing
 
-        ``map_addresses`` mutates its measurement (unreachable/AS_SET
-        counts); retrying on a copy keeps ``base`` pristine until an
-        attempt completes, and leaves it untouched on exhaustion.
-        """
-        trial = NameMeasurement(
-            name=base.name,
-            resolved=base.resolved,
-            addresses=list(base.addresses),
-            excluded_special=base.excluded_special,
-            cname_count=base.cname_count,
+    def _resolve(self, name: str, form: str) -> NameMeasurement:
+        """Step 2, through the ``dns`` memo when a session is open."""
+        if self._session is None:
+            return measure_name(self._resolver, name)
+        resolved, addresses, excluded, cnames = self._memo(
+            "dns", f"dns.{form}", name, _dns_answer, self._resolver, name
         )
-        pairs = map_addresses(self._dump, trial)
-        trial.pairs = validate_pairs(self._payloads, pairs)
-        return trial
-
-    def _retried(self, stage: str, name: str, compute, *args) -> tuple:
-        """``(compute(*args), attempts)``, retried up to ``max_attempts``.
-
-        Each attempt runs through :meth:`_compute`, so a failed one's
-        metric ticks go with its scratch registry; the successful
-        attempt's delta lands in the active registry — the live one,
-        or the form's own scratch when the form memo is capturing.
-        """
-        (value, delta), attempts = call_with_retry(
-            lambda: self._compute(compute, *args),
-            attempts=self._attempts,
-            key=f"{stage}|{name}",
-            attempt_cell=self._cell,
+        return NameMeasurement(
+            name, resolved, list(addresses), excluded, cname_count=cnames
         )
-        if delta is not None:
-            metrics().merge(registry_from_wire(delta))
-        return value, attempts
+
+    def _map(self, measurement: NameMeasurement) -> None:
+        """Steps 3-4 for a resolved form, through the address and pair memos."""
+        pairs: set = set()
+        with tracer().span("stage.prefix", name=measurement.name):
+            for address in measurement.addresses:
+                mapped, unreachable, as_set = self._memo(
+                    "prefix", "prefix", address,
+                    map_single_address, self._dump, address,
+                )
+                pairs.update(mapped)
+                measurement.unreachable_addresses += unreachable
+                measurement.as_set_excluded += as_set
+        with tracer().span("stage.rpki"):
+            measurement.pairs = [
+                self._memo(
+                    "rpki", "rpki", pair,
+                    validate_single_pair, self._payloads, *pair,
+                )
+                for pair in sorted(pairs)
+            ]
 
     def _memo(self, stage: str, label: str, key, compute, *args):
         """``compute(*args)`` for ``key``, computed once per funnel."""
@@ -673,7 +624,7 @@ class RunConfig:
 
     @property
     def resilient(self) -> bool:
-        """Fault injection (and with it the retry loop) is active."""
+        """Fault injection (and with it the per-stage attempts) is active."""
         return self.faults is not None
 
     def without_progress(self) -> "RunConfig":
@@ -744,8 +695,8 @@ class MeasurementStudy:
         removed: ``workers`` > 1 shards the ranking into contiguous
         rank chunks and fans them out through :mod:`repro.exec`,
         ``mode`` picks the execution backend, ``faults``/``max_attempts``
-        make the :class:`Funnel` inject faults and retry (degrading a
-        form rather than failing the study), and ``progress`` receives
+        lay a fault plan over the :class:`Funnel` (degrading a form
+        rather than failing the study), and ``progress`` receives
         rate/ETA events.  The result is bit-identical across backends
         for any fixed config.
         """

@@ -79,7 +79,7 @@ class WireError(ReproError, ValueError):
     """A wire or store row that no encoded value could have produced."""
 
 
-def _encode_name(
+def encode_name(
     measurement: NameMeasurement, rows: Optional[dict] = None
 ) -> WireName:
     """One name form as primitives; ``rows`` maps each value already
@@ -136,7 +136,7 @@ def _pair(row, table: dict) -> PrefixOriginPair:
     return pair
 
 
-def _decode_name(wire: WireName, table: Optional[dict] = None) -> NameMeasurement:
+def decode_name(wire: WireName, table: Optional[dict] = None) -> NameMeasurement:
     """Rebuild one name form; ``table`` maps each row already decoded
     to its value (one table per call when ``None``)."""
     (
@@ -175,7 +175,7 @@ def encode_measurements(
     """Flatten measurements to primitives; domains are *not* included."""
     rows: dict = {}
     return [
-        (_encode_name(m.www, rows), _encode_name(m.plain, rows))
+        (encode_name(m.www, rows), encode_name(m.plain, rows))
         for m in measurements
     ]
 
@@ -200,7 +200,7 @@ def decode_measurements(
         table = {}
     return [
         DomainMeasurement(
-            domain, _decode_name(www, table), _decode_name(plain, table)
+            domain, decode_name(www, table), decode_name(plain, table)
         )
         for (www, plain), domain in zip(encoded, domains)
     ]
@@ -232,9 +232,3 @@ def decode_statistics(wire: WireStatistics) -> StudyStatistics:
             value = dict(value)
         setattr(stats, field.name, value)
     return stats
-
-
-# Public aliases: the snapshot cache stores whole-form measurements in
-# exactly this wire form (one artifact per name form on fault runs).
-encode_name = _encode_name
-decode_name = _decode_name

@@ -1,4 +1,4 @@
-"""Deterministic fault injection and retry machinery (``repro.faults``).
+"""Deterministic fault injection (``repro.faults``).
 
 Real RPKI measurement is dominated by partial failure: flaky
 resolvers, stale or truncated route-collector dumps, a query service
@@ -8,33 +8,27 @@ exercised and regression-tested:
 
 * :mod:`repro.faults.plan` — :class:`FaultPlan`, a seeded per-site
   hash schedule of injected faults, independent of sharding and
-  worker count;
-* :mod:`repro.faults.injectors` — proxies that wrap the real
-  substrates (resolver, table dump) and raise typed
-  :class:`InjectedFault` errors on schedule (the query service
-  consults the plan itself and raises :class:`InjectedServeFault`);
-* :mod:`repro.faults.retry` — :func:`call_with_retry`, the loop that
-  turns transient faults into a bounded number of retried calls.
+  worker count, and :func:`stage_outcome`, the closed form of one
+  funnel stage's attempts under it;
+* :mod:`repro.faults.injectors` — the :class:`InjectedFault` types
+  (the query service raises and catches :class:`InjectedServeFault`).
 
-The pipeline-facing glue — turning retry exhaustion into per-domain
-``degraded`` outcomes — is :class:`repro.core.pipeline.Funnel` under a
-resilient :class:`~repro.core.pipeline.RunConfig`.
+Every injected fault fails a call and alters no data, so a fault run
+is the plain funnel plus an overlay: :class:`repro.core.pipeline.Funnel`
+under a resilient :class:`~repro.core.pipeline.RunConfig` asks the plan
+for each stage's outcome first, and a stage that would exhaust
+``max_attempts`` degrades its name form without running.
 """
 
-from repro.errors import ReproError, RetryExhausted, TransientFault
-from repro.faults.injectors import (
-    FaultyResolver,
-    FaultyTableDump,
-    InjectedDNSFault,
-    InjectedDumpFault,
-    InjectedFault,
-    InjectedServeFault,
-)
+from repro.errors import ReproError, TransientFault
+from repro.faults.injectors import InjectedFault, InjectedServeFault
 from repro.faults.plan import (
+    DNS_KINDS,
     DNS_SERVFAIL,
     DNS_TIMEOUT,
     DNS_TRUNCATED_CHAIN,
     DUMP_CORRUPT,
+    DUMP_KINDS,
     DUMP_MISSING_ROUTE,
     EXEC_KINDS,
     FAULT_KINDS,
@@ -52,28 +46,24 @@ from repro.faults.plan import (
     WORKER_GARBAGE,
     WORKER_STALL,
     FaultPlan,
+    stage_outcome,
 )
-from repro.faults.retry import AttemptCell, call_with_retry
 
 __all__ = [
-    "AttemptCell",
+    "DNS_KINDS",
     "DNS_SERVFAIL",
     "DNS_TIMEOUT",
     "DNS_TRUNCATED_CHAIN",
     "DUMP_CORRUPT",
+    "DUMP_KINDS",
     "DUMP_MISSING_ROUTE",
     "EXEC_KINDS",
     "FAULT_KINDS",
     "FaultPlan",
-    "FaultyResolver",
-    "FaultyTableDump",
-    "InjectedDNSFault",
-    "InjectedDumpFault",
     "InjectedFault",
     "InjectedServeFault",
     "PROFILES",
     "ReproError",
-    "RetryExhausted",
     "SERVE_STALE",
     "SERVE_TIMEOUT",
     "TransientFault",
@@ -87,5 +77,5 @@ __all__ = [
     "WORKER_CRASH",
     "WORKER_GARBAGE",
     "WORKER_STALL",
-    "call_with_retry",
+    "stage_outcome",
 ]

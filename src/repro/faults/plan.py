@@ -20,13 +20,18 @@ resilience tests lean on:
 Keys are whatever identifies the call site: the queried name for DNS,
 the looked-up address for table dumps, the query for the serving
 layer.
+
+An injected fault only fails its call; it never alters data.  So a
+funnel stage's whole retry history follows from :meth:`failures_for`
+alone — :func:`stage_outcome` is that closed form, and the funnel asks
+it before running a stage instead of retrying the stage.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 # The supported failure modes, one namespace per substrate.
 DNS_SERVFAIL = "dns.servfail"
@@ -52,15 +57,15 @@ WORKER_CRASH = "worker.crash"      # worker process dies mid-job
 WORKER_STALL = "worker.stall"      # worker blows its job deadline
 WORKER_GARBAGE = "worker.garbage"  # worker emits an undecodable frame
 
+# The kinds each funnel stage injects, in the order a stage checks
+# them before a substrate call: the resolver per name, the table dump
+# per looked-up address.
+DNS_KINDS: Tuple[str, ...] = (DNS_SERVFAIL, DNS_TIMEOUT, DNS_TRUNCATED_CHAIN)
+DUMP_KINDS: Tuple[str, ...] = (DUMP_CORRUPT, DUMP_MISSING_ROUTE)
+
 # The measurement-side kinds; "chaos" soaks exactly these.
 _MEASUREMENT_KINDS: Tuple[str, ...] = (
-    DNS_SERVFAIL,
-    DNS_TIMEOUT,
-    DNS_TRUNCATED_CHAIN,
-    DUMP_CORRUPT,
-    DUMP_MISSING_ROUTE,
-    SERVE_STALE,
-    SERVE_TIMEOUT,
+    DNS_KINDS + DUMP_KINDS + (SERVE_STALE, SERVE_TIMEOUT)
 )
 
 WORLD_KINDS: Tuple[str, ...] = (
@@ -116,12 +121,29 @@ PROFILES: Dict[str, Dict[str, float]] = {
 }
 
 
-def _unit_interval(token: str) -> Tuple[float, int]:
-    """(uniform [0,1) draw, independent 64-bit draw) for one token."""
-    digest = hashlib.sha256(token.encode("utf-8")).digest()
-    unit = int.from_bytes(digest[:8], "big") / 2**64
-    span = int.from_bytes(digest[8:16], "big")
-    return unit, span
+def stage_outcome(
+    failing: Sequence[Tuple[str, int]], attempts: int
+) -> Tuple[int, List[str], bool]:
+    """``(attempts used, faults fired, degraded)`` of one funnel stage.
+
+    A stage calls its substrate once per site, in walk order, checking
+    its kinds in order before each call, and is tried up to
+    ``attempts`` times.  ``failing`` holds the failing ``(kind,
+    failures)`` pairs of its sites (:meth:`FaultPlan.failing_kinds`),
+    in that order.  Attempt ``k`` fails iff some pair fails more than
+    ``k`` consecutive attempts, and fires the first such pair's kind.
+    So the stage uses ``min(attempts, 1 + most failures)`` attempts,
+    fires one fault per failed attempt, and degrades iff the most
+    failures reach ``attempts``.
+    """
+    if not failing:
+        return 1, [], False
+    worst = max(failures for _kind, failures in failing)
+    fired = [
+        next(kind for kind, failures in failing if failures > attempt)
+        for attempt in range(min(attempts, worst))
+    ]
+    return min(attempts, worst + 1), fired, worst >= attempts
 
 
 @dataclass(frozen=True)
@@ -148,6 +170,14 @@ class FaultPlan:
                 )
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"rate for {kind!r} must be in [0, 1], got {rate}")
+        # A fault run makes a few decisions per name form, so each
+        # firing kind's rate and hash-token prefix are looked up once.
+        # The first listing of a kind wins.
+        object.__setattr__(self, "_draws", {
+            kind: (rate, f"{self.seed}|{kind}|".encode("utf-8"))
+            for kind, rate in dict(reversed(self.rates)).items()
+            if rate > 0.0
+        })
 
     @classmethod
     def from_rates(
@@ -174,12 +204,6 @@ class FaultPlan:
             ) from None
         return cls.from_rates(rates, seed=seed)
 
-    def rate_for(self, kind: str) -> float:
-        for known, rate in self.rates:
-            if known == kind:
-                return rate
-        return 0.0
-
     def failures_for(self, kind: str, key: str) -> int:
         """How many consecutive attempts fail for this (kind, key).
 
@@ -187,13 +211,31 @@ class FaultPlan:
         site fails attempts ``0 .. n-1`` and succeeds from attempt
         ``n`` on.  Pure function of (seed, kind, key).
         """
-        rate = self.rate_for(kind)
-        if rate <= 0.0:
+        draw = self._draws.get(kind)
+        if draw is None:
             return 0
-        unit, span = _unit_interval(f"{self.seed}|{kind}|{key}")
-        if unit >= rate:
+        rate, prefix = draw
+        # SHA-256 of "seed|kind|key": the first 8 bytes draw the
+        # uniform [0, 1) value, the next 8 the failing streak's length.
+        digest = hashlib.sha256(prefix + key.encode("utf-8")).digest()
+        if int.from_bytes(digest[:8], "big") / 2**64 >= rate:
             return 0
-        return 1 + span % self.max_consecutive
+        return 1 + int.from_bytes(digest[8:16], "big") % self.max_consecutive
+
+    def failing_kinds(
+        self, kinds: Tuple[str, ...], site: str
+    ) -> Tuple[Tuple[str, int], ...]:
+        """``(kind, failures)`` for each of ``kinds`` failing at ``site``.
+
+        In the order of ``kinds``, healthy kinds left out: one site's
+        share of a stage's :func:`stage_outcome`.
+        """
+        failing = []
+        for kind in kinds:
+            failures = self.failures_for(kind, site)
+            if failures:
+                failing.append((kind, failures))
+        return tuple(failing)
 
     def should_fail(self, kind: str, key: str, attempt: int) -> bool:
         """Does attempt number ``attempt`` (0-based) fail for this site?"""

@@ -8,7 +8,7 @@ The load-bearing guarantees under test:
   families themselves;
 * a single changed ROA invalidates exactly the (prefix, origin)
   artifacts its prefix covers, never the DNS layer;
-* degraded forms are never written to the store;
+* a stage a fault run's form lost is never written to the store;
 * the store is a cache, not a source of truth: version mismatches,
   corruption and rows that fail their checking constructor load as a
   cold start, never an error.
@@ -85,7 +85,6 @@ class TestStoreFormat:
             "dns": {"a.example": ["fp", True, [[4, 1]], 0, 1, deltas]},
             "prefix": {"4:1": [[[4, 0, 8, 65000]], 0, 0, deltas]},
             "rpki": {"4:0:8:65000": ["valid", deltas]},
-            "form": {},
         }
         digests = {"zone": "z", "dump": "d", "vrps": "v", "config": "c"}
         path = save_store(str(tmp_path), digests, [[4, 0, 8, 8, 65000, ""]], stages)
@@ -104,7 +103,7 @@ class TestStoreFormat:
         registry.counter("ripki_x_total", "x").inc(1)
         deltas = registry_to_wire(registry)
         entry = ["fp", True, [], 0, 0, deltas]
-        stages = {"dns": {"a": entry}, "prefix": {}, "rpki": {}, "form": {}}
+        stages = {"dns": {"a": entry}, "prefix": {}, "rpki": {}}
         save_store(
             str(tmp_path),
             {"zone": "z", "dump": "d", "vrps": "v", "config": "c"},
@@ -119,7 +118,7 @@ class TestStoreFormat:
             str(tmp_path),
             {"zone": "z", "dump": "d", "vrps": "v", "config": "c"},
             [],
-            {"dns": {}, "prefix": {}, "rpki": {}, "form": {}},
+            {"dns": {}, "prefix": {}, "rpki": {}},
         )
         payload = json.loads(open(store_path(str(tmp_path))).read())
         payload["version"] = STORE_VERSION + 1
@@ -136,7 +135,7 @@ class TestStoreFormat:
     def test_written_text_is_canonical_json(self, tmp_path):
         """The store is written value by value, yet reads as one
         ``json.dumps(..., sort_keys=True)`` of itself: cold, after
-        churn (read + write), and with whole-form fault entries."""
+        churn (read + write), and after a fault run."""
         # A private world: rehosting mutates the shared namespace.
         own = WebEcosystem.build(
             EcosystemConfig(domain_count=150, seed=5, hoster_count=20)
@@ -158,7 +157,7 @@ class TestStoreFormat:
         MeasurementStudy.from_ecosystem(own).run(config=plain)
         cold = assert_canonical(plain)
         MeasurementStudy.from_ecosystem(own).run(config=faulty)
-        assert json.loads(assert_canonical(faulty))["stages"]["form"]
+        assert json.loads(assert_canonical(faulty))["stages"]["dns"]
         assert own.rehost(0.05, generation=1)
         churned = MeasurementStudy.from_ecosystem(own).run(config=plain)
         assert sum(churned.statistics.cache_misses_by_stage.values()) > 0
@@ -388,11 +387,24 @@ class TestSelectiveInvalidation:
         assert faulted.statistics.cache_invalidated_by_stage == {
             "config": stored
         }
-        assert faulted.statistics.cache_hits_by_stage == {}
+        # Nothing is served from the store: the run hits and misses
+        # exactly as a fault run into an empty directory does.
+        fresh, _ = _observed_run(
+            study,
+            dataclasses.replace(
+                fault_config, cache=CacheConfig(str(tmp_path / "fresh"))
+            ),
+        )
+        assert faulted.statistics.cache_hits_by_stage == (
+            fresh.statistics.cache_hits_by_stage
+        )
+        assert faulted.statistics.cache_misses_by_stage == (
+            fresh.statistics.cache_misses_by_stage
+        )
 
 
 class TestFaultRuns:
-    def test_fault_runs_cache_whole_forms_and_skip_degraded(
+    def test_fault_runs_cache_per_stage_and_skip_lost_stages(
         self, study, tmp_path
     ):
         config = RunConfig(
@@ -407,24 +419,27 @@ class TestFaultRuns:
         assert _strip_cache_lines(
             cold_registry.render_prometheus()
         ) == _strip_cache_lines(ref_registry.render_prometheus())
+        # The plain run's stage keys: there is no whole-form stage.
+        assert set(cold.statistics.cache_misses_by_stage) == {
+            "dns.www", "dns.plain", "prefix", "rpki"
+        }
 
-        degraded_names = {
+        dns_degraded = {
             form.name
             for m in cold
             for form in (m.www, m.plain)
-            if form.degraded_stage
+            if form.degraded_stage == "dns"
         }
-        assert degraded_names, "profile should degrade at least one form"
+        assert dns_degraded, "profile should degrade at least one form"
         stored = load_store(str(tmp_path))
-        assert stored["stages"]["dns"] == {}  # form-level only
-        assert not degraded_names & set(stored["stages"]["form"])
+        assert stored["stages"]["dns"]
+        assert not dns_degraded & set(stored["stages"]["dns"])
 
         warm, warm_registry = _observed_run(study, config)
         assert list(warm) == list(cold)
-        # Only the degraded forms (never cached) are recomputed.
-        assert sum(
-            warm.statistics.cache_misses_by_stage.values()
-        ) == len(degraded_names)
+        # A degraded form does no work for the stage it lost, so the
+        # warm run has nothing to recompute.
+        assert warm.statistics.cache_misses_by_stage == {}
         assert _strip_cache_lines(
             warm_registry.render_prometheus()
         ) == _strip_cache_lines(cold_registry.render_prometheus())

@@ -1,16 +1,17 @@
-"""Unit tests for repro.faults: plans, the retry loop, injectors.
+"""Unit tests for repro.faults and the per-call fault oracle.
 
 The properties under test are the three the resilience layer leans
 on: the unified exception hierarchy, determinism of the fault
-schedule (pure function of seed/kind/key/attempt), and the retry
-loop's accounting.
+schedule (pure function of seed/kind/key/attempt), and the accounting
+of the oracle's retry loop and proxies (``tests/fault_oracle.py``),
+which the funnel's fault overlay is held equal to.
 """
 
 import pytest
 
 from repro.bgp.errors import BGPError
 from repro.dns.errors import DNSError
-from repro.errors import ReproError, RetryExhausted, TransientFault
+from repro.errors import ReproError, TransientFault
 from repro.faults import (
     DNS_SERVFAIL,
     DNS_TIMEOUT,
@@ -18,16 +19,19 @@ from repro.faults import (
     DUMP_MISSING_ROUTE,
     FAULT_KINDS,
     PROFILES,
-    AttemptCell,
     FaultPlan,
+    InjectedFault,
+)
+from repro.rpki.rtr.errors import RTRError
+from tests.fault_oracle import (
+    AttemptCell,
     FaultyResolver,
     FaultyTableDump,
     InjectedDNSFault,
     InjectedDumpFault,
-    InjectedFault,
+    RetryExhausted,
     call_with_retry,
 )
-from repro.rpki.rtr.errors import RTRError
 
 
 class TestErrorHierarchy:

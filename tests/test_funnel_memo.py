@@ -4,7 +4,10 @@ Step 3 runs once per distinct address and step 4 once per distinct
 (prefix, origin) pair of a :func:`repro.core.pipeline.run_funnel`
 call — the whole ranking on a serial run, one shard's slice on a
 sharded one — and the result still equals the per-form oracle, down
-to the Prometheus text an observed run renders.
+to the Prometheus text an observed run renders.  A fault run is the
+same memoised funnel under a closed-form overlay, and equals the
+per-call walk that retries every stage through fault-injecting
+proxies (``tests/fault_oracle.py``).
 """
 
 import pytest
@@ -16,7 +19,9 @@ from repro.core.prefix_mapping import map_addresses
 from repro.core.records import DomainMeasurement
 from repro.core.rpki_validation import validate_pairs
 from repro.exec.sharding import plan_shards
+from repro.faults import FaultPlan
 from repro.web import EcosystemConfig, WebEcosystem
+from tests.fault_oracle import FaultWalk
 
 
 @pytest.fixture(scope="module")
@@ -106,3 +111,48 @@ def test_observed_run_renders_the_memo_free_walk(
     with obs.scope() as (registry, _collector):
         study.run(config=config)
     assert registry.render_prometheus() == memo_free_exposition
+
+
+@pytest.fixture(scope="module")
+def fault_walks(study):
+    """The per-call fault walk's result and exposition, by (profile, attempts)."""
+    walks = {}
+
+    def walk(profile, max_attempts):
+        if (profile, max_attempts) not in walks:
+            config = RunConfig(
+                faults=FaultPlan.from_profile(profile, seed=7),
+                max_attempts=max_attempts,
+            )
+            with obs.scope() as (registry, _collector):
+                result = FaultWalk(study, config).run()
+            walks[profile, max_attempts] = (
+                result, registry.render_prometheus()
+            )
+        return walks[profile, max_attempts]
+
+    return walk
+
+
+@pytest.mark.parametrize("workers", [1, 3], ids=["serial", "sharded"])
+@pytest.mark.parametrize("max_attempts", [1, 3, 5])
+@pytest.mark.parametrize("profile", ["flaky", "degraded", "chaos"])
+def test_fault_run_renders_the_per_call_fault_walk(
+    study, fault_walks, profile, max_attempts, workers
+):
+    """Degradations, retries, faults, every form and the exposition."""
+    expected, exposition = fault_walks(profile, max_attempts)
+    # More attempts than a site can fail in a row heal every form.
+    heals = max_attempts > FaultPlan().max_consecutive
+    assert expected.statistics.faults_total > 0
+    assert bool(expected.statistics.degraded_domains) is not heals
+    config = RunConfig(
+        workers=workers,
+        mode="thread" if workers > 1 else "auto",
+        faults=FaultPlan.from_profile(profile, seed=7),
+        max_attempts=max_attempts,
+    )
+    with obs.scope() as (registry, _collector):
+        result = study.run(config=config)
+    assert result == expected
+    assert registry.render_prometheus() == exposition

@@ -14,6 +14,7 @@ import warnings
 import pytest
 
 from repro import obs
+from repro.bgp.errors import BGPError
 from repro.core import MeasurementStudy, RunConfig, pipeline_statistics
 from repro.core.pipeline import CacheConfig, Funnel, StudyStatistics
 from repro.exec import (
@@ -32,6 +33,7 @@ from repro.faults import (
     PROFILES,
     FaultPlan,
 )
+from repro.errors import ReproError
 from repro.obs.metrics import MetricsRegistry
 from repro.web.alexa import AlexaRanking
 
@@ -392,6 +394,60 @@ class TestShardFaultPath:
         assert outcome.statistics.degraded_domains == sum(
             1 for m in list(flaky_result)[:50] if m.degraded
         )
+
+
+class _BrokenResolver:
+    """A resolver whose every query ends in a real (non-injected) error."""
+
+    def __init__(self, resolver):
+        self._resolver = resolver
+
+    def resolve(self, name):
+        raise ReproError(f"resolver backend refused {name!r}")
+
+    def __getattr__(self, attr):
+        return getattr(self._resolver, attr)
+
+
+class _BrokenDump:
+    """A table dump whose every read ends in a real (non-injected) error."""
+
+    def __init__(self, dump):
+        self._dump = dump
+
+    def covering_entries(self, target):
+        raise BGPError(f"dump reader refused {target}")
+
+    def __getattr__(self, attr):
+        return getattr(self._dump, attr)
+
+
+class TestRealErrorsPropagate:
+    """Only an injected fault degrades a form: a real substrate error
+    fails a fault run exactly as it fails a plain one."""
+
+    @pytest.mark.parametrize("faulted", [False, True], ids=["plain", "faults"])
+    @pytest.mark.parametrize(
+        "part, broken, error",
+        [
+            ("resolver", _BrokenResolver, "resolver backend refused"),
+            ("table_dump", _BrokenDump, "dump reader refused"),
+        ],
+        ids=["dns", "dump"],
+    )
+    def test_stage_error_fails_the_run(
+        self, study, flaky_config, part, broken, error, faulted
+    ):
+        parts = {
+            "ranking": AlexaRanking(study.ranking.top(40)),
+            "resolver": study.resolver,
+            "table_dump": study.table_dump,
+            "payloads": study.payloads,
+        }
+        parts[part] = broken(parts[part])
+        config = flaky_config if faulted else RunConfig()
+        with pytest.raises(ReproError, match=error):
+            MeasurementStudy(**parts).run(config=config)
 
 
 @pytest.fixture(scope="module")
