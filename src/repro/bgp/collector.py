@@ -17,7 +17,7 @@ from repro.bgp.propagation import RoutingState
 from repro.net import ASN, Address, Prefix, PrefixTrie
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableDumpEntry:
     """One row of a collector table dump."""
 

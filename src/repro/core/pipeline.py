@@ -16,6 +16,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 from repro.bgp import TableDump
 from repro.dns import PublicResolver
 from repro.faults import DNS_KINDS, DUMP_KINDS, FaultPlan, stage_outcome
+from repro.heap import collector_paused
 from repro.net import Address
 from repro.obs.progress import ProgressEvent, ProgressReporter
 from repro.obs.metrics import (
@@ -687,6 +688,7 @@ class MeasurementStudy:
         """
         self._payloads = payloads
 
+    @collector_paused()
     def run(self, config: Optional[RunConfig] = None) -> StudyResult:
         """Execute steps 2-4 for every domain of the ranking.
 

@@ -32,7 +32,7 @@ class PrefixOriginPair:
         return f"{self.prefix} via {self.origin}: {self.state}"
 
 
-@dataclass
+@dataclass(slots=True)
 class NameMeasurement:
     """Steps 2-4 for one name form."""
 
@@ -109,7 +109,7 @@ class NameMeasurement:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class DomainMeasurement:
     """The full measurement of one ranked domain."""
 

@@ -20,16 +20,20 @@ class RecordType(enum.Enum):
 
 
 def normalise_name(name: str) -> str:
-    """Lower-case and strip the trailing dot of a domain name."""
-    name = name.strip().lower()
-    if name.endswith("."):
-        name = name[:-1]
-    if not name:
+    """Lower-case and strip the trailing dot of a domain name.
+
+    An already-normal name comes back as the very object passed in, so
+    records and zones keep one string per name rather than a copy each.
+    """
+    normal = name.strip().lower()
+    if normal.endswith("."):
+        normal = normal[:-1]
+    if not normal:
         raise DNSError("empty domain name")
-    return name
+    return name if normal == name else normal
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResourceRecord:
     """One record: address data for A/AAAA, a target name for CNAME."""
 

@@ -106,32 +106,44 @@ def encode_name(
     )
 
 
-def _address(row, table: dict) -> Address:
-    family, value = row
-    if type(family) is not int or type(value) is not int:
-        raise AddressError(f"address row fields must be ints: {row!r}")
+def exact_ints(row, error: type) -> tuple:
+    """``row`` as a tuple whose fields are all exactly ``int``.
+
+    A bool or a float compares equal to an int, so it would otherwise
+    decode to, or intern as, a value it is not; raises ``error``.
+    """
     key = tuple(row)
+    for value in key:
+        if type(value) is not int:
+            raise error(f"row fields must be ints: {row!r}")
+    return key
+
+
+def validation_state(state) -> OriginValidation:
+    """The validation state a row names; :class:`WireError` otherwise."""
+    if type(state) is not str or state not in _STATES:
+        raise WireError(f"unknown validation state: {state!r}")
+    return _STATES[state]
+
+
+def _address(row, table: dict) -> Address:
+    key = exact_ints(row, AddressError)
     address = table.get(key)
     if address is None:
-        address = table[key] = Address(family, value)
+        address = table[key] = Address(*key)
     return address
 
 
 def _pair(row, table: dict) -> PrefixOriginPair:
     family, value, length, origin, state = row
-    if type(family) is not int or type(value) is not int or (
-        type(length) is not int
-    ):
-        raise PrefixError(f"prefix row fields must be ints: {row!r}")
-    if type(origin) is not int:
-        raise ASNError(f"origin must be an int: {row!r}")
-    if type(state) is not str or state not in _STATES:
-        raise WireError(f"unknown validation state: {row!r}")
+    exact_ints((family, value, length), PrefixError)
+    exact_ints((origin,), ASNError)
+    state = validation_state(state)
     key = tuple(row)
     pair = table.get(key)
     if pair is None:
         pair = table[key] = PrefixOriginPair(
-            Prefix(family, value, length), ASN(origin), _STATES[state]
+            Prefix(family, value, length), ASN(origin), state
         )
     return pair
 

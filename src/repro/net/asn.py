@@ -15,6 +15,8 @@ class ASN(int):
     renders the conventional ``AS64500`` form.
     """
 
+    __slots__ = ()
+
     def __new__(cls, value: int) -> "ASN":
         value = int(value)
         if not 0 <= value <= MAX_ASN:

@@ -16,10 +16,11 @@ Three instruments, one switchboard:
   SLO tracker (live "last N seconds" views over a long-running
   service, deterministic under an injected clock),
 * :mod:`repro.obs.http` — the stdlib telemetry daemon exposing
-  ``/metrics``, ``/health``, ``/ready``, and ``/snapshot``.
+  ``/metrics``, ``/health``, ``/ready``, and ``/snapshot``; its two
+  names load it on first use, so importing the package does not pull
+  in ``http.server`` for a run that serves no telemetry.
 """
 
-from repro.obs.http import HealthSource, TelemetryServer
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     NULL_REGISTRY,
@@ -75,6 +76,17 @@ from repro.obs.window import (
     estimate_quantiles,
     quantile_from_buckets,
 )
+
+_LAZY = ("HealthSource", "TelemetryServer")
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        from repro.obs import http
+
+        return getattr(http, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Counter",

@@ -29,7 +29,7 @@ _SYLLABLES = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Domain:
     """One ranked domain."""
 

@@ -33,6 +33,7 @@ from repro.bgp import (
 from repro.crypto import DeterministicRNG
 from repro.dns import Namespace, PublicResolver
 from repro.dns.vantage import DEFAULT_RESOLVERS, make_resolvers
+from repro.heap import collector_paused
 from repro.net import ASN, Prefix
 from repro.obs.runtime import tracer
 from repro.web.adoption import AdoptionConfig, AdoptionModel, AdoptionOutcome
@@ -117,6 +118,7 @@ class WebEcosystem:
     # -- construction --------------------------------------------------------
 
     @classmethod
+    @collector_paused()
     def build(cls, config: Optional[EcosystemConfig] = None) -> "WebEcosystem":
         config = config or EcosystemConfig()
         world = cls()

@@ -80,7 +80,7 @@ class CDNCache:
     third_party: bool  # placed inside an eyeball ISP's prefix
 
 
-@dataclass
+@dataclass(slots=True)
 class DomainHosting:
     """Ground truth for one domain."""
 

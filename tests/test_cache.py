@@ -253,6 +253,9 @@ class TestWarmRuns:
         # Rows that parse but fail a checking constructor at open.
         "rpki-key-not-a-pair-under-vrp-drift", "prefix-row-with-host-bits",
         "unknown-verdict", "short-vrp-set-row",
+        # Fields that compare equal to an int but are not one: a bool
+        # address value, a float origin.
+        "dns-address-value-bool", "prefix-origin-float",
     ])
     def test_unusable_store_runs_cold_and_is_replaced(
         self, study, tmp_path, damage
@@ -279,6 +282,15 @@ class TestWarmRuns:
             family, value, length, origin = pairs[0]
             assert length < 32
             pairs[0] = [family, value | 1, length, origin]
+        elif damage == "dns-address-value-bool":
+            addresses = next(
+                row[2] for row in stages["dns"].values() if row[2]
+            )
+            addresses[0] = [4, True]
+        elif damage == "prefix-origin-float":
+            pairs = next(row[0] for row in stages["prefix"].values() if row[0])
+            family, value, length, _origin = pairs[0]
+            pairs[0] = [family, value, length, 1.5]
         elif damage == "unknown-verdict":
             next(iter(stages["rpki"].values()))[0] = "bogus"
         elif damage == "short-vrp-set-row":

@@ -78,22 +78,49 @@ def run_both_backends(index, queries):
 # -- oracles (linear scans, no trie) ----------------------------------------
 
 
-def oracle_validate(vrps, prefix, origin):
-    """RFC 6811 by scanning the flat VRP list.
+def spans(rows):
+    """Each row with its prefix as an integer ``(family, lo, hi)`` span.
 
-    Covering VRPs are ordered shortest-prefix-first with insertion
-    order as the tie-break — for any target only one prefix per
-    length can cover it, so a stable sort by length reproduces the
-    trie's covering-walk order exactly.
+    Computed once per row list, so the scans below compare integers
+    instead of calling ``Prefix.contains`` per row and query.
     """
+    return [
+        (
+            row.prefix.family,
+            row.prefix.value,
+            row.prefix.value
+            + (1 << (row.prefix.bits - row.prefix.length)) - 1,
+            row,
+        )
+        for row in rows
+    ]
+
+
+def oracle_validate(vrp_spans, prefix, origin):
+    """RFC 6811 by scanning the flat VRP list (as :func:`spans`).
+
+    A VRP covers the prefix when it is no longer than it and the
+    prefix's network falls inside the VRP's span.  Covering VRPs are
+    ordered shortest-prefix-first with insertion order as the
+    tie-break — for any target only one prefix per length can cover
+    it, so a stable sort by length reproduces the trie's covering-walk
+    order exactly.
+    """
+    family, value, length = prefix
     covering = sorted(
-        (vrp for vrp in vrps if vrp.prefix.covers(prefix)),
+        (
+            vrp
+            for vrp_family, lo, hi, vrp in vrp_spans
+            if vrp_family == family
+            and lo <= value <= hi
+            and vrp.prefix.length <= length
+        ),
         key=lambda vrp: vrp.prefix.length,
     )
     if not covering:
         state = OriginValidation.NOT_FOUND
     elif any(
-        prefix.length <= vrp.max_length and int(vrp.asn) == int(origin)
+        length <= vrp.max_length and int(vrp.asn) == int(origin)
         for vrp in covering
     ):
         state = OriginValidation.VALID
@@ -107,9 +134,14 @@ def oracle_validate(vrps, prefix, origin):
     )
 
 
-def oracle_lookup(vrps, dump_rows, address):
-    """Longest-match by scanning every table-dump row."""
-    matches = [row for row in dump_rows if row.prefix.contains(address)]
+def oracle_lookup(vrp_spans, dump_spans, address):
+    """Longest-match by scanning every table-dump row (as :func:`spans`)."""
+    family, value = address
+    matches = [
+        row
+        for row_family, lo, hi, row in dump_spans
+        if row_family == family and lo <= value <= hi
+    ]
     if not matches:
         return LookupAnswer(
             address=address, prefix=None, origins=(), verdicts=()
@@ -129,7 +161,7 @@ def oracle_lookup(vrps, dump_rows, address):
             origins.append(row.origin)
     ordered = tuple(sorted(origins))
     verdicts = tuple(
-        (origin, oracle_validate(vrps, winner, origin).state)
+        (origin, oracle_validate(vrp_spans, winner, origin).state)
         for origin in ordered
     )
     return LookupAnswer(
@@ -260,7 +292,7 @@ class TestValidateDifferential:
         rng = DeterministicRNG(SEED).fork("diff.validate")
         queries = validate_queries(rng, study, index)
         assert len(queries) >= QUERIES_PER_KIND
-        vrps = list(study.payloads)
+        vrp_spans = spans(study.payloads)
         memo = {}
         mismatches = []
         states = set()
@@ -269,7 +301,7 @@ class TestValidateDifferential:
             key = query.key()
             if key not in memo:
                 memo[key] = oracle_validate(
-                    vrps, query.prefix, query.origin
+                    vrp_spans, query.prefix, query.origin
                 )
             expected = memo[key]
             states.add(expected.state)
@@ -295,8 +327,8 @@ class TestLookupDifferential:
         rng = DeterministicRNG(SEED).fork("diff.lookup")
         queries = lookup_queries(rng, index)
         assert len(queries) >= QUERIES_PER_KIND
-        vrps = list(study.payloads)
-        dump_rows = list(study.table_dump)
+        vrp_spans = spans(study.payloads)
+        dump_spans = spans(study.table_dump)
         memo = {}
         mismatches = []
         routed = 0
@@ -304,7 +336,9 @@ class TestLookupDifferential:
             query = response.query
             key = query.key()
             if key not in memo:
-                memo[key] = oracle_lookup(vrps, dump_rows, query.address)
+                memo[key] = oracle_lookup(
+                    vrp_spans, dump_spans, query.address
+                )
             expected = memo[key]
             routed += expected.prefix is not None
             if response.answer != expected:
