@@ -18,9 +18,9 @@ the funnel memo's own types and classifies it as valid or invalidated
   validation reads nothing else).
 
 Rows are decoded through the checking constructors (``Address``,
-``Prefix``, ``ASN``) after the wire codec's field checks (exact
-``int`` fields, a known validation state); a row that fails one
-makes the whole store unusable, so the run starts cold and
+``Prefix``, ``ASN``, ``OriginValidation``), which own the exact-int
+and known-state rules, and the wire codec's count check; a row that
+fails one makes the whole store unusable, so the run starts cold and
 :meth:`CacheSession.save` replaces the file.
 
 The valid entries are :attr:`CacheSession.memo`, which seeds the memo
@@ -45,9 +45,10 @@ from repro.cache.fingerprint import (
 )
 from repro.cache.store import STAGES, load_store, save_store, store_path
 from repro.core.records import PrefixOriginPair
-from repro.exec.codec import WireError, exact_ints, validation_state
+from repro.exec.codec import WireError, check_counts
 from repro.net import ASN, Address, Prefix, PrefixTrie
 from repro.obs.runtime import thread_scope
+from repro.rpki.vrp import OriginValidation
 
 
 class CacheSession:
@@ -198,39 +199,32 @@ class CacheSession:
 
 
 def _decode_row(stage: str, key: str, row: list) -> Tuple[object, object]:
-    """``(memo key, value)`` of one store row; raises on a hostile row.
-
-    Count and address fields must be exactly ``int`` and ``resolved``
-    exactly ``bool``, by the checks the wire codec applies to its rows.
-    """
+    """``(memo key, value)`` of one store row; raises on a hostile row."""
     if stage == "dns":
         _fingerprint, resolved, addresses, excluded, cnames, _delta = row
         if type(resolved) is not bool:
             raise WireError(f"resolved must be a bool: {row!r}")
-        excluded, cnames = exact_ints((excluded, cnames), WireError)
+        check_counts((excluded, cnames))
         return key, (
             resolved,
-            tuple(
-                Address(*exact_ints(address, WireError))
-                for address in addresses
-            ),
+            tuple(Address(*address) for address in addresses),
             excluded,
             cnames,
         )
     if stage == "prefix":
         pairs, unreachable, as_set, _delta = row
-        unreachable, as_set = exact_ints((unreachable, as_set), WireError)
-        mapped = []
-        for fields in pairs:
-            family, value, length, origin = exact_ints(fields, WireError)
-            mapped.append((Prefix(family, value, length), ASN(origin)))
+        check_counts((unreachable, as_set))
+        mapped = [
+            (Prefix(family, value, length), ASN(origin))
+            for family, value, length, origin in pairs
+        ]
         return Address(*map(int, key.split(":"))), (
             mapped, unreachable, as_set
         )
     state, _delta = row
     family, value, length, origin = map(int, key.split(":"))
     pair = PrefixOriginPair(
-        Prefix(family, value, length), ASN(origin), validation_state(state)
+        Prefix(family, value, length), ASN(origin), OriginValidation(state)
     )
     return (pair.prefix, pair.origin), pair
 

@@ -16,14 +16,13 @@ runs, 2 cores, Python 3.11.7).
 Three invariants make the codec safe, exact and lean:
 
 * an :class:`~repro.net.Address` or :class:`~repro.net.Prefix` row is
-  the value itself (``tuple(address)``), and decoding rebuilds it
-  through the public, validating constructor — the bytes come from a
-  pipe, a socket or the on-disk snapshot, so a row with host bits set
-  or a value out of range raises a :class:`~repro.net.NetError`
-  instead of becoming a value that violates its own invariant; a
-  family, value, length or origin must be exactly an ``int`` (a bool
-  or a float compares equal to one), and an unknown validation state
-  raises :class:`WireError`;
+  the value itself (``tuple(address)``), and decoding rebuilds every
+  value through its public, validating constructor — the bytes come
+  from a pipe, a socket or the on-disk snapshot, and the value types
+  own the rule: host bits set, a value out of range, a field that is
+  not exactly an ``int`` or an unknown state raises a typed error;
+  the codec checks only what no value type owns (counts, ``resolved``,
+  the degraded stage, tallies), raising :class:`WireError`;
 * each distinct row crosses once and decodes to one shared, validated
   value — within one :func:`encode_measurements` call equal values
   share one row object, so pickle's memo ships it once, and decoding
@@ -31,7 +30,8 @@ Three invariants make the codec safe, exact and lean:
   run when the caller passes it, as
   :func:`~repro.exec.executor.execute_study` does), so a row goes
   through the validating constructor the first time it is seen and
-  every later occurrence reuses that object;
+  every later occurrence reuses that object (``(4, True) == (4, 1)``,
+  so a row's ints pass :func:`~repro.net.exact_ints` before lookup);
 * :class:`~repro.web.alexa.Domain` objects never cross the boundary
   at all — the parent re-attaches its *own* domain objects (the same
   ones the serial run would use) from the shard plan, which both
@@ -47,15 +47,15 @@ from __future__ import annotations
 from dataclasses import fields
 from typing import List, Optional, Sequence, Tuple, Union
 
-from repro.core.pipeline import StudyStatistics
+from repro.core.pipeline import STAGE_DNS, STAGE_PREFIX, StudyStatistics
 from repro.core.records import (
     DomainMeasurement,
     NameMeasurement,
     PrefixOriginPair,
 )
 from repro.errors import ReproError
-from repro.net import ASN, Address, Prefix
-from repro.net.errors import AddressError, ASNError, PrefixError
+from repro.net import ASN, Address, Prefix, exact_ints
+from repro.net.errors import AddressError, PrefixError
 from repro.rpki.vrp import OriginValidation
 from repro.web.alexa import Domain
 
@@ -72,7 +72,7 @@ WireMeasurement = Tuple[WireName, WireName]
 # sorted (key, count) pairs.
 WireStatistics = Tuple[Union[int, list], ...]
 
-_STATES = {state.value: state for state in OriginValidation}
+_DEGRADED_STAGES = ("", STAGE_DNS, STAGE_PREFIX)
 
 
 class WireError(ReproError, ValueError):
@@ -106,24 +106,24 @@ def encode_name(
     )
 
 
-def exact_ints(row, error: type) -> tuple:
-    """``row`` as a tuple whose fields are all exactly ``int``.
+def check_counts(values, minimum: int = 0) -> None:
+    """Check that ``values`` are exact ints of at least ``minimum``.
 
-    A bool or a float compares equal to an int, so it would otherwise
-    decode to, or intern as, a value it is not; raises ``error``.
+    For the count fields of wire and store rows, which no value type
+    owns; raises :class:`WireError`.
     """
-    key = tuple(row)
-    for value in key:
-        if type(value) is not int:
-            raise error(f"row fields must be ints: {row!r}")
-    return key
+    values = exact_ints(values, WireError)
+    if values and min(values) < minimum:
+        raise WireError(f"counts must be at least {minimum}: {values!r}")
 
 
-def validation_state(state) -> OriginValidation:
-    """The validation state a row names; :class:`WireError` otherwise."""
-    if type(state) is not str or state not in _STATES:
-        raise WireError(f"unknown validation state: {state!r}")
-    return _STATES[state]
+def _tally(row, minimum: int = 0) -> Tuple[str, int]:
+    """One ``(key, count)`` pair of a fault list or statistics map."""
+    key, count = row
+    if type(key) is not str:
+        raise WireError(f"tally key must be a str: {row!r}")
+    check_counts((count,), minimum)
+    return key, count
 
 
 def _address(row, table: dict) -> Address:
@@ -136,14 +136,14 @@ def _address(row, table: dict) -> Address:
 
 def _pair(row, table: dict) -> PrefixOriginPair:
     family, value, length, origin, state = row
-    exact_ints((family, value, length), PrefixError)
-    exact_ints((origin,), ASNError)
-    state = validation_state(state)
-    key = tuple(row)
-    pair = table.get(key)
+    key = (*exact_ints((family, value, length, origin), PrefixError), state)
+    try:
+        pair = table.get(key)
+    except TypeError:  # an unhashable state: OriginValidation refuses it below
+        pair = None
     if pair is None:
         pair = table[key] = PrefixOriginPair(
-            Prefix(family, value, length), ASN(origin), state
+            Prefix(family, value, length), ASN(origin), OriginValidation(state)
         )
     return pair
 
@@ -164,6 +164,11 @@ def decode_name(wire: WireName, table: Optional[dict] = None) -> NameMeasurement
         retries,
         faults,
     ) = wire
+    if type(name) is not str or type(resolved) is not bool:
+        raise WireError(f"name must be a str, resolved a bool: {wire!r}")
+    check_counts((excluded, unreachable, as_set, cnames, retries))
+    if degraded_stage not in _DEGRADED_STAGES:
+        raise WireError(f"unknown degraded stage: {degraded_stage!r}")
     if table is None:
         table = {}
     return NameMeasurement(
@@ -177,7 +182,7 @@ def decode_name(wire: WireName, table: Optional[dict] = None) -> NameMeasurement
         pairs=[_pair(row, table) for row in pairs],
         degraded_stage=degraded_stage,
         retries=retries,
-        faults=tuple((kind, count) for kind, count in faults),
+        faults=tuple(_tally(row, 1) for row in faults),
     )
 
 
@@ -231,16 +236,23 @@ def encode_statistics(stats: StudyStatistics) -> WireStatistics:
 
 
 def decode_statistics(wire: WireStatistics) -> StudyStatistics:
-    """Rebuild shard statistics; exact inverse of :func:`encode_statistics`."""
+    """Rebuild shard statistics; exact inverse of :func:`encode_statistics`.
+
+    A counter must be an exact non-negative ``int`` and a mapping
+    field ``(str, exact non-negative int)`` pairs, else
+    :class:`WireError`.
+    """
     specs = fields(StudyStatistics)
     if len(wire) != len(specs):
-        raise ValueError(
+        raise WireError(
             f"statistics wire has {len(wire)} entries, "
             f"expected {len(specs)}"
         )
     stats = StudyStatistics()
     for field, value in zip(specs, wire):
         if isinstance(getattr(stats, field.name), dict):
-            value = dict(value)
+            value = dict(_tally(row) for row in value)
+        else:
+            check_counts((value,))
         setattr(stats, field.name, value)
     return stats

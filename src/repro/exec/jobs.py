@@ -56,6 +56,7 @@ from repro.exec.codec import (
 )
 from repro.exec.sharding import Shard
 from repro.faults.plan import FaultPlan
+from repro.net import exact_ints
 from repro.obs.metrics import registry_from_wire, registry_to_wire
 from repro.obs.tracing import Span, SpanStats
 
@@ -261,10 +262,8 @@ def decode_span_stats(wire) -> Optional[Dict[str, SpanStats]]:
         for name, count, total, minimum, maximum, errors in wire:
             if not isinstance(name, str) or name in stats:
                 raise ValueError(f"bad or repeated name {name!r}")
-            counts = (count, errors)
-            if not all(type(value) is int for value in counts) or not (
-                0 <= errors <= count and count >= 1
-            ):
+            counts = exact_ints((count, errors), ValueError)
+            if not 0 <= errors <= count or count < 1:
                 raise ValueError(f"{name}: bad counts {counts}")
             seconds = (minimum, maximum, total)
             if not all(map(_is_number, seconds)) or not (
@@ -373,11 +372,16 @@ class JobResult:
                 f"expected a result frame, got {wire.get('type')!r}"
             )
         try:
+            job_id, shard_index, attempt, worker_id = exact_ints(
+                (wire["job_id"], wire["shard_index"], wire["attempt"],
+                 wire["worker_id"]),
+                JobProtocolError,
+            )
             return cls(
-                job_id=wire["job_id"],
-                shard_index=wire["shard_index"],
-                attempt=wire["attempt"],
-                worker_id=wire["worker_id"],
+                job_id=job_id,
+                shard_index=shard_index,
+                attempt=attempt,
+                worker_id=worker_id,
                 measurements=wire["measurements"],
                 statistics=wire["statistics"],
                 metrics=wire.get("metrics"),

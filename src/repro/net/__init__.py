@@ -10,6 +10,7 @@ step 2).
 from repro.net.addr import (
     Address,
     Prefix,
+    exact_ints,
     parse_address,
     parse_prefix,
 )
@@ -31,6 +32,7 @@ __all__ = [
     "PrefixError",
     "PrefixTrie",
     "ReproError",
+    "exact_ints",
     "is_special_purpose",
     "parse_address",
     "parse_prefix",

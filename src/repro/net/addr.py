@@ -5,8 +5,9 @@ An :class:`Address` *is* the int tuple ``(family, value)`` and a
 whose only constructor validates.  Equality, hashing and the total
 order (family, then value, then length) are the tuple's own, and the
 value checked on construction is the dict key, the sort key, the wire
-row (``tuple(prefix)``) and the store row (``Prefix(*row)``).  Parsing
-and formatting (IPv6 zero compression, embedded IPv4) are from scratch.
+row (``tuple(prefix)``) and the store row (``Prefix(*row)``): exact
+ints only.  Parsing and formatting (IPv6 zero compression, embedded
+IPv4) are from scratch.
 """
 
 from __future__ import annotations
@@ -21,6 +22,15 @@ IPV6 = 6
 
 _BITS = {IPV4: 32, IPV6: 128}
 _MAX = {IPV4: (1 << 32) - 1, IPV6: (1 << 128) - 1}
+
+
+def exact_ints(row, error: type) -> tuple:
+    """``row`` as a tuple of exact ints (no bools or floats); raises ``error``."""
+    key = tuple(row)
+    for value in key:
+        if type(value) is not int:
+            raise error(f"fields must be ints: {row!r}")
+    return key
 
 
 def family_bits(family: int) -> int:
@@ -127,6 +137,8 @@ class Address(tuple):
     __slots__ = ()
 
     def __new__(cls, family: int, value: int) -> "Address":
+        if type(family) is not int or type(value) is not int:
+            raise AddressError(f"non-int address field in {(family, value)!r}")
         family_bits(family)
         if not 0 <= value <= _MAX[family]:
             raise AddressError(
@@ -167,7 +179,7 @@ class Address(tuple):
 class Prefix(tuple):
     """An immutable CIDR prefix: the tuple ``(family, value, length)``.
 
-    Host bits below the prefix length must be zero, else
+    Fields must be exact ints and host bits below the length zero, else
     :class:`PrefixError`; there is no other constructor, so decoders of
     wire and store rows are checked too.  It is a tuple:
     ``Prefix(4, 0, 0) == (4, 0, 0)``, ``len(p)`` is 3 (the prefix
@@ -180,6 +192,8 @@ class Prefix(tuple):
     __slots__ = ()
 
     def __new__(cls, family: int, value: int, length: int) -> "Prefix":
+        if type(family) is not int or type(value) is not int or type(length) is not int:
+            raise PrefixError(f"non-int prefix field in {(family, value, length)!r}")
         bits = family_bits(family)
         if not 0 <= length <= bits:
             raise PrefixError(f"prefix length {length} out of range for IPv{family}")

@@ -12,16 +12,18 @@ class ASN(int):
 
     Subclasses :class:`int` so arithmetic, hashing, and sorting work
     naturally while construction validates the range and ``str()``
-    renders the conventional ``AS64500`` form.
+    renders the conventional ``AS64500`` form; a bool, float or str is
+    refused, not coerced.
     """
 
     __slots__ = ()
 
     def __new__(cls, value: int) -> "ASN":
-        value = int(value)
+        if type(value) is not int and type(value) is not cls:
+            raise ASNError(f"AS number must be an int: {value!r}")
         if not 0 <= value <= MAX_ASN:
             raise ASNError(f"AS number out of 32-bit range: {value}")
-        return super().__new__(cls, value)
+        return int.__new__(cls, value)
 
     def __str__(self) -> str:
         return f"AS{int(self)}"

@@ -9,3 +9,7 @@ class RPKIError(ReproError):
 
 class IssuanceError(RPKIError):
     """A CA refused to issue an object (e.g. resources not held)."""
+
+
+class ValidationStateError(RPKIError, ValueError):
+    """A value names no RFC 6811 route validation state."""

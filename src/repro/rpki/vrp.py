@@ -23,10 +23,11 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.net import ASN, Prefix, PrefixTrie
+from repro.rpki.errors import ValidationStateError
 
 
 class OriginValidation(enum.Enum):
-    """RFC 6811 route validation states."""
+    """RFC 6811 route validation states (an unknown one: a typed error)."""
 
     VALID = "valid"
     INVALID = "invalid"
@@ -34,6 +35,10 @@ class OriginValidation(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
+
+    @classmethod
+    def _missing_(cls, value):
+        raise ValidationStateError(f"unknown validation state: {value!r}")
 
 
 ANNOTATION_VALID = 0

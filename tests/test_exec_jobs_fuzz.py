@@ -9,14 +9,12 @@ Mirrors ``test_rtr_fuzz.py`` for the execution plane:
   arbitrary garbage either buffer (incomplete frame) or raise the
   *typed* :class:`JobProtocolError`; a raw ``struct.error`` /
   ``KeyError`` / ``UnicodeDecodeError`` escaping the codec is a bug;
-* **hostile value rows** — a well-framed result whose address or
-  prefix row breaks the value's own invariant (host bits set, unknown
-  family, value out of range) is rejected by the validating
-  constructors, and one whose integer field is a bool or a float, or
-  whose validation state is unknown, by the codec: a typed
-  ``NetError`` (``ReproError`` for the state) from the codec, a
-  ``JobProtocolError`` from ``to_outcome``; so is a span-aggregate
-  row with impossible counts or seconds;
+* **hostile value rows** — a well-framed result carrying one of the
+  codec's hostile rows (``test_exec_parallel.py::TestHostileWireRows``:
+  a value row the value type refuses, a name row or statistics the
+  codec refuses) surfaces as a ``JobProtocolError`` from
+  ``to_outcome``; so does a span-aggregate row with impossible counts
+  or seconds;
 * **scheduler quarantine** — a worker whose reply stream is garbage
   (the seeded ``worker.garbage`` fault) is quarantined and its shard
   re-dispatched: the merged study result stays bit-identical to
@@ -32,7 +30,7 @@ from hypothesis import strategies as st
 from repro.core import MeasurementStudy, RunConfig
 from repro.core.pipeline import StudyStatistics
 from repro.errors import ReproError
-from repro.exec import Shard, decode_measurements, encode_statistics
+from repro.exec import Shard, encode_statistics
 from repro.exec.jobs import (
     MAX_FRAME_SIZE,
     PREFIX_SIZE,
@@ -49,10 +47,18 @@ from repro.exec.jobs import (
     encode_spans,
 )
 from repro.faults import WORKER_GARBAGE, FaultPlan
-from repro.net import NetError
 from repro.obs.tracing import Span, TraceCollector
 from repro.web import EcosystemConfig, WebEcosystem
 from repro.web.alexa import Domain
+from tests.test_exec_parallel import (
+    GOOD_ADDRESS,
+    GOOD_PAIR,
+    HOSTILE_NAMES,
+    HOSTILE_ROWS,
+    HOSTILE_STATES,
+    HOSTILE_STATISTICS,
+    value_row_wire,
+)
 
 # -- strategies ---------------------------------------------------------------
 
@@ -295,37 +301,6 @@ class TestHostileBytes:
 
 # -- hostile value rows -------------------------------------------------------
 
-GOOD_ADDRESS = [4, 0x0A000001]
-GOOD_PAIR = [4, 0x0A000000, 8, 64500, "valid"]
-
-HOSTILE_ROWS = {
-    "pair-host-bits-below-length": {"pair": [4, 0x0A000001, 8, 64500, "valid"]},
-    "pair-family-5": {"pair": [5, 0x0A000000, 8, 64500, "valid"]},
-    "pair-negative-value": {"pair": [4, -(1 << 24), 8, 64500, "valid"]},
-    "pair-value-over-128-bits": {"pair": [6, 1 << 128, 0, 64500, "valid"]},
-    "pair-length-over-family-bits": {"pair": [4, 0, 33, 64500, "valid"]},
-    "address-out-of-range": {"address": [4, 1 << 32]},
-    "address-negative": {"address": [6, -1]},
-    "address-family-5": {"address": [5, 1]},
-    # Exact ints only: a bool or float equals an int row and would
-    # otherwise decode to (or intern as) a value it is not.
-    "address-value-bool": {"address": [4, True]},
-    "address-value-float": {"address": [4, 1.0]},
-    "address-family-float": {"address": [4.0, 1]},
-    "pair-value-bool": {"pair": [4, False, 8, 64500, "valid"]},
-    "pair-value-float": {"pair": [4, 0.0, 0, 64500, "valid"]},
-    "pair-length-bool": {"pair": [4, 0, False, 64500, "valid"]},
-    "pair-origin-float": {"pair": [4, 0x0A000000, 8, 1.5, "valid"]},
-    "pair-origin-bool": {"pair": [4, 0x0A000000, 8, True, "valid"]},
-}
-
-HOSTILE_STATES = {
-    "state-unknown": {"pair": [4, 0x0A000000, 8, 64500, "bogus"]},
-    "state-not-text": {"pair": [4, 0x0A000000, 8, 64500, 1]},
-    "state-list": {"pair": [4, 0x0A000000, 8, 64500, ["valid"]]},
-}
-
-
 # name, count, total, min, max, errors
 GOOD_SPAN_STATS = ["stage.dns", 3, 0.5, 0.1, 0.3, 1]
 
@@ -357,21 +332,17 @@ HOSTILE_SPAN_STATS = {
 }
 
 
-def value_row_wire(address=GOOD_ADDRESS, pair=GOOD_PAIR) -> list:
-    """One domain's ``encode_measurements`` form around the two rows."""
-    name = ["example.com", True, [address], 0, 0, 0, 0, [pair], "", 0, []]
-    return [[name, name]]
-
-
 class TestHostileValueRows:
     shard = Shard(index=0, domains=(Domain(rank=1, name="example.com"),))
 
-    def result(self, wire: list, span_stats=None) -> JobResult:
+    def result(self, wire: list, span_stats=None, statistics=None) -> JobResult:
         """``wire`` as the parent sees it: framed, sent, unframed."""
+        if statistics is None:
+            statistics = list(encode_statistics(StudyStatistics()))
         sent = JobResult(
             job_id=1, shard_index=0, attempt=0, worker_id=0,
             measurements=wire,
-            statistics=list(encode_statistics(StudyStatistics())),
+            statistics=statistics,
             metrics=None, spans=[], span_stats=span_stats,
         )
         (frame,), _rest = decode_frames(encode_frame(sent.to_wire()))
@@ -383,20 +354,6 @@ class TestHostileValueRows:
         assert tuple(measurement.www.addresses[0]) == tuple(GOOD_ADDRESS)
         assert tuple(measurement.www.pairs[0].prefix) == tuple(GOOD_PAIR[:3])
 
-    @pytest.mark.parametrize("case", sorted(HOSTILE_ROWS))
-    def test_codec_raises_typed_net_error(self, case):
-        with pytest.raises(NetError):
-            decode_measurements(
-                value_row_wire(**HOSTILE_ROWS[case]), self.shard.domains
-            )
-
-    @pytest.mark.parametrize("case", sorted(HOSTILE_STATES))
-    def test_codec_raises_typed_error_on_unknown_state(self, case):
-        with pytest.raises(ReproError):
-            decode_measurements(
-                value_row_wire(**HOSTILE_STATES[case]), self.shard.domains
-            )
-
     @pytest.mark.parametrize(
         "case", sorted(HOSTILE_ROWS) + sorted(HOSTILE_STATES)
     )
@@ -406,20 +363,20 @@ class TestHostileValueRows:
         with pytest.raises(JobProtocolError):
             result.to_outcome(self.shard)
 
-    @pytest.mark.parametrize("case", ["address-value-bool", "pair-origin-bool"])
-    def test_hostile_row_does_not_resolve_to_an_earlier_equal_row(self, case):
-        """A run's intern table is keyed on row values, and ``True ==
-        1``: a bool row after a good int row must still be refused."""
-        good = {"address": [4, 1], "pair": [4, 0x0A000000, 8, 1, "valid"]}
-        (kind, hostile), = HOSTILE_ROWS[case].items()
-        table: dict = {}
-        decode_measurements(
-            value_row_wire(**{kind: good[kind]}), self.shard.domains, table
+    @pytest.mark.parametrize("case", sorted(HOSTILE_NAMES))
+    def test_hostile_name_row_surfaces_as_protocol_error(self, case):
+        name = list(HOSTILE_NAMES[case])
+        result = self.result([[name, name]])
+        with pytest.raises(JobProtocolError):
+            result.to_outcome(self.shard)
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_STATISTICS))
+    def test_hostile_statistics_surface_as_protocol_error(self, case):
+        result = self.result(
+            value_row_wire(), statistics=HOSTILE_STATISTICS[case]
         )
-        with pytest.raises(NetError):
-            decode_measurements(
-                value_row_wire(**{kind: hostile}), self.shard.domains, table
-            )
+        with pytest.raises(JobProtocolError):
+            result.to_outcome(self.shard)
 
     def test_well_formed_span_stats_decode(self):
         outcome = self.result(

@@ -12,6 +12,9 @@ import pytest
 from repro import obs
 from repro.core import CacheConfig, MeasurementStudy, RunConfig, pipeline_statistics
 from repro.core.pipeline import StudyStatistics
+from repro.errors import ReproError
+from repro.exec.codec import WireError
+from repro.net import NetError
 from repro.faults import FaultPlan
 from repro.web import EcosystemConfig, WebEcosystem
 from repro.exec import (
@@ -19,6 +22,7 @@ from repro.exec import (
     Shard,
     ShardOutcome,
     decode_measurements,
+    decode_name,
     decode_statistics,
     default_shard_size,
     encode_measurements,
@@ -223,6 +227,167 @@ class TestWireCodec:
 
     def test_empty_round_trip(self):
         assert decode_measurements(encode_measurements([]), []) == []
+
+
+# -- hostile wire rows ---------------------------------------------------------
+#
+# The codec's rows come from a pipe, a socket or a job frame.  A value
+# row is refused by the value type it would build; the codec refuses
+# what no value type owns (counts, ``resolved``, the degraded stage,
+# fault and statistics tallies) with WireError.
+
+GOOD_ADDRESS = [4, 0x0A000001]
+GOOD_PAIR = [4, 0x0A000000, 8, 64500, "valid"]
+
+HOSTILE_ROWS = {
+    "pair-host-bits-below-length": {"pair": [4, 0x0A000001, 8, 64500, "valid"]},
+    "pair-family-5": {"pair": [5, 0x0A000000, 8, 64500, "valid"]},
+    "pair-negative-value": {"pair": [4, -(1 << 24), 8, 64500, "valid"]},
+    "pair-value-over-128-bits": {"pair": [6, 1 << 128, 0, 64500, "valid"]},
+    "pair-length-over-family-bits": {"pair": [4, 0, 33, 64500, "valid"]},
+    "address-out-of-range": {"address": [4, 1 << 32]},
+    "address-negative": {"address": [6, -1]},
+    "address-family-5": {"address": [5, 1]},
+    # Exact ints only: a bool or float equals an int row and would
+    # otherwise decode to (or intern as) a value it is not.
+    "address-value-bool": {"address": [4, True]},
+    "address-value-float": {"address": [4, 1.0]},
+    "address-family-float": {"address": [4.0, 1]},
+    "pair-value-bool": {"pair": [4, False, 8, 64500, "valid"]},
+    "pair-value-float": {"pair": [4, 0.0, 0, 64500, "valid"]},
+    "pair-length-bool": {"pair": [4, 0, False, 64500, "valid"]},
+    "pair-origin-float": {"pair": [4, 0x0A000000, 8, 1.5, "valid"]},
+    "pair-origin-bool": {"pair": [4, 0x0A000000, 8, True, "valid"]},
+}
+
+HOSTILE_STATES = {
+    "state-unknown": {"pair": [4, 0x0A000000, 8, 64500, "bogus"]},
+    "state-not-text": {"pair": [4, 0x0A000000, 8, 64500, 1]},
+    "state-list": {"pair": [4, 0x0A000000, 8, 64500, ["valid"]]},
+}
+
+GOOD_NAME = ["example.com", True, [], 0, 0, 0, 0, [], "", 0, []]
+_NAME_FIELDS = (
+    "name", "resolved", "addresses", "excluded_special",
+    "unreachable_addresses", "as_set_excluded", "cname_count", "pairs",
+    "degraded_stage", "retries", "faults",
+)
+
+
+def _name_row(**changes) -> list:
+    row = dict(zip(_NAME_FIELDS, GOOD_NAME))
+    row.update(changes)
+    return list(row.values())
+
+
+HOSTILE_NAMES = {
+    # Both decoded to a NameMeasurement before the codec checked counts.
+    "found-counts-bool-and-float": (
+        "a.com", 1, [], 0.5, True, 0, 2.0, [], "", 1.5, []
+    ),
+    "found-bad-stage-negative-retries-fault": (
+        "a.com", True, [], 0, 0, 0, 0, [], "bogus-stage", -3, [(5, "x")]
+    ),
+    "name-not-text": _name_row(name=7),
+    "resolved-int": _name_row(resolved=1),
+    "resolved-text": _name_row(resolved="true"),
+    "excluded-float": _name_row(excluded_special=1.0),
+    "excluded-negative": _name_row(excluded_special=-1),
+    "unreachable-bool": _name_row(unreachable_addresses=True),
+    "as-set-float": _name_row(as_set_excluded=0.0),
+    "cnames-negative": _name_row(cname_count=-2),
+    "retries-bool": _name_row(retries=False),
+    "stage-unknown": _name_row(degraded_stage="rpki"),
+    "stage-none": _name_row(degraded_stage=None),
+    "fault-count-zero": _name_row(faults=[["dns.timeout", 0]]),
+    "fault-count-float": _name_row(faults=[["dns.timeout", 1.0]]),
+    "fault-count-bool": _name_row(faults=[["dns.timeout", True]]),
+    "fault-kind-not-text": _name_row(faults=[[5, 1]]),
+}
+
+
+def _statistics_wire(**changes) -> list:
+    stats = StudyStatistics(domain_count=3, faults_by_kind={"dns.timeout": 2})
+    wire = dict(zip(
+        (field.name for field in dataclasses.fields(StudyStatistics)),
+        encode_statistics(stats),
+    ))
+    wire.update(changes)
+    return list(wire.values())
+
+
+HOSTILE_STATISTICS = {
+    # All three decoded and would have merged.
+    "counter-float": _statistics_wire(domain_count=1.5),
+    "counter-bool": _statistics_wire(invalid_dns_domains=True),
+    "tally-float": _statistics_wire(faults_by_kind=[["k", 2.5]]),
+    "counter-negative": _statistics_wire(retries_total=-1),
+    "counter-text": _statistics_wire(www_pairs="3"),
+    "tally-bool": _statistics_wire(cache_hits_by_stage=[["dns.www", True]]),
+    "tally-negative": _statistics_wire(cache_misses_by_stage=[["rpki", -4]]),
+    "tally-key-not-text": _statistics_wire(faults_by_kind=[[1, 2]]),
+    "short": _statistics_wire()[:-1],
+}
+
+
+def value_row_wire(address=GOOD_ADDRESS, pair=GOOD_PAIR) -> list:
+    """One domain's ``encode_measurements`` form around the two rows."""
+    name = ["example.com", True, [address], 0, 0, 0, 0, [pair], "", 0, []]
+    return [[name, name]]
+
+
+class TestHostileWireRows:
+    domains = (Domain(rank=1, name="example.com"),)
+
+    def test_well_formed_rows_decode(self):
+        (measurement,) = decode_measurements(value_row_wire(), self.domains)
+        assert tuple(measurement.www.addresses[0]) == tuple(GOOD_ADDRESS)
+        assert tuple(measurement.www.pairs[0].prefix) == tuple(GOOD_PAIR[:3])
+        assert decode_name(_name_row(
+            faults=[["dns.timeout", 2]], degraded_stage="dns", retries=1
+        )).faults == (("dns.timeout", 2),)
+        assert decode_statistics(_statistics_wire()) == StudyStatistics(
+            domain_count=3, faults_by_kind={"dns.timeout": 2}
+        )
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_ROWS))
+    def test_codec_raises_typed_net_error(self, case):
+        with pytest.raises(NetError):
+            decode_measurements(
+                value_row_wire(**HOSTILE_ROWS[case]), self.domains
+            )
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_STATES))
+    def test_codec_raises_typed_error_on_unknown_state(self, case):
+        with pytest.raises(ReproError):
+            decode_measurements(
+                value_row_wire(**HOSTILE_STATES[case]), self.domains
+            )
+
+    @pytest.mark.parametrize("case", ["address-value-bool", "pair-origin-bool"])
+    def test_hostile_row_does_not_resolve_to_an_earlier_equal_row(self, case):
+        """A run's intern table is keyed on row values, and ``True ==
+        1``: a bool row after a good int row must still be refused."""
+        good = {"address": [4, 1], "pair": [4, 0x0A000000, 8, 1, "valid"]}
+        (kind, hostile), = HOSTILE_ROWS[case].items()
+        table: dict = {}
+        decode_measurements(
+            value_row_wire(**{kind: good[kind]}), self.domains, table
+        )
+        with pytest.raises(NetError):
+            decode_measurements(
+                value_row_wire(**{kind: hostile}), self.domains, table
+            )
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_NAMES))
+    def test_hostile_name_row_raises_wire_error(self, case):
+        with pytest.raises(WireError):
+            decode_name(HOSTILE_NAMES[case])
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_STATISTICS))
+    def test_hostile_statistics_raise_wire_error(self, case):
+        with pytest.raises(WireError):
+            decode_statistics(HOSTILE_STATISTICS[case])
 
 
 class TestProcessResultSharing:

@@ -75,6 +75,14 @@ class TestAddressParsing:
         with pytest.raises(AddressError):
             Address(5, 0)
 
+    @pytest.mark.parametrize(
+        "fields", [(4, True), (4, False), (4, 1.0), (4.0, 1), (True, 1), (4, "1")]
+    )
+    def test_fields_must_be_exact_ints(self, fields):
+        """A bool or float equals an int but is not one: refused, not kept."""
+        with pytest.raises(AddressError):
+            Address(*fields)
+
 
 class TestAddressSemantics:
     def test_ordering_within_family(self):
@@ -112,6 +120,16 @@ class TestPrefix:
     def test_rejects_host_bits(self):
         with pytest.raises(PrefixError):
             Prefix.parse("10.0.0.1/8")
+
+    @pytest.mark.parametrize(
+        "fields",
+        [(4, 0, True), (4, 0, False), (4, False, 0), (4, 0.0, 0), (4.0, 0, 0),
+         (4, 0, 8.0), (6, 0, "0")],
+    )
+    def test_fields_must_be_exact_ints(self, fields):
+        """``Prefix(4, 0, True)`` once printed as ``0.0.0.0/True``."""
+        with pytest.raises(PrefixError):
+            Prefix(*fields)
 
     def test_rejects_bad_length(self):
         with pytest.raises(PrefixError):

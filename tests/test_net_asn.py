@@ -26,3 +26,15 @@ def test_range_validation():
         ASN(1 << 32)
     with pytest.raises(ASNError):
         ASN(-1)
+
+
+@pytest.mark.parametrize("value", [1.5, 1.0, True, False, "64500", "AS1", None])
+def test_only_an_int_is_an_as_number(value):
+    """No coercion: ``ASN(1.5)`` and ``ASN(True)`` were both AS1."""
+    with pytest.raises(ASNError):
+        ASN(value)
+
+
+def test_an_asn_is_still_accepted():
+    assert ASN(ASN(5)) == 5
+    assert type(ASN(ASN(5))) is ASN

@@ -93,7 +93,7 @@ def name_measurements(draw):
         as_set_excluded=draw(small_counts),
         cname_count=draw(small_counts),
         pairs=draw(st.lists(prefix_origin_pairs(), max_size=4)),
-        degraded_stage=draw(st.sampled_from(("", "dns", "prefix", "rpki"))),
+        degraded_stage=draw(st.sampled_from(("", "dns", "prefix"))),
         retries=draw(small_counts),
         faults=tuple(sorted(faults.items())),
     )

@@ -43,6 +43,8 @@ HOOKS = {
         "http.server.BaseHTTPRequestHandler dispatches each GET to it",
     "repro.obs.http._TelemetryHandler.log_message":
         "http.server.BaseHTTPRequestHandler logs each request through it",
+    "repro.rpki.vrp.OriginValidation._missing_":
+        "Enum calls it on a failed value lookup",
 }
 # Definitions no program names, by the test that checks program
 # output against them.

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from repro.net import ASN, Address, Prefix
 from repro.net.addr import IPV4, IPV6
 from repro.rov import annotate_route
+from repro.errors import ReproError
 from repro.rpki import VRP, OriginValidation, ValidatedPayloads
+from repro.rpki.errors import ValidationStateError
 
 
 def P(text):
@@ -34,6 +36,19 @@ def payloads():
             vrp("2001:db8::/32", 48, 64502),
         ]
     )
+
+
+@pytest.mark.parametrize("value", ["bogus", "VALID", 1, None, ["valid"]])
+def test_unknown_state_is_a_typed_error(value):
+    with pytest.raises(ValidationStateError) as raised:
+        OriginValidation(value)
+    assert isinstance(raised.value, ReproError)
+    assert isinstance(raised.value, ValueError)
+
+
+def test_known_states_round_trip_through_their_values():
+    for state in OriginValidation:
+        assert OriginValidation(state.value) is state
 
 
 class TestOriginValidation:
