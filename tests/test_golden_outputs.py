@@ -20,7 +20,12 @@ byte-for-byte under ``tests/goldens/``:
   fault profile (retries, degraded forms and the fault counters),
 * ``rov_whatif.json`` — the ROV campaign's verdict histogram and
   replay digest plus the exposure deltas of the three named adoption
-  futures (``cdn-top5-sign``, ``tier1-enforce``, ``full-rov``).
+  futures (``cdn-top5-sign``, ``tier1-enforce``, ``full-rov``),
+* ``rtrd_summary.json`` / ``rtrd_metrics.prom`` — the ``--json``
+  summary and the ``--metrics-out`` exposition of an ``rtrd`` run
+  under the default disconnect, lag and garbage churn, less the
+  wall-clock fields (``elapsed_s``, ``push_p50_ms``, ``push_p99_ms``)
+  and the ``_seconds`` / ``ripki_slo_`` lines.
 
 Regenerate after an intentional output change with::
 
@@ -29,7 +34,9 @@ Regenerate after an intentional output change with::
 
 import contextlib
 import io
+import json
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -59,6 +66,17 @@ FLAKY_CLI_ARGV = [
     "--seed", str(SEED),
     "--fault-profile", "flaky",
 ]
+
+RTRD_CLI_ARGV = [
+    "rtrd",
+    "--vrps", "500",
+    "--sessions", "40",
+    "--rounds", "6",
+    "--seed", str(SEED),
+]
+
+# What an rtrd run reports that the wall clock decides.
+RTRD_TIMED_FIELDS = ("elapsed_s", "push_p50_ms", "push_p99_ms")
 
 _REGEN_HINT = (
     "golden mismatch for {name}; if the change is intentional, run\n"
@@ -125,8 +143,6 @@ def _observed_artifacts(config=None):
 
 
 def _rov_artifact() -> str:
-    import json
-
     from repro.rov import (
         ExperimentSpec,
         RovExperimentRunner,
@@ -160,11 +176,33 @@ def _rov_artifact() -> str:
     return json.dumps(payload, indent=1, sort_keys=True) + "\n"
 
 
+def _rtrd_artifacts():
+    """The masked ``--json`` summary and exposition of an rtrd run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        summary_path = Path(tmp) / "rtrd.json"
+        metrics_path = Path(tmp) / "rtrd.prom"
+        _cli_stdout(RTRD_CLI_ARGV + [
+            "--json", str(summary_path),
+            "--metrics-out", str(metrics_path),
+        ])
+        summary = json.loads(summary_path.read_text())
+        exposition = metrics_path.read_text()
+    for field in RTRD_TIMED_FIELDS:
+        del summary[field]
+    metrics_text = "".join(
+        line
+        for line in exposition.splitlines(keepends=True)
+        if "_seconds" not in line and "ripki_slo_" not in line
+    )
+    return json.dumps(summary, indent=1, sort_keys=True) + "\n", metrics_text
+
+
 def _generate_all():
     metrics_text, timings_text = _observed_artifacts()
     flaky_metrics_text, _ = _observed_artifacts(
         RunConfig(faults=FaultPlan.from_profile("flaky", seed=SEED))
     )
+    rtrd_summary, rtrd_metrics = _rtrd_artifacts()
     return {
         "run_stdout.txt": _cli_stdout(),
         "run_stdout_workers.txt": _mask_scheduler(
@@ -175,6 +213,8 @@ def _generate_all():
         "rov_whatif.json": _rov_artifact(),
         "run_stdout_flaky.txt": _cli_stdout(FLAKY_CLI_ARGV),
         "metrics_flaky.prom": flaky_metrics_text,
+        "rtrd_summary.json": rtrd_summary,
+        "rtrd_metrics.prom": rtrd_metrics,
     }
 
 
@@ -188,7 +228,7 @@ class TestGoldenOutputs:
         "name",
         ["run_stdout.txt", "run_stdout_workers.txt", "metrics.prom",
          "stage_timings.txt", "rov_whatif.json", "run_stdout_flaky.txt",
-         "metrics_flaky.prom"],
+         "metrics_flaky.prom", "rtrd_summary.json", "rtrd_metrics.prom"],
     )
     def test_matches_golden(self, generated, name):
         path = GOLDEN_DIR / name
@@ -237,6 +277,14 @@ class TestGoldenOutputs:
                 metrics_path.read_bytes(),
             ))
         assert len(runs) == 1
+
+    def test_rtrd_golden_runs_under_churn(self, generated):
+        churn = json.loads(generated["rtrd_summary.json"])["churn"]
+        for kind in ("disconnects", "revives", "garbage_frames",
+                     "lag_assignments"):
+            assert churn[kind] > 0, kind
+        assert churn["converged"] and not churn["diverged"]
+        assert "ripki_rtr_client_pdus_total" in generated["rtrd_metrics.prom"]
 
     def test_metrics_exposition_is_self_describing(self, generated):
         text = generated["metrics.prom"]
