@@ -22,8 +22,11 @@ hot paths pay only an attribute call when observability is disabled.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+
+from repro.errors import ReproError
 
 Number = Union[int, float]
 
@@ -37,8 +40,8 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 _RESERVED_LABELS = frozenset({"le"})
 
 
-class MetricError(ValueError):
-    """Raised on metric misuse (type clash, bad labels)."""
+class MetricError(ReproError, ValueError):
+    """Raised on metric misuse (type clash, bad labels) or a bad wire row."""
 
 
 # Memoised: scratch registries (the funnel captures one per distinct
@@ -466,12 +469,29 @@ def registry_to_wire(registry: AnyRegistry) -> List[list]:
 
 
 def registry_from_wire(wire: Iterable[list]) -> MetricsRegistry:
-    """Rebuild a registry from :func:`registry_to_wire` output."""
+    """Rebuild a registry from :func:`registry_to_wire` output.
+
+    The rows come from a job frame or a store file, so every value is
+    checked before it becomes a series: a counter is a finite,
+    non-negative number, a gauge a finite number (never a bool), and a
+    histogram's bucket counts and total are non-negative ints with
+    ``count == sum(counts)``.  Anything else, a malformed row
+    included, raises :class:`MetricError`.
+    """
+    try:
+        return _from_wire(wire)
+    except MetricError:
+        raise
+    except (TypeError, ValueError, AttributeError) as error:
+        raise MetricError(f"malformed metric wire row: {error}") from None
+
+
+def _from_wire(wire: Iterable[list]) -> MetricsRegistry:
     registry = MetricsRegistry()
     for name, kind, help, labelnames, buckets, series in wire:
         if kind == "histogram":
             metric = registry.histogram(
-                name, help, labelnames, buckets=buckets
+                name, help, labelnames, buckets=map(_finite, buckets)
             )
         elif kind == "counter":
             metric = registry.counter(name, help, labelnames)
@@ -487,12 +507,35 @@ def registry_from_wire(wire: Iterable[list]) -> MetricsRegistry:
             )
             if kind == "histogram":
                 counts, total, count = payload
+                if (
+                    len(counts) != len(metric.buckets) + 1
+                    or not all(map(_tally, counts))
+                    or not _tally(count)
+                    or count != sum(counts)
+                ):
+                    raise MetricError(
+                        f"histogram {name} counts {counts!r} / {count!r}"
+                    )
                 child._counts = list(counts)
-                child._sum = total
+                child._sum = _finite(total)
                 child._count = count
             else:
-                child._value = payload
+                value = _finite(payload)
+                if kind == "counter" and value < 0:
+                    raise MetricError(f"counter {name} is negative: {value!r}")
+                child._value = value
     return registry
+
+
+def _finite(value) -> Number:
+    """``value`` if it is a finite int or float (a bool is neither)."""
+    if type(value) is int or (type(value) is float and math.isfinite(value)):
+        return value
+    raise MetricError(f"not a finite number: {value!r}")
+
+
+def _tally(value) -> bool:
+    return type(value) is int and value >= 0
 
 
 def registry_from_snapshot(snapshot: Mapping[str, dict]) -> MetricsRegistry:

@@ -10,7 +10,9 @@ One cache feeds many routers the same bytes, so what depends only on
 the bytes is done once (:func:`decode_shared`) and what depends on the
 session — the RFC 8210 state machine — is done per router.  A run of
 prefix PDUs that provably cannot fail against a router's open response
-is one table update, not one state-machine step per PDU.
+is one table update, not one state-machine step per PDU.  A committed
+table is never written again, so routers that apply the same response
+to the same table hold one table object (:meth:`RTRClient._share`).
 """
 
 from __future__ import annotations
@@ -52,6 +54,13 @@ FRAME_MEMO_SIZE = 64
 # A prefix PDU's table entry: ``((prefix, max_length, asn), VRP)``.
 Record = Tuple[Tuple, VRP]
 Step = Tuple[PDU, Optional[Record]]
+# A router's VRP table by record key.  Once committed at End of Data it
+# is never written again; a response edits a copy.
+Table = Dict[Tuple, VRP]
+
+# Every client starts from, and a resync returns to, this one table, so
+# the first response of every router has one base to share.
+_EMPTY_TABLE: Table = {}
 
 
 class Run(NamedTuple):
@@ -69,12 +78,27 @@ class Run(NamedTuple):
     withdraw: FrozenSet[Tuple]
 
 
+class Transition(NamedTuple):
+    """A response that ran from ``base`` to its End of Data without error."""
+
+    base: Table     # held, so its id() is not reused while this lives
+    table: Table    # the committed result
+    stop: int       # the step index of the End of Data
+
+
 class Frame(NamedTuple):
-    """One decoded receive buffer, as every router that reads it sees it."""
+    """One decoded receive buffer, as every router that reads it sees it.
+
+    ``tables`` is the one mutable part: the transitions routers have
+    run through this frame, keyed by (step index of the Cache
+    Response, ``id`` of the base table).  It lives and dies with the
+    frame, so :func:`decode_shared`'s memo bounds it.
+    """
 
     steps: Tuple[Step, ...]
     runs: Dict[int, Run]    # by the index of the run's first step
     remainder: bytes
+    tables: Dict[Tuple[int, int], Transition]
 
 
 @functools.lru_cache(maxsize=FRAME_MEMO_SIZE)
@@ -83,12 +107,15 @@ def decode_shared(buffer: bytes, trust_anchor: str) -> Frame:
 
     Returns every complete PDU in ``buffer`` paired with its table
     entry (``None`` unless it is a prefix PDU), the runs those prefix
-    PDUs group into, and the remainder.
-    Decoding is a pure function of the bytes and the result is
+    PDUs group into, the remainder, and an empty transition memo.
+    Decoding is a pure function of the bytes and the decoded part is
     immutable, so every router that receives the same frame shares one
     tuple of PDU objects, and every table that holds a record holds a
     reference to the one key and the one :class:`VRP` built here.
-    They live as long as this memo or some table refers to them.
+    The routers that read the frame fill its transition memo, so the
+    next router with the same base adopts the committed table instead
+    of building its own.  All of it lives as long as this memo or some
+    table refers to it.
 
     The memo is keyed by content: a corrupted, truncated or
     garbage-prefixed buffer is a different key and takes the full
@@ -98,7 +125,7 @@ def decode_shared(buffer: bytes, trust_anchor: str) -> Frame:
     """
     pdus, remainder = decode_stream(buffer)
     steps = tuple((pdu, _record(pdu, trust_anchor)) for pdu in pdus)
-    return Frame(steps, _runs(steps), remainder)
+    return Frame(steps, _runs(steps), remainder, {})
 
 
 def _runs(steps: Tuple[Step, ...]) -> Dict[int, Run]:
@@ -142,14 +169,21 @@ class ClientState(enum.Enum):
 
 
 class RTRClient:
-    """A router-side RTR endpoint over one transport."""
+    """A router-side RTR endpoint over one transport.
+
+    ``_table`` is the last committed table and is only ever rebound,
+    never written: it may be the same object as other routers' tables
+    (every client starts from one shared empty table, and a clean
+    response adopts the table another router committed from the same
+    base).  ``_pending`` is the open response's private copy.
+    """
 
     def __init__(self, transport: InMemoryTransport, trust_anchor: str = "rtr"):
         self._transport = transport
         self._trust_anchor = trust_anchor
         self._buffer = b""
-        self._table: Dict[Tuple, VRP] = {}
-        self._pending: Optional[Dict[Tuple, VRP]] = None
+        self._table: Table = _EMPTY_TABLE
+        self._pending: Optional[Table] = None
         self.state = ClientState.DISCONNECTED
         self.session_id: Optional[int] = None
         self.serial: Optional[int] = None
@@ -190,30 +224,34 @@ class RTRClient:
 
         A run of prefix PDUs is applied in one step when it cannot
         fail (:meth:`_apply`); otherwise it goes through :meth:`_handle`
-        one PDU at a time from its first, so errors, state and
-        counters are those of the per-PDU walk either way.
+        one PDU at a time from its first, and a response some router
+        already ran cleanly from this table is adopted whole
+        (:meth:`_share`).  Errors, state and counters are those of the
+        per-PDU walk in every case.
         """
         data = self._transport.receive()
         if self.state is ClientState.ERROR:
             return
         self._buffer += data
         try:
-            steps, runs, self._buffer = decode_shared(
-                self._buffer, self._trust_anchor
-            )
+            frame = decode_shared(self._buffer, self._trust_anchor)
         except RTRProtocolError as error:
             self._fail(ErrorCode(error.error_code), str(error))
             return
+        steps, runs, self._buffer = frame.steps, frame.runs, frame.remainder
         counters = metrics()
         handled = 0
+        opened = None   # the response this frame opened, if still clean
         while handled < len(steps) and self.state is not ClientState.ERROR:
             run = runs.get(handled)
             if run is not None and self._apply(run):
                 handled = run.stop
-            else:
-                pdu, record = steps[handled]
-                self._handle(pdu, record, counters)
-                handled += 1
+                continue
+            pdu, record = steps[handled]
+            self._handle(pdu, record, counters)
+            handled += 1
+            if record is None and self.state is not ClientState.ERROR:
+                handled, opened = self._share(frame, handled, pdu, opened)
         if counters.enabled:
             by_type = collections.Counter(
                 type(pdu).__name__ for pdu, _record in steps[:handled]
@@ -245,6 +283,39 @@ class RTRClient:
         for key in run.withdraw:
             del pending[key]
         return True
+
+    def _share(
+        self, frame: Frame, handled: int, pdu: PDU, opened: Optional[Tuple]
+    ) -> Tuple[int, Optional[Tuple]]:
+        """Adopt or record the table a clean response commits.
+
+        ``pdu``, the last of ``handled`` steps, was handled without
+        error and is not a prefix PDU.  A Cache Response opens a
+        response on a copy of the current table; if a router already
+        ran this one from the same table to its End of Data, the
+        committed table is the result whatever the router, so adopt it
+        and go straight to the End of Data.  Otherwise the response is
+        open (``(memo key, base)``) until a step other than a prefix
+        PDU: an End of Data then records the transition — or adopts
+        the one a racing thread recorded first — and anything else (a
+        Serial Notify acts on router state) ends it unrecorded.
+
+        Returns the next step to handle and the open response.
+        """
+        memo = frame.tables
+        if isinstance(pdu, CacheResponsePDU):
+            key = (handled - 1, id(self._table))
+            known = memo.get(key)
+            if known is None:
+                return handled, (key, self._table)
+            self._pending = known.table
+            return known.stop, None
+        if opened is not None and isinstance(pdu, EndOfDataPDU):
+            key, base = opened
+            self._table = memo.setdefault(
+                key, Transition(base, self._table, handled - 1)
+            ).table
+        return handled, None
 
     def _handle(self, pdu: PDU, record: Optional[Record], counters) -> None:
         if record is not None:
@@ -351,7 +422,7 @@ class RTRClient:
         or a Serial Notify under an unknown session) may follow a
         cache restart under a fresh session.
         """
-        self._table = {}
+        self._table = _EMPTY_TABLE
         self._pending = None
         self.serial = None
         self.session_id = None

@@ -256,6 +256,8 @@ class TestWarmRuns:
         # Fields that compare equal to an int but are not one: a bool
         # address value, a float origin.
         "dns-address-value-bool", "prefix-origin-float",
+        # A metric delta whose series value is not a number.
+        "delta-value-a-string",
     ])
     def test_unusable_store_runs_cold_and_is_replaced(
         self, study, tmp_path, damage
@@ -291,6 +293,15 @@ class TestWarmRuns:
             pairs = next(row[0] for row in stages["prefix"].values() if row[0])
             family, value, length, _origin = pairs[0]
             pairs[0] = [family, value, length, 1.5]
+        elif damage == "delta-value-a-string":
+            kinds = [family[1] for family in payload["metrics"]]
+            series = next(
+                series[0]
+                for row in stages["dns"].values()
+                for index, series in row[5]
+                if kinds[index] == "counter" and series
+            )
+            series[1] = "lots"
         elif damage == "unknown-verdict":
             next(iter(stages["rpki"].values()))[0] = "bogus"
         elif damage == "short-vrp-set-row":

@@ -9,14 +9,19 @@ value.  The readers: the wire codec's name rows (address and pair rows
 inside them, decoded through a table that already holds the good
 row's values) and statistics; the snapshot store's ``dns``, ``prefix``
 and ``rpki`` rows; and a whole job result frame through
-``JobResult.from_wire`` and ``to_outcome``.  A store row's metric delta
-slot (metric values, not ints) is left empty; an ``rpki`` row's ints
+``JobResult.from_wire`` and ``to_outcome``.  An ``rpki`` row's ints
 are the text of its key, which ``int()`` parses.
+
+The metric slot (a job frame's ``metrics``, a store row's delta) holds
+metric values, where a float is legal, so the swap property leaves it
+empty; the last test fills it with a good exposition and then with a
+string, a negative, a bool or a NaN in each series it holds.
 """
 
 import copy
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +37,7 @@ from repro.exec import (
     encode_frame,
     encode_statistics,
 )
+from repro.obs.metrics import MetricsRegistry, registry_to_wire
 from repro.rpki import OriginValidation
 from repro.web.alexa import Domain
 
@@ -137,3 +143,56 @@ def test_a_bool_or_float_in_any_int_field_is_a_typed_error(name, kind):
         except ReproError:
             continue
         raise AssertionError(f"{name} decoded {hostile!r} as {decoded!r}")
+
+
+def _metrics_wire():
+    registry = MetricsRegistry()
+    registry.counter("ripki_x_total", "x", ("stage",)).labels(stage="dns").inc(3)
+    registry.gauge("ripki_level", "level").set(-2.5)
+    registry.histogram("ripki_sizes", "sizes", buckets=(1, 10)).observe(4)
+    return registry_to_wire(registry)
+
+
+def _store_rows(metrics):
+    dns, prefix, rpki = (
+        READERS[name] for name in ("store-dns", "store-prefix", "store-rpki")
+    )
+    return [
+        (decode, [*row[:-1], copy.deepcopy(metrics)])
+        for row, decode in (dns, prefix, rpki)
+    ]
+
+
+def _metric_readers(metrics):
+    """Every reader of a metric slot, fed ``metrics`` there."""
+    frame = dict(FRAME, metrics=copy.deepcopy(metrics))
+    return [(_frame, frame), *_store_rows(metrics)]
+
+
+# (metric, path inside its one series' payload, hostile values)
+HOSTILE_METRICS = [
+    ("ripki_x_total", (), ["lots", -1.5, True, float("nan")]),
+    ("ripki_level", (), ["lots", True, float("nan")]),
+    # A bucket count, then the total count (2 != sum of counts last).
+    ("ripki_sizes", (0, 1), ["lots", -1.5, True, float("nan"), -1, 2]),
+    ("ripki_sizes", (2,), ["lots", -1.5, True, float("nan"), 2]),
+]
+
+
+def test_a_good_metric_slot_decodes():
+    for decode, row in _metric_readers(_metrics_wire()):
+        assert decode(row) is not None
+
+
+@pytest.mark.parametrize("name, path, values", HOSTILE_METRICS)
+def test_a_hostile_metric_value_is_a_typed_error(name, path, values):
+    for value in values:
+        metrics = _metrics_wire()
+        # The one series is ``[label values, payload]``.
+        target, key = next(row for row in metrics if row[0] == name)[5][0], 1
+        for step in path:
+            target, key = target[key], step
+        target[key] = value
+        for decode, row in _metric_readers(metrics):
+            with pytest.raises(ReproError):
+                decode(row)

@@ -223,11 +223,12 @@ class TestSharedDecode:
             expected = error.error_code
         for _attempt in range(2):  # a miss, then whatever the memo kept
             try:
-                steps, _runs, remainder = decode_shared(buffer, "fuzz")
+                frame = decode_shared(buffer, "fuzz")
             except RTRProtocolError as error:
                 assert error.error_code == expected
                 continue
-            assert ([pdu for pdu, _record in steps], remainder) == expected
+            steps = frame.steps
+            assert ([pdu for pdu, _record in steps], frame.remainder) == expected
             for pdu, record in steps:
                 if isinstance(pdu, (IPv4PrefixPDU, IPv6PrefixPDU)):
                     key = (pdu.prefix, pdu.max_length, int(pdu.asn))

@@ -103,10 +103,17 @@ deliveries = st.tuples(
 
 
 class PerPduClient(RTRClient):
-    """The oracle: every PDU goes through ``_handle``."""
+    """The oracle: every PDU goes through ``_handle``.
+
+    It neither adopts a table another client committed from the same
+    frame nor records its own, so it never reads the subject's work.
+    """
 
     def _apply(self, run):
         return False
+
+    def _share(self, frame, handled, pdu, opened):
+        return handled, None
 
 
 def connect(cls):
@@ -222,9 +229,8 @@ class TestWholeRunApply:
 class TestRuns:
     @given(stream=st.lists(st.one_of(prefix_pdus, controls), max_size=24))
     def test_runs_partition_the_prefix_pdus(self, stream):
-        steps, runs, _rest = decode_shared(
-            b"".join(pdu.encode() for pdu in stream), "runs"
-        )
+        frame = decode_shared(b"".join(pdu.encode() for pdu in stream), "runs")
+        steps, runs = frame.steps, frame.runs
         covered = []
         for start, run in sorted(runs.items()):
             assert start >= (covered[-1] + 1 if covered else 0)
@@ -252,3 +258,57 @@ class TestRuns:
             index for index, (_pdu, record) in enumerate(steps) if record
         ]
         assert covered == prefix_positions
+
+
+class TestSharedTransitions:
+    """A clean response is run once per (frame, base table)."""
+
+    def test_a_second_router_adopts_the_first_routers_table(self):
+        decode_shared.cache_clear()
+        handled = []
+
+        class Counting(RTRClient):
+            def _apply(self, run):
+                handled.append("run")
+                return super()._apply(run)
+
+            def _handle(self, pdu, record, counters):
+                handled.append(type(pdu).__name__)
+                super()._handle(pdu, record, counters)
+
+        first, second = connect(RTRClient), connect(Counting)
+        oracle = connect(PerPduClient)
+        for stream in (
+            [RESPONSE, *map(announce, range(len(KEYS))), end(1)],
+            [RESPONSE, withdraw(0), announce(0), withdraw(6), end(2)],
+        ):
+            data = b"".join(pdu.encode() for pdu in stream)
+            for endpoint in (first, second, oracle):
+                assert deliver(endpoint, data) == b""
+            assert second[1]._table is first[1]._table
+            assert oracle[1]._table is not first[1]._table
+            assert_same(second, oracle)
+        assert handled == ["CacheResponsePDU", "EndOfDataPDU"] * 2
+
+    def test_a_serial_notify_inside_a_response_is_never_recorded(self):
+        decode_shared.cache_clear()
+        stream = [RESPONSE, announce(0), SerialNotifyPDU(SESSION, 2),
+                  announce(1), end(1)]
+        data = b"".join(pdu.encode() for pdu in stream)
+        first, second = connect(RTRClient), connect(RTRClient)
+        for endpoint in (first, second):
+            deliver(endpoint, data)
+            assert endpoint[1].state is ClientState.SYNCHRONISED
+        assert decode_shared(data, "differential").tables == {}
+        assert second[1]._table is not first[1]._table
+        assert_same(first, second)
+
+    def test_a_failed_response_is_never_recorded(self):
+        decode_shared.cache_clear()
+        stream = [RESPONSE, announce(0), withdraw(1), end(1)]
+        data = b"".join(pdu.encode() for pdu in stream)
+        subject, oracle = connect(RTRClient), connect(PerPduClient)
+        assert deliver(subject, data) == deliver(oracle, data)
+        assert subject[1].state is ClientState.ERROR
+        assert decode_shared(data, "differential").tables == {}
+        assert_same(subject, oracle)

@@ -13,9 +13,11 @@ from repro.rpki.rtr.client import FRAME_MEMO_SIZE, ClientState, decode_shared
 from repro.rpki.vrp import VRP
 from repro.rtrd import (
     PUSH_SLO,
+    ChurnProfile,
     RTRDaemon,
     RtrdConfig,
     SyntheticVRPWorld,
+    run_churn,
     summarize_publishes,
     wire_table,
 )
@@ -282,17 +284,94 @@ class TestSharedTables:
         daemon.publish(world_slice(20))
         routers = daemon.connect_many(4)
         assert daemon.diverged_routers() == []
+        # The routers share one table: edit copies and rebind them.
+        tables = [router.client._table.copy() for router in routers[:3]]
+        key, shared = next(iter(tables[0].items()))
         # An equal record that is not the shared object still matches.
-        key, shared = next(iter(routers[0].client._table.items()))
-        routers[0].client._table[key] = vrp(
+        tables[0][key] = vrp(
             str(shared.prefix), shared.max_length, int(shared.asn)
         )
         # A missing record and a changed origin do not.
-        del routers[1].client._table[key]
-        routers[2].client._table[key] = vrp(
+        del tables[1][key]
+        tables[2][key] = vrp(
             str(shared.prefix), shared.max_length, int(shared.asn) + 1
         )
+        for router, table in zip(routers, tables):
+            router.client._table = table
         assert daemon.diverged_routers() == routers[1:3]
+
+    def test_serial_routers_share_one_table(self):
+        decode_shared.cache_clear()
+        world = SyntheticVRPWorld(100, seed="one-table")
+        daemon = RTRDaemon(RtrdConfig(workers=1))
+        daemon.publish(world.vrps())
+        daemon.connect_many(200)
+        for _publish in range(3):
+            world.advance(10)
+            daemon.publish(world.vrps())
+            synchronized = daemon.manager.synchronized()
+            assert len(synchronized) == 200
+            assert len({id(r.client._table) for r in synchronized}) == 1
+        assert not daemon.diverged_routers()
+
+    def test_threaded_tables_number_at_most_the_workers_per_serial(self):
+        decode_shared.cache_clear()  # let the first decodes race
+        workers = 4
+        world = SyntheticVRPWorld(60, seed="thread-tables")
+        daemon = RTRDaemon(RtrdConfig(workers=workers, mode="thread"))
+        daemon.publish(world.vrps())
+        routers = daemon.connect_many(32)
+        for _publish in range(3):
+            world.advance(10)
+            daemon.publish(world.vrps())
+            tables = {}
+            for router in routers:
+                tables.setdefault(router.client.serial, set()).add(
+                    id(router.client._table)
+                )
+            assert all(len(ids) <= workers for ids in tables.values())
+        assert not daemon.diverged_routers()
+
+    def test_churn_never_writes_a_committed_table(self):
+        world = SyntheticVRPWorld(80, seed="frozen-tables")
+        daemon = RTRDaemon()
+        daemon.publish(world.vrps())
+        daemon.connect_many(24)
+        world.advance(10)
+        daemon.publish(world.vrps())
+        committed = {
+            id(r.client._table): (r.client._table, list(r.client._table.items()))
+            for r in daemon.routers()
+        }
+        profile = ChurnProfile(
+            rounds=1, target_sessions=24, disconnect=0.1, lag=0.25,
+            garbage=0.25, world_changes=10, seed="frozen-tables",
+        )
+        summary = run_churn(daemon, world, profile)
+        assert summary.garbage_frames and summary.lag_assignments
+        assert summary.converged
+        for table, items in committed.values():
+            assert list(table.items()) == items
+
+    def test_a_different_base_walks_to_the_same_table(self):
+        decode_shared.cache_clear()
+        daemon = RTRDaemon()
+        daemon.publish(world_slice(30))
+        routers = daemon.connect_many(4)
+        # An equal table that is not the shared one: a distinct base,
+        # so the next response misses the memo and walks its PDUs.
+        routers[0].client._table = routers[0].client._table.copy()
+        # A revived router starts over from the empty table and takes
+        # the current snapshot while its siblings take a diff.
+        daemon.manager.revive(routers[1])
+        daemon.publish(world_slice(30, start=5))
+        tables = [router.client._table for router in routers]
+        assert tables[2] is tables[3]
+        assert tables[0] is not tables[2] and tables[1] is not tables[2]
+        assert list(tables[0].items()) == list(tables[2].items())
+        truth = wire_table(daemon.vrps())
+        assert all(wire_table(table.values()) == truth for table in tables)
+        assert not daemon.diverged_routers()
 
     def test_reconnect_churn_leaves_nothing_behind(self):
         decode_shared.cache_clear()
