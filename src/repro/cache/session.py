@@ -33,7 +33,7 @@ merge and saves the union under the current digests.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.cache.fingerprint import (
     config_fingerprint,
@@ -47,7 +47,6 @@ from repro.cache.store import STAGES, load_store, save_store, store_path
 from repro.core.records import PrefixOriginPair
 from repro.exec.codec import WireError, check_counts
 from repro.net import ASN, Address, Prefix, PrefixTrie
-from repro.obs.metrics import registry_from_wire
 from repro.obs.runtime import thread_scope
 from repro.rpki.vrp import OriginValidation
 
@@ -104,11 +103,10 @@ class CacheSession:
         if stored["digests"]["config"] != digests["config"]:
             total = sum(len(rows) for rows in stored["stages"].values())
             return cold({"config": total} if total else {})
-        deltas: dict = {}
         try:
             decoded = {
                 stage: [
-                    (row_key, row, *_decode_row(stage, row_key, row, deltas))
+                    (row_key, row, *_decode_row(stage, row_key, row))
                     for row_key, row in entries.items()
                 ]
                 for stage, entries in stored["stages"].items()
@@ -200,26 +198,10 @@ class CacheSession:
 #   rpki   "family:value:length:origin" -> [state, delta]
 
 
-def _decode_row(
-    stage: str, key: str, row: list, deltas: Optional[dict] = None
-) -> Tuple[object, object]:
-    """``(memo key, value)`` of one store row; raises on a hostile row.
-
-    The row's metric delta is checked once per distinct content and
-    replaced in ``row`` by the first equal delta in ``deltas``, so a
-    warm run merges each distinct delta once, as a cold run does.
-    """
-    *fields, delta = row
-    if delta is not None:
-        deltas = {} if deltas is None else deltas
-        text = repr(delta)
-        known = deltas.get(text)
-        if known is None:
-            registry_from_wire(delta)   # the checks; merged when used
-            known = deltas[text] = delta
-        row[-1] = known
+def _decode_row(stage: str, key: str, row: list) -> Tuple[object, object]:
+    """``(memo key, value)`` of one store row; raises on a hostile row."""
     if stage == "dns":
-        _fingerprint, resolved, addresses, excluded, cnames = fields
+        _fingerprint, resolved, addresses, excluded, cnames, _delta = row
         if type(resolved) is not bool:
             raise WireError(f"resolved must be a bool: {row!r}")
         check_counts((excluded, cnames))
@@ -230,7 +212,7 @@ def _decode_row(
             cnames,
         )
     if stage == "prefix":
-        pairs, unreachable, as_set = fields
+        pairs, unreachable, as_set, _delta = row
         check_counts((unreachable, as_set))
         mapped = [
             (Prefix(family, value, length), ASN(origin))
@@ -239,7 +221,7 @@ def _decode_row(
         return Address(*map(int, key.split(":"))), (
             mapped, unreachable, as_set
         )
-    (state,) = fields
+    state, _delta = row
     family, value, length, origin = map(int, key.split(":"))
     pair = PrefixOriginPair(
         Prefix(family, value, length), ASN(origin), OriginValidation(state)

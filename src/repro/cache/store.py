@@ -15,7 +15,11 @@ Every artifact carries the metric delta its computation produced (the
 the exact counter ticks of a recomputation.  Those deltas repeat the
 same few metric descriptors tens of thousands of times, so the store
 interns descriptors into one table on save and expands them on load —
-in memory and on the wire the deltas stay self-contained.
+in memory and on the wire the deltas stay self-contained.  On load,
+equal deltas expand to one shared list, and each distinct one is
+checked once by :func:`~repro.obs.metrics.registry_from_wire`, so a
+delta that is no exposition (a string, negative or NaN counter, an
+inconsistent histogram) makes the whole file load as ``None``.
 
 Everything in the file is JSON primitives; keys are strings.  A
 missing, corrupt, or differently-versioned file loads as ``None`` and
@@ -26,8 +30,11 @@ truth.
 from __future__ import annotations
 
 import json
+import marshal
 import os
 from typing import Dict, List, Optional, Tuple
+
+from repro.obs.metrics import registry_from_wire
 
 # 2: prefix-stage deltas stopped carrying the unreachable and AS_SET
 # funnel counters, which version-1 stores would count twice.
@@ -82,10 +89,15 @@ def _expand_deltas(stages: Dict[str, dict], table: List[list]) -> Dict[str, dict
     """Inverse of :func:`_intern_deltas`.
 
     Raises ``KeyError`` / ``IndexError`` / ``TypeError`` on a store
-    whose maps, artifacts or delta rows have the wrong shape.
+    whose maps, artifacts or delta rows have the wrong shape, and
+    :class:`~repro.obs.metrics.MetricError` on a delta that is no
+    exposition.  Artifacts with equal deltas share one expanded list,
+    found by the compact rows' ``marshal`` bytes (which, unlike
+    equality, tell ``1``, ``1.0`` and ``True`` apart).
     """
     if not isinstance(stages, dict):
         raise TypeError("stages is not a mapping")
+    shared: Dict[bytes, list] = {}
     expanded_stages: Dict[str, dict] = {}
     for stage, entries in stages.items():
         if stage not in STAGES:
@@ -96,11 +108,17 @@ def _expand_deltas(stages: Dict[str, dict], table: List[list]) -> Dict[str, dict
         for key, entry in entries.items():
             expanded = list(entry)
             rows = entry[-1]
-            if set(map(len, rows)) - {2}:
-                raise TypeError(f"{stage} artifact {key!r}: bad delta row")
-            expanded[-1] = [
-                list(table[index]) + [series] for index, series in rows
-            ]
+            compact = marshal.dumps(rows, 2)
+            delta = shared.get(compact)
+            if delta is None:
+                if set(map(len, rows)) - {2}:
+                    raise TypeError(f"{stage} artifact {key!r}: bad delta row")
+                delta = [
+                    list(table[index]) + [series] for index, series in rows
+                ]
+                registry_from_wire(delta)
+                shared[compact] = delta
+            expanded[-1] = delta
             expanded_entries[key] = expanded
         expanded_stages[stage] = expanded_entries
     return expanded_stages
@@ -206,6 +224,6 @@ def load_store(directory: str) -> Optional[dict]:
         payload["digests"]["vrps"]
         payload["digests"]["config"]
         payload["vrp_set"]
-    except (KeyError, IndexError, TypeError):
+    except (KeyError, IndexError, TypeError, ValueError):
         return None
     return payload

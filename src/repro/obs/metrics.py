@@ -482,7 +482,7 @@ def registry_from_wire(wire: Iterable[list]) -> MetricsRegistry:
         return _from_wire(wire)
     except MetricError:
         raise
-    except (TypeError, ValueError, AttributeError) as error:
+    except (TypeError, ValueError) as error:
         raise MetricError(f"malformed metric wire row: {error}") from None
 
 
@@ -509,8 +509,8 @@ def _from_wire(wire: Iterable[list]) -> MetricsRegistry:
                 counts, total, count = payload
                 if (
                     len(counts) != len(metric.buckets) + 1
-                    or not all(map(_tally, counts))
-                    or not _tally(count)
+                    or not all(map(_is_count, counts))
+                    or not _is_count(count)
                     or count != sum(counts)
                 ):
                     raise MetricError(
@@ -534,7 +534,7 @@ def _finite(value) -> Number:
     raise MetricError(f"not a finite number: {value!r}")
 
 
-def _tally(value) -> bool:
+def _is_count(value) -> bool:
     return type(value) is int and value >= 0
 
 

@@ -14,8 +14,9 @@ are the text of its key, which ``int()`` parses.
 
 The metric slot (a job frame's ``metrics``, a store row's delta) holds
 metric values, where a float is legal, so the swap property leaves it
-empty; the last test fills it with a good exposition and then with a
-string, a negative, a bool or a NaN in each series it holds.
+empty; the last tests fill it with a good exposition and then with a
+string, a negative, a bool or a NaN in each series it holds, and read
+a store row through the store's reader of that slot.
 """
 
 import copy
@@ -26,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.session import _decode_row
+from repro.cache.store import _expand_deltas, _intern_deltas
 from repro.core.pipeline import StudyStatistics
 from repro.errors import ReproError
 from repro.exec import (
@@ -153,20 +155,27 @@ def _metrics_wire():
     return registry_to_wire(registry)
 
 
-def _store_rows(metrics):
-    dns, prefix, rpki = (
-        READERS[name] for name in ("store-dns", "store-prefix", "store-rpki")
-    )
-    return [
-        (decode, [*row[:-1], copy.deepcopy(metrics)])
-        for row, decode in (dns, prefix, rpki)
-    ]
+def _stored(stage, decode):
+    """``decode`` behind the store's own reader of the delta slot: the
+    row goes through the file's compact form and back."""
+
+    def read(row):
+        compact, table = _intern_deltas({stage: {"key": row}})
+        (expanded,) = _expand_deltas(compact, table)[stage].values()
+        return decode(expanded)
+
+    return read
 
 
 def _metric_readers(metrics):
     """Every reader of a metric slot, fed ``metrics`` there."""
-    frame = dict(FRAME, metrics=copy.deepcopy(metrics))
-    return [(_frame, frame), *_store_rows(metrics)]
+    readers = [(_frame, dict(FRAME, metrics=copy.deepcopy(metrics)))]
+    for stage in ("dns", "prefix", "rpki"):
+        row, decode = READERS[f"store-{stage}"]
+        readers.append(
+            (_stored(stage, decode), [*row[:-1], copy.deepcopy(metrics)])
+        )
+    return readers
 
 
 # (metric, path inside its one series' payload, hostile values)
