@@ -31,9 +31,9 @@ from repro.rpki.roa import issue_roa
 from repro.rpki.rtr import RTRCache, RTRClient, TransportPair
 
 
-def sync(pair, cache, client):
+def sync(session, cache, client):
     for _ in range(4):
-        cache.serve(pair.cache_side)
+        cache.serve_session(session)
         client.poll()
 
 
@@ -58,9 +58,10 @@ def main() -> int:
     pair = TransportPair()
     cache = RTRCache(session_id=42)
     cache.load(payloads)
+    session = cache.register(pair.cache_side)
     client = RTRClient(pair.router_side, trust_anchor="RIPE")
     client.start()
-    sync(pair, cache, client)
+    sync(session, cache, client)
     print(f"RTR: {client!r}")
 
     # -- 3. A small internetwork with a hijack in flight. ----------------
@@ -98,8 +99,8 @@ def main() -> int:
     announced, withdrawn = cache.load(payloads)
     print(f"\nVictim signs a ROA -> relying party revalidates "
           f"({len(payloads)} VRPs), cache diff +{announced}/-{withdrawn}")
-    cache.notify(pair.cache_side)  # Serial Notify towards the router
-    sync(pair, cache, client)
+    cache.notify_session(session)  # Serial Notify towards the router
+    sync(session, cache, client)
     print(f"RTR after refresh: {client!r}")
 
     sim.configure_validation(client.payloads(), enforcing=[ASN(1), ASN(2), ASN(3)])

@@ -8,10 +8,12 @@ that changes nothing keeps the serial (and the routers) untouched.
 Connection state is explicit: every connected router owns a
 :class:`Session` (id, receive buffer, per-direction accounting, a
 small state machine), created by :meth:`RTRCache.register` and torn
-down by :meth:`RTRCache.unregister`.  Sessions are keyed by the
-session object itself — never by ``id(transport)``, whose values are
-recycled after garbage collection and would let a new router inherit
-a dead session's partial frame.
+down by :meth:`RTRCache.unregister`.  Every call after that names the
+session itself (:meth:`RTRCache.serve_session`,
+:meth:`RTRCache.notify_session`); nothing is keyed by transport, let
+alone by ``id(transport)``, whose values are recycled after garbage
+collection and would let a new router inherit a dead session's
+partial frame.
 
 Per RFC 8210 an Error Report is fatal to the session: a decode error
 (or a protocol violation) quarantines the session — buffered bytes
@@ -65,12 +67,10 @@ class SessionState(enum.Enum):
 class Session:
     """Cache-side state of one connected router.
 
-    ``reported_serial`` is the serial the router last acknowledged
-    owning (via Serial Query); ``served_serial`` is the serial of the
-    last End of Data we sent it; ``notified_serial`` de-duplicates
-    Serial Notify pushes.  The byte counters split response traffic
-    into snapshot vs diff payloads so the delta-vs-snapshot saving is
-    measurable per session.
+    ``served_serial`` is the serial of the last End of Data we sent
+    it; ``notified_serial`` de-duplicates Serial Notify pushes.  The
+    byte counters split response traffic into snapshot vs diff
+    payloads so the delta-vs-snapshot saving is measurable.
     """
 
     __slots__ = (
@@ -78,15 +78,10 @@ class Session:
         "transport",
         "buffer",
         "state",
-        "reported_serial",
         "served_serial",
         "notified_serial",
         "snapshot_bytes_sent",
         "diff_bytes_sent",
-        "snapshots_sent",
-        "diffs_sent",
-        "resets_sent",
-        "errors_sent",
     )
 
     def __init__(self, sid: int, transport: InMemoryTransport):
@@ -94,15 +89,10 @@ class Session:
         self.transport = transport
         self.buffer = b""
         self.state = SessionState.ACTIVE
-        self.reported_serial: Optional[int] = None
         self.served_serial: Optional[int] = None
         self.notified_serial: Optional[int] = None
         self.snapshot_bytes_sent = 0
         self.diff_bytes_sent = 0
-        self.snapshots_sent = 0
-        self.diffs_sent = 0
-        self.resets_sent = 0
-        self.errors_sent = 0
 
     @property
     def synchronized(self) -> bool:
@@ -137,10 +127,6 @@ class RTRCache:
         self._refresh_interval = refresh_interval
         self._sid_counter = itertools.count(1)
         self._sessions: Dict[int, Session] = {}
-        # Transport -> session, keyed by object identity while the
-        # session lives (the strong reference is what makes the key
-        # stable; ``id()`` alone is recycled after collection).
-        self._by_transport: Dict[InMemoryTransport, Session] = {}
         # Encoded-response caches, invalidated whenever the serial
         # moves: with thousands of sessions the same snapshot/diff is
         # served many times, so each is encoded once per serial.
@@ -210,13 +196,9 @@ class RTRCache:
     # -- session lifecycle -------------------------------------------------
 
     def register(self, transport: InMemoryTransport) -> Session:
-        """Open a session for a router connection (idempotent)."""
-        existing = self._by_transport.get(transport)
-        if existing is not None:
-            return existing
+        """Open a new session for a router connection."""
         session = Session(next(self._sid_counter), transport)
         self._sessions[session.sid] = session
-        self._by_transport[transport] = session
         counters = metrics()
         if counters.enabled:
             counters.counter(
@@ -233,7 +215,6 @@ class RTRCache:
         session.state = SessionState.CLOSED
         session.buffer = b""
         self._sessions.pop(session.sid, None)
-        self._by_transport.pop(session.transport, None)
         counters = metrics()
         if counters.enabled:
             counters.counter(
@@ -251,16 +232,6 @@ class RTRCache:
         ).set(len(self._sessions))
 
     # -- protocol ------------------------------------------------------------
-
-    def notify(self, transport: InMemoryTransport) -> None:
-        """Push a Serial Notify (new data available) to a router."""
-        session = self._by_transport.get(transport)
-        if session is not None:
-            self.notify_session(session)
-        else:
-            transport.send(
-                SerialNotifyPDU(self.session_id, self.serial).encode()
-            )
 
     def notify_session(self, session: Session) -> bool:
         """Serial-Notify one session; False when suppressed.
@@ -284,15 +255,6 @@ class RTRCache:
                 "Serial Notify PDUs pushed to router sessions",
             ).inc()
         return True
-
-    def serve(self, transport: InMemoryTransport) -> None:
-        """Process every pending router query on ``transport``.
-
-        Auto-registers a session on first contact; long-lived callers
-        use :meth:`register`/:meth:`serve_session`/:meth:`unregister`
-        directly.
-        """
-        self.serve_session(self.register(transport))
 
     def serve_session(self, session: Session) -> None:
         """Process every pending query on one session."""
@@ -358,7 +320,6 @@ class RTRCache:
             session.transport.send(
                 ErrorReportPDU(code, erroneous, message).encode()
             )
-            session.errors_sent += 1
         session.state = SessionState.QUARANTINED
         session.buffer = b""
         counters = metrics()
@@ -380,14 +341,11 @@ class RTRCache:
         if isinstance(pdu, ResetQueryPDU):
             self._send_snapshot(session)
         elif isinstance(pdu, SerialQueryPDU):
-            session.reported_serial = pdu.serial
-            if pdu.session_id != self.session_id:
+            if (
+                pdu.session_id != self.session_id
+                or not self.can_diff_from(pdu.serial)
+            ):
                 self._count_reset(counters)
-                session.resets_sent += 1
-                session.transport.send(CacheResetPDU().encode())
-            elif not self.can_diff_from(pdu.serial):
-                self._count_reset(counters)
-                session.resets_sent += 1
                 session.transport.send(CacheResetPDU().encode())
             else:
                 self._send_diff(session, pdu.serial)
@@ -468,7 +426,6 @@ class RTRCache:
         frame = self.snapshot_frame()
         session.transport.send(frame)
         session.snapshot_bytes_sent += len(frame)
-        session.snapshots_sent += 1
         session.served_serial = self.serial
 
     def _send_diff(self, session: Session, since: int) -> None:
@@ -479,7 +436,6 @@ class RTRCache:
         frame = self.diff_frame(since)
         session.transport.send(frame)
         session.diff_bytes_sent += len(frame)
-        session.diffs_sent += 1
         session.served_serial = self.serial
 
     def __repr__(self) -> str:

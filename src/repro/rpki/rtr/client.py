@@ -8,11 +8,11 @@ RFC 6811 origin validation directly against it.
 
 One cache feeds many routers the same bytes, so what depends only on
 the bytes is done once (:func:`decode_shared`) and what depends on the
-session — the RFC 8210 state machine — is done per router.  A run of
-prefix PDUs that provably cannot fail against a router's open response
-is one table update, not one state-machine step per PDU.  A committed
-table is never written again, so routers that apply the same response
-to the same table hold one table object (:meth:`RTRClient._share`).
+session — the RFC 8210 state machine — is done per router, one PDU at
+a time.  A committed table is never written again, so the first router
+to apply a response to a table walks it, and every other router that
+applies the same response to the same table adopts the table it
+committed (:meth:`RTRClient._share`).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import collections
 import enum
 import functools
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.rpki.rtr.errors import RTRProtocolError
 from repro.rpki.rtr.pdus import (
@@ -63,21 +63,6 @@ Table = Dict[Tuple, VRP]
 _EMPTY_TABLE: Table = {}
 
 
-class Run(NamedTuple):
-    """Consecutive prefix PDUs of one frame with pairwise distinct keys.
-
-    Ends at ``stop`` (a step index; the run's start is its key in
-    :attr:`Frame.runs`).  ``announce`` maps each announced key to its
-    VRP in PDU order, ``withdraw`` holds the withdrawn keys.  Built
-    once per distinct frame and shared by every router: read, never
-    mutated.
-    """
-
-    stop: int
-    announce: Dict[Tuple, VRP]
-    withdraw: FrozenSet[Tuple]
-
-
 class Transition(NamedTuple):
     """A response that ran from ``base`` to its End of Data without error."""
 
@@ -96,7 +81,6 @@ class Frame(NamedTuple):
     """
 
     steps: Tuple[Step, ...]
-    runs: Dict[int, Run]    # by the index of the run's first step
     remainder: bytes
     tables: Dict[Tuple[int, int], Transition]
 
@@ -106,8 +90,8 @@ def decode_shared(buffer: bytes, trust_anchor: str) -> Frame:
     """:func:`decode_stream`, once per distinct byte string.
 
     Returns every complete PDU in ``buffer`` paired with its table
-    entry (``None`` unless it is a prefix PDU), the runs those prefix
-    PDUs group into, the remainder, and an empty transition memo.
+    entry (``None`` unless it is a prefix PDU), the remainder, and an
+    empty transition memo.
     Decoding is a pure function of the bytes and the decoded part is
     immutable, so every router that receives the same frame shares one
     tuple of PDU objects, and every table that holds a record holds a
@@ -125,33 +109,7 @@ def decode_shared(buffer: bytes, trust_anchor: str) -> Frame:
     """
     pdus, remainder = decode_stream(buffer)
     steps = tuple((pdu, _record(pdu, trust_anchor)) for pdu in pdus)
-    return Frame(steps, _runs(steps), remainder, {})
-
-
-def _runs(steps: Tuple[Step, ...]) -> Dict[int, Run]:
-    """Cut the prefix PDUs into maximal runs of pairwise distinct keys.
-
-    A non-prefix PDU ends a run; so does a key the run already holds,
-    which starts the next one.
-    """
-    runs: Dict[int, Run] = {}
-    start, announce, withdraw = 0, {}, set()
-    # The trailing non-prefix step closes the last run.
-    for index, (pdu, record) in enumerate(steps + ((None, None),)):
-        key = None if record is None else record[0]
-        if record is None or key in announce or key in withdraw:
-            if announce or withdraw:
-                runs[start] = Run(index, announce, frozenset(withdraw))
-                announce, withdraw = {}, set()
-            if record is None:
-                continue
-        if not announce and not withdraw:
-            start = index
-        if pdu.flags & FLAG_ANNOUNCE:
-            announce[key] = record[1]
-        else:
-            withdraw.add(key)
-    return runs
+    return Frame(steps, remainder, {})
 
 
 def _record(pdu: PDU, trust_anchor: str) -> Optional[Record]:
@@ -222,12 +180,10 @@ class RTRClient:
         a fresh client (a reconnect, or
         :meth:`~repro.rtrd.session.SessionManager.revive`) starts over.
 
-        A run of prefix PDUs is applied in one step when it cannot
-        fail (:meth:`_apply`); otherwise it goes through :meth:`_handle`
-        one PDU at a time from its first, and a response some router
-        already ran cleanly from this table is adopted whole
-        (:meth:`_share`).  Errors, state and counters are those of the
-        per-PDU walk in every case.
+        Every PDU goes through :meth:`_handle`, except that a response
+        some router already ran cleanly from this table is adopted
+        whole (:meth:`_share`).  Errors, state and counters are those
+        of the per-PDU walk either way.
         """
         data = self._transport.receive()
         if self.state is ClientState.ERROR:
@@ -238,15 +194,11 @@ class RTRClient:
         except RTRProtocolError as error:
             self._fail(ErrorCode(error.error_code), str(error))
             return
-        steps, runs, self._buffer = frame.steps, frame.runs, frame.remainder
+        steps, self._buffer = frame.steps, frame.remainder
         counters = metrics()
         handled = 0
         opened = None   # the response this frame opened, if still clean
         while handled < len(steps) and self.state is not ClientState.ERROR:
-            run = runs.get(handled)
-            if run is not None and self._apply(run):
-                handled = run.stop
-                continue
             pdu, record = steps[handled]
             self._handle(pdu, record, counters)
             handled += 1
@@ -262,27 +214,6 @@ class RTRClient:
                     "PDUs handled by the router side, by type",
                     labelnames=("type",),
                 ).labels(type=name).inc(count)
-
-    def _apply(self, run: Run) -> bool:
-        """Apply a whole run to the open response; False if it might fail.
-
-        Its keys are pairwise distinct, so when no announced key is
-        pending yet and every withdrawn one is, each PDU would succeed
-        and the result (dict order included) is this update.  The
-        disjointness test iterates the smaller side, so a diff costs
-        its own size, not the table's.
-        """
-        pending = self._pending
-        if (
-            pending is None
-            or not pending.keys().isdisjoint(run.announce.keys())
-            or not run.withdraw <= pending.keys()
-        ):
-            return False
-        pending.update(run.announce)
-        for key in run.withdraw:
-            del pending[key]
-        return True
 
     def _share(
         self, frame: Frame, handled: int, pdu: PDU, opened: Optional[Tuple]

@@ -15,9 +15,10 @@ primitive (:func:`repro.exec.dispatch.run_batches`) over contiguous
 router batches cut by the executor's planner
 (:func:`repro.exec.sharding.plan_batches`).  ``auto`` pumps inline on
 the calling thread, whatever ``workers`` says: a publish costs one
-decode per distinct frame and, per router, one table update per run
-of prefix PDUs (:mod:`repro.rpki.rtr.client`), which a GIL-bound pool
-that starts afresh every round only slows down.  ``mode="thread"``
+decode per distinct frame and one per-PDU walk per distinct (response,
+base table), which every other router with that base adopts
+(:mod:`repro.rpki.rtr.client`), and a GIL-bound pool that starts
+afresh every round only slows that down.  ``mode="thread"``
 still runs the batches on a pool, and serial and threaded pumps
 produce identical router tables and identical counter totals.
 Batches are disjoint router sets and the cache's world state is
@@ -26,6 +27,11 @@ the encoded snapshot/diff frame caches are a benign race (both
 threads compute the same bytes).  A publish sizes the full-snapshot
 response it reports by counting VRPs per family, so the snapshot is
 encoded only when some router asks for it.
+
+:meth:`RTRDaemon.pump` is the one place that measures pushed bytes:
+every pump — a publish's, a connect's, a catch-up's or a restart's —
+adds what it served to the daemon's totals and to
+``ripki_rtrd_push_bytes_total``.
 """
 
 from __future__ import annotations
@@ -138,11 +144,11 @@ def summarize_publishes(
         if latencies
         else (0.0, 0.0)
     )
-    delta_bytes = sum(s.delta_bytes for s in advanced)
-    snapshot_bytes = sum(s.snapshot_bytes for s in advanced)
     notified = sum(s.notified for s in advanced)
     equivalent = sum(s.snapshot_frame_bytes * s.notified for s in advanced)
-    pushed = delta_bytes + snapshot_bytes
+    # What the publishes' own pumps pushed (connects and restarts
+    # snapshot whatever the diffs save).
+    pushed = sum(s.delta_bytes + s.snapshot_bytes for s in advanced)
     manager = daemon.manager
     summary: Dict[str, object] = {
         "mode": daemon.config.resolved_mode,
@@ -158,11 +164,11 @@ def summarize_publishes(
         "push_p50_ms": round(p50 * 1000, 3),
         "push_p99_ms": round(p99 * 1000, 3),
         "notified": notified,
-        "delta_bytes": delta_bytes,
-        "snapshot_bytes": snapshot_bytes,
+        "delta_bytes": daemon.delta_bytes,
+        "snapshot_bytes": daemon.snapshot_bytes,
         "snapshot_equivalent_bytes": equivalent,
-        # >1 means the delta stream is cheaper than re-snapshotting
-        # every notified router each publish.
+        # >1 means the publishes' pushes are cheaper than
+        # re-snapshotting every notified router each publish.
         "delta_saving_ratio": (
             round(equivalent / pushed, 3) if pushed else 0.0
         ),
@@ -190,6 +196,9 @@ class RTRDaemon:
         self._health = None
         self._push_deadline_s = 1.0
         self.publishes: List[PublishStats] = []
+        # Response bytes every pump has pushed, by kind.
+        self.delta_bytes = 0
+        self.snapshot_bytes = 0
 
     # -- wiring ------------------------------------------------------------
 
@@ -267,7 +276,9 @@ class RTRDaemon:
         started = self._clock()
         trace = tracer()
         with trace.span("rtrd.publish"):
-            before_delta, before_snapshot = self._byte_totals()
+            before_delta, before_snapshot = (
+                self.delta_bytes, self.snapshot_bytes
+            )
             serial_before = self._cache.serial
             with trace.span("rtrd.cache.load"):  # the diff build
                 announced, withdrawn = self._cache.load(vrps)
@@ -287,9 +298,8 @@ class RTRDaemon:
                         and self._cache.notify_session(session)
                     )
                 stats.rounds = self.pump()
-            after_delta, after_snapshot = self._byte_totals()
-            stats.delta_bytes = after_delta - before_delta
-            stats.snapshot_bytes = after_snapshot - before_snapshot
+            stats.delta_bytes = self.delta_bytes - before_delta
+            stats.snapshot_bytes = self.snapshot_bytes - before_snapshot
             stats.synchronized = len(self._manager.synchronized())
         stats.elapsed_s = self._clock() - started
         self.publishes.append(stats)
@@ -316,11 +326,14 @@ class RTRDaemon:
 
         Lagging routers are served but never polled, and their unread
         responses do not count against quiescence (an unread socket
-        is not undelivered work).
+        is not undelivered work).  The response bytes served are added
+        to :attr:`delta_bytes` / :attr:`snapshot_bytes` and to
+        ``ripki_rtrd_push_bytes_total``.
         """
         population = (
             list(routers) if routers is not None else self._manager.routers()
         )
+        before_delta, before_snapshot = self._byte_totals(population)
         rounds = 0
         with tracer().span(
             "rtrd.pump",
@@ -332,6 +345,10 @@ class RTRDaemon:
                     break
                 self._step_all(population, root)
                 rounds += 1
+        after_delta, after_snapshot = self._byte_totals(population)
+        self._count_bytes(
+            after_delta - before_delta, after_snapshot - before_snapshot
+        )
         return rounds
 
     @staticmethod
@@ -365,12 +382,28 @@ class RTRDaemon:
 
     # -- accounting --------------------------------------------------------
 
-    def _byte_totals(self) -> Tuple[int, int]:
+    @staticmethod
+    def _byte_totals(
+        population: Sequence[SimulatedRouter],
+    ) -> Tuple[int, int]:
         delta = snapshot = 0
-        for session in self._cache.sessions():
-            delta += session.diff_bytes_sent
-            snapshot += session.snapshot_bytes_sent
+        for router in population:
+            delta += router.session.diff_bytes_sent
+            snapshot += router.session.snapshot_bytes_sent
         return delta, snapshot
+
+    def _count_bytes(self, delta: int, snapshot: int) -> None:
+        self.delta_bytes += delta
+        self.snapshot_bytes += snapshot
+        counters = metrics()
+        if counters.enabled:
+            bytes_counter = counters.counter(
+                PUSH_BYTES_METRIC,
+                _METRIC_HELP[PUSH_BYTES_METRIC],
+                labelnames=("kind",),
+            )
+            bytes_counter.labels(kind="diff").inc(delta)
+            bytes_counter.labels(kind="snapshot").inc(snapshot)
 
     def _record_publish(self, stats: PublishStats) -> None:
         counters = metrics()
@@ -386,15 +419,6 @@ class RTRDaemon:
                 counters.histogram(
                     PUSH_LATENCY_METRIC, _METRIC_HELP[PUSH_LATENCY_METRIC]
                 ).observe(stats.elapsed_s)
-                bytes_counter = counters.counter(
-                    PUSH_BYTES_METRIC,
-                    _METRIC_HELP[PUSH_BYTES_METRIC],
-                    labelnames=("kind",),
-                )
-                bytes_counter.labels(kind="diff").inc(stats.delta_bytes)
-                bytes_counter.labels(kind="snapshot").inc(
-                    stats.snapshot_bytes
-                )
         if stats.advanced:
             if self._slo is not None:
                 self._slo.observe(

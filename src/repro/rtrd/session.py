@@ -101,18 +101,8 @@ class SessionManager:
         self.total_connects = 0
         self.total_disconnects = 0
 
-    @property
-    def cache(self) -> RTRCache:
-        return self._cache
-
     def __len__(self) -> int:
         return len(self._routers)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._routers
-
-    def get(self, name: str) -> Optional[SimulatedRouter]:
-        return self._routers.get(name)
 
     def routers(self) -> List[SimulatedRouter]:
         """Connection-order list of the current population."""
@@ -181,9 +171,6 @@ class SessionManager:
             for r in self._routers.values()
             if r.session.state is SessionState.QUARANTINED
         ]
-
-    def pending_bytes(self) -> int:
-        return sum(r.pending_bytes() for r in self._routers.values())
 
     def __repr__(self) -> str:
         return (

@@ -11,10 +11,11 @@ def test_world_payloads_roundtrip_through_rtr(small_world):
     pair = TransportPair()
     cache = RTRCache(session_id=7)
     cache.load(small_world.payloads())
+    session = cache.register(pair.cache_side)
     client = RTRClient(pair.router_side, trust_anchor="rrc-rp")
     client.start()
     for _ in range(4):
-        cache.serve(pair.cache_side)
+        cache.serve_session(session)
         client.poll()
     assert client.state is ClientState.SYNCHRONISED
     assert len(client) == len(small_world.payloads())
@@ -42,10 +43,11 @@ def test_world_roa_churn_propagates_incrementally(small_world):
     pair = TransportPair()
     cache = RTRCache(session_id=9)
     cache.load(small_world.payloads())
+    session = cache.register(pair.cache_side)
     client = RTRClient(pair.router_side)
     client.start()
     for _ in range(4):
-        cache.serve(pair.cache_side)
+        cache.serve_session(session)
         client.poll()
     baseline = len(client)
 
@@ -61,10 +63,10 @@ def test_world_roa_churn_propagates_incrementally(small_world):
         )
         announced, withdrawn = cache.load(payloads)
         assert withdrawn >= 1 and announced == 0
-        cache.notify(pair.cache_side)
+        cache.notify_session(session)
         client.poll()
         for _ in range(4):
-            cache.serve(pair.cache_side)
+            cache.serve_session(session)
             client.poll()
         assert client.state is ClientState.SYNCHRONISED
         assert len(client) == baseline - withdrawn

@@ -64,9 +64,9 @@ def _vrp(prefix="10.0.0.0/24", asn=65001):
     return VRP(Prefix.parse(prefix), 24, ASN(asn), "test-ta")
 
 
-def _pump(pair, cache, client, rounds=4):
+def _pump(cache, session, client, rounds=4):
     for _ in range(rounds):
-        cache.serve(pair.cache_side)
+        cache.serve_session(session)
         client.poll()
 
 
@@ -76,9 +76,10 @@ class TestRTRCounters:
             pair = TransportPair()
             cache = RTRCache()
             cache.load([_vrp()])
+            session = cache.register(pair.cache_side)
             client = RTRClient(pair.router_side)
             client.start()
-            _pump(pair, cache, client)
+            _pump(cache, session, client)
             assert len(client) == 1
 
             # One snapshot served, serial advanced once on the client.
@@ -92,7 +93,7 @@ class TestRTRCounters:
             # Incremental refresh: one diff served, serial advances again.
             cache.load([_vrp(), _vrp("10.1.0.0/24", 65002)])
             client.refresh()
-            _pump(pair, cache, client)
+            _pump(cache, session, client)
             assert registry.get("ripki_rtr_cache_diffs_sent_total").value == 1
             assert (
                 registry.get("ripki_rtr_client_serial_advances_total").value == 2
@@ -106,14 +107,15 @@ class TestRTRCounters:
             pair = TransportPair()
             cache = RTRCache(history_limit=1)
             cache.load([_vrp()])
+            session = cache.register(pair.cache_side)
             client = RTRClient(pair.router_side)
             client.start()
-            _pump(pair, cache, client)
+            _pump(cache, session, client)
             # Age the history far past the client's serial.
             for index in range(3):
                 cache.load([_vrp("10.2.%d.0/24" % index, 65100 + index)])
             client.refresh()
-            _pump(pair, cache, client)
+            _pump(cache, session, client)
             assert registry.get("ripki_rtr_cache_resets_sent_total").value == 1
             assert registry.get("ripki_rtr_client_resyncs_total").value == 1
             assert registry.get("ripki_rtr_cache_snapshots_sent_total").value == 2
@@ -123,9 +125,10 @@ class TestRTRCounters:
             pair = TransportPair()
             cache = RTRCache()
             cache.load([_vrp()])
+            session = cache.register(pair.cache_side)
             client = RTRClient(pair.router_side)
             client.start()
-            _pump(pair, cache, client)
+            _pump(cache, session, client)
             queries = registry.get("ripki_rtr_cache_queries_total")
             assert queries.labels(type="ResetQueryPDU").value == 1
             pdus = registry.get("ripki_rtr_client_pdus_total")

@@ -547,10 +547,11 @@ class TestRTRClientResilience:
         from repro.rpki.rtr.errors import RTRError
 
         pair, cache, RTRClient = self._session()
+        session = cache.register(pair.cache_side)
         client = RTRClient(pair.router_side)
         client.start()
         for _ in range(3):
-            cache.serve(pair.cache_side)
+            cache.serve_session(session)
             client.poll()
         assert client.state is ClientState.SYNCHRONISED
 
@@ -563,11 +564,12 @@ class TestRTRClientResilience:
         from repro.rpki.rtr.client import ClientState
 
         pair, cache, RTRClient = self._session()
+        session = cache.register(pair.cache_side)
         transport = _FlakyTransport(pair.router_side, resets=(0, 1, 2))
         client = RTRClient(transport)
         client.start()
         for _ in range(12):
-            cache.serve(pair.cache_side)
+            cache.serve_session(session)
             client.poll()
             if client.state is ClientState.SYNCHRONISED:
                 break

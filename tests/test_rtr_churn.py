@@ -57,12 +57,13 @@ def make_cache(**kwargs):
 
 def synced_pair(cache):
     pair = TransportPair()
+    session = cache.register(pair.cache_side)
     client = RTRClient(pair.router_side)
     client.start()
-    cache.serve(pair.cache_side)
+    cache.serve_session(session)
     client.poll()
     assert client.state is ClientState.SYNCHRONISED
-    return pair, client
+    return pair, client, session
 
 
 def probe_id_recycling():
@@ -127,18 +128,10 @@ class TestSessionKeying:
             cache.unregister(session)
         assert len(cache.sessions()) == 0
         assert cache._sessions == {}
-        assert cache._by_transport == {}
-
-    def test_register_is_idempotent_per_transport(self):
-        cache = make_cache()
-        transport = InMemoryTransport()
-        assert cache.register(transport) is cache.register(transport)
-        assert len(cache.sessions()) == 1
 
     def test_closed_session_is_never_served(self):
         cache = make_cache()
-        pair, client = synced_pair(cache)
-        session = cache.register(pair.cache_side)
+        pair, client, session = synced_pair(cache)
         cache.unregister(session)
         pair.router_side.send(ResetQueryPDU().encode())
         cache.serve_session(session)
@@ -180,8 +173,7 @@ class TestNoOpLoad:
 
     def test_identical_reload_wakes_no_router(self):
         cache = make_cache()
-        pair, client = synced_pair(cache)
-        session = cache.register(pair.cache_side)
+        pair, client, session = synced_pair(cache)
         cache.notify_session(session)
         pair.router_side.receive()  # drain the first (legitimate) notify
         cache.load([vrp("10.0.0.0/16", 24, 64500)])
@@ -205,24 +197,21 @@ class TestNoOpLoad:
 class TestDecodeErrorFatality:
     def test_error_report_sent_once_then_quarantined(self):
         cache = make_cache()
-        pair, client = synced_pair(cache)
-        session = cache.register(pair.cache_side)
+        pair, client, session = synced_pair(cache)
         pair.router_side.send(b"\xff" * 16)  # undecodable
         cache.serve_session(session)
         replied, _ = decode_stream(pair.router_side.receive())
-        assert any(isinstance(p, ErrorReportPDU) for p in replied)
+        assert [type(p) for p in replied] == [ErrorReportPDU]
         assert session.state is SessionState.QUARANTINED
         # Valid-looking queries after the error are untrusted bytes:
         # no reply, no second Error Report.
         pair.router_side.send(SerialQueryPDU(5, cache.serial).encode())
         cache.serve_session(session)
         assert pair.router_side.receive() == b""
-        assert session.errors_sent == 1
 
     def test_quarantine_lifts_only_on_frame_aligned_reset_query(self):
         cache = make_cache()
-        pair, client = synced_pair(cache)
-        session = cache.register(pair.cache_side)
+        pair, client, session = synced_pair(cache)
         pair.router_side.send(b"\xff" * 16)
         cache.serve_session(session)
         pair.router_side.receive()
@@ -251,8 +240,7 @@ class TestDecodeErrorFatality:
 
     def test_router_error_report_quarantines_without_reply(self):
         cache = make_cache()
-        pair, client = synced_pair(cache)
-        session = cache.register(pair.cache_side)
+        pair, client, session = synced_pair(cache)
         pair.router_side.send(
             ErrorReportPDU(ErrorCode.INTERNAL_ERROR, b"", "router died").encode()
         )
@@ -260,13 +248,12 @@ class TestDecodeErrorFatality:
         assert session.state is SessionState.QUARANTINED
         # Never answer an error with an error.
         assert pair.router_side.receive() == b""
-        assert session.errors_sent == 0
 
 
 class TestClientSerialNotify:
     def test_redundant_notify_sends_no_query(self):
         cache = make_cache()
-        pair, client = synced_pair(cache)
+        pair, client, _session = synced_pair(cache)
         # Notify at the serial the router already holds.
         pair.cache_side.send(
             SerialNotifyPDU(cache.session_id, cache.serial).encode()
@@ -278,7 +265,7 @@ class TestClientSerialNotify:
     def test_redundant_notify_is_counted(self):
         with obs.scope() as (registry, _tracer):
             cache = make_cache()
-            pair, client = synced_pair(cache)
+            pair, client, _session = synced_pair(cache)
             pair.cache_side.send(
                 SerialNotifyPDU(cache.session_id, cache.serial).encode()
             )
@@ -289,7 +276,7 @@ class TestClientSerialNotify:
 
     def test_new_serial_notify_still_queries(self):
         cache = make_cache()
-        pair, client = synced_pair(cache)
+        pair, client, _session = synced_pair(cache)
         cache.load([vrp("12.0.0.0/16", 16, 3)])
         pair.cache_side.send(
             SerialNotifyPDU(cache.session_id, cache.serial).encode()
@@ -300,7 +287,7 @@ class TestClientSerialNotify:
 
     def test_session_mismatch_notify_forces_full_resync(self):
         cache = make_cache()
-        pair, client = synced_pair(cache)
+        pair, client, _session = synced_pair(cache)
         # A notify under a different session id means the cache
         # restarted: the client must go straight to a Reset Query, not
         # round-trip a Serial Query destined for a Cache Reset.
@@ -313,10 +300,10 @@ class TestClientSerialNotify:
 
     def test_session_mismatch_resync_completes(self):
         cache = make_cache()
-        pair, client = synced_pair(cache)
+        pair, client, session = synced_pair(cache)
         pair.cache_side.send(SerialNotifyPDU(999, 42).encode())
         client.poll()
-        cache.serve(pair.cache_side)
+        cache.serve_session(session)
         client.poll()
         assert client.state is ClientState.SYNCHRONISED
         assert client.session_id == cache.session_id

@@ -291,7 +291,7 @@ def synchronise(cache):
     pair = TransportPair()
     client = RTRClient(pair.router_side)
     client.start()
-    cache.serve(pair.cache_side)
+    cache.serve_session(cache.register(pair.cache_side))
     client.poll()
     assert client.state is ClientState.SYNCHRONISED
     return client
@@ -305,7 +305,7 @@ class TestSessionResilience:
         pair = TransportPair()
         client = RTRClient(pair.router_side)
         client.start()
-        cache.serve(pair.cache_side)
+        cache.serve_session(cache.register(pair.cache_side))
         pair.cache_side.send(garbage)  # hostile bytes after the snapshot
         client.poll()  # must never leak a raw exception
         assert client.state in (
@@ -324,8 +324,9 @@ class TestSessionResilience:
     def test_cache_survives_garbage_and_keeps_serving(self, garbage):
         cache = make_cache()
         pair = TransportPair()
+        session = cache.register(pair.cache_side)
         pair.router_side.send(garbage)
-        cache.serve(pair.cache_side)  # must never leak a raw exception
+        cache.serve_session(session)  # must never leak a raw exception
         replied = pair.router_side.receive()
         if replied:  # a complete-but-corrupt query earns an Error Report
             decoded, _rest = decode_stream(replied)
@@ -337,12 +338,12 @@ class TestSessionResilience:
         # reconnecting; implausible lengths are rejected outright).
         for _attempt in range(2):
             pair.router_side.send(ResetQueryPDU().encode())
-            cache.serve(pair.cache_side)
+            cache.serve_session(session)
             pair.router_side.receive()
         # A fresh connection always gets a full snapshot.
         fresh = TransportPair()
         fresh.router_side.send(ResetQueryPDU().encode())
-        cache.serve(fresh.cache_side)
+        cache.serve_session(cache.register(fresh.cache_side))
         decoded, rest = decode_stream(fresh.router_side.receive())
         assert rest == b""
         assert isinstance(decoded[0], CacheResponsePDU)
@@ -359,7 +360,7 @@ class TestSessionResilience:
             client = RTRClient(pair.router_side)
             client.start()
             pair.cache_side.send(junk)
-            cache.serve(pair.cache_side)
+            cache.serve_session(cache.register(pair.cache_side))
             client.poll()
         final = synchronise(cache)
         assert len(final.vrps()) == 2

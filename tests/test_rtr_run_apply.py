@@ -1,14 +1,13 @@
-"""Whole-run apply against the per-PDU state machine.
+"""Shared tables against the per-PDU state machine.
 
-:func:`~repro.rpki.rtr.client.decode_shared` groups a frame's
-consecutive prefix PDUs into runs of pairwise distinct keys, and
-:meth:`RTRClient.poll` applies a run as one table update when no PDU
-in it can fail.  The oracle is the same client with that shortcut
-switched off, so every PDU walks :meth:`RTRClient._handle`.  Both are
-fed the same bytes in the same pieces; after every delivery the two
-must agree on the table (order and object identity included), the
-open response, the session state, the errors they raised and sent,
-and every metric they recorded.
+:meth:`RTRClient.poll` walks every PDU through :meth:`RTRClient._handle`
+except that a response another router already ran cleanly from the
+same table is adopted whole (:meth:`RTRClient._share`).  The oracle is
+the same client with that shortcut switched off.  Both are fed the same
+bytes in the same pieces; after every delivery the two must agree on
+the table (order and object identity included), the open response,
+the session state, the errors they raised and sent, and every metric
+they recorded.
 """
 
 from hypothesis import example, given, settings
@@ -109,9 +108,6 @@ class PerPduClient(RTRClient):
     frame nor records its own, so it never reads the subject's work.
     """
 
-    def _apply(self, run):
-        return False
-
     def _share(self, frame, handled, pdu, opened):
         return handled, None
 
@@ -166,7 +162,7 @@ class TestWholeRunApply:
     @settings(max_examples=300, deadline=None)
     @given(script=st.lists(deliveries, min_size=1, max_size=5),
            broken=st.integers(0, 9).map(lambda n: n == 0))
-    # A duplicate announcement inside one run and across runs.
+    # A duplicate announcement within one response and across two.
     @example(script=[([RESPONSE, announce(0), announce(1), announce(0),
                        end()], [])], broken=False)
     @example(script=[([RESPONSE, announce(0), end(1)], []),
@@ -180,7 +176,7 @@ class TestWholeRunApply:
                        announce(0), end()], [])], broken=False)
     # A prefix PDU before the Cache Response.
     @example(script=[([announce(0), RESPONSE, end()], [])], broken=False)
-    # A response split mid-run (and mid-PDU) by trickled delivery.
+    # A response split mid-PDU by trickled delivery.
     @example(script=[([RESPONSE, announce(0), announce(1), announce(3),
                        announce(5), end()], [30, 50, 101])], broken=False)
     # A client already in ERROR drains and discards.
@@ -203,62 +199,6 @@ class TestWholeRunApply:
                 assert deliver(subject, piece) == deliver(oracle, piece)
                 assert_same(subject, oracle)
 
-    def test_a_clean_response_is_applied_without_a_per_pdu_step(self):
-        decode_shared.cache_clear()
-        handled = []
-
-        class Counting(RTRClient):
-            def _handle(self, pdu, record, counters):
-                handled.append(type(pdu).__name__)
-                super()._handle(pdu, record, counters)
-
-        endpoint = connect(Counting)
-        stream = [RESPONSE, *map(announce, range(len(KEYS))), end(1)]
-        deliver(endpoint, b"".join(pdu.encode() for pdu in stream))
-        fresh = IPv4PrefixPDU(
-            FLAG_ANNOUNCE, Prefix.parse("10.2.0.0/16"), 24, ASN(64500)
-        )
-        diff = [RESPONSE, withdraw(0), fresh, withdraw(6), end(2)]
-        deliver(endpoint, b"".join(pdu.encode() for pdu in diff))
-        client = endpoint[1]
-        assert client.state is ClientState.SYNCHRONISED
-        assert len(client) == len(KEYS) - 1
-        assert handled == ["CacheResponsePDU", "EndOfDataPDU"] * 2
-
-
-class TestRuns:
-    @given(stream=st.lists(st.one_of(prefix_pdus, controls), max_size=24))
-    def test_runs_partition_the_prefix_pdus(self, stream):
-        frame = decode_shared(b"".join(pdu.encode() for pdu in stream), "runs")
-        steps, runs = frame.steps, frame.runs
-        covered = []
-        for start, run in sorted(runs.items()):
-            assert start >= (covered[-1] + 1 if covered else 0)
-            records = [record for _pdu, record in steps[start:run.stop]]
-            assert None not in records
-            keys = [key for key, _vrp in records]
-            assert len(set(keys)) == len(keys)
-            # Maximal: the next step ends the run for a reason.
-            if run.stop < len(steps):
-                following = steps[run.stop][1]
-                assert following is None or following[0] in keys
-            announced = [
-                record
-                for (pdu, _record), record in zip(steps[start:run.stop], records)
-                if pdu.flags & FLAG_ANNOUNCE
-            ]
-            assert list(run.announce.items()) == announced
-            for (key_a, vrp_a), (key_b, vrp_b) in zip(
-                run.announce.items(), announced
-            ):
-                assert key_a is key_b and vrp_a is vrp_b
-            assert run.withdraw == set(keys) - set(run.announce)
-            covered.extend(range(start, run.stop))
-        prefix_positions = [
-            index for index, (_pdu, record) in enumerate(steps) if record
-        ]
-        assert covered == prefix_positions
-
 
 class TestSharedTransitions:
     """A clean response is run once per (frame, base table)."""
@@ -268,10 +208,6 @@ class TestSharedTransitions:
         handled = []
 
         class Counting(RTRClient):
-            def _apply(self, run):
-                handled.append("run")
-                return super()._apply(run)
-
             def _handle(self, pdu, record, counters):
                 handled.append(type(pdu).__name__)
                 super()._handle(pdu, record, counters)

@@ -8,7 +8,7 @@ import pytest
 from repro import obs
 from repro.net import ASN, Prefix
 from repro.obs.window import SLOTracker
-from repro.rpki.rtr.cache import SessionState
+from repro.rpki.rtr.cache import RTRCache, SessionState
 from repro.rpki.rtr.client import FRAME_MEMO_SIZE, ClientState, decode_shared
 from repro.rpki.vrp import VRP
 from repro.rtrd import (
@@ -139,11 +139,30 @@ class TestSnapshotSize:
         assert daemon.cache._snapshot_frame is None
 
 
+class TestPushedBytes:
+    def test_connect_snapshots_count_without_a_publish(self):
+        cache = RTRCache()
+        cache.load(mixed_slice(10))
+        with obs.scope() as (registry, _tracer):
+            daemon = RTRDaemon(cache=cache)
+            daemon.connect_many(3)
+            pushed = registry.get("ripki_rtrd_push_bytes_total")
+        summary = summarize_publishes(daemon)
+        expected = 3 * len(cache.snapshot_frame())
+        assert summary["publishes"] == 0
+        assert summary["snapshot_bytes"] == expected
+        assert summary["delta_bytes"] == 0
+        assert pushed is not None
+        assert pushed.labels(kind="snapshot").value == expected
+        assert pushed.labels(kind="diff").value == 0
+
+
 class TestLagAndHistory:
     def test_lagging_router_catches_up_with_multi_serial_diff(self):
         daemon = RTRDaemon()
         daemon.publish(world_slice(10))
         router = daemon.connect()
+        initial_sync = router.session.snapshot_bytes_sent
         router.lag = 10
         for step in range(3):
             daemon.publish(world_slice(10, start=step + 1))
@@ -153,19 +172,22 @@ class TestLagAndHistory:
         assert router.client.serial == daemon.serial
         assert wire_table(router.client.vrps()) == wire_table(daemon.vrps())
         # One diff covered serials 2..4; no snapshot was re-sent.
-        assert router.session.snapshots_sent == 1  # the initial sync only
+        assert router.session.snapshot_bytes_sent == initial_sync > 0
+        assert router.session.diff_bytes_sent > 0
 
     def test_router_behind_history_gets_cache_reset(self):
-        daemon = RTRDaemon(RtrdConfig(history_limit=2))
-        daemon.publish(world_slice(10))
-        router = daemon.connect()
-        router.lag = 99
-        for step in range(5):  # serial advances far beyond history
-            daemon.publish(world_slice(10, start=step + 1))
-        router.lag = 0
-        daemon.synchronize()
+        with obs.scope() as (registry, _tracer):
+            daemon = RTRDaemon(RtrdConfig(history_limit=2))
+            daemon.publish(world_slice(10))
+            router = daemon.connect()
+            router.lag = 99
+            for step in range(5):  # serial advances far beyond history
+                daemon.publish(world_slice(10, start=step + 1))
+            router.lag = 0
+            daemon.synchronize()
+            resets = registry.get("ripki_rtr_cache_resets_sent_total")
+            assert resets is not None and resets.value >= 1
         assert router.client.serial == daemon.serial
-        assert router.session.resets_sent >= 1
         assert wire_table(router.client.vrps()) == wire_table(daemon.vrps())
 
     def test_disconnect_stops_service(self):
