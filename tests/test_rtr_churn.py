@@ -129,6 +129,16 @@ class TestSessionKeying:
         assert len(cache.sessions()) == 0
         assert cache._sessions == {}
 
+    def test_each_register_opens_its_own_session(self):
+        cache = make_cache()
+        transport = InMemoryTransport()
+        first, second = cache.register(transport), cache.register(transport)
+        assert first is not second and first.sid != second.sid
+        assert cache.sessions() == [first, second]
+        cache.unregister(first)
+        assert cache.sessions() == [second]
+        assert second.state is SessionState.ACTIVE
+
     def test_closed_session_is_never_served(self):
         cache = make_cache()
         pair, client, session = synced_pair(cache)

@@ -200,8 +200,50 @@ class TestWholeRunApply:
                 assert_same(subject, oracle)
 
 
+class TestFrames:
+    @given(stream=st.lists(st.one_of(prefix_pdus, controls), max_size=24),
+           cut=st.integers(min_value=0, max_value=15))
+    def test_steps_pair_every_pdu_with_its_record(self, stream, cut):
+        decode_shared.cache_clear()
+        tail = announce(0).encode()[:cut]
+        data = b"".join(pdu.encode() for pdu in stream) + tail
+        frame = decode_shared(data, "steps")
+        assert [pdu for pdu, _record in frame.steps] == stream
+        assert frame.remainder == tail
+        assert frame.tables == {}
+        for pdu, record in frame.steps:
+            if not isinstance(pdu, (IPv4PrefixPDU, IPv6PrefixPDU)):
+                assert record is None
+                continue
+            key, vrp = record
+            assert vrp == pdu.to_vrp("steps")
+            assert key == (pdu.prefix, pdu.max_length, int(pdu.asn))
+        # The same bytes are decoded once.
+        assert decode_shared(data, "steps") is frame
+
+
 class TestSharedTransitions:
     """A clean response is run once per (frame, base table)."""
+
+    def test_the_first_router_walks_every_pdu(self):
+        decode_shared.cache_clear()
+        handled = []
+
+        class Counting(RTRClient):
+            def _handle(self, pdu, record, counters):
+                handled.append(type(pdu).__name__)
+                super()._handle(pdu, record, counters)
+
+        stream = [RESPONSE, *map(announce, range(len(KEYS))), end(1)]
+        data = b"".join(pdu.encode() for pdu in stream)
+        first, oracle = connect(Counting), connect(PerPduClient)
+        for endpoint in (first, oracle):
+            assert deliver(endpoint, data) == b""
+        assert handled == [type(pdu).__name__ for pdu in stream]
+        assert_same(first, oracle)
+        (transition,) = decode_shared(data, "differential").tables.values()
+        assert transition.table is first[1]._table
+        assert transition.stop == len(stream) - 1
 
     def test_a_second_router_adopts_the_first_routers_table(self):
         decode_shared.cache_clear()
